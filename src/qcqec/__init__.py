@@ -7,7 +7,7 @@ from qcqec.errors import (
     SingularMatrixError,
     SpecError,
 )
-from qcqec.gf import Field, ExtField, field_make, ext_field_make
+from qcqec.gf import Field, field_make
 
 __all__ = [
     "BudgetExceeded",
@@ -16,9 +16,7 @@ __all__ = [
     "SingularMatrixError",
     "SpecError",
     "Field",
-    "ExtField",
     "field_make",
-    "ext_field_make",
 ]
 
 __version__ = "0.1.0"

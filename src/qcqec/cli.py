@@ -343,11 +343,13 @@ def cmd_factor(args) -> int:
 
 
 def cmd_search(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{args.config}: not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise SpecError(f"cannot read search config: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SpecError(f"{args.config}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SpecError("search config must be a JSON object")
     raw.pop("schema", None)
@@ -467,18 +469,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *flags):
+        """--json, plus those of the shared flags the subcommand reads."""
         p.add_argument("--json", metavar="PATH", help="also write a JSON report")
-        p.add_argument("--threads", type=int, default=1, metavar="N")
-        p.add_argument("--allow-long", action="store_true",
-                       help="run enumerations past the desk-scale threshold")
-        p.add_argument("--budget", type=int, default=wdist.DEFAULT_BUDGET,
-                       metavar="N", help="enumerated-message cap")
-        p.add_argument("--seed", type=int, default=None, metavar="N")
+        if "threads" in flags:
+            p.add_argument("--threads", type=int, default=1, metavar="N")
+        if "allow-long" in flags:
+            p.add_argument("--allow-long", action="store_true",
+                           help="run enumerations past the desk-scale threshold")
+        if "budget" in flags:
+            p.add_argument("--budget", type=int, default=wdist.DEFAULT_BUDGET,
+                           metavar="N", help="enumerated-message cap")
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=None, metavar="N")
+
+    enumerates = ("threads", "allow-long", "budget")
 
     p = sub.add_parser("verify", help="run a spec file through the pipeline")
     p.add_argument("spec")
-    common(p)
+    common(p, *enumerates)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("extend", help="find extension vectors for a base spec")
@@ -486,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--columns", type=int, choices=(1, 2), default=1)
     p.add_argument("--alpha", type=int, default=None,
                    help="extension digit; omit for the unit rule")
-    common(p)
+    common(p, *enumerates)
     p.set_defaults(fn=cmd_extend)
 
     p = sub.add_parser("gv", help="quantum Gilbert-Varshamov verdict")
@@ -503,12 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="run the batch (f, g) search")
     p.add_argument("--config", required=True, metavar="PATH")
-    common(p)
+    common(p, "budget", "seed")
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("table", help="re-derive one collected parameter table")
     p.add_argument("--id", type=int, required=True, help="table number, 1..6")
-    common(p)
+    common(p, *enumerates)
     p.set_defaults(fn=cmd_table)
     return top
 

@@ -16,6 +16,7 @@ exactly; the sha256 content hash covers everything except the timestamp.
 import hashlib
 import json
 import random
+import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
 
@@ -241,24 +242,42 @@ def _evaluate(field: Field, config: SearchConfig, f, g, x1s) -> CodeRecord:
 
 
 def _load_existing(path):
+    """Seen (f, g) pairs and the best (d_dual, d) per (n, k) in a records file.
+
+    Every record is written together with its newline, so a final line
+    without one is what an interrupted write left behind.  It is cut off
+    with a warning on stderr, so that the next record starts on a line of
+    its own, and the search evaluates that candidate again.  A line that
+    does not parse anywhere else is an error naming it.
+    """
     seen, best = set(), {}
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")
     except FileNotFoundError:
         return seen, best
+    torn = None
     with fh:
+        complete = 0  # bytes up to the end of the last complete line
         for lineno, line in enumerate(fh, 1):
+            if not line.endswith(b"\n"):
+                torn = lineno
+                break
+            complete += len(line)
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
-                rec = record_from_doc(doc)
-            except (json.JSONDecodeError, SpecError) as exc:
+                rec = record_from_doc(json.loads(line))
+            except (json.JSONDecodeError, UnicodeDecodeError, SpecError) as exc:
                 raise SpecError(f"{path}:{lineno}: {exc}") from exc
             seen.add((rec.f, rec.g))
             if rec.d_dual is not None:
                 key = (rec.n, rec.k)
                 best[key] = max(best.get(key, (0, 0)), (rec.d_dual, rec.d))
+    if torn is not None:
+        print(f"warning: {path}:{torn}: final line has no newline (interrupted "
+              "write); cutting it off and resuming", file=sys.stderr)
+        with open(path, "r+b") as fh:
+            fh.truncate(complete)
     return seen, best
 
 

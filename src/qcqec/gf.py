@@ -1,4 +1,4 @@
-"""Finite field arithmetic for GF(q^2), q in {2, 3, 9}, and its extensions.
+"""Finite field arithmetic for GF(q^2), q in {2, 3, 9}.
 
 Field elements are plain int "digits": digit 0 is the zero element and digit
 d >= 1 stands for alpha^(d-1) for a fixed primitive element alpha.  GF(4)
@@ -15,10 +15,9 @@ this encoding element for element.
 from __future__ import annotations
 
 import math
-import random
 from functools import lru_cache
 
-from qcqec.errors import PreconditionError, SpecError
+from qcqec.errors import SpecError
 
 # Modulus per supported field size, coefficients ascending over GF(p).
 # x is a primitive root of each, which the Field constructor re-verifies.
@@ -29,21 +28,6 @@ _MODULI = {
 }
 
 SUPPORTED_Q = (2, 3, 9)
-
-
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n by trial division (n stays small here)."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class Field:
@@ -230,277 +214,3 @@ def field_make(q: int) -> Field:
     f = Field(p, modulus)
     assert f.q == q
     return f
-
-
-class ExtField:
-    """GF(Q^m) as polynomials of degree < m over a base Field.
-
-    Elements are tuples of m base-field digits (ascending powers of the
-    generator y).  This representation has no log tables, so it scales to
-    the large splitting fields the factorizer needs, at the cost of slower
-    multiplication.  The base field embeds as the constant polynomials.
-    """
-
-    def __init__(self, base: Field, modulus: tuple[int, ...]):
-        self.base = base
-        self.modulus = tuple(modulus)
-        self.m = len(modulus) - 1
-        if self.m < 1 or modulus[-1] != 1:
-            raise SpecError("extension modulus must be monic of degree >= 1")
-        self.order = base.Q ** self.m
-        self.zero = (0,) * self.m
-        self.one = ((1,) + (0,) * (self.m - 1)) if self.m > 1 else (1,)
-        self.p = base.p
-
-    def embed(self, d: int) -> tuple[int, ...]:
-        return (d,) + (0,) * (self.m - 1)
-
-    def project(self, a: tuple[int, ...]) -> int:
-        """Inverse of embed; raises if a is not in the base field."""
-        if any(a[1:]):
-            raise PreconditionError(
-                "not-in-base-field",
-                "extension element has no preimage in the base field",
-            )
-        return a[0]
-
-    def add(self, a, b):
-        add = self.base.add
-        return tuple(add(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        neg = self.base.neg
-        return tuple(neg(x) for x in a)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def scale(self, c: int, a):
-        mul = self.base.mul
-        return tuple(mul(c, x) for x in a)
-
-    def mul(self, a, b):
-        base = self.base
-        m = self.m
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] = base.add(prod[i + j], base.mul(x, y))
-        # Reduce by the monic modulus.
-        for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k]
-            if c == 0:
-                continue
-            prod[k] = 0
-            for t in range(m):
-                if self.modulus[t]:
-                    prod[k - self.m + t] = base.sub(
-                        prod[k - self.m + t], base.mul(c, self.modulus[t])
-                    )
-        return tuple(prod[:m])
-
-    def pow_(self, a, e: int):
-        if e < 0:
-            return self.pow_(self.inv(a), -e)
-        out = self.one
-        acc = a
-        while e:
-            if e & 1:
-                out = self.mul(out, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return out
-
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of the zero element")
-        return self.pow_(a, self.order - 2)
-
-    def __repr__(self):
-        return f"ExtField(GF({self.base.Q}^{self.m}))"
-
-
-def ext_field_make(base: Field, m: int, *, max_degree: int = 80):
-    """GF(Q^m) over the given base; returns the base itself when m == 1.
-
-    The defining modulus is found by seeded random search over monic degree-m
-    polynomials, each candidate vetted by a deterministic irreducibility test,
-    so repeated runs build the identical field.
-    """
-    if m == 1:
-        return base
-    if m > max_degree:
-        raise PreconditionError(
-            "extension-too-large",
-            f"needed extension degree {m} exceeds the configured cap {max_degree}",
-        )
-    rng = random.Random(f"qcqec-extfield-{base.Q}-{m}")
-    while True:
-        cand = tuple(rng.randrange(base.Q) for _ in range(m)) + (1,)
-        if cand[0] == 0:
-            continue  # divisible by y
-        if _ext_modulus_irreducible(cand, base):
-            return ExtField(base, cand)
-
-
-def _ext_modulus_irreducible(f: tuple[int, ...], base: Field) -> bool:
-    """Rabin test: f (monic, degree m) is irreducible over GF(Q) iff
-    y^(Q^m) == y mod f and gcd(y^(Q^(m/r)) - y, f) = 1 for primes r | m."""
-    m = len(f) - 1
-    frob = _frobenius_rows(f, base)
-    checkpoints = {m // r for r in _prime_factors(m)}
-    y = [0, 1] + [0] * (m - 2)  # the element y, as a length-m vector
-    h = list(y)
-    for j in range(1, m + 1):
-        h = _apply_rows(frob, h, base)
-        if j in checkpoints:
-            diff = [base.sub(a, b) for a, b in zip(h, y)]
-            if _vec_poly_gcd_deg(diff, f, base) != 0:
-                return False
-    return h == y
-
-
-def _frobenius_rows(f: tuple[int, ...], base: Field):
-    """Rows r_i = x^(i*Q) mod f, enabling h -> h^Q as a linear map.
-
-    Works because coefficients live in GF(Q) and are fixed by the Q-power
-    Frobenius of the quotient ring.
-    """
-    m = len(f) - 1
-    xq = _poly_powmod_x(base.Q, f, base)
-    rows = [[1] + [0] * (m - 1)]
-    cur = [1] + [0] * (m - 1)
-    for _ in range(m - 1):
-        cur = _poly_mulmod_vec(cur, xq, f, base)
-        rows.append(cur)
-    return rows
-
-
-def _apply_rows(rows, h, base):
-    m = len(h)
-    out = [0] * m
-    add, mul = base.add, base.mul
-    for i, c in enumerate(h):
-        if c == 0:
-            continue
-        row = rows[i]
-        for t in range(m):
-            if row[t]:
-                out[t] = add(out[t], mul(c, row[t]))
-    return out
-
-
-def _poly_powmod_x(e: int, f: tuple[int, ...], base: Field):
-    """x^e mod f as a coefficient vector of length deg f."""
-    m = len(f) - 1
-    out = [1] + [0] * (m - 1)
-    acc = [0, 1] + [0] * (m - 2)
-    while e:
-        if e & 1:
-            out = _poly_mulmod_vec(out, acc, f, base)
-        acc = _poly_mulmod_vec(acc, acc, f, base)
-        e >>= 1
-    return out
-
-
-def _poly_mulmod_vec(a, b, f, base):
-    m = len(f) - 1
-    prod = [0] * (2 * m - 1)
-    add, mul, sub = base.add, base.mul, base.sub
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                prod[i + j] = add(prod[i + j], mul(x, y))
-    for k in range(2 * m - 2, m - 1, -1):
-        c = prod[k]
-        if c == 0:
-            continue
-        prod[k] = 0
-        for t in range(m):
-            if f[t]:
-                prod[k - m + t] = sub(prod[k - m + t], mul(c, f[t]))
-    return prod[:m]
-
-
-def _vec_poly_gcd_deg(a, f, base) -> int:
-    """Degree of gcd(a, f) for coefficient vectors over the base field."""
-    x = [c for c in a]
-    y = [c for c in f]
-    while any(y):
-        x = _vec_poly_mod(x, y, base)
-        x, y = y, x
-    while x and x[-1] == 0:
-        x.pop()
-    return len(x) - 1
-
-
-def _vec_poly_mod(a, b, base):
-    a = [c for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    bb = [c for c in b]
-    while bb and bb[-1] == 0:
-        bb.pop()
-    db = len(bb) - 1
-    inv_lead = base.inv(bb[-1])
-    while len(a) - 1 >= db:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = base.mul(a[-1], inv_lead)
-        shift = len(a) - 1 - db
-        for t in range(db + 1):
-            a[shift + t] = base.sub(a[shift + t], base.mul(c, bb[t]))
-        a.pop()
-    return a
-
-
-def multiplicative_order(a: int, n: int) -> int:
-    """Order of a modulo n (gcd(a, n) must be 1)."""
-    if math.gcd(a, n) != 1:
-        raise PreconditionError("not-a-unit", f"{a} is not invertible mod {n}")
-    t = a % n
-    k = 1
-    while t != 1:
-        t = t * a % n
-        k += 1
-    return k
-
-
-def primitive_nth_root(ffield, n: int):
-    """A primitive n-th root of unity in ffield (a Field or ExtField).
-
-    n must divide the multiplicative group order.  In the base-field case the
-    answer is a fixed power of alpha; in extensions a seeded random element is
-    raised to the cofactor and the order n is verified exactly.
-    """
-    if isinstance(ffield, Field):
-        N = ffield.Q - 1
-        if N % n:
-            raise PreconditionError(
-                "no-nth-root", f"{n} does not divide the group order {N}"
-            )
-        return ffield.pow_(2, N // n) if n > 1 else 1
-    N = ffield.order - 1
-    if N % n:
-        raise PreconditionError(
-            "no-nth-root", f"{n} does not divide the group order {N}"
-        )
-    e = N // n
-    small = [n // r for r in _prime_factors(n)]
-    rng = random.Random(f"qcqec-nthroot-{ffield.base.Q}-{ffield.m}-{n}")
-    while True:
-        cand = tuple(rng.randrange(ffield.base.Q) for _ in range(ffield.m))
-        if cand == ffield.zero:
-            continue
-        beta = ffield.pow_(cand, e)
-        if beta == ffield.one:
-            continue
-        if all(ffield.pow_(beta, t) != ffield.one for t in small):
-            assert ffield.pow_(beta, n) == ffield.one
-            return beta

@@ -27,12 +27,7 @@ import math
 from functools import lru_cache
 
 from qcqec.errors import PreconditionError, SpecError
-from qcqec.gf import (
-    Field,
-    ext_field_make,
-    multiplicative_order,
-    primitive_nth_root,
-)
+from qcqec.gf import Field
 
 # --- plain polynomial helpers --------------------------------------------
 
@@ -273,10 +268,6 @@ def ring_mul(field, n: int, a, b) -> tuple[int, ...]:
     return ring_from_plain(field, n, poly_mul(field, a, b))
 
 
-def ring_add(field, a, b) -> tuple[int, ...]:
-    return tuple(field.add(x, y) for x, y in zip(a, b))
-
-
 def cyclic_shift(vec, i: int) -> tuple[int, ...]:
     """Multiply by x^i: rotate coefficients right by i."""
     n = len(vec)
@@ -350,10 +341,9 @@ def cyclotomic_cosets(Q: int, n: int) -> list[tuple[int, ...]]:
 def factor_xn_minus_1(field: Field, n: int) -> tuple[tuple[int, ...], ...]:
     """Complete factorization of x^n - 1 over GF(Q) into monic irreducibles.
 
-    Each cyclotomic coset contributes the minimal polynomial of beta^s for a
-    primitive n-th root of unity beta living in GF(Q^m), m the order of Q
-    mod n.  The product of the factors is re-verified against x^n - 1.
-    Requires gcd(n, p) = 1.
+    There is one factor per Q-cyclotomic coset mod n, of the coset's size.
+    The factors come sorted by (length, coefficients), and their product is
+    re-verified against x^n - 1.  Requires gcd(n, p) = 1.
     """
     if n < 1:
         raise SpecError(f"n must be positive, got {n}")
@@ -367,31 +357,48 @@ def factor_xn_minus_1(field: Field, n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _factor_cached(field: Field, n: int) -> tuple[tuple[int, ...], ...]:
-    m = multiplicative_order(field.Q % n, n) if n > 1 else 1
-    ffield = ext_field_make(field, m)
-    beta = primitive_nth_root(ffield, n)
-    to_base = (lambda c: c) if m == 1 else ffield.project
+    """Berlekamp splitting with a basis known in advance.
 
-    beta_pow = [ffield.one]
-    for _ in range(n - 1):
-        beta_pow.append(ffield.mul(beta_pow[-1], beta))
-
-    factors = []
-    for orbit in cyclotomic_cosets(field.Q, n):
-        poly = [ffield.one]
+    A ring element v = sum a_s x^s with digits in GF(Q) satisfies
+    v^Q = v mod x^n - 1 exactly when a_s is constant on each Q-cyclotomic
+    coset, so the coset sums v_C = sum_{s in C} x^s are a basis of the
+    Berlekamp subalgebra and there is no linear system to solve.  Modulo
+    any squarefree divisor h, v_C is congruent to a constant on each
+    irreducible factor, so h is the product of gcd(h, v_C - c) over
+    c in GF(Q); splitting every current factor on every basis element
+    separates all irreducible factors.
+    """
+    xn1 = x_pow_n_minus_1(field, n)
+    cosets = cyclotomic_cosets(field.Q, n)
+    factors = [xn1]
+    for orbit in cosets:
+        if len(factors) == len(cosets):
+            break
+        v = [0] * n
         for s in orbit:
-            r = beta_pow[s]
-            new = [ffield.zero] * (len(poly) + 1)
-            for t, c in enumerate(poly):
-                new[t + 1] = ffield.add(new[t + 1], c)
-                new[t] = ffield.sub(new[t], ffield.mul(r, c))
-            poly = new
-        factors.append(tuple(to_base(c) for c in poly))
+            v[s] = field.one
+        split = []
+        for h in factors:
+            r = poly_mod(field, v, h)
+            left = deg(h)
+            for c in field.digits:
+                part = poly_gcd(field, h, poly_add(field, r, (field.neg(c),)))
+                if deg(part) >= 1:
+                    split.append(part)
+                    left -= deg(part)
+                    if not left:
+                        break
+        factors = split
 
+    if len(factors) != len(cosets):
+        raise AssertionError(
+            f"found {len(factors)} factors of x^{n} - 1 over GF({field.Q}), "
+            f"expected one per cyclotomic coset ({len(cosets)})"
+        )
     product = (1,)
     for fac in factors:
         product = poly_mul(field, product, fac)
-    if product != x_pow_n_minus_1(field, n):
+    if product != xn1:
         raise AssertionError(
             f"factor product mismatch for x^{n} - 1 over GF({field.Q})"
         )

@@ -126,14 +126,6 @@ class PackedOps:
         mul = self.field.mul
         return self.pack_digits([mul(scalar_digit, d) for d in row_digits])
 
-    def unary_table(self, digit_fn) -> np.ndarray:
-        """Packed -> packed lookup for a unary digit map (e.g. the norm)."""
-        size = int(self.from_digit.max()) + 1
-        table = np.zeros(size, dtype=self.dtype)
-        for d in self.field.digits:
-            table[self.from_digit[d]] = self.from_digit[digit_fn(d)]
-        return table
-
 
 # --- message scans ------------------------------------------------------------
 

@@ -10,6 +10,8 @@ import dataclasses
 import json
 from pathlib import Path
 
+import pytest
+
 from qcqec import cli, refdata
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -166,6 +168,18 @@ def test_gv_command(capsys):
     assert "not applicable" in out
 
 
+def test_flags_a_subcommand_ignores_are_rejected(capsys):
+    for argv in (["gv", "--q", "2", "--n", "7", "--k", "1", "--d", "3",
+                  "--threads", "2"],
+                 ["factor", "--q", "2", "--n", "7", "--seed", "4"],
+                 ["search", "--config", "unused.json", "--allow-long"],
+                 ["verify", str(SPECS / "q2-n7-base.json"), "--seed", "1"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_factor_command(capsys, tmp_path):
     report_path = tmp_path / "factors.json"
     rc, out, _ = run(capsys, "factor", "--q", "2", "--n", "7",
@@ -236,3 +250,16 @@ def test_search_rejects_bad_config(capsys, tmp_path):
     rc, _, err = run(capsys, "search", "--config", cfg)
     assert rc == 2
     assert "bogus" in json.loads(err)["error"]["message"]
+
+
+def test_search_unreadable_config(capsys, tmp_path):
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"q": 2, "n": 7, "mode": "\xe9"}')
+    for path, message in ((tmp_path / "missing.json", "cannot read search config"),
+                          (tmp_path, "cannot read search config"),
+                          (undecodable, "not valid JSON")):
+        rc, _, err = run(capsys, "search", "--config", str(path))
+        assert rc == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "spec"
+        assert message in error["message"]

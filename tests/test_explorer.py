@@ -125,6 +125,35 @@ def test_search_determinism(tmp_path):
     assert lines[0] == lines[1]
 
 
+def test_resume_after_torn_final_line(tmp_path, capsys):
+    kw = dict(q=2, n=7, mode="qecc", max_f_samples=6, rng_seed=3)
+    _run(tmp_path, "whole.jsonl", **kw)
+    whole = (tmp_path / "whole.jsonl").read_text()
+    start = whole.rstrip("\n").rfind("\n") + 1
+    torn = tmp_path / "torn.jsonl"
+    torn.write_text(whole[: start + (len(whole) - start) // 2])
+
+    _run(tmp_path, "torn.jsonl", **kw)
+    assert "torn.jsonl:%d" % whole.count("\n") in capsys.readouterr().err
+    docs = []
+    for text in (whole, torn.read_text()):
+        docs.append([json.loads(line) for line in text.splitlines()])
+        for doc in docs[-1]:
+            doc.pop("ts")
+    assert docs[0] == docs[1]
+
+
+def test_resume_rejects_bad_line_before_the_last(tmp_path):
+    cfg, _ = _run(tmp_path, "r.jsonl", q=2, n=7, mode="qecc", max_f_samples=4)
+    path = tmp_path / "r.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(SpecError) as info:
+        list(explorer.search(cfg))
+    assert "r.jsonl:2" in str(info.value)
+
+
 def test_emitted_records_reverify(tmp_path):
     _, recs = _run(tmp_path, "n7.jsonl", q=2, n=7, mode="qecc",
                    max_f_samples=6, rng_seed=0)

@@ -12,14 +12,7 @@ import random
 import pytest
 
 from qcqec.errors import SpecError
-from qcqec.gf import (
-    ExtField,
-    Field,
-    ext_field_make,
-    field_make,
-    multiplicative_order,
-    primitive_nth_root,
-)
+from qcqec.gf import Field, field_make
 
 ALL_Q = [2, 3, 9]
 
@@ -199,93 +192,3 @@ def test_pow_consistency():
         for _ in range(e):
             brute = f.mul(brute, a)
         assert f.pow_(a, e) == brute
-
-
-# --- extension fields ----------------------------------------------------
-
-
-def test_ext_field_m1_is_base():
-    base = field_make(2)
-    assert ext_field_make(base, 1) is base
-
-
-@pytest.mark.parametrize("q,m", [(2, 2), (2, 3), (3, 2), (3, 5)])
-def test_ext_field_arithmetic(q, m):
-    base = field_make(q)
-    ext = ext_field_make(base, m)
-    assert isinstance(ext, ExtField)
-    assert ext.order == base.Q ** m
-    rng = random.Random(9000 + 10 * q + m)
-
-    def rand_el():
-        return tuple(rng.randrange(base.Q) for _ in range(m))
-
-    for _ in range(150):
-        a, b, c = rand_el(), rand_el(), rand_el()
-        assert ext.add(a, b) == ext.add(b, a)
-        assert ext.mul(a, b) == ext.mul(b, a)
-        assert ext.mul(ext.mul(a, b), c) == ext.mul(a, ext.mul(b, c))
-        assert ext.mul(a, ext.add(b, c)) == ext.add(
-            ext.mul(a, b), ext.mul(a, c)
-        )
-        assert ext.add(a, ext.neg(a)) == ext.zero
-        if a != ext.zero:
-            assert ext.mul(a, ext.inv(a)) == ext.one
-            # Lagrange: the multiplicative group has order Q^m - 1
-            assert ext.pow_(a, ext.order - 1) == ext.one
-    # the base field embeds homomorphically
-    for x in base.digits:
-        for y in base.digits:
-            assert ext.embed(base.add(x, y)) == ext.add(
-                ext.embed(x), ext.embed(y)
-            )
-            assert ext.embed(base.mul(x, y)) == ext.mul(
-                ext.embed(x), ext.embed(y)
-            )
-            assert ext.project(ext.embed(x)) == x
-
-
-def test_ext_field_modulus_has_no_base_roots():
-    base = field_make(2)
-    ext = ext_field_make(base, 4)
-    # evaluate the modulus at every base element; a root would mean reducible
-    for d in base.digits:
-        acc = 0
-        for i, c in enumerate(ext.modulus):
-            acc = base.add(acc, base.mul(c, base.pow_(d, i)))
-        assert acc != 0
-
-
-def test_ext_field_deterministic():
-    base = field_make(3)
-    a = ext_field_make(base, 4)
-    b = ext_field_make(base, 4)
-    assert a.modulus == b.modulus
-
-
-def test_multiplicative_order():
-    assert multiplicative_order(4, 7) == 3
-    assert multiplicative_order(4, 15) == 2
-    assert multiplicative_order(4, 31) == 5
-    assert multiplicative_order(9, 41) == 4
-    assert multiplicative_order(2, 11) == 10
-
-
-def test_primitive_nth_root_base():
-    f = field_make(2)
-    beta = primitive_nth_root(f, 3)
-    assert f.pow_(beta, 3) == 1
-    assert beta != 1
-    f9 = field_make(3)
-    beta8 = primitive_nth_root(f9, 8)
-    seen = {f9.pow_(beta8, i) for i in range(8)}
-    assert len(seen) == 8
-
-
-def test_primitive_nth_root_ext():
-    base = field_make(2)
-    ext = ext_field_make(base, 5)  # GF(4^5), group order 1023 = 3*11*31
-    beta = primitive_nth_root(ext, 11)
-    assert ext.pow_(beta, 11) == ext.one
-    for t in range(1, 11):
-        assert ext.pow_(beta, t) != ext.one

@@ -296,9 +296,36 @@ def test_factors_are_monic_irreducible_and_multiply_back(field, n):
 
 
 def test_factor_large_order_extension():
-    # n = 23 over GF(4) needs GF(4^11); exercises the big-extension path
+    # n = 23 over GF(4): x - 1 and two irreducible factors of degree 11;
+    # each nonconstant coset sum is 1 on x - 1 and on one of the others, so
+    # it takes both of them to separate all three
     factors = pr.factor_xn_minus_1(GF4, 23)
     assert sorted(pr.deg(f) for f in factors) == [1, 11, 11]
+
+
+FACTOR_GRID = [
+    (field, n)
+    for field in (GF4, GF9, GF81)
+    for n in range(1, 65)
+    if math.gcd(n, field.p) == 1
+] + [(GF81, 127)]
+
+
+@pytest.mark.parametrize(
+    "field,n", FACTOR_GRID, ids=[f"Q{f.Q}-n{n}" for f, n in FACTOR_GRID]
+)
+def test_factorization_is_complete(field, n):
+    # x^n - 1 has exactly one monic irreducible factor per Q-cyclotomic
+    # coset, of the coset's size, so monic factors with those degrees whose
+    # product is x^n - 1 are the complete factorization into irreducibles
+    factors = pr.factor_xn_minus_1(field, n)
+    assert all(f[-1] == 1 for f in factors)
+    coset_sizes = sorted(len(c) for c in pr.cyclotomic_cosets(field.Q, n))
+    assert sorted(pr.deg(f) for f in factors) == coset_sizes
+    prod = (1,)
+    for f in factors:
+        prod = pr.poly_mul(field, prod, f)
+    assert prod == pr.x_pow_n_minus_1(field, n)
 
 
 def test_factor_rejects_p_dividing_n():
