@@ -69,7 +69,7 @@ def load_spec(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read spec: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SpecError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecError("spec must be a JSON object")

@@ -165,7 +165,7 @@ REFERENCE_CODES = (
         x1=(45, 72, 57, 23, 53, 74, 34, 59, 59, 34),
         x2=(19, 42, 41, 11, 18, 32, 72, 62, 67, 76),
         expect={
-            "code": (22, 5, None),
+            "code": (22, 5, 11),
             "dual": (22, 17, 5),
             "certificate": True,
             "eaqecc_extended": (22, 17, 5, 5),

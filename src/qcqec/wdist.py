@@ -1,23 +1,21 @@
 """Exact weight distributions, MacWilliams transforms, derived distances.
 
-The enumeration core walks every message of GF(Q)^k.  Messages are split
-into an outer part, scanned one step at a time in Gray order (each step adds
-a scalar multiple of one generator row to the running prefix), and an inner
-part, whose full subcode is materialized once as a table so that each outer
-step costs a single vectorized add + weight histogram over the table.
+The enumeration core counts all Q^k codewords of an [n, k]_Q code while
+scanning about one in Q-1 of them: nonzero multiples of a word share its
+weight.  It scans the span of the last `inner` rows (the block table, zero
+word included) once, and for each outer row i the words rows[i] +
+span(rows[i+1:]), whose first nonzero message digit is 1, counted Q-1 times.
 
-Vector arithmetic uses packed coefficient encodings: characteristic 2 packs
-GF(4) coordinates into bit pairs where addition is XOR; characteristic 3
-packs each GF(3) coordinate of an element into its own nibble, and addition
-is carried out by a branch-free nibble-wise mod-3 correction.  Counts are
-held as numpy int64 histograms per block and accumulated into Python ints,
-so the final distribution is exact at any size.
+Words are bit-sliced, 64 symbols to a uint64 word per bit plane: one plane
+per GF(2) coordinate, added by XOR, or two per GF(3) coordinate ("= 2" and
+"= 1"), added by the formula of Boothby and Bradshaw (arXiv:0901.1413).  A
+weight is the popcount of the OR of the planes.  Histograms are numpy int64
+per work unit and exact Python ints once scaled and summed.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
@@ -29,7 +27,7 @@ from qcqec import famat
 from qcqec.gf import Field, field_make
 
 DEFAULT_BUDGET = 2 ** 32
-_BLOCK_TARGET = 1 << 17  # inner-table rows; ~17 MB at length 131
+_BLOCK_BYTES = 1 << 20  # block table size cap
 
 
 @dataclass(frozen=True)
@@ -61,159 +59,131 @@ class WeightEnumerator:
         return {str(w): str(c) for w, c in enumerate(self.counts) if c}
 
 
-# --- packed coefficient encodings -------------------------------------------
+# --- bit-sliced vectors ---------------------------------------------------------
 
 
-class PackedOps:
-    """Vectorized field arithmetic on packed coefficient encodings.
+class BitPlanes:
+    """Bit-sliced vectors of length n over GF(Q).
 
-    Packing maps each digit to an integer whose bit fields are the GF(p)
-    coefficients of the element, so zero packs to zero and addition never
-    needs a Q x Q table gather.
+    A batch of R vectors is a uint64 array of shape (P, W, R): P bit planes
+    of W = ceil(n/64) words each, bit j of a word standing for symbol j of
+    that word.  Vectors are the last axis, so that a scan step runs over long
+    contiguous columns.  Zero encodes to all-zero bits.
     """
 
-    def __init__(self, field: Field):
-        p, m = field.p, field.m
-        self.field = field
-        if p == 2:
-            if m > 8:
-                raise SpecError("packed encoding supports char-2 fields to 2^8")
-            self.dtype = np.uint8
-            self._nib_one = None
-            packs = [self._pack_bits(field.coeffs(d)) for d in field.digits]
-        elif p == 3 and m <= 4:
-            self.dtype = np.uint8 if m <= 2 else np.uint16
-            self._nib_one = self.dtype(int("11" * ((m + 1) // 2), 16))
-            self._nib_mask = self.dtype(int("44" * ((m + 1) // 2), 16))
-            packs = [self._pack_nibbles(field.coeffs(d)) for d in field.digits]
+    def __init__(self, field: Field, n: int):
+        self.field, self.n = field, n
+        self.P, self.W = self.shape(field, n)
+        bits = np.array([field.coeffs(d) for d in field.digits], dtype=np.uint8)
+        if field.p == 3:  # planes "coordinate = 2", then "coordinate = 1"
+            bits = np.concatenate([bits == 2, bits == 1], axis=1)
+        self._bits = bits.astype(np.uint8)
+        self._mul = np.array(
+            [[field.mul(a, b) for b in field.digits] for a in field.digits],
+            dtype=np.intp,
+        )
+
+    @staticmethod
+    def shape(field: Field, n: int) -> tuple[int, int]:
+        """(P, W): m planes (p = 2) or 2m (p = 3), each of ceil(n/64) words."""
+        if field.p not in (2, 3):
+            raise SpecError(f"no bit-sliced encoding for GF({field.Q})")
+        return field.m * (field.p - 1), max(1, -(-n // 64))
+
+    def encode(self, digits) -> np.ndarray:
+        """Planes of the rows of an (R, n) digit array, shape (P, W, R)."""
+        digits = np.asarray(digits, dtype=np.intp).reshape(-1, self.n)
+        bits = np.zeros((self.P, len(digits), 64 * self.W), dtype=np.uint8)
+        bits[:, :, : self.n] = self._bits[digits].transpose(2, 0, 1)
+        words = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+        return np.ascontiguousarray(words.transpose(0, 2, 1))
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.field.p == 2:
+            return a ^ b
+        m = self.field.m
+        ah, al, bh, bl = a[:m], a[m:], b[:m], b[m:]
+        t = (al | bh) ^ (ah | bl)
+        return np.concatenate([(al | bl) ^ t, (ah | bh) ^ t])
+
+    def neg(self, a: np.ndarray) -> np.ndarray:
+        if self.field.p == 2:
+            return a
+        m = self.field.m
+        return np.concatenate([a[m:], a[:m]])
+
+    def weights(self, a: np.ndarray) -> np.ndarray:
+        """Hamming weight of each vector of a (P, W, R) batch."""
+        ones = np.bitwise_count(np.bitwise_or.reduce(a, axis=0))
+        return ones[0] if self.W == 1 else ones.sum(axis=0, dtype=np.intp)
+
+    def multiples(self, row) -> np.ndarray:
+        """Planes of s . row for every digit s, shape (P, W, Q)."""
+        return self.encode(self._mul[:, list(row)])
+
+    def span(self, rows) -> np.ndarray:
+        """All Q^r codewords spanned by r digit rows, shape (P, W, Q^r)."""
+        table = np.zeros((self.P, self.W, 1), dtype=np.uint64)
+        for row in rows:
+            table = self.add(table[:, :, None, :], self.multiples(row)[:, :, :, None])
+            table = table.reshape(self.P, self.W, -1)
+        return table
+
+
+# --- message scans ----------------------------------------------------------------
+
+
+def _work_units(Q: int, outer: int, inner: int, workers: int):
+    """Work units, dealt into at most `workers` lists of about equal work.
+
+    A unit (head, multiplier) stands for multiplier x the weight histogram
+    of the words head . rows[:len(head)] + span(rows[len(head):]), one block
+    table per prefix of the outer rows.  The first units are the projective
+    split.  A unit is then cut by its next digit while its prefixes outnumber
+    the table rows, or, with workers > 1, while it holds over 1/(8 workers)
+    of the work."""
+    units = [((0,) * outer, 1)]
+    units += [((0,) * i + (1,), Q - 1) for i in range(outer)]
+    total = sum(Q ** (outer - len(head)) for head, _ in units)
+    cut = []
+    while units:
+        head, mult = units.pop()
+        free = outer - len(head)
+        if free > inner or (workers > 1 and free and 8 * workers * Q ** free > total):
+            units += [(head + (s,), mult) for s in range(Q)]
         else:
-            raise SpecError(f"no packed encoding for GF({field.Q})")
-        self.from_digit = np.array(packs, dtype=self.dtype)
-        self._digit_of = {int(v): d for d, v in enumerate(self.from_digit)}
-
-    @staticmethod
-    def _pack_bits(coeffs):
-        v = 0
-        for i, c in enumerate(coeffs):
-            v |= c << i
-        return v
-
-    @staticmethod
-    def _pack_nibbles(coeffs):
-        v = 0
-        for i, c in enumerate(coeffs):
-            v |= c << (4 * i)
-        return v
-
-    def pack_digits(self, digits) -> np.ndarray:
-        return self.from_digit[np.asarray(digits, dtype=np.int64)]
-
-    def digit_of(self, packed_value: int) -> int:
-        return self._digit_of[int(packed_value)]
-
-    def add(self, a, b, out=None):
-        if self._nib_one is None:
-            return np.bitwise_xor(a, b, out=out)
-        w = np.add(a, b, out=out)  # nibble sums <= 4: no carry between fields
-        t = w + self._nib_one
-        np.bitwise_and(t, self._nib_mask, out=t)
-        np.right_shift(t, 2, out=t)
-        t *= 3
-        w -= t
-        return w
-
-    def scaled_packed_row(self, scalar_digit: int, row_digits) -> np.ndarray:
-        mul = self.field.mul
-        return self.pack_digits([mul(scalar_digit, d) for d in row_digits])
+            cut.append((Q ** free, head, mult))
+    chunks = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for cost, head, mult in sorted(cut, reverse=True):
+        i = loads.index(min(loads))
+        chunks[i].append((head, mult))
+        loads[i] += cost
+    return [chunk for chunk in chunks if chunk]
 
 
-# --- message scans ------------------------------------------------------------
-
-
-def _split_inner(Q: int, k: int) -> int:
-    """How many low message coordinates to absorb into the block table."""
-    inner = 1
-    while inner < k and Q ** (inner + 1) <= _BLOCK_TARGET:
-        inner += 1
-    return min(inner, k)
-
-
-def _block_table(pops: PackedOps, rows_digits) -> np.ndarray:
-    """All codewords of the subcode spanned by the given rows, in lex order
-    of the message (first row most significant)."""
-    Q = pops.field.Q
-    ncols = len(rows_digits[0]) if rows_digits else 0
-    table = np.zeros((1, ncols), dtype=pops.dtype)
-    for row in reversed(rows_digits):
-        scaled = [pops.scaled_packed_row(s, row) for s in range(Q)]
-        parts = [pops.add(table, sc[None, :]) for sc in scaled]
-        table = np.concatenate(parts, axis=0)
-    return table
-
-
-def _gray_steps(Q: int, count: int, coords: int):
-    """Yield (coord, old_digit) per step of the modular Gray walk; the digit
-    at `coord` advances one place in the cyclic digit order 0,1,...,Q-1."""
-    counter = [0] * coords
-    gray = [0] * coords
-    for _ in range(count - 1):
-        j = 0
-        while counter[j] == Q - 1:
-            counter[j] = 0
-            j += 1
-        counter[j] += 1
-        old = gray[j]
-        gray[j] = (old + 1) % Q
-        yield j, old
-
-
-def _shard_histogram(field, rows_digits, offset_digits) -> list[int]:
-    """Weight histogram of {offset + m . rows : m in GF(Q)^k}, exact."""
-    n = len(offset_digits)
-    k = len(rows_digits)
-    Q = field.Q
-    pops = PackedOps(field)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    offset = pops.pack_digits(offset_digits)
-
-    if k == 0:
-        w = int(np.count_nonzero(offset))
-        counts[w] += 1
-        return [int(c) for c in counts]
-
-    inner = _split_inner(Q, k)
-    table = _block_table(pops, rows_digits[k - inner :])
-    outer_rows = rows_digits[: k - inner]
+def _scan(job) -> list[int]:
+    """Sum over the units of multiplier x weight histogram of their words."""
+    q, rows, inner, units = job
+    bp = BitPlanes(field_make(q), len(rows[0]))
+    outer = len(rows) - inner
+    table = bp.span(rows[outer:])
     work = np.empty_like(table)
-
-    # per outer coordinate: packed delta rows for each cyclic digit step
-    steps = [
-        [
-            pops.pack_digits(
-                [field.mul(field.sub((s + 1) % Q, s), d) for d in row]
-            )
-            for s in range(Q)
-        ]
-        for row in outer_rows
-    ]
-
-    prefix = offset
-    def _flush():
-        pops.add(table, prefix[None, :], out=work)
-        weights = np.count_nonzero(work, axis=1)
-        np.add(counts, np.bincount(weights, minlength=n + 1), out=counts)
-
-    _flush()
-    if outer_rows:
-        for j, old in _gray_steps(Q, Q ** len(outer_rows), len(outer_rows)):
-            prefix = pops.add(prefix, steps[j][old])
-            _flush()
-    return [int(c) for c in counts]
-
-
-def _shard_worker(args):
-    q, rows_digits, offset_digits = args
-    return _shard_histogram(field_make(q), rows_digits, offset_digits)
+    counts = [0] * (bp.n + 1)
+    for head, mult in units:
+        offset = bp.span(())
+        for s, row in zip(head, rows):
+            offset = bp.add(offset, bp.multiples(row)[:, :, s : s + 1])
+        # weight(t + b) = weight(t - (-b)): a symbol of t + b is zero exactly
+        # where its planes equal those of -b, so XOR with -b shows the support
+        keys = bp.neg(bp.add(bp.span(rows[len(head) : outer]), offset))
+        hist = np.zeros(bp.n + 1, dtype=np.int64)
+        for i in range(keys.shape[2]):
+            np.bitwise_xor(table, keys[:, :, i : i + 1], out=work)
+            hist += np.bincount(bp.weights(work), minlength=bp.n + 1)
+        for w, c in enumerate(hist.tolist()):
+            counts[w] += mult * c
+    return counts
 
 
 def enumerate_code(
@@ -225,9 +195,10 @@ def enumerate_code(
 
     g must have full row rank so that messages and codewords are in
     bijection.  Raises BudgetExceeded before doing any work if Q^k is past
-    the budget.  With workers > 1 the top message coordinates are fixed per
-    shard and shards merge by summation, so the result does not depend on
-    the partitioning.
+    the budget (the budget counts all Q^k messages, scanned or implied by
+    scaling).  With workers > 1 the work units are spread over a process
+    pool and their histograms summed, so the result does not depend on the
+    partitioning.
     """
     field = g.field
     k, n = g.nrows, g.ncols
@@ -237,26 +208,27 @@ def enumerate_code(
     if k and famat.rank(g) != k:
         raise ValueError("generator matrix must have full row rank")
 
-    rows = [tuple(r) for r in g.rows]
-    zero = (0,) * n
-    if workers <= 1 or k <= 1:
-        counts = _shard_histogram(field, rows, zero)
+    if k == 0:
+        counts = [1] + [0] * n
     else:
-        t = min(k, max(1, math.ceil(math.log(workers, field.Q))))
-        jobs = []
-        for fixed in itertools.product(range(field.Q), repeat=t):
-            offset = zero
-            for s, row in zip(fixed, rows[:t]):
-                offset = tuple(
-                    field.add(x, field.mul(s, y)) for x, y in zip(offset, row)
-                )
-            jobs.append((field.q, rows[t:], offset))
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            partials = list(ex.map(_shard_worker, jobs))
+        # the block table stays under _BLOCK_BYTES, and one row stays outer
+        # when k >= 2 so that the projective scan saves work on small codes
+        inner, (P, W) = 1, BitPlanes.shape(field, n)
+        while inner + 1 < k and field.Q ** (inner + 1) * 8 * P * W <= _BLOCK_BYTES:
+            inner += 1
+        chunks = _work_units(field.Q, k - inner, inner, max(1, workers))
+        rows = [tuple(r) for r in g.rows]
+        jobs = [(field.q, rows, inner, chunk) for chunk in chunks]
+        if len(jobs) == 1:
+            partials = [_scan(jobs[0])]
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as ex:
+                partials = list(ex.map(_scan, jobs))
         counts = [sum(parts) for parts in zip(*partials)]
 
-    enum = WeightEnumerator(n, k, tuple(int(c) for c in counts))
-    assert enum.total() == total
+    enum = WeightEnumerator(n, k, tuple(counts))
+    if enum.total() != total:
+        raise AssertionError(f"enumerator total {enum.total()} != Q^k = {total}")
     return enum
 
 
@@ -278,13 +250,18 @@ def enumerate_code_naive(g: famat.Mat) -> WeightEnumerator:
 # --- MacWilliams ----------------------------------------------------------------
 
 
-def krawtchouk(Q: int, n: int, j: int, i: int) -> int:
-    """K_j(i) = sum_s (-1)^s (Q-1)^(j-s) C(i,s) C(n-i,j-s), exact."""
-    acc = 0
-    for s in range(j + 1):
-        term = (Q - 1) ** (j - s) * comb(i, s) * comb(n - i, j - s)
-        acc += -term if s & 1 else term
-    return acc
+def krawtchouk_columns(Q: int, n: int):
+    """Yield for i = 0..n the column K_0(i)..K_n(i), the coefficients of
+    (1 + (Q-1)y)^(n-i) (1 - y)^i; column i+1 is column i times
+    (1 - y) / (1 + (Q-1)y), a division that is exact."""
+    col = [comb(n, j) * (Q - 1) ** j for j in range(n + 1)]
+    yield col
+    for _ in range(n):
+        nxt = [col[0]]
+        for j in range(1, n + 1):
+            nxt.append(col[j] - col[j - 1] - (Q - 1) * nxt[j - 1])
+        col = nxt
+        yield col
 
 
 def macwilliams(enum: WeightEnumerator, Q: int) -> WeightEnumerator:
@@ -296,12 +273,12 @@ def macwilliams(enum: WeightEnumerator, Q: int) -> WeightEnumerator:
     """
     n, k = enum.n, enum.k
     scale = Q ** k
-    support = [(i, a) for i, a in enumerate(enum.counts) if a]
+    sums = [0] * (n + 1)
+    for col, a in zip(krawtchouk_columns(Q, n), enum.counts):
+        if a:
+            sums = [acc + a * c for acc, c in zip(sums, col)]
     out = []
-    for j in range(n + 1):
-        acc = 0
-        for i, a in support:
-            acc += a * krawtchouk(Q, n, j, i)
+    for j, acc in enumerate(sums):
         b, r = divmod(acc, scale)
         if r or b < 0:
             raise AssertionError(
@@ -309,7 +286,8 @@ def macwilliams(enum: WeightEnumerator, Q: int) -> WeightEnumerator:
             )
         out.append(b)
     dual = WeightEnumerator(n, n - k, tuple(out))
-    assert dual.total() == Q ** (n - k)
+    if dual.total() != Q ** (n - k):
+        raise AssertionError(f"dual total {dual.total()} != Q^(n-k) = {Q ** (n - k)}")
     return dual
 
 

@@ -6,7 +6,8 @@ entry-for-entry).  Criterion 5 re-derives the desk-scale subset of every
 collected parameter table.  Criterion 6 runs the randomized property
 suites at full size.  Criterion 7 checks that the deliberately-gated
 enumerations stay gated by default and that their parameter bookkeeping
-still holds; the actual long enumerations run only under --runlong.
+still holds, and runs the GF(81) [22,5] enumeration the CLI gates; the
+4^17-message [[103,69,7]]_2 reproduction runs only under --runlong.
 
 Collected rows whose listed inputs provably cannot produce a listed value
 are asserted in their recorded-discrepancy form (see the notes in refdata
@@ -359,7 +360,7 @@ def test_acceptance_7_long_run_gating_and_bookkeeping():
 
 @pytest.mark.longrun
 def test_acceptance_7_long_run_reproductions():
-    # [[103,69,7]]: 4^17 messages, roughly half an hour
+    # [[103,69,7]]: 4^17 messages, past the default budget
     _, ext = built("q2-n51-extend-one")
     enum = wdist.enumerate_code(ext.G, budget=4 ** 17)
     assert enum.distance() == 38
@@ -368,10 +369,15 @@ def test_acceptance_7_long_run_reproductions():
     params = quantum.qecc_from_self_orthogonal(2, enum, dual)
     assert str(params) == "[[103,69,7]]_2"
 
-    # GF(81) extended distance: 81^5 messages, a few minutes
+
+def test_acceptance_7_gf81_extended_distance():
+    # 81^5 messages: within the default budget, though the CLI still skips
+    # it as long-run unless --allow-long is given
     _, ext = built("q9-n10-extend-two")
-    enum = wdist.enumerate_code(ext.G, budget=81 ** 5)
+    enum = wdist.enumerate_code(ext.G)
     assert sum(enum.counts) == 81 ** 5
+    assert enum.distance() == 11
+    assert refdata.find_reference("q9-n10-extend-two").expect["code"] == (22, 5, 11)
     dual = wdist.macwilliams(enum, 81)
     assert dual.distance() == 5
     params = quantum.extended_maximal_eaqecc(ext, dual.distance())

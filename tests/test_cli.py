@@ -252,6 +252,16 @@ def test_search_rejects_bad_config(capsys, tmp_path):
     assert "bogus" in json.loads(err)["error"]["message"]
 
 
+def test_verify_spec_not_utf8(capsys, tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"q": 2, "n": 7, "f": [1], "g": [1, 1]}\xff')
+    rc, _, err = run(capsys, "verify", str(path))
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "spec"
+    assert "not valid JSON" in error["message"]
+
+
 def test_search_unreadable_config(capsys, tmp_path):
     undecodable = tmp_path / "latin1.json"
     undecodable.write_bytes(b'{"q": 2, "n": 7, "mode": "\xe9"}')

@@ -5,8 +5,14 @@ MacWilliams transform against actual enumeration of the Hermitian dual, and
 Krawtchouk numbers against their generating function.
 """
 
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qcqec.errors import BudgetExceeded
@@ -28,33 +34,64 @@ def rand_full_rank(rng, field, k, n):
             return m
 
 
-# --- packed arithmetic --------------------------------------------------------
+# --- bit-sliced vectors ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("field", [GF4, GF9, GF81])
 def test_packed_add_matches_field(field):
-    pops = wdist.PackedOps(field)
-    imported = pops.from_digit
-    for a in field.digits:
-        for b in field.digits:
-            got = pops.add(imported[a : a + 1], imported[b : b + 1])[0]
-            assert pops.digit_of(got) == field.add(a, b)
+    bp = wdist.BitPlanes(field, 1)
+    pairs = list(itertools.product(field.digits, repeat=2))
+    a = bp.encode([[x] for x, _ in pairs])
+    b = bp.encode([[y] for _, y in pairs])
+    want = bp.encode([[field.add(x, y)] for x, y in pairs])
+    assert np.array_equal(bp.add(a, b), want)
+    neg = bp.encode([[field.neg(x)] for x, _ in pairs])
+    assert np.array_equal(bp.neg(a), neg)
 
 
 @pytest.mark.parametrize("field", [GF4, GF9, GF81])
 def test_packed_zero_is_zero(field):
-    pops = wdist.PackedOps(field)
-    assert int(pops.from_digit[0]) == 0
-    assert all(int(pops.from_digit[d]) != 0 for d in range(1, field.Q))
+    bp = wdist.BitPlanes(field, 1)
+    planes = bp.encode([[d] for d in field.digits])[:, 0, :].T
+    assert not planes[0].any()
+    assert len({tuple(p) for p in planes}) == field.Q  # injective
 
 
 def test_scaled_packed_row():
-    pops = wdist.PackedOps(GF9)
+    bp = wdist.BitPlanes(GF9, 4)
     row = (0, 1, 5, 8)
-    for s in GF9.digits:
-        packed = pops.scaled_packed_row(s, row)
-        digits = [pops.digit_of(v) for v in packed]
-        assert digits == [GF9.mul(s, d) for d in row]
+    want = bp.encode([[GF9.mul(s, d) for d in row] for s in GF9.digits])
+    assert np.array_equal(bp.multiples(row), want)
+
+
+@pytest.mark.parametrize("field", [GF4, GF9, GF81])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+def test_plane_weight_is_symbol_weight(field, n):
+    rng = random.Random(n * field.Q)
+    bp = wdist.BitPlanes(field, n)
+    digits = [[rng.randrange(field.Q) if rng.random() < 0.7 else 0
+               for _ in range(n)] for _ in range(20)]
+    digits += [[0] * n, [field.Q - 1] * n]
+    want = [sum(1 for d in row if d) for row in digits]
+    weights = bp.weights(bp.encode(digits))
+    assert weights.tolist() == want
+    # np.bincount casts its input to intp under the 'safe' rule
+    assert np.can_cast(weights.dtype, np.intp)
+
+
+@pytest.mark.parametrize("field", [GF4, GF9, GF81])
+def test_plane_span_is_the_row_space(field):
+    rng = random.Random(7 + field.Q)
+    rows = [[rng.randrange(field.Q) for _ in range(5)] for _ in range(2)]
+    bp = wdist.BitPlanes(field, 5)
+    words = [
+        [field.add(field.mul(s, x), field.mul(t, y)) for x, y in zip(*rows)]
+        for s in field.digits for t in field.digits
+    ]
+    got = bp.span(rows)
+    assert got.shape == (bp.P, bp.W, field.Q ** 2)
+    assert sorted(map(tuple, got.reshape(-1, field.Q ** 2).T.tolist())) == sorted(
+        map(tuple, bp.encode(words).reshape(-1, field.Q ** 2).T.tolist()))
 
 
 # --- enumeration ----------------------------------------------------------------
@@ -96,6 +133,36 @@ def test_enumerate_crosses_block_boundary():
     assert dual.counts[0] == 1  # checksum exercised
 
 
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+@pytest.mark.parametrize("field,k", [(GF4, 4), (GF9, 3), (GF81, 2)])
+def test_enumerate_matches_naive_oracle_at_word_edges(field, k, n):
+    rng = random.Random(n + field.Q)
+    g = rand_full_rank(rng, field, k, n)
+    assert wdist.enumerate_code(g) == wdist.enumerate_code_naive(g)
+
+
+@pytest.mark.parametrize("field,k,n", [(GF9, 6, 12), (GF81, 4, 8)])
+def test_enumerate_crosses_block_boundary_odd_characteristic(
+    field, k, n, monkeypatch
+):
+    rng = random.Random(field.Q)
+    g = rand_full_rank(rng, field, k, n)
+    enum = wdist.enumerate_code(g)
+    assert enum.total() == field.Q ** k
+    assert wdist.macwilliams(enum, field.Q).counts[0] == 1
+    # a one-row block table cuts the scan into different work units
+    monkeypatch.setattr(wdist, "_BLOCK_BYTES", 0)
+    assert wdist.enumerate_code(g) == enum
+
+
+@pytest.mark.parametrize("field,k", [(GF4, 5), (GF9, 4), (GF81, 2)])
+def test_one_row_block_table_matches_naive_oracle(field, k, monkeypatch):
+    monkeypatch.setattr(wdist, "_BLOCK_BYTES", 0)
+    rng = random.Random(3 * field.Q)
+    g = rand_full_rank(rng, field, k, k + 4)
+    assert wdist.enumerate_code(g) == wdist.enumerate_code_naive(g)
+
+
 def test_enumerate_budget():
     g = fm.Mat.identity(GF4, 8)
     with pytest.raises(BudgetExceeded) as exc:
@@ -115,6 +182,43 @@ def test_enumerate_workers_agree():
     one = wdist.enumerate_code(g, workers=1)
     many = wdist.enumerate_code(g, workers=3)
     assert one == many
+
+
+@pytest.mark.parametrize("field,k,n", [(GF9, 6, 12), (GF81, 4, 8)])
+def test_enumerate_workers_agree_odd_characteristic(field, k, n):
+    rng = random.Random(11 + field.Q)
+    g = rand_full_rank(rng, field, k, n)
+    one = wdist.enumerate_code(g, workers=1)
+    assert wdist.enumerate_code(g, workers=2) == one
+    assert wdist.enumerate_code(g, workers=3) == one
+
+
+def test_corrupt_histogram_is_caught_under_optimize():
+    # python -O strips assert statements; the total check must survive it
+    program = """
+from qcqec import famat, wdist
+from qcqec.gf import field_make
+
+assert False, "assert statements are live"
+scan = wdist._scan
+
+def corrupt(job):
+    counts = scan(job)
+    counts[1] += 1
+    return counts
+
+wdist._scan = corrupt
+try:
+    wdist.enumerate_code(famat.Mat.identity(field_make(2), 3))
+except AssertionError as exc:
+    print("caught:", exc)
+"""
+    src_dir = str(Path(wdist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    done = subprocess.run([sys.executable, "-O", "-c", program], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("caught: enumerator total 65 != Q^k = 64")
 
 
 def test_enumerator_counts_are_python_ints():
@@ -145,14 +249,12 @@ def oracle_krawtchouk_row(Q, n, i):
 
 @pytest.mark.parametrize("Q,n", [(4, 8), (9, 6), (81, 4)])
 def test_krawtchouk_generating_function(Q, n):
-    for i in range(n + 1):
-        row = oracle_krawtchouk_row(Q, n, i)
-        for j in range(n + 1):
-            assert wdist.krawtchouk(Q, n, j, i) == row[j]
+    cols = list(wdist.krawtchouk_columns(Q, n))
+    assert cols == [oracle_krawtchouk_row(Q, n, i) for i in range(n + 1)]
 
 
 def test_krawtchouk_frozen_value():
-    assert wdist.krawtchouk(4, 2, 1, 1) == 2
+    assert list(wdist.krawtchouk_columns(4, 2))[1][1] == 2
 
 
 @pytest.mark.parametrize("field", [GF4, GF9])
