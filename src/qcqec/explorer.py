@@ -10,7 +10,8 @@ distance) pair seen for its dimension.
 
 A record line carries the inputs in compact notation plus the computed
 parameters, so re-running the pipeline on (q, n, f, g) reproduces it
-exactly; the sha256 content hash covers everything except the timestamp.
+exactly; the sha256 content hash covers everything except the timestamp,
+and a record read back whose content does not match its hash is refused.
 """
 
 import hashlib
@@ -92,8 +93,9 @@ def content_hash(payload: dict) -> str:
 
 
 def record_from_doc(doc: dict) -> CodeRecord:
+    """The record a JSONL line holds, once its content matches its hash."""
     try:
-        return CodeRecord(
+        rec = CodeRecord(
             q=doc["q"], n=doc["n"], f=doc["f"], g=doc["g"], k=doc["k"],
             d=doc["d"], d_dual=doc["d_dual"],
             qecc=tuple(doc["qecc"]) if doc["qecc"] else None,
@@ -102,6 +104,9 @@ def record_from_doc(doc: dict) -> CodeRecord:
         )
     except (KeyError, TypeError) as exc:
         raise SpecError(f"bad record field: {exc}") from exc
+    if content_hash(rec.payload()) != rec.hash:
+        raise SpecError(f"record content does not match its hash {rec.hash!r}")
+    return rec
 
 
 def _divisor_products(field: Field, n: int, cap: int, min_deg: int) -> list:
@@ -147,12 +152,11 @@ def enumerate_self_orthogonal_g(field: Field, n: int, cap: int = DIVISOR_CAP) ->
 
 def _sample_f(field: Field, n: int, rng: random.Random, max_deg: int | None) -> tuple:
     top = n if max_deg is None else min(max_deg + 1, n)
-    xn1 = polyring.x_pow_n_minus_1(field, n)
     while True:
         f = [0] * n
         for i in range(top):
             f[i] = rng.randrange(field.Q)
-        if polyring.poly_gcd(field, polyring.trim(tuple(f)), xn1) == (field.one,):
+        if polyring.is_unit(field, n, f):
             return tuple(f)
 
 
@@ -186,10 +190,9 @@ def _x1_pool(field: Field, code: qcc.QcCode, rng: random.Random, want: int):
     return pool
 
 
-def _evaluate(field: Field, config: SearchConfig, f, g, x1s) -> CodeRecord:
-    """Build and measure one candidate; skips come back as flagged records."""
-    fc = polyring.render_compact(field, f)
-    gc = polyring.render_compact(field, g)
+def _evaluate(field: Field, config: SearchConfig, f, g, fc, gc, x1s) -> CodeRecord:
+    """Build and measure one candidate, given f and g and their compact
+    forms; skips come back as flagged records."""
     code = qcc.build(field, config.n, f, g)
     flags = {"mode": config.mode, "self_orthogonal": code.orthogonal_gram,
              "certificate_ok": None, "x1": None, "frontier": False}
@@ -310,6 +313,7 @@ def search(config: SearchConfig):
     try:
         for gi, g in enumerate(gs):
             rng = random.Random(config.rng_seed * 0x9E3779B1 + gi)
+            gc = polyring.render_compact(field, g)
             x1s = None
             if config.mode == "qecc":
                 # qualifying extension vectors depend only on the left
@@ -319,11 +323,10 @@ def search(config: SearchConfig):
             for _ in range(config.max_f_samples):
                 f = _sample_f(field, config.n, rng, config.max_f_degree)
                 fc = polyring.render_compact(field, f)
-                gc = polyring.render_compact(field, g)
                 if (fc, gc) in seen:
                     continue
                 seen.add((fc, gc))
-                rec = _evaluate(field, config, f, g, x1s)
+                rec = _evaluate(field, config, f, g, fc, gc, x1s)
                 key = (rec.n, rec.k)
                 if not rec.skipped and (rec.d_dual, rec.d) > best.get(key, (0, 0)):
                     best[key] = (rec.d_dual, rec.d)

@@ -1,9 +1,12 @@
 """Dense exact linear algebra over the GF(q^2) digit fields.
 
-Matrices are lists of digit rows wrapped in a thin Mat class; everything is
-pure Python table arithmetic, which is plenty for the matrix sizes that occur
-here (a few hundred rows at the very largest).  The numerically hot paths of
-the package live in the weight enumerator, not in this module.
+Matrices are lists of digit rows wrapped in a thin Mat class, at most a few
+hundred rows in size.  The arithmetic is pure Python over the field's
+lookup tables and works on whole rows: a product is built as combinations
+of the rows of the right factor, and elimination updates a row with one
+list comprehension over a bound row of the multiplication table.  A
+search evaluates thousands of small codes, so this module is where the
+search spends most of its time outside the weight enumerator.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ class Mat:
         self.nrows = len(self.rows)
         if self.nrows:
             self.ncols = len(self.rows[0])
-            if any(len(r) != self.ncols for r in self.rows):
+            if len(set(map(len, self.rows))) != 1:
                 raise ValueError("ragged rows")
         else:
             if ncols is None:
@@ -62,43 +65,34 @@ class Mat:
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
         f = self.field
-        add, mul = f.add, f.mul
-        bt = list(zip(*other.rows)) if other.nrows else []
+        add, mul = f.add_table, f.mul_table
         out = []
         for arow in self.rows:
-            orow = []
-            for bcol in bt:
-                acc = 0
-                for x, y in zip(arow, bcol):
-                    if x and y:
-                        acc = add(acc, mul(x, y))
-                orow.append(acc)
-            out.append(orow)
+            acc = [0] * other.ncols
+            for x, brow in zip(arow, other.rows):
+                if x:
+                    m = mul[x]
+                    acc = [add[a][m[b]] for a, b in zip(acc, brow)]
+            out.append(acc)
         return Mat(f, out, other.ncols)
 
     def add(self, other: "Mat") -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("dimension mismatch")
-        f = self.field
+        add = self.field.add_table
         return Mat(
-            f,
-            [
-                [f.add(x, y) for x, y in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
+            self.field,
+            [[add[x][y] for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
             self.ncols,
         )
 
     def sub(self, other: "Mat") -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("dimension mismatch")
-        f = self.field
+        sub = self.field.sub_table
         return Mat(
-            f,
-            [
-                [f.sub(x, y) for x, y in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
+            self.field,
+            [[sub[x][y] for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
             self.ncols,
         )
 
@@ -106,12 +100,13 @@ class Mat:
         return Mat(self.field, [list(c) for c in zip(*self.rows)], self.nrows)
 
     def conj(self) -> "Mat":
-        c = self.field.conj
-        return Mat(self.field, [[c(x) for x in r] for r in self.rows], self.ncols)
+        c = self.field.conj_table
+        return Mat(self.field, [[c[x] for x in r] for r in self.rows], self.ncols)
 
     def dagger(self) -> "Mat":
         """Conjugate transpose with respect to the Hermitian form."""
-        return self.conj().transpose()
+        c = self.field.conj_table
+        return Mat(self.field, [[c[x] for x in col] for col in zip(*self.rows)], self.nrows)
 
     def row(self, i) -> tuple:
         return tuple(self.rows[i])
@@ -152,8 +147,12 @@ def mat_from_poly(field, n: int, coeffs, nrows: int) -> Mat:
 
 
 def _forward_eliminate(field, rows, ncols):
-    """In-place row echelon form; returns the list of pivot columns."""
-    add, mul, sub, inv = field.add, field.mul, field.sub, field.inv
+    """In-place reduced row echelon form; returns the list of pivot columns.
+
+    Rows from the current pivot row down are zero left of the pivot
+    column, so only the columns from there on are updated.
+    """
+    add, mul, neg, inv = field.add_table, field.mul_table, field.neg_table, field.inv
     pivots = []
     r = 0
     for c in range(ncols):
@@ -167,12 +166,13 @@ def _forward_eliminate(field, rows, ncols):
         rows[r], rows[piv] = rows[piv], rows[r]
         iv = inv(rows[r][c])
         if iv != 1:
-            rows[r] = [mul(iv, x) for x in rows[r]]
-        prow = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                coef = rows[i][c]
-                rows[i] = [sub(x, mul(coef, y)) for x, y in zip(rows[i], prow)]
+            m = mul[iv]
+            rows[r] = [m[x] for x in rows[r]]
+        tail = rows[r][c:]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                m = mul[neg[row[c]]]
+                row[c:] = [add[x][m[y]] for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -210,12 +210,13 @@ def nullspace(m: Mat) -> Mat:
     red, pivots = rref(m)
     free = [c for c in range(m.ncols) if c not in pivots]
     f = m.field
+    neg = f.neg_table
     basis = []
     for fc in free:
         v = [0] * m.ncols
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red.rows[r][fc])
+            v[pc] = neg[red.rows[r][fc]]
         basis.append(v)
     return Mat(f, basis, m.ncols)
 
@@ -292,7 +293,7 @@ def char_poly(m: Mat) -> tuple[int, ...]:
     if n == 0:
         return (1,)
     h = [list(r) for r in m.rows]
-    add, sub, mul, inv = f.add, f.sub, f.mul, f.inv
+    add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv
 
     for j in range(n - 2):
         piv = None
@@ -310,30 +311,29 @@ def char_poly(m: Mat) -> tuple[int, ...]:
         for i in range(j + 2, n):
             if not h[i][j]:
                 continue
-            c = mul(h[i][j], iv)
-            hi, hj1 = h[i], h[j + 1]
-            for t in range(n):
-                hi[t] = sub(hi[t], mul(c, hj1[t]))
-            for t in range(n):
-                h[t][j + 1] = add(h[t][j + 1], mul(c, h[t][i]))
+            c = mul[h[i][j]][iv]
+            m = mul[neg[c]]
+            h[i] = [add[x][m[y]] for x, y in zip(h[i], h[j + 1])]
+            m = mul[c]
+            for row in h:
+                row[j + 1] = add[row[j + 1]][m[row[i]]]
 
     # p_k = (x - h_kk) p_{k-1} - sum_i h_ik (prod_j h_{j,j-1}) p_{i-1}
     ps = [(1,)]
     for k in range(1, n + 1):
         hkk = h[k - 1][k - 1]
         prev = ps[k - 1]
-        cur = [0] * (k + 1)
-        for t, c in enumerate(prev):
-            cur[t + 1] = c
-            cur[t] = add(cur[t], mul(f.neg(hkk), c))
+        m = mul[neg[hkk]]
+        cur = [0] + list(prev)
+        cur[:-1] = [add[x][m[c]] for x, c in zip(cur, prev)]
         prod = 1
         for i in range(k - 1, 0, -1):
-            prod = mul(prod, h[i][i - 1])
+            prod = mul[prod][h[i][i - 1]]
             if prod == 0:
                 break
-            coef = mul(h[i - 1][k - 1], prod)
+            coef = mul[h[i - 1][k - 1]][prod]
             if coef:
-                for t, c in enumerate(ps[i - 1]):
-                    cur[t] = sub(cur[t], mul(coef, c))
+                m = mul[neg[coef]]
+                cur[:i] = [add[x][m[c]] for x, c in zip(cur, ps[i - 1])]
         ps.append(tuple(cur))
     return ps[n]

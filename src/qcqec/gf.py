@@ -4,8 +4,14 @@ Field elements are plain int "digits": digit 0 is the zero element and digit
 d >= 1 stands for alpha^(d-1) for a fixed primitive element alpha.  GF(4)
 therefore reads {0, 1, 2, 3} = {0, 1, alpha, alpha^2}, GF(9) uses digits
 0..8 and GF(81) digits 0..80.  Multiplication of nonzero digits is addition
-of exponents mod Q-1; addition goes through a table built from the
-polynomial representation over the prime field.
+of exponents mod Q-1; addition follows the polynomial representation over
+the prime field.
+
+Each field holds dense Q x Q tables for add, sub and mul and length-Q
+tables for neg and conj (at most 4 x 6561 + 162 entries, for GF(81)), so
+each of those operations is one lookup.  Hot loops elsewhere bind a table
+row, e.g. ``m = field.mul_table[c]``, and index it per element instead of
+calling a method per element.
 
 The moduli are the Conway polynomials, with alpha the residue class of x,
 so digit strings printed by common computer algebra systems line up with
@@ -79,35 +85,35 @@ class Field:
         self._coeffs = [(0,) * m] + antilog
         digit_of = {c: d for d, c in enumerate(self._coeffs)}
 
-        # Dense addition table; Q^2 <= 6561 entries.
-        self._add = [
-            [
-                digit_of[tuple((a[t] + b[t]) % p for t in range(m))]
-                for b in self._coeffs
-            ]
-            for a in self._coeffs
+        coeffs = self._coeffs
+        Qm1 = self._Qm1
+        self.add_table = [
+            [digit_of[tuple((x + y) % p for x, y in zip(a, b))] for b in coeffs]
+            for a in coeffs
         ]
+        self.neg_table = [digit_of[tuple(-x % p for x in a)] for a in coeffs]
+        self.sub_table = [[row[b] for b in self.neg_table] for row in self.add_table]
+        self.mul_table = [[0] * self.Q] + [
+            [0] + [(a + b) % Qm1 + 1 for b in range(Qm1)] for a in range(Qm1)
+        ]
+        self.conj_table = [0] + [a * q % Qm1 + 1 for a in range(Qm1)]
 
-        self.minus_one = self._add[0][1] if p == 2 else self.from_int(p - 1)
+        self.minus_one = self.neg_table[1]
         self.digits = range(self.Q)
 
     # --- arithmetic on digits -------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
+        return self.add_table[a][b]
 
     def neg(self, a: int) -> int:
-        if self.p == 2 or a == 0:
-            return a
-        return self.mul(a, self.minus_one)
+        return self.neg_table[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self._add[a][self.neg(b)]
+        return self.sub_table[a][b]
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return (a - 1 + b - 1) % self._Qm1 + 1
+        return self.mul_table[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -128,7 +134,7 @@ class Field:
 
     def conj(self, a: int) -> int:
         """Frobenius a -> a^q, the conjugation of the Hermitian form."""
-        return self.pow_(a, self.q)
+        return self.conj_table[a]
 
     def norm_q(self, a: int) -> int:
         """a^(q+1), which always lands in the subfield GF(q)."""
@@ -139,7 +145,7 @@ class Field:
         c %= self.p
         d = 0
         for _ in range(c):
-            d = self._add[d][1]
+            d = self.add_table[d][1]
         return d
 
     def in_subfield_q(self, a: int) -> bool:
@@ -212,5 +218,6 @@ def field_make(q: int) -> Field:
         raise SpecError(f"unsupported q={q}; supported: {SUPPORTED_Q}")
     p, modulus = _MODULI[Q]
     f = Field(p, modulus)
-    assert f.q == q
+    if f.q != q:
+        raise AssertionError(f"GF({Q}) reports q = {f.q}, expected {q}")
     return f

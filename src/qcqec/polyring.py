@@ -57,10 +57,13 @@ def poly_add(field, a, b) -> tuple[int, ...]:
 def poly_scale(field, c: int, a) -> tuple[int, ...]:
     if c == 0:
         return ()
-    return tuple(field.mul(c, x) for x in a)
+    m = field.mul_table[c]
+    return tuple(m[x] for x in a)
+
 
 def poly_neg(field, a) -> tuple[int, ...]:
-    return tuple(field.neg(x) for x in a)
+    neg = field.neg_table
+    return tuple(neg[x] for x in a)
 
 
 def poly_eval(field, a, x: int) -> int:
@@ -75,13 +78,11 @@ def poly_mul(field, a, b) -> tuple[int, ...]:
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
-    add, mul = field.add, field.mul
+    add, mul = field.add_table, field.mul_table
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = add(out[i + j], mul(x, y))
+        if x:
+            m = mul[x]
+            out[i : i + len(b)] = [add[o][m[y]] for o, y in zip(out[i:], b)]
     return tuple(out)
 
 
@@ -92,17 +93,18 @@ def poly_divmod(field, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(trim(a))
     db = len(b) - 1
-    inv_lead = field.inv(b[-1])
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
+    by_inv_lead = mul[field.inv(b[-1])]
     quo = [0] * max(0, len(rem) - db)
     while len(rem) - 1 >= db:
         if rem[-1] == 0:
             rem.pop()
             continue
-        c = field.mul(rem[-1], inv_lead)
+        c = by_inv_lead[rem[-1]]
         shift = len(rem) - 1 - db
         quo[shift] = c
-        for t in range(db + 1):
-            rem[shift + t] = field.sub(rem[shift + t], field.mul(c, b[t]))
+        m = mul[neg[c]]
+        rem[shift:] = [add[x][m[y]] for x, y in zip(rem[shift:], b)]
         rem.pop()
     return trim(quo), trim(rem)
 
@@ -258,9 +260,10 @@ def render_compact(field, coeffs) -> str:
 
 def ring_from_plain(field, n: int, coeffs) -> tuple[int, ...]:
     out = [0] * n
+    add = field.add_table
     for i, c in enumerate(coeffs):
         if c:
-            out[i % n] = field.add(out[i % n], c)
+            out[i % n] = add[out[i % n]][c]
     return tuple(out)
 
 
@@ -284,7 +287,8 @@ def bar(vec) -> tuple[int, ...]:
 
 def frob_poly(field, vec) -> tuple[int, ...]:
     """Coefficient-wise q-power Frobenius."""
-    return tuple(field.conj(c) for c in vec)
+    conj = field.conj_table
+    return tuple(conj[c] for c in vec)
 
 
 # --- duals and factorization ----------------------------------------------
@@ -403,3 +407,54 @@ def _factor_cached(field: Field, n: int) -> tuple[tuple[int, ...], ...]:
             f"factor product mismatch for x^{n} - 1 over GF({field.Q})"
         )
     return tuple(sorted(factors, key=lambda f: (len(f), f)))
+
+
+def is_unit(field: Field, n: int, f) -> bool:
+    """True iff gcd(f, x^n - 1) = 1, i.e. f is a unit mod x^n - 1.
+
+    By the Chinese remainder theorem that holds exactly when f mod m != 0
+    for every irreducible factor m of x^n - 1.  The residues are one
+    linear map of f's coefficients; coefficients past degree n - 1 wrap
+    around, as x^i = x^(i mod n) modulo every factor.
+
+    The first call for a (field, n) factors x^n - 1 and builds the map,
+    which takes milliseconds (more for long lengths over GF(81)); later
+    calls are several times faster than Euclid.  So this is the test for
+    many f of one length, and poly_gcd the one for a single f.
+    """
+    spans, rows = _residue_map(field, n)
+    add, mul = field.add_table, field.mul_table
+    acc = [0] * len(rows[0])
+    for i, c in enumerate(f):
+        if c:
+            m = mul[c]
+            acc = [add[a][m[r]] for a, r in zip(acc, rows[i % n])]
+    return all(any(acc[lo:hi]) for lo, hi in spans)
+
+
+@lru_cache(maxsize=8)
+def _residue_map(field: Field, n: int):
+    """Row i holds the coefficients of x^i mod m for every irreducible
+    factor m of x^n - 1, side by side; spans gives each factor's columns.
+
+    With n = n' p^e and p not dividing n', x^n - 1 = (x^n' - 1)^(p^e) has
+    the irreducible factors of x^n' - 1, so those are the ones used.
+    """
+    if n < 1:
+        raise SpecError(f"n must be positive, got {n}")
+    core = n
+    while core % field.p == 0:
+        core //= field.p
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
+    rows = [[] for _ in range(n)]
+    spans = []
+    for m in factor_xn_minus_1(field, core):
+        d = len(m) - 1
+        spans.append((len(rows[0]), len(rows[0]) + d))
+        r = [1] + [0] * (d - 1)
+        for row in rows:
+            row.extend(r)
+            # x r mod m, for monic m: shift up and fold the top back
+            t = mul[neg[r[-1]]]
+            r = [add[a][t[c]] for a, c in zip([0] + r[:-1], m)]
+    return tuple(spans), tuple(tuple(row) for row in rows)

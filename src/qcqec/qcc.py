@@ -10,9 +10,17 @@ Extensions append one or two columns plus matching rows built from vectors in
 the Hermitian duals of the two block codes.  Two preservation rules exist:
 the unit-alpha rule keeps Hermitian self-orthogonality, the general rule
 keeps the Gram matrix at full rank (used for entanglement-assisted codes).
+
+Everything that depends on g alone (G1, H1, the conjugate-reciprocal dual
+generator, the left-block parity check, the divisibility test and the H1
+projector of the entanglement certificate) is kept for the last
+(field, n, g) seen, since a search builds the codes of all its f for one g
+in a row; one entry keeps the memory a table run holds on to small.
+Callers only ever see copies of the cached matrices.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import famat, polyring
 from .errors import BudgetExceeded, PreconditionError
@@ -88,6 +96,44 @@ def double_shift(vec) -> tuple:
     return polyring.cyclic_shift(vec[:n], 1) + polyring.cyclic_shift(vec[n:], 1)
 
 
+@dataclass(frozen=True, eq=False)
+class _GeneratorBlocks:
+    """The part of a code that depends on g alone; G1 and H1 are never
+    handed out, only copies of them."""
+
+    k: int
+    G1: famat.Mat
+    H1: famat.Mat
+    dual_g: tuple
+    orthogonal_divisibility: bool
+
+
+@lru_cache(maxsize=1)
+def _generator_blocks(field: Field, n: int, g: tuple) -> _GeneratorBlocks:
+    if not polyring.divides(field, g, polyring.x_pow_n_minus_1(field, n)):
+        raise PreconditionError("g-not-divisor", f"g does not divide x^{n}-1")
+    k = n - polyring.deg(g)
+    G1 = famat.mat_from_poly(field, n, g, k)
+    dual_g = polyring.dual_gen(field, n, g)
+    H1 = famat.mat_from_poly(field, n, dual_g, n - k)
+    # left half of the block identity G H^dag = (G1 H1^dag | G1 H2^dag + G2)
+    if not G1.mul(H1.dagger()).is_zero():
+        raise AssertionError("parity check violated on left block")
+    return _GeneratorBlocks(k, G1, H1, dual_g, polyring.divides(field, dual_g, g))
+
+
+@lru_cache(maxsize=1)
+def _h1_projector(field: Field, n: int, g: tuple) -> famat.Mat | None:
+    """H1^dag (H1 H1^dag)^-1 H1, or None when H1 H1^dag is singular."""
+    H1 = _generator_blocks(field, n, g).H1
+    H1d = H1.dagger()
+    try:
+        h1_gram_inv = famat.inverse(H1.mul(H1d))
+    except famat.SingularMatrixError:
+        return None
+    return H1d.mul(h1_gram_inv).mul(H1)
+
+
 def build(field: Field, n: int, f, g) -> QcCode:
     """Construct the code generated by (g, f*g) with all derived matrices.
 
@@ -98,33 +144,28 @@ def build(field: Field, n: int, f, g) -> QcCode:
     g = polyring.trim(tuple(field.check_digit(d) for d in g))
     if len(f) > n:
         f = polyring.ring_from_plain(field, n, f)
-    xn1 = polyring.x_pow_n_minus_1(field, n)
-    if not polyring.divides(field, g, xn1):
-        raise PreconditionError("g-not-divisor", f"g does not divide x^{n}-1")
-    k = n - polyring.deg(g)
+    blocks = _generator_blocks(field, n, g)
+    k = blocks.k
 
     fg = polyring.ring_mul(field, n, f, g)
-    G1 = famat.mat_from_poly(field, n, g, k)
+    G1 = blocks.G1.copy()
     G2 = famat.mat_from_poly(field, n, fg, k)
     G = famat.hstack(G1, G2)
 
-    dual_g = polyring.dual_gen(field, n, g)
     neg_conj_rev_f = polyring.poly_neg(
         field, polyring.frob_poly(field, polyring.bar(polyring.ring_from_plain(field, n, f)))
     )
-    H1 = famat.mat_from_poly(field, n, dual_g, n - k)
+    H1 = blocks.H1.copy()
     H2 = famat.mat_from_poly(field, n, neg_conj_rev_f, n)
     H = famat.vstack(
         famat.hstack(H1, famat.Mat.zeros(field, n - k, n)),
         famat.hstack(H2, famat.Mat.identity(field, n)),
     )
-    # block identity G H^dag = (G1 H1^dag | G1 H2^dag + G2); both parts vanish
-    assert G1.mul(H1.dagger()).is_zero(), "parity check violated on left block"
-    assert G1.mul(H2.dagger()).add(G2).is_zero(), "parity check violated on right block"
+    # the left half of the block identity is checked once per g
+    if not G1.mul(H2.dagger()).add(G2).is_zero():
+        raise AssertionError("parity check violated on right block")
 
     gram = famat.gram_hermitian(G)
-    f_coprime = polyring.poly_gcd(field, f, xn1) == (1,)
-    orthogonal_div = polyring.divides(field, dual_g, g)
     code = QcCode(
         field=field,
         n=n,
@@ -137,13 +178,14 @@ def build(field: Field, n: int, f, g) -> QcCode:
         H2=H2,
         G=G,
         H=H,
-        dual_g=dual_g,
-        f_coprime=f_coprime,
+        dual_g=blocks.dual_g,
+        f_coprime=polyring.poly_gcd(field, f, polyring.x_pow_n_minus_1(field, n)) == (1,),
         orthogonal_gram=gram.is_zero(),
-        orthogonal_divisibility=orthogonal_div,
+        orthogonal_divisibility=blocks.orthogonal_divisibility,
     )
     # divisibility is a sufficient condition, never weaker than the Gram test
-    assert not orthogonal_div or code.orthogonal_gram
+    if code.orthogonal_divisibility and not code.orthogonal_gram:
+        raise AssertionError("dual_g divides g, yet G G^dag is nonzero")
     return code
 
 
@@ -187,8 +229,8 @@ def find_extension_vector(code: QcCode, side: int, alpha: int | None = None, sca
         want_equal = False
 
     rows = [basis.row(i) for i in range(dim)]
-    n = code.n
-    stack = [(0, [0] * n)]  # depth-first in message-digit order = lexicographic
+    add, mul = field.add_table, field.mul_table
+    stack = [(0, [0] * code.n)]  # depth-first in message-digit order = lexicographic
     while stack:
         depth, acc = stack.pop()
         if depth == dim:
@@ -201,7 +243,8 @@ def find_extension_vector(code: QcCode, side: int, alpha: int | None = None, sca
             if digit == 0:
                 stack.append((depth + 1, acc))
             else:
-                stack.append((depth + 1, [field.add(a, field.mul(digit, r)) for a, r in zip(acc, row)]))
+                m = mul[digit]
+                stack.append((depth + 1, [add[a][m[r]] for a, r in zip(acc, row)]))
     raise PreconditionError(
         "no-qualifying-vector",
         f"no dual codeword on side {side} satisfies the extension rule",
@@ -263,7 +306,8 @@ def _extend(code: QcCode, xs, alphas) -> ExtendedCode:
     gram = famat.gram_hermitian(G)
     gram_rank = famat.rank(gram)
     if rule == RULE_ORTHOGONAL:
-        assert gram.is_zero(), "extension broke self-orthogonality"
+        if not gram.is_zero():
+            raise AssertionError("extension broke self-orthogonality")
     elif gram_rank != k + cols:
         raise PreconditionError(
             "base-gram-rank-deficient",
@@ -303,13 +347,11 @@ def entanglement_certificate(code: QcCode) -> EntanglementCertificate:
     if not code.f_coprime:
         raise PreconditionError("f-not-coprime", "certificate needs gcd(f, x^n - 1) = 1")
     field, n = code.field, code.n
-    h1_gram = code.H1.mul(code.H1.dagger())
-    try:
-        h1_gram_inv = famat.inverse(h1_gram)
-    except famat.SingularMatrixError:
+    projector = _h1_projector(field, n, code.g)
+    if projector is None:
         return EntanglementCertificate(False, False, None, None)
     # gcd(f, x^n - 1) = 1 makes the circulant of f, hence H2, invertible
     h2_gram_inv = famat.inverse(code.H2.dagger().mul(code.H2))
-    p = code.H1.dagger().mul(h1_gram_inv).mul(code.H1).sub(h2_gram_inv)
+    p = projector.sub(h2_gram_inv)
     one_not_eig = famat.rank(p.sub(famat.Mat.identity(field, n))) == n
     return EntanglementCertificate(True, one_not_eig, p, famat.char_poly(p))

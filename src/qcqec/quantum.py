@@ -110,9 +110,9 @@ def gv_verdict(q: int, n: int, k: int, d: int) -> GvVerdict:
     applicable = n > k >= 2 and (n - k) % 2 == 0 and d >= 2
     if not applicable:
         return GvVerdict(q, n, k, d, False, None, None)
-    num = q ** (n - k + 2) - 1
-    assert num % (q * q - 1) == 0
-    lhs = num // (q * q - 1)
+    lhs, rem = divmod(q ** (n - k + 2) - 1, q * q - 1)
+    if rem:
+        raise AssertionError(f"q^2 - 1 does not divide q^{n - k + 2} - 1")
     rhs = sum((q * q - 1) ** (i - 1) * comb(n, i) for i in range(1, d))
     return GvVerdict(q, n, k, d, True, lhs, rhs)
 
@@ -121,7 +121,8 @@ def entanglement_count(code: qcc.QcCode) -> int:
     """c = rank(H H^dag), cross-checked against rank(G G^dag) + n - 2k."""
     c = famat.rank(code.H.mul(code.H.dagger()))
     via_gram = famat.rank(code.gram()) + code.length - 2 * code.k
-    assert c == via_gram, "entanglement count identities disagree"
+    if c != via_gram:
+        raise AssertionError(f"entanglement count identities disagree: {c} != {via_gram}")
     return c
 
 
@@ -150,8 +151,11 @@ def maximal_pair(code: qcc.QcCode, d_primal: int | None, d_dual: int | None,
     q, n2, k = code.field.q, code.length, code.k
     primal = EaqeccParams(q, n2, k, d_primal, n2 - k)
     dual = EaqeccParams(q, n2, n2 - k, d_dual, k)
-    assert primal.maximal and dual.maximal
-    assert entanglement_count(code) == n2 - k
+    if not (primal.maximal and dual.maximal):
+        raise AssertionError(f"pair {primal} / {dual} is not maximal")
+    c = entanglement_count(code)
+    if c != n2 - k:
+        raise AssertionError(f"entanglement count {c} != n - k = {n2 - k}")
     return MaximalPair(primal, dual)
 
 
@@ -170,5 +174,6 @@ def extended_maximal_eaqecc(ext: qcc.ExtendedCode, d_dual: int | None,
         raise PreconditionError("certificate-failed", "entanglement certificate conditions not met")
     q = ext.base.field.q
     params = EaqeccParams(q, ext.length, ext.length - ext.dim, d_dual, ext.dim)
-    assert params.maximal
+    if not params.maximal:
+        raise AssertionError(f"{params} is not maximal")
     return params

@@ -78,10 +78,7 @@ class BitPlanes:
         if field.p == 3:  # planes "coordinate = 2", then "coordinate = 1"
             bits = np.concatenate([bits == 2, bits == 1], axis=1)
         self._bits = bits.astype(np.uint8)
-        self._mul = np.array(
-            [[field.mul(a, b) for b in field.digits] for a in field.digits],
-            dtype=np.intp,
-        )
+        self._mul = np.array(field.mul_table, dtype=np.intp)
 
     @staticmethod
     def shape(field: Field, n: int) -> tuple[int, int]:

@@ -273,3 +273,19 @@ def test_search_unreadable_config(capsys, tmp_path):
         error = json.loads(err)["error"]
         assert error["type"] == "spec"
         assert message in error["message"]
+
+
+def test_search_refuses_edited_record(capsys, tmp_path):
+    records = tmp_path / "records.jsonl"
+    cfg = write_spec(tmp_path, "search.json",
+                     {"q": 2, "n": 7, "max_f_samples": 2, "x1_samples": 4,
+                      "output_path": str(records)})
+    assert run(capsys, "search", "--config", cfg)[0] == 0
+    lines = records.read_text().splitlines(keepends=True)
+    lines[0] = lines[0].replace('"k":', '"k":1', 1)
+    records.write_text("".join(lines))
+    rc, _, err = run(capsys, "search", "--config", cfg)
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "spec"
+    assert "records.jsonl:1: record content does not match its hash" in error["message"]

@@ -7,7 +7,9 @@ budgets; determinism is exercised by comparing two full runs byte for byte
 (minus timestamps).
 """
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -195,3 +197,58 @@ def test_report_empty_and_malformed(tmp_path):
     with pytest.raises(SpecError) as info:
         explorer.report(str(bad))
     assert "bad.jsonl:1" in str(info.value)
+
+
+def _flip_distance(path):
+    """Change the distance of the first record that has one, leaving its
+    hash as it was; returns that record's line number."""
+    lines = path.read_text().splitlines(keepends=True)
+    for lineno, line in enumerate(lines, 1):
+        found = re.search(r'"d":(\d)', line)
+        if found:
+            digit = str((int(found.group(1)) + 1) % 10)
+            lines[lineno - 1] = line[:found.start(1)] + digit + line[found.end(1):]
+            path.write_text("".join(lines))
+            return lineno
+    raise AssertionError("no record with a distance")
+
+
+def test_resume_rejects_edited_record(tmp_path):
+    cfg, _ = _run(tmp_path, "r.jsonl", q=2, n=7, mode="qecc", max_f_samples=4)
+    lineno = _flip_distance(tmp_path / "r.jsonl")
+    with pytest.raises(SpecError) as info:
+        list(explorer.search(cfg))
+    assert "r.jsonl:%d" % lineno in str(info.value)
+    assert "does not match its hash" in str(info.value)
+
+
+def test_report_rejects_edited_record(tmp_path):
+    _run(tmp_path, "r.jsonl", q=2, n=7, mode="qecc", max_f_samples=4)
+    path = tmp_path / "r.jsonl"
+    explorer.report(str(path))  # intact: accepted
+    lineno = _flip_distance(path)
+    with pytest.raises(SpecError) as info:
+        explorer.report(str(path))
+    assert "r.jsonl:%d" % lineno in str(info.value)
+    assert "does not match its hash" in str(info.value)
+
+
+# sha256 of the record file of the default config at q=2, n=7, seed 0, each
+# line without its "ts" field; the files were written by the Euclid-based
+# sampler and the build without per-generator reuse.  They pin the sampler's
+# RNG stream and every byte of every record.
+GOLDEN_N7 = {
+    "qecc": "6e6facea12e7042d5b6447354cbfc8d4b5c646b710b941f5615f27722cf45b67",
+    "eaqecc": "ad5cc7af362d608ad8658c23d0ffbb76f9d9d3532b7b0f07bc1c90b6010eb922",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_N7))
+def test_search_records_match_golden_digest(tmp_path, mode):
+    _run(tmp_path, "golden.jsonl", q=2, n=7, mode=mode, rng_seed=0)
+    digest = hashlib.sha256()
+    for line in (tmp_path / "golden.jsonl").read_text().splitlines():
+        doc = json.loads(line)
+        doc.pop("ts")
+        digest.update((json.dumps(doc, separators=(",", ":")) + "\n").encode())
+    assert digest.hexdigest() == GOLDEN_N7[mode]

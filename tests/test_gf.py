@@ -192,3 +192,42 @@ def test_pow_consistency():
         for _ in range(e):
             brute = f.mul(brute, a)
         assert f.pow_(a, e) == brute
+
+
+# --- lookup tables ------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_tables_match_log_antilog_arithmetic(q):
+    # every entry of every table, and the method that reads it, against
+    # arithmetic on the digit encoding done here: nonzero digits multiply by
+    # adding exponents mod Q-1, and add by adding coefficient vectors mod p
+    f = field_make(q)
+    Qm1 = f.Q - 1
+    digit_of = {f.coeffs(d): d for d in f.digits}
+
+    def mul(a, b):
+        return 0 if a == 0 or b == 0 else (a - 1 + b - 1) % Qm1 + 1
+
+    def add(a, b):
+        return digit_of[tuple((x + y) % f.p for x, y in zip(f.coeffs(a), f.coeffs(b)))]
+
+    def neg(a):
+        return digit_of[tuple(-x % f.p for x in f.coeffs(a))]
+
+    def conj(a):
+        acc = 1
+        for _ in range(q):
+            acc = mul(acc, a)
+        return acc
+
+    tables = (f.add_table, f.sub_table, f.mul_table)
+    assert all(len(t) == f.Q and all(len(row) == f.Q for row in t) for t in tables)
+    assert len(f.neg_table) == len(f.conj_table) == f.Q
+    for a in f.digits:
+        assert f.neg_table[a] == f.neg(a) == neg(a)
+        assert f.conj_table[a] == f.conj(a) == conj(a)
+        for b in f.digits:
+            assert f.add_table[a][b] == f.add(a, b) == add(a, b)
+            assert f.sub_table[a][b] == f.sub(a, b) == add(a, neg(b))
+            assert f.mul_table[a][b] == f.mul(a, b) == mul(a, b)

@@ -345,3 +345,67 @@ def test_reference_generators_are_products_of_factors():
             while pr.deg(rem) >= 1 and pr.divides(field, f, rem):
                 rem = pr.quotient_exact(field, rem, f)
         assert pr.deg(rem) == 0
+
+
+# --- units mod x^n - 1 -----------------------------------------------------
+
+
+def unit_by_euclid(field, n, f):
+    return pr.poly_gcd(field, f, pr.x_pow_n_minus_1(field, n)) == (1,)
+
+
+def test_is_unit_exhaustive_gf4_n7():
+    units = 0
+    for code in range(4 ** 7):
+        f = [code >> 2 * i & 3 for i in range(7)]
+        got = pr.is_unit(GF4, 7, f)
+        assert got == unit_by_euclid(GF4, 7, f), f
+        units += got
+    # x^7 - 1 = (x - 1) p(x) q(x) with p, q of degree 3 over GF(4)
+    assert units == 3 * 63 * 63
+
+
+# factor degrees (for the p | n cases, those of the p-free part of n)
+UNIT_GRID = [
+    (GF4, 15),   # 1, 1, 1, 2 x 6
+    (GF4, 23),   # 1, 11, 11
+    (GF4, 14),   # 2 | n: (x^7 - 1)^2
+    (GF9, 11),   # 1, 5, 5
+    (GF9, 12),   # 3 | n: (x^4 - 1)^3
+    (GF81, 10),  # ten linear factors
+    (GF81, 11),  # 1, 5, 5
+    (GF81, 6),   # 3 | n: (x^2 - 1)^3
+]
+
+
+@pytest.mark.parametrize("field,n", UNIT_GRID, ids=[f"Q{f.Q}-n{n}" for f, n in UNIT_GRID])
+def test_is_unit_matches_euclid(field, n):
+    # random f, f longer than n, and non-units made as a multiple of one
+    # irreducible factor, 2000 samples in all; plus f = 0
+    rng = random.Random(field.Q * 1000 + n)
+    core = n
+    while core % field.p == 0:
+        core //= field.p
+    factors = pr.factor_xn_minus_1(field, core)
+    outcomes = set()
+    for i in range(2000):
+        kind = i % 3
+        if kind == 0:
+            f = [rng.randrange(field.Q) for _ in range(n)]
+        elif kind == 1:
+            f = [rng.randrange(field.Q) for _ in range(2 * n + 3)]
+        else:
+            f = pr.poly_mul(field, rand_poly(rng, field, n - 1), rng.choice(factors))
+        got = pr.is_unit(field, n, f)
+        assert got == unit_by_euclid(field, n, f), (f, n)
+        outcomes.add((kind, got))
+    assert {(0, True), (1, True), (2, False)} <= outcomes
+    for zero in ((), (0,) * n, (0,) * (3 * n)):
+        assert not pr.is_unit(field, n, zero)
+    assert pr.is_unit(field, n, (1,))
+
+
+def test_is_unit_rejects_bad_length():
+    for n in (0, -3):
+        with pytest.raises(SpecError):
+            pr.is_unit(GF4, n, (1,))

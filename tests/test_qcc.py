@@ -6,10 +6,16 @@ drift in circulant orientation, conjugation or extension layout fails loudly.
 GF(81) digits follow the usual convention: 0 is zero and digit e+1 is zeta^e.
 """
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from qcqec import famat, polyring, qcc
-from qcqec.errors import BudgetExceeded, PreconditionError
+from qcqec.errors import BudgetExceeded, PreconditionError, SingularMatrixError
 from qcqec.gf import field_make
 
 GF4 = field_make(2)
@@ -297,3 +303,111 @@ def test_certificate_singular_h1_gram():
     assert not cert.h1_gram_nonsingular
     assert not cert.satisfied
     assert cert.p_matrix is None
+
+
+# --- the per-generator cache ---------------------------------------------------
+
+
+def reference_code(field, n, f, g):
+    """What build and the certificate compute, recomputed from f and g with
+    nothing kept between calls: the matrices and flags of the code, and the
+    certificate's P matrix (None when H1 H1^dag is singular or f is not
+    coprime to x^n - 1)."""
+    k = n - polyring.deg(g)
+    f = polyring.ring_from_plain(field, n, f)
+    dual_g = polyring.dual_gen(field, n, g)
+    G1 = famat.mat_from_poly(field, n, g, k)
+    G2 = famat.mat_from_poly(field, n, polyring.ring_mul(field, n, f, g), k)
+    H1 = famat.mat_from_poly(field, n, dual_g, n - k)
+    conj_rev_f = polyring.frob_poly(field, polyring.bar(f))
+    H2 = famat.circulant(field, polyring.poly_neg(field, conj_rev_f), n)
+    ref = {
+        "k": k, "G1": G1, "G2": G2, "H1": H1, "H2": H2, "dual_g": dual_g,
+        "f_coprime": polyring.poly_gcd(field, f, polyring.x_pow_n_minus_1(field, n)) == (1,),
+        "orthogonal_divisibility": polyring.divides(field, dual_g, g),
+        "orthogonal_gram": famat.gram_hermitian(famat.hstack(G1, G2)).is_zero(),
+    }
+    if not ref["f_coprime"]:
+        return ref, None  # no certificate
+    try:
+        h1_gram_inv = famat.inverse(H1.mul(H1.dagger()))
+    except SingularMatrixError:
+        return ref, None
+    h2_gram_inv = famat.inverse(H2.dagger().mul(H2))
+    return ref, H1.dagger().mul(h1_gram_inv).mul(H1).sub(h2_gram_inv)
+
+
+def check_against_reference(field, n, f, g):
+    code = qcc.build(field, n, f, g)
+    ref, p = reference_code(field, n, f, g)
+    for name, want in ref.items():
+        assert getattr(code, name) == want, name
+    if not code.f_coprime:
+        return code, None
+    cert = qcc.entanglement_certificate(code)
+    assert cert.h1_gram_nonsingular == (p is not None)
+    if p is not None:
+        assert cert.p_matrix == p
+        assert cert.char_poly_p == famat.char_poly(p)
+        assert cert.one_not_eigenvalue == (
+            famat.rank(p.sub(famat.Mat.identity(field, n))) == n)
+    return code, cert
+
+
+def proper_divisors(field, n):
+    gs = [(1,)]
+    for fac in polyring.factor_xn_minus_1(field, n):
+        gs += [polyring.poly_mul(field, g, fac) for g in gs]
+    return [g for g in gs if 0 < polyring.deg(g) < n]
+
+
+@pytest.mark.parametrize("field,n", [(GF4, 15), (GF9, 10), (GF81, 10)])
+def test_cached_build_and_certificate_match_reference(field, n):
+    # two rounds over more generators than the cache holds, two f per
+    # generator in a row: hits, misses and evictions all occur
+    rng = random.Random(field.Q + n)
+    gs = rng.sample(proper_divisors(field, n), 10)
+    satisfied = 0
+    for _ in range(2):
+        for g in gs:
+            for i in range(2):
+                f = [rng.randrange(field.Q) for _ in range(n)]
+                if i:
+                    f[0] = 0  # often a multiple of x - 1, so not coprime
+                _, cert = check_against_reference(field, n, f, g)
+                satisfied += bool(cert and cert.satisfied)
+    assert satisfied
+
+
+def test_cached_matrices_do_not_leak():
+    # writing into the matrices a code or a certificate hands out must not
+    # reach the cache behind the next code built from the same g
+    for _ in range(2):
+        code, cert = check_against_reference(GF4, 7, F7, G7)
+        assert cert.satisfied
+        for mat in (code.G1, code.H1, code.G, code.H, cert.p_matrix):
+            for row in mat.rows:
+                row[:] = [1] * len(row)
+
+
+def test_left_parity_check_is_caught_under_optimize():
+    # python -O strips assert statements; the cached left-block check must
+    # still run and raise when H1 is wrong
+    program = """
+from qcqec import polyring, qcc
+from qcqec.gf import field_make
+
+assert False, "assert statements are live"
+polyring.dual_gen = lambda field, n, g: (1,)
+qcc._generator_blocks.cache_clear()
+try:
+    qcc.build(field_make(2), 7, (0, 3, 2, 3, 2, 1), (1, 1))
+except AssertionError as exc:
+    print("caught:", exc)
+"""
+    src_dir = str(Path(qcc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    done = subprocess.run([sys.executable, "-O", "-c", program], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "caught: parity check violated on left block\n"
