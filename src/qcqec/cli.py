@@ -16,8 +16,8 @@ import json
 import sys
 import time
 
-from . import explorer, polyring, qcc, quantum, refdata, wdist
-from .errors import BudgetExceeded, PreconditionError, SpecError
+from . import explorer, pipeline, polyring, qcc, quantum, refdata, wdist
+from .errors import BudgetExceeded, PreconditionError, SpecError, require_int
 from .gf import field_make
 
 SCHEMA = 1
@@ -63,21 +63,30 @@ def _parse_poly(field, value, n: int | None, what: str):
     raise SpecError(f"{what} must be a compact string or a digit list")
 
 
-def load_spec(path: str) -> dict:
+def _load_object(path: str, what: str) -> dict:
+    """The JSON object in a file; a SpecError for anything else."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise SpecError(f"cannot read spec: {exc}") from exc
+        raise SpecError(f"cannot read {what}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SpecError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise SpecError("spec must be a JSON object")
+        raise SpecError(f"{what} must be a JSON object")
+    return doc
+
+
+def load_spec(path: str) -> dict:
+    doc = _load_object(path, "spec")
     if doc.get("schema", SCHEMA) != SCHEMA:
         raise SpecError(f"unsupported spec schema {doc.get('schema')!r}")
     for key in ("q", "n", "f", "g"):
         if key not in doc:
             raise SpecError(f"spec is missing {key!r}")
+    for key in ("q", "n", "alpha1", "alpha2", "enum_budget"):
+        if key in doc:
+            require_int(f"spec field {key!r}", doc[key])
     mode = doc.get("mode")
     if mode is None:
         mode = ("extend-two" if doc.get("x2") else
@@ -93,110 +102,85 @@ def load_spec(path: str) -> dict:
     return doc
 
 
-def _spec_echo(field, spec, f, g, x1, x2) -> dict:
-    return {
-        "q": spec["q"], "n": spec["n"],
-        "f": polyring.render_compact(field, f),
-        "g": polyring.render_compact(field, g),
-        "x1": polyring.render_compact(field, x1) if x1 else None,
-        "x2": polyring.render_compact(field, x2) if x2 else None,
-        "alpha1": spec.get("alpha1", 1), "alpha2": spec.get("alpha2", 1),
-        "mode": spec["mode"],
-        "enum_budget": spec.get("enum_budget"),
-    }
+def _budget(flag: int | None, file_value: int | None = None) -> int:
+    """An explicit --budget wins, then the file's enum_budget, then the default."""
+    return next((b for b in (flag, file_value) if b is not None), wdist.DEFAULT_BUDGET)
 
 
-def run_spec(spec: dict, budget: int, workers: int, allow_long: bool) -> dict:
-    """Full pipeline for one spec; returns the report document."""
-    t0 = time.perf_counter()
+def _spec_evaluation(spec: dict, budget: int | None, workers: int,
+                     allow_long: bool) -> pipeline.Evaluation:
     field = field_make(spec["q"])
     n = spec["n"]
-    f = _parse_poly(field, spec["f"], n, "f")
-    g = polyring.trim(_parse_poly(field, spec["g"], None, "g"))
-    x1 = _parse_poly(field, spec["x1"], n, "x1") if spec.get("x1") else None
-    x2 = _parse_poly(field, spec["x2"], n, "x2") if spec.get("x2") else None
-    budget = spec.get("enum_budget") or budget
+    columns = refdata.MODES.index(spec["mode"])
+    return pipeline.Evaluation(
+        field, n, _parse_poly(field, spec["f"], n, "f"),
+        polyring.trim(_parse_poly(field, spec["g"], None, "g")),
+        tuple(_parse_poly(field, spec[key], n, key) for key in ("x1", "x2")[:columns]),
+        tuple(spec.get(key, 1) for key in ("alpha1", "alpha2")[:columns]),
+        budget=_budget(budget, spec.get("enum_budget")), workers=workers,
+        allow_long=allow_long)
 
-    code = qcc.build(field, n, f, g)
-    mode = spec["mode"]
-    if mode == "extend-one":
-        ext = qcc.extend_one(code, x1, spec.get("alpha1", 1))
-    elif mode == "extend-two":
-        ext = qcc.extend_two(code, x1, x2, spec.get("alpha1", 1),
-                             spec.get("alpha2", 1))
-    else:
-        ext = None
-    target = ext.G if ext else code.G
-    length = ext.length if ext else code.length
-    dim = ext.dim if ext else code.k
 
+def run_spec(spec: dict, budget: int | None, workers: int, allow_long: bool) -> dict:
+    """Full pipeline for one spec; returns the report document."""
+    t0 = time.perf_counter()
+    return _verify_report(spec, _spec_evaluation(spec, budget, workers, allow_long), t0)
+
+
+def _verify_report(spec: dict, ev: pipeline.Evaluation, t0: float) -> dict:
+    code, ext, field = ev.code, ev.ext, ev.field
+    xs = [polyring.render_compact(field, x) for x in ev.xs] + [None, None]
     report = {
         "schema": SCHEMA,
-        "spec": _spec_echo(field, spec, f, g, x1, x2),
-        "length": length,
-        "dimension": dim,
+        "spec": {
+            "q": spec["q"], "n": spec["n"],
+            "f": polyring.render_compact(field, ev.f),
+            "g": polyring.render_compact(field, ev.g),
+            "x1": xs[0], "x2": xs[1],
+            "alpha1": spec.get("alpha1", 1), "alpha2": spec.get("alpha2", 1),
+            "mode": spec["mode"],
+            "enum_budget": spec.get("enum_budget"),
+        },
+        "length": ev.length,
+        "dimension": ev.dimension,
         "self_orthogonal": {
             "gram": code.orthogonal_gram,
             "divisibility": code.orthogonal_divisibility,
         },
         "extension_rule": ext.rule if ext else None,
         "f_coprime": code.f_coprime,
+        "enumeration": {"messages": field.Q ** ev.dimension},
     }
-
-    messages = field.Q ** dim
-    long_run = dim >= refdata.LONG_RUN_DIM[spec["q"]]
-    enum = dual = None
-    if long_run and not allow_long:
-        report["enumeration"] = {
-            "messages": messages,
-            "skipped": "long-run",
-            "estimate": f"{field.Q}^{dim} messages x {length} symbols",
-        }
+    if ev.skipped:
+        report["enumeration"].update(skipped="long-run", estimate=ev.estimate)
     else:
-        enum = wdist.enumerate_code(target, budget=budget, workers=workers)
-        dual = wdist.macwilliams(enum, field.Q)
-        report["enumeration"] = {
-            "messages": messages,
-            "enumerator": enum.to_json_map(),
-        }
-    d = enum.distance() if enum else None
-    dd = dual.distance() if dual else None
-    report["classical"] = "[%d,%d,%s]_%d" % (length, dim, d or "?", field.Q)
-    report["distance"] = d
-    report["dual_distance"] = dd
+        report["enumeration"]["enumerator"] = ev.enum.to_json_map()
+    report["classical"] = "[%d,%d,%s]_%d" % (ev.length, ev.dimension,
+                                             ev.distance or "?", field.Q)
+    report["distance"] = ev.distance
+    report["dual_distance"] = ev.dual_distance
 
-    self_orth = code.orthogonal_gram and (ext is None or ext.rule == qcc.RULE_ORTHOGONAL)
-    report["qecc"] = None
-    report["gv"] = None
-    if self_orth and enum:
-        params = quantum.qecc_from_self_orthogonal(field.q, enum, dual)
+    report["qecc"] = report["gv"] = None
+    if params := ev.qecc:
         report["qecc"] = {
             "params": str(params),
             "pure": params.pure,
             "lengthened": str(quantum.lengthen(params)),
         }
         if params.d is not None:
-            v = quantum.gv_verdict(field.q, params.n, params.k, params.d)
-            report["gv"] = _gv_doc(v)
+            report["gv"] = _gv_doc(quantum.gv_verdict(field.q, params.n, params.k, params.d))
 
-    report["certificate"] = None
-    report["eaqecc"] = None
-    if code.f_coprime:
-        cert = qcc.entanglement_certificate(code)
+    report["certificate"] = report["eaqecc"] = None
+    if cert := ev.certificate:
         report["certificate"] = {
             "h1_gram_nonsingular": cert.h1_gram_nonsingular,
             "one_not_eigenvalue": cert.one_not_eigenvalue,
             "satisfied": cert.satisfied,
             "char_poly": _poly_str(field, cert.char_poly_p) if cert.char_poly_p else None,
         }
-        if cert.satisfied:
-            if ext is None:
-                pair = quantum.maximal_pair(code, d, dd, cert)
-                report["eaqecc"] = {"primal": str(pair.primal),
-                                    "dual": str(pair.dual)}
-            elif ext.rule == qcc.RULE_GRAM_RANK:
-                params = quantum.extended_maximal_eaqecc(ext, dd, cert)
-                report["eaqecc"] = {"extended": str(params)}
+    if derived := ev.eaqecc:
+        report["eaqecc"] = ({"extended": str(derived)} if ext else
+                            {"primal": str(derived.primal), "dual": str(derived.dual)})
 
     report["timing"] = {"seconds": round(time.perf_counter() - t0, 3)}
     return report
@@ -269,12 +253,12 @@ def _render_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(doc: dict, text: str, json_path: str | None) -> None:
+def _emit(doc: dict, text: str, json_path: str | None, out=None) -> None:
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-    print(text)
+    print(text, file=out)
 
 
 def cmd_verify(args) -> int:
@@ -285,26 +269,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    t0 = time.perf_counter()
     spec = load_spec(args.spec)
-    field = field_make(spec["q"])
-    n = spec["n"]
-    f = _parse_poly(field, spec["f"], n, "f")
-    g = polyring.trim(_parse_poly(field, spec["g"], None, "g"))
-    code = qcc.build(field, n, f, g)
-    alpha = args.alpha
-    columns = args.columns
-    x1 = qcc.find_extension_vector(code, 1, alpha)
-    spec["x1"] = polyring.render_compact(field, x1)
-    if alpha is not None:
-        spec["alpha1"] = alpha
-    spec["mode"] = "extend-one"
-    if columns == 2:
-        x2 = qcc.find_extension_vector(code, 2, alpha)
-        spec["x2"] = polyring.render_compact(field, x2)
-        if alpha is not None:
-            spec["alpha2"] = alpha
-        spec["mode"] = "extend-two"
-    report = run_spec(spec, args.budget, args.threads, args.allow_long)
+    base = _spec_evaluation(dict(spec, mode="base"), args.budget, args.threads,
+                            args.allow_long)
+    xs = tuple(qcc.find_extension_vector(base.code, side, args.alpha)
+               for side in range(1, args.columns + 1))
+    alpha = 1 if args.alpha is None else args.alpha
+    spec.update({f"alpha{i}": alpha for i in range(1, len(xs) + 1)},
+                mode=refdata.MODES[len(xs)])
+    report = _verify_report(spec, base.extended(xs, (alpha,) * len(xs)), t0)
     _emit(report, _render_report(report), args.json)
     return 0
 
@@ -343,20 +317,11 @@ def cmd_factor(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise SpecError(f"cannot read search config: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SpecError(f"{args.config}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise SpecError("search config must be a JSON object")
+    raw = _load_object(args.config, "search config")
     raw.pop("schema", None)
     if args.seed is not None:
         raw["rng_seed"] = args.seed
-    if args.budget != wdist.DEFAULT_BUDGET:
-        raw["enum_budget"] = args.budget
+    raw["enum_budget"] = _budget(args.budget, raw.get("enum_budget"))
     try:
         config = explorer.SearchConfig(**raw)
     except TypeError as exc:
@@ -375,26 +340,24 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _check_table_row(row: refdata.TableRow, budget: int, workers: int) -> dict:
-    field = row.field()
-    f, g, x1 = row.polys()
-    code = qcc.build(field, row.n, f, g)
+def _check_table_row(row: refdata.TableRow, ev: pipeline.Evaluation) -> dict:
+    """The row's computed parameters beside its collected ones."""
     if row.family.startswith("stabilizer"):
-        ext = qcc.extend_one(code, x1)
-        enum = wdist.enumerate_code(ext.G, budget=budget, workers=workers)
-        dual = wdist.macwilliams(enum, field.Q)
-        params = quantum.qecc_from_self_orthogonal(field.q, enum, dual)
+        params = ev.qecc
+        if params is None:
+            raise PreconditionError("not-self-orthogonal",
+                                    "the extended code is not Hermitian self-orthogonal")
         computed = {
-            "code": (ext.length, ext.dim, enum.distance()),
-            "dual": (ext.length, ext.length - ext.dim, dual.distance()),
+            "code": (ev.length, ev.dimension, ev.distance),
+            "dual": (ev.length, ev.length - ev.dimension, ev.dual_distance),
             "qecc": (params.n, params.k, params.d),
         }
         collected = {"code": row.code, "dual": row.dual, "qecc": row.qecc}
     else:
-        cert = qcc.entanglement_certificate(code)
-        enum = wdist.enumerate_code(code.G, budget=budget, workers=workers)
-        dual = wdist.macwilliams(enum, field.Q)
-        pair = quantum.maximal_pair(code, enum.distance(), dual.distance(), cert)
+        pair = ev.eaqecc
+        if pair is None:
+            raise PreconditionError("certificate-failed",
+                                    "entanglement certificate conditions not met")
         side = pair.primal if row.family == "assisted-primal" else pair.dual
         computed = {"eaqecc": (side.n, side.k, side.d, side.c)}
         collected = {"eaqecc": row.eaqecc}
@@ -412,13 +375,14 @@ def cmd_table(args) -> int:
     for row in refdata.TABLES[family]:
         k = (row.code or row.eaqecc)[1]
         entry = {"n": row.n, "k": k, "note": row.note or None}
-        if row.is_long_run() and not args.allow_long:
+        ev = row.evaluation(budget=_budget(args.budget), workers=args.threads,
+                            allow_long=args.allow_long)
+        if ev.skipped:
             entry["status"] = "skipped (long-run)"
-            entry["estimate"] = "%d^%d messages x %d symbols" % (
-                row.field().Q, row.enum_dimension(), (row.code or row.eaqecc)[0])
+            entry["estimate"] = ev.estimate
         else:
             try:
-                result = _check_table_row(row, args.budget, args.threads)
+                result = _check_table_row(row, ev)
             except (PreconditionError, BudgetExceeded) as exc:
                 entry["status"] = "error: %s" % (
                     exc.code if isinstance(exc, PreconditionError) else "budget")
@@ -478,8 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--allow-long", action="store_true",
                            help="run enumerations past the desk-scale threshold")
         if "budget" in flags:
-            p.add_argument("--budget", type=int, default=wdist.DEFAULT_BUDGET,
-                           metavar="N", help="enumerated-message cap")
+            p.add_argument("--budget", type=int, default=None, metavar="N",
+                           help="enumerated-message cap; wins over the file's "
+                           "enum_budget (default 2^32)")
         if "seed" in flags:
             p.add_argument("--seed", type=int, default=None, metavar="N")
 
@@ -542,11 +507,7 @@ def main(argv=None) -> int:
         doc, code = _error_doc("budget", exc), 3
     except PreconditionError as exc:
         doc, code = _error_doc("precondition", exc), 4
-    print(json.dumps(doc), file=sys.stderr)
-    if getattr(args, "json", None):
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    _emit(doc, json.dumps(doc), getattr(args, "json", None), sys.stderr)
     return code
 
 

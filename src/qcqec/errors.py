@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check that
+input files share.
 
 The CLI maps these onto process exit codes, so library code should raise the
 most specific class that applies rather than bare ValueError/RuntimeError.
@@ -46,3 +47,9 @@ class BudgetExceeded(QcqecError):
 
 class SingularMatrixError(QcqecError):
     """Matrix inversion was asked of a singular matrix."""
+
+
+def require_int(what: str, value) -> None:
+    """A SpecError naming what, unless value is an int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecError(f"{what} must be an integer, got {value!r}")

@@ -21,8 +21,8 @@ import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
 
-from . import famat, polyring, qcc, quantum, wdist
-from .errors import BudgetExceeded, PreconditionError, SpecError
+from . import famat, pipeline, polyring, qcc, wdist
+from .errors import BudgetExceeded, PreconditionError, SpecError, require_int
 from .gf import Field, field_make
 
 SEARCH_MODES = ("qecc", "eaqecc")
@@ -46,6 +46,17 @@ class SearchConfig:
     # extension vectors per generator tried in qecc mode; the extended
     # distance swings hard with the choice, so one is rarely enough
     x1_samples: int = 8
+
+    def __post_init__(self):
+        for name in ("q", "n", "max_f_samples", "rng_seed", "enum_budget",
+                     "x1_samples"):
+            require_int(name, getattr(self, name))
+        if self.max_f_degree is not None:
+            require_int("max_f_degree", self.max_f_degree)
+        if self.mode not in SEARCH_MODES:
+            raise SpecError(f"mode must be one of {SEARCH_MODES}, got {self.mode!r}")
+        if self.max_f_samples < 0:
+            raise SpecError("max_f_samples must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -193,7 +204,9 @@ def _x1_pool(field: Field, code: qcc.QcCode, rng: random.Random, want: int):
 def _evaluate(field: Field, config: SearchConfig, f, g, fc, gc, x1s) -> CodeRecord:
     """Build and measure one candidate, given f and g and their compact
     forms; skips come back as flagged records."""
-    code = qcc.build(field, config.n, f, g)
+    base = pipeline.Evaluation(field, config.n, f, g, budget=config.enum_budget,
+                               allow_long=True)
+    code = base.code
     flags = {"mode": config.mode, "self_orthogonal": code.orthogonal_gram,
              "certificate_ok": None, "x1": None, "frontier": False}
 
@@ -206,41 +219,32 @@ def _evaluate(field: Field, config: SearchConfig, f, g, fc, gc, x1s) -> CodeReco
         if isinstance(x1s, Exception):
             return skip("no-extension-vector" if isinstance(x1s, PreconditionError)
                         else "extension-scan-budget")
-        best = None
-        for x1 in x1s:
-            ext = qcc.extend_one(code, x1)
-            try:
-                enum = wdist.enumerate_code(ext.G, budget=config.enum_budget)
-            except BudgetExceeded:
-                return skip("enum-budget")  # same dimension for every x1
-            dual = wdist.macwilliams(enum, field.Q)
-            cand = (dual.distance(), enum.distance(), x1, ext, enum, dual)
-            if best is None or cand[:2] > best[:2]:
-                best = cand
-        d_dual, d, x1, ext, enum, dual = best
-        params = quantum.qecc_from_self_orthogonal(field.q, enum, dual)
-        cert = qcc.entanglement_certificate(code) if code.f_coprime else None
+        try:
+            # the first of the best (d_dual, d) wins
+            best = max((base.extended((x1,)) for x1 in x1s),
+                       key=lambda ev: (ev.dual_distance, ev.distance))
+        except BudgetExceeded:
+            return skip("enum-budget")  # same dimension for every x1
+        params = best.qecc
+        cert = base.certificate
         flags["certificate_ok"] = bool(cert and cert.satisfied)
-        flags["x1"] = polyring.render_compact(field, x1)
-        return CodeRecord(config.q, config.n, fc, gc, ext.dim, d, d_dual,
-                          (params.n, params.k, params.d), None, flags,
-                          config.rng_seed)
+        flags["x1"] = polyring.render_compact(field, best.xs[0])
+        return CodeRecord(config.q, config.n, fc, gc, best.dimension, best.distance,
+                          best.dual_distance, (params.n, params.k, params.d), None,
+                          flags, config.rng_seed)
 
-    cert = qcc.entanglement_certificate(code)
+    cert = base.certificate
     flags["certificate_ok"] = cert.satisfied
     if not cert.satisfied:
         return skip("certificate")
     try:
-        enum = wdist.enumerate_code(code.G, budget=config.enum_budget)
+        d = base.distance
     except BudgetExceeded:
         return skip("enum-budget")
-    d = enum.distance()
     if d is None:
         return skip("zero-code")
-    dual = wdist.macwilliams(enum, field.Q)
-    pair = quantum.maximal_pair(code, d, dual.distance(), cert)
-    p = pair.primal
-    return CodeRecord(config.q, config.n, fc, gc, code.k, d, dual.distance(),
+    p = base.eaqecc.primal
+    return CodeRecord(config.q, config.n, fc, gc, code.k, d, base.dual_distance,
                       None, (p.n, p.k, p.d, p.c), flags, config.rng_seed)
 
 
@@ -293,10 +297,6 @@ def search(config: SearchConfig):
     (d_dual, d) recorded so far for their (n, dimension) slot, so no yield
     is ever dominated by an earlier one.
     """
-    if config.mode not in SEARCH_MODES:
-        raise SpecError(f"mode must be one of {SEARCH_MODES}, got {config.mode!r}")
-    if config.max_f_samples < 0:
-        raise SpecError("max_f_samples must be >= 0")
     field = field_make(config.q)
     if config.mode == "qecc":
         gs = enumerate_self_orthogonal_g(field, config.n)

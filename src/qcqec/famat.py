@@ -221,19 +221,6 @@ def nullspace(m: Mat) -> Mat:
     return Mat(f, basis, m.ncols)
 
 
-def solve_right(m: Mat, rhs: list[int]) -> list[int] | None:
-    """One solution v of M v^T = rhs^T, or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(m.rows, rhs)]
-    pivots = _forward_eliminate(m.field, aug, m.ncols)
-    v = [0] * m.ncols
-    for r, pc in enumerate(pivots):
-        v[pc] = aug[r][m.ncols]
-    for i in range(len(pivots), m.nrows):
-        if aug[i][m.ncols]:
-            return None
-    return v
-
-
 def row_space_contains(m: Mat, vec) -> bool:
     """Exact membership of vec in the row space of m."""
     stacked = Mat(m.field, m.rows + [list(vec)], m.ncols)

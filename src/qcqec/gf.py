@@ -120,9 +120,6 @@ class Field:
             raise ZeroDivisionError("inverse of the zero element")
         return (-(a - 1)) % self._Qm1 + 1
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow_(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:

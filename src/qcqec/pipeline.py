@@ -1,0 +1,128 @@
+"""One code through build -> extend -> enumerate -> MacWilliams -> quantum
+parameters, the chain that `verify`, `table` and `search` render.
+
+An `Evaluation` runs each stage the first time a result that needs it is
+read, so a caller pays only for what it reads: a table row past the
+long-run gate is never built, a stabilizer row never tests the entanglement
+certificate, and the eaqecc search enumerates only codes that pass it.
+Stages are called through their modules (`qcc.build`, `wdist.macwilliams`,
+...), looked up at call time, so a wrapper put on a module attribute sees
+every call.
+"""
+
+from dataclasses import dataclass, replace
+from functools import cached_property
+
+from . import polyring, qcc, quantum, wdist
+from .gf import Field
+
+# enumerating a code of at least this dimension is not desk scale, per q
+LONG_RUN_DIM = {2: 15, 3: 10, 9: 5}
+
+
+def is_long_run(q: int, dim: int) -> bool:
+    """Whether the (q^2)^dim messages of a dimension-dim code are past desk scale."""
+    return dim >= LONG_RUN_DIM[q]
+
+
+@dataclass(frozen=True, eq=False)
+class Evaluation:
+    """The code generated by (g, f g), extended by zero, one or two vectors
+    xs with column scalars alphas (default 1), and what it yields.
+
+    Unless allow_long is set, a long-run code is not enumerated: enum, dual,
+    both distances and qecc read None, and eaqecc has unknown distances.
+    """
+
+    field: Field
+    n: int
+    f: tuple
+    g: tuple
+    xs: tuple = ()
+    alphas: tuple = ()
+    budget: int = wdist.DEFAULT_BUDGET
+    workers: int = 1
+    allow_long: bool = False
+
+    def extended(self, xs, alphas=()) -> "Evaluation":
+        """The same base code under the extension vectors xs, built once for both."""
+        other = replace(self, xs=tuple(xs), alphas=tuple(alphas))
+        other.__dict__["code"] = self.code  # where cached_property keeps it
+        return other
+
+    @property
+    def length(self) -> int:
+        return 2 * self.n + len(self.xs)
+
+    @property
+    def dimension(self) -> int:
+        """Dimension of the enumerated code, read off g without a build."""
+        return self.n - polyring.deg(self.g) + len(self.xs)
+
+    @property
+    def estimate(self) -> str:
+        return f"{self.field.Q}^{self.dimension} messages x {self.length} symbols"
+
+    @property
+    def long_run(self) -> bool:
+        return is_long_run(self.field.q, self.dimension)
+
+    @property
+    def skipped(self) -> bool:
+        """Whether the long-run gate leaves the enumeration out."""
+        return self.long_run and not self.allow_long
+
+    @cached_property
+    def code(self) -> qcc.QcCode:
+        return qcc.build(self.field, self.n, self.f, self.g)
+
+    @cached_property
+    def ext(self) -> qcc.ExtendedCode | None:
+        extend = {1: qcc.extend_one, 2: qcc.extend_two}.get(len(self.xs))
+        return extend(self.code, *self.xs, *self.alphas) if extend else None
+
+    @cached_property
+    def enum(self) -> wdist.WeightEnumerator | None:
+        if self.skipped:
+            return None
+        target = self.ext.G if self.ext else self.code.G
+        return wdist.enumerate_code(target, budget=self.budget, workers=self.workers)
+
+    @cached_property
+    def dual(self) -> wdist.WeightEnumerator | None:
+        return self.enum and wdist.macwilliams(self.enum, self.field.Q)
+
+    @property
+    def distance(self) -> int | None:
+        return self.enum and self.enum.distance()
+
+    @property
+    def dual_distance(self) -> int | None:
+        return self.dual and self.dual.distance()
+
+    @cached_property
+    def qecc(self) -> quantum.QeccParams | None:
+        """Stabilizer parameters, for a zero Gram matrix that the extension
+        rule keeps (the extension is made first, so its errors surface)."""
+        if (self.ext and self.ext.rule != qcc.RULE_ORTHOGONAL
+                or not self.code.orthogonal_gram or self.enum is None):
+            return None
+        return quantum.qecc_from_self_orthogonal(self.field.q, self.enum, self.dual)
+
+    @cached_property
+    def certificate(self) -> qcc.EntanglementCertificate | None:
+        """The base code's entanglement certificate, tested when f is coprime."""
+        return qcc.entanglement_certificate(self.code) if self.code.f_coprime else None
+
+    @cached_property
+    def eaqecc(self) -> quantum.MaximalPair | quantum.EaqeccParams | None:
+        """What a satisfied certificate gives: the maximal pair of a base
+        code, or the maximal code of a rank-preserving extension."""
+        cert = self.certificate
+        if not (cert and cert.satisfied):
+            return None
+        if self.ext is None:
+            return quantum.maximal_pair(self.code, self.distance, self.dual_distance, cert)
+        if self.ext.rule == qcc.RULE_GRAM_RANK:
+            return quantum.extended_maximal_eaqecc(self.ext, self.dual_distance, cert)
+        return None

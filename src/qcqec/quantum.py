@@ -58,15 +58,12 @@ class EaqeccParams:
         return f"[[{self.n},{self.k},{d};{self.c}]]_{self.q}"
 
 
-def qecc_from_self_orthogonal(q: int, enum: wdist.WeightEnumerator, dual_enum: wdist.WeightEnumerator | None = None) -> QeccParams:
+def qecc_from_self_orthogonal(q: int, enum: wdist.WeightEnumerator, dual_enum: wdist.WeightEnumerator) -> QeccParams:
     """Stabilizer code of a Hermitian self-orthogonal [n,k]_{q^2} code.
 
     The caller vouches for self-orthogonality; enum is the code's weight
-    enumerator and dual_enum (derived via MacWilliams when omitted) its
-    Hermitian dual's.
+    enumerator and dual_enum its Hermitian dual's.
     """
-    if dual_enum is None:
-        dual_enum = wdist.macwilliams(enum, q * q)
     d_dual = dual_enum.distance()
     d = wdist.impure_distance(enum, dual_enum)
     if d is None:
@@ -139,13 +136,12 @@ class MaximalPair:
 
 
 def maximal_pair(code: qcc.QcCode, d_primal: int | None, d_dual: int | None,
-                 cert: qcc.EntanglementCertificate | None = None) -> MaximalPair:
+                 cert: qcc.EntanglementCertificate) -> MaximalPair:
     """The two maximal-entanglement codes of a certificate-satisfying base.
 
-    d_primal is the code's minimum distance, d_dual its Hermitian dual's.
+    d_primal is the code's minimum distance, d_dual its Hermitian dual's,
+    cert the code's entanglement certificate.
     """
-    if cert is None:
-        cert = qcc.entanglement_certificate(code)
     if not cert.satisfied:
         raise PreconditionError("certificate-failed", "entanglement certificate conditions not met")
     q, n2, k = code.field.q, code.length, code.k
@@ -160,16 +156,14 @@ def maximal_pair(code: qcc.QcCode, d_primal: int | None, d_dual: int | None,
 
 
 def extended_maximal_eaqecc(ext: qcc.ExtendedCode, d_dual: int | None,
-                            cert: qcc.EntanglementCertificate | None = None) -> EaqeccParams:
+                            cert: qcc.EntanglementCertificate) -> EaqeccParams:
     """Maximal-entanglement code of a rank-preserving column extension.
 
-    d_dual is the Hermitian dual distance of the extended code; the base must
-    satisfy the entanglement certificate.
+    d_dual is the Hermitian dual distance of the extended code; cert is the
+    base code's entanglement certificate, which must be satisfied.
     """
     if ext.rule != qcc.RULE_GRAM_RANK:
         raise PreconditionError("wrong-rule", "needs a rank-preserving extension")
-    if cert is None:
-        cert = qcc.entanglement_certificate(ext.base)
     if not cert.satisfied:
         raise PreconditionError("certificate-failed", "entanglement certificate conditions not met")
     q = ext.base.field.q

@@ -6,18 +6,17 @@ verification suite.  Expected values are reference targets, not derived here.
 
 Polynomials in table rows use the compact digit notation of
 polyring.parse_compact; worked instances store explicit digit tuples.
-long-run entries need hours of enumeration and are skipped unless asked for.
+Rows whose enumeration is long-run (pipeline.is_long_run) are skipped unless
+asked for.
 """
 
 from dataclasses import dataclass, field as dc_field
 
-from . import polyring
+from . import pipeline, polyring
 from .gf import field_make
 
+# indexed by the number of extension columns
 MODES = ("base", "extend-one", "extend-two")
-
-# enumeration above these message-space sizes is not desk scale
-LONG_RUN_DIM = {2: 15, 3: 10, 9: 5}
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,6 @@ class RefCode:
     alpha1: int = 1
     alpha2: int = 1
     expect: dict = dc_field(default_factory=dict)
-    long_run: bool = False
     note: str = ""
 
 
@@ -74,14 +72,12 @@ class TableRow:
         x1 = polyring.parse_compact(fld, self.x1, self.n) if self.x1 else None
         return f, g, x1
 
-    def enum_dimension(self) -> int:
-        """Dimension of the code the row's distance claim enumerates."""
-        _, g, _ = self.polys()
-        k = self.n - polyring.deg(g)
-        return k + 1 if self.family.startswith("stabilizer") else k
-
-    def is_long_run(self) -> bool:
-        return self.enum_dimension() >= LONG_RUN_DIM[self.q]
+    def evaluation(self, **options) -> pipeline.Evaluation:
+        """The row's code in the pipeline: extended by x1 for a stabilizer
+        row, the base code for an assisted one.  options go to Evaluation."""
+        f, g, x1 = self.polys()
+        xs = (x1,) if self.family.startswith("stabilizer") else ()
+        return pipeline.Evaluation(self.field(), self.n, f, g, xs, **options)
 
 
 REFERENCE_CODES = (
@@ -129,7 +125,6 @@ REFERENCE_CODES = (
             "dual": (103, 86, 7),
             "qecc": (103, 69, 7),
         },
-        long_run=True,
     ),
     RefCode(
         name="q2-n7-base",
@@ -170,7 +165,6 @@ REFERENCE_CODES = (
             "certificate": True,
             "eaqecc_extended": (22, 17, 5, 5),
         },
-        long_run=True,
         note="distance claims need a full GF(81) enumeration",
     ),
 )

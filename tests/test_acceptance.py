@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from qcqec import cli, explorer, famat, polyring, qcc, quantum, refdata, wdist
+from qcqec import cli, explorer, famat, pipeline, polyring, qcc, quantum, refdata, wdist
 from qcqec.errors import BudgetExceeded
 from qcqec.gf import field_make
 
@@ -229,7 +229,7 @@ def test_acceptance_5_collected_table_desk_rows():
             key = (family, row.n, (row.code or row.eaqecc)[1])
             if key not in DESK_ROWS:
                 continue
-            assert not row.is_long_run()
+            assert not row.evaluation().long_run
             t0 = time.perf_counter()
             if family.startswith("stabilizer"):
                 check_stabilizer_row(row)
@@ -319,7 +319,7 @@ def test_acceptance_7_long_run_gating_and_bookkeeping():
     code, ext = built("q2-n51-extend-one")
     assert (ext.length, ext.dim) == (103, 17)
     assert code.orthogonal_gram and ext.rule == qcc.RULE_ORTHOGONAL
-    assert ext.dim >= refdata.LONG_RUN_DIM[2]
+    assert pipeline.is_long_run(2, ext.dim)
     assert ext.length - 2 * ext.dim == 69  # stabilizer net dimension
     with pytest.raises(BudgetExceeded) as e:
         wdist.enumerate_code(ext.G)
@@ -338,7 +338,7 @@ def test_acceptance_7_long_run_gating_and_bookkeeping():
     assert (ext.length, ext.dim) == (22, 5)
     assert ext.rule == qcc.RULE_GRAM_RANK
     assert qcc.entanglement_certificate(code).satisfied
-    assert ext.dim >= refdata.LONG_RUN_DIM[9]
+    assert pipeline.is_long_run(9, ext.dim)
 
     report = cli.run_spec(cli.load_spec(str(SPECS / "q9-n10-extend-two.json")),
                           wdist.DEFAULT_BUDGET, 1, False)
@@ -351,11 +351,11 @@ def test_acceptance_7_long_run_gating_and_bookkeeping():
         for row in rows:
             key = (row.family, row.n, (row.code or row.eaqecc)[1])
             if key in DESK_ROWS:
-                assert not row.is_long_run()
+                assert not row.evaluation().long_run
     assert next(r for r in refdata.TABLES["stabilizer-gf4"]
-                if r.n == 29).is_long_run()
+                if r.n == 29).evaluation().long_run
     assert next(r for r in refdata.TABLES["stabilizer-gf9"]
-                if r.n == 23).is_long_run()
+                if r.n == 23).evaluation().long_run
 
 
 @pytest.mark.longrun
@@ -373,13 +373,14 @@ def test_acceptance_7_long_run_reproductions():
 def test_acceptance_7_gf81_extended_distance():
     # 81^5 messages: within the default budget, though the CLI still skips
     # it as long-run unless --allow-long is given
-    _, ext = built("q9-n10-extend-two")
+    code, ext = built("q9-n10-extend-two")
     enum = wdist.enumerate_code(ext.G)
     assert sum(enum.counts) == 81 ** 5
     assert enum.distance() == 11
     assert refdata.find_reference("q9-n10-extend-two").expect["code"] == (22, 5, 11)
     dual = wdist.macwilliams(enum, 81)
     assert dual.distance() == 5
-    params = quantum.extended_maximal_eaqecc(ext, dual.distance())
+    params = quantum.extended_maximal_eaqecc(ext, dual.distance(),
+                                             qcc.entanglement_certificate(code))
     assert str(params) == "[[22,17,5;5]]_9"
     assert params.maximal

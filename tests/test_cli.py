@@ -7,12 +7,13 @@ frozen ones the library tests pin; the point is that the CLI plumbing
 """
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from qcqec import cli, refdata
+from qcqec import cli, refdata, wdist
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -289,3 +290,109 @@ def test_search_refuses_edited_record(capsys, tmp_path):
     error = json.loads(err)["error"]
     assert error["type"] == "spec"
     assert "records.jsonl:1: record content does not match its hash" in error["message"]
+
+
+
+BASE7 = {"q": 2, "n": 7, "f": "1", "g": "1^2"}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", "7"), ("n", 7.0), ("n", True), ("q", "2"), ("q", [2]), ("q", None),
+    ("alpha1", "1"), ("alpha2", False), ("enum_budget", "big"),
+    ("enum_budget", 2.0 ** 32),
+])
+def test_verify_rejects_non_integer_spec_fields(capsys, tmp_path, key, value):
+    spec = write_spec(tmp_path, "spec.json", {**BASE7, key: value})
+    rc, _, err = run(capsys, "verify", spec)
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "spec"
+    assert f"spec field {key!r} must be an integer" in error["message"]
+
+
+@pytest.mark.parametrize("key", ["n", "max_f_samples", "x1_samples", "rng_seed",
+                                 "enum_budget", "max_f_degree"])
+@pytest.mark.parametrize("value", ["3", 3.0, True])
+def test_search_rejects_non_integer_config_fields(capsys, tmp_path, key, value):
+    cfg = write_spec(tmp_path, "search.json", {"q": 2, "n": 7, key: value})
+    rc, _, err = run(capsys, "search", "--config", cfg)
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "spec"
+    assert f"{key} must be an integer" in error["message"]
+
+
+def test_verify_budget_precedence(capsys, tmp_path):
+    # q2-n7-base enumerates 4^6 messages
+    def budget_error(*argv):
+        rc, _, err = run(capsys, "verify", *argv)
+        assert rc == 3
+        return json.loads(err)["error"]["budget"]
+
+    in_file = write_spec(tmp_path, "small.json", {**BASE7, "enum_budget": 100})
+    assert budget_error(in_file) == 100
+    assert budget_error(in_file, "--budget", "200") == 200
+    assert run(capsys, "verify", in_file, "--budget", str(4 ** 6))[0] == 0
+    plain = write_spec(tmp_path, "plain.json", BASE7)
+    assert budget_error(plain, "--budget", "300") == 300
+    assert run(capsys, "verify", plain)[0] == 0
+
+
+def test_search_budget_precedence(capsys, tmp_path):
+    def skips(*argv):
+        records = tmp_path / "records.jsonl"
+        records.unlink(missing_ok=True)
+        cfg = write_spec(tmp_path, "search.json",
+                         {"q": 2, "n": 7, "max_f_samples": 1, "x1_samples": 1,
+                          "enum_budget": 10, "output_path": str(records)})
+        assert run(capsys, "search", "--config", cfg, *argv)[0] == 0
+        lines = records.read_text().splitlines()
+        return {json.loads(line)["flags"].get("skipped") for line in lines}
+
+    assert skips() == {"enum-budget"}
+    # an explicit --budget wins over the file, also when it is the default
+    assert skips("--budget", str(wdist.DEFAULT_BUDGET)) == {None}
+
+
+# sha256 of each --json report with its "timing" block removed, serialized
+# with sorted keys and no spaces.  The digests were taken before verify,
+# table and search shared one evaluation pipeline; they pin every byte that
+# pipeline renders.  Tables 2 and 4 re-derive the rows of tables 1 and 3.
+GOLDEN_REPORTS = (
+    (("verify", "q2-n7-base.json"),
+     "cc7a6c56449dd8c7ef48d0b3d5531e56dd8d9db8dbe30e732a0246d59388ccd2"),
+    (("verify", "q2-n11-base.json"),
+     "1f2f7bcaafd8a0ee3328f75f54eece3984864d40f29cdacf7edf6771dd9699f6"),
+    (("verify", "q2-n15-extend-one.json"),
+     "a06f7a4cae2c6087af3815c92fe6df8f673b1c0df7d4268a1e886d14c7e4da59"),
+    (("verify", "q2-n51-extend-one.json"),
+     "61eee876aa76c5e8a985b3d8ec7cb3c2982f74af00c8f771a9caba59dd9dfe12"),
+    (("verify", "q3-n10-extend-two.json"),
+     "73c4030e6a1c14a84baca6715bbb596732eab1e72f69fda8319792ef029612c9"),
+    (("verify", "q9-n10-extend-two.json"),
+     "249e3d60afffe00685f48223edee9eb53c8dc6df8ec6852db4c5064e6e4117fe"),
+    (("verify", "q9-n10-extend-two.json", "--allow-long"),
+     "8fc9c30559c5e9329285886c5104123f2f6480ac7dbf1d5f14ad1d20459b145c"),
+    (("table", "--id", "1"),
+     "f31c6bbeec8b1aaece42fa3ca009b23dd78cda9d73f3d20e6ab4ef57ad415522"),
+    (("table", "--id", "3"),
+     "4665b355fec0661f672d99877aa4a4d6c17da86a32300df5d95052f3b450823f"),
+    (("table", "--id", "5"),
+     "1497a010aec63cfe2c5475658d9542dd375a89b2a03085ddb38709c60e6b749a"),
+    (("table", "--id", "6"),
+     "6ab15f47eb8862fb3115de48da518e4bac4f2c8fe82be8735f09db7b2346f57b"),
+)
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_REPORTS,
+                         ids=[" ".join(a) for a, _ in GOLDEN_REPORTS])
+def test_reports_match_golden_digest(capsys, tmp_path, argv, digest):
+    if argv[0] == "verify":
+        argv = ("verify", str(SPECS / argv[1])) + argv[2:]
+    report_path = tmp_path / "report.json"
+    rc, _, _ = run(capsys, *argv, "--json", str(report_path))
+    assert rc == 0
+    doc = json.loads(report_path.read_text())
+    doc.pop("timing", None)
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest

@@ -122,17 +122,6 @@ def test_nullspace_is_kernel():
                 assert prod.is_zero()
 
 
-def test_solve_right():
-    rng = random.Random(15)
-    m = rand_full_rank(rng, GF9, 4, 6)
-    x = [rng.randrange(9) for _ in range(6)]
-    rhs = [r[0] for r in m.mul(fm.Mat(GF9, [[v] for v in x], 1)).rows]
-    sol = fm.solve_right(m, rhs)
-    assert sol is not None
-    again = [r[0] for r in m.mul(fm.Mat(GF9, [[v] for v in sol], 1)).rows]
-    assert again == rhs
-
-
 def test_row_space_contains():
     m = fm.Mat(GF4, [[1, 0, 1], [0, 1, 2]])
     assert fm.row_space_contains(m, (1, 1, 3))  # row0 + row1

@@ -40,7 +40,7 @@ def test_qecc_from_one_column_extension_gf4():
     assert dual.counts[5] == 2709
     assert dual.counts[31] == 37699888887
 
-    params = quantum.qecc_from_self_orthogonal(2, enum)
+    params = quantum.qecc_from_self_orthogonal(2, enum, dual)
     assert params == quantum.QeccParams(2, 31, 17, 5, pure=True)
     assert str(params) == "[[31,17,5]]_2"
     assert quantum.lengthen(params) == quantum.QeccParams(2, 32, 17, 5, None)
@@ -50,7 +50,7 @@ def test_qecc_from_two_column_extension_gf9():
     _, ext = built("q3-n10-extend-two")
     enum = wdist.enumerate_code(ext.G)
     assert enum.counts == dense(22, EXT10_WEIGHTS)
-    params = quantum.qecc_from_self_orthogonal(3, enum)
+    params = quantum.qecc_from_self_orthogonal(3, enum, wdist.macwilliams(enum, 9))
     assert params == quantum.QeccParams(3, 22, 10, 5, pure=True)
     verdict = quantum.gv_verdict(3, 22, 10, 5)
     assert verdict.exceeds
@@ -84,7 +84,8 @@ def test_maximal_pair_gf4_n7():
     enum = wdist.enumerate_code(code.G)
     assert enum.distance() == 7
     dual_d = wdist.dual_distance(enum, 4)
-    pair = quantum.maximal_pair(code, enum.distance(), dual_d)
+    cert = qcc.entanglement_certificate(code)
+    pair = quantum.maximal_pair(code, enum.distance(), dual_d, cert)
     assert pair.primal == quantum.EaqeccParams(2, 14, 6, 7, 8)
     assert pair.primal.maximal and pair.dual.maximal
     assert str(pair.primal) == "[[14,6,7;8]]_2"
@@ -101,23 +102,25 @@ def test_maximal_pair_gf4_n11():
     dual = wdist.macwilliams(enum, 4)
     assert dual.counts[4] == 627
     assert dual.counts[22] == 30644469
-    pair = quantum.maximal_pair(code, 13, dual.distance())
+    pair = quantum.maximal_pair(code, 13, dual.distance(),
+                                qcc.entanglement_certificate(code))
     assert pair.dual == quantum.EaqeccParams(2, 22, 17, 4, 5)
     assert pair.primal == quantum.EaqeccParams(2, 22, 5, 13, 17)
 
 
 def test_extended_maximal_gf81():
-    _, ext = built("q9-n10-extend-two")
-    params = quantum.extended_maximal_eaqecc(ext, 5)
+    code, ext = built("q9-n10-extend-two")
+    params = quantum.extended_maximal_eaqecc(ext, 5, qcc.entanglement_certificate(code))
     assert params == quantum.EaqeccParams(9, 22, 17, 5, 5)
     assert params.maximal
     assert str(params) == "[[22,17,5;5]]_9"
 
 
 def test_extended_maximal_rejects_orthogonal_rule():
-    _, ext = built("q2-n15-extend-one")
+    code, ext = built("q2-n15-extend-one")
+    cert = qcc.entanglement_certificate(code)
     with pytest.raises(PreconditionError) as e:
-        quantum.extended_maximal_eaqecc(ext, 5)
+        quantum.extended_maximal_eaqecc(ext, 5, cert)
     assert e.value.code == "wrong-rule"
 
 
@@ -125,7 +128,7 @@ def test_maximal_pair_requires_certificate():
     g15 = refdata.find_reference("q2-n15-extend-one").g
     code = qcc.build(GF4, 15, (1,), g15)
     with pytest.raises(PreconditionError) as e:
-        quantum.maximal_pair(code, None, None)
+        quantum.maximal_pair(code, None, None, qcc.entanglement_certificate(code))
     assert e.value.code == "certificate-failed"
 
 
@@ -146,5 +149,5 @@ def test_self_dual_code_falls_back_to_dual_distance():
     enum = wdist.enumerate_code(g)
     dual = wdist.macwilliams(enum, 4)
     assert enum.counts == dual.counts
-    params = quantum.qecc_from_self_orthogonal(2, enum)
+    params = quantum.qecc_from_self_orthogonal(2, enum, dual)
     assert params == quantum.QeccParams(2, 2, 0, 2, pure=True)
