@@ -135,17 +135,16 @@ def _divisor_products(field: Field, n: int, cap: int, min_deg: int) -> list:
         suffix[i] = suffix[i + 1] + degs[i]
 
     out = []
-
-    def walk(i, prod, prod_deg):
+    stack = [(0, (field.one,), 0)]
+    while stack:
+        i, prod, prod_deg = stack.pop()
         if prod_deg + suffix[i] < min_deg:
-            return
+            continue
         if i == len(factors):
             out.append(prod)
-            return
-        walk(i + 1, prod, prod_deg)
-        walk(i + 1, polyring.poly_mul(field, prod, factors[i]), prod_deg + degs[i])
-
-    walk(0, (field.one,), 0)
+            continue
+        stack.append((i + 1, prod, prod_deg))
+        stack.append((i + 1, polyring.poly_mul(field, prod, factors[i]), prod_deg + degs[i]))
     out.sort(key=lambda g: (polyring.deg(g), g))
     return out
 
@@ -177,13 +176,15 @@ def _x1_pool(field: Field, code: qcc.QcCode, rng: random.Random, want: int):
     Membership and the self-product condition only involve g, so the pool
     is shared by every f sampled for that generator.  The lexicographically
     first vector is always included; the rest are rejection-sampled from
-    the block dual.  Returns the exception instead when even one vector is
-    out of reach.
+    the block dual.  Returns the skip reason instead when even one vector
+    is out of reach.
     """
     try:
         first = qcc.find_extension_vector(code, 1)
-    except (PreconditionError, BudgetExceeded) as exc:
-        return exc
+    except PreconditionError:
+        return "no-extension-vector"
+    except BudgetExceeded:
+        return "extension-scan-budget"
     pool, have = [first], {first}
     db = qcc.block_dual_basis(code, 1)
     target = field.from_int(field.p - 1)
@@ -216,9 +217,8 @@ def _evaluate(field: Field, config: SearchConfig, f, g, fc, gc, x1s) -> CodeReco
                           config.rng_seed)
 
     if config.mode == "qecc":
-        if isinstance(x1s, Exception):
-            return skip("no-extension-vector" if isinstance(x1s, PreconditionError)
-                        else "extension-scan-budget")
+        if isinstance(x1s, str):
+            return skip(x1s)
         try:
             # the first of the best (d_dual, d) wins
             best = max((base.extended((x1,)) for x1 in x1s),

@@ -4,9 +4,14 @@ Matrices are lists of digit rows wrapped in a thin Mat class, at most a few
 hundred rows in size.  The arithmetic is pure Python over the field's
 lookup tables and works on whole rows: a product is built as combinations
 of the rows of the right factor, and elimination updates a row with one
-list comprehension over a bound row of the multiplication table.  A
-search evaluates thousands of small codes, so this module is where the
-search spends most of its time outside the weight enumerator.
+list comprehension over a bound row of the multiplication table.  The
+constructor copies the rows it is given; the operations here hand the rows
+they have just built to the result without a copy.
+
+The per-code tests of a search run in the polynomial ring (see `qcc`), so
+matrices are only built for what reads them: the generator matrices that
+are enumerated, one H1 projector per generator, and the P matrix and its
+characteristic polynomial of a report.
 """
 
 from __future__ import annotations
@@ -34,6 +39,14 @@ class Mat:
             self.ncols = ncols
 
     @classmethod
+    def _owning(cls, field, rows, ncols):
+        """A matrix that takes the freshly built, equal-length row lists
+        as they are, without copying or checking them."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.nrows, m.ncols = field, rows, len(rows), ncols
+        return m
+
+    @classmethod
     def zeros(cls, field, nrows, ncols):
         return cls(field, [[0] * ncols for _ in range(nrows)], ncols)
 
@@ -43,9 +56,6 @@ class Mat:
         for i in range(n):
             rows[i][i] = 1
         return cls(field, rows)
-
-    def copy(self):
-        return Mat(self.field, self.rows, self.ncols)
 
     def __eq__(self, other):
         return (
@@ -74,13 +84,13 @@ class Mat:
                     m = mul[x]
                     acc = [add[a][m[b]] for a, b in zip(acc, brow)]
             out.append(acc)
-        return Mat(f, out, other.ncols)
+        return Mat._owning(f, out, other.ncols)
 
     def add(self, other: "Mat") -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("dimension mismatch")
         add = self.field.add_table
-        return Mat(
+        return Mat._owning(
             self.field,
             [[add[x][y] for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
             self.ncols,
@@ -90,23 +100,24 @@ class Mat:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("dimension mismatch")
         sub = self.field.sub_table
-        return Mat(
+        return Mat._owning(
             self.field,
             [[sub[x][y] for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
             self.ncols,
         )
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, [list(c) for c in zip(*self.rows)], self.nrows)
+        return Mat._owning(self.field, [list(c) for c in zip(*self.rows)], self.nrows)
 
     def conj(self) -> "Mat":
         c = self.field.conj_table
-        return Mat(self.field, [[c[x] for x in r] for r in self.rows], self.ncols)
+        return Mat._owning(self.field, [[c[x] for x in r] for r in self.rows], self.ncols)
 
     def dagger(self) -> "Mat":
         """Conjugate transpose with respect to the Hermitian form."""
         c = self.field.conj_table
-        return Mat(self.field, [[c[x] for x in col] for col in zip(*self.rows)], self.nrows)
+        return Mat._owning(self.field, [[c[x] for x in col] for col in zip(*self.rows)],
+                           self.nrows)
 
     def row(self, i) -> tuple:
         return tuple(self.rows[i])
@@ -118,8 +129,8 @@ class Mat:
 def hstack(a: Mat, b: Mat) -> Mat:
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch")
-    return Mat(a.field, [ra + rb for ra, rb in zip(a.rows, b.rows)],
-               a.ncols + b.ncols)
+    return Mat._owning(a.field, [ra + rb for ra, rb in zip(a.rows, b.rows)],
+                       a.ncols + b.ncols)
 
 
 def vstack(a: Mat, b: Mat) -> Mat:
@@ -180,12 +191,6 @@ def _forward_eliminate(field, rows, ncols):
     return pivots
 
 
-def rref(m: Mat) -> tuple[Mat, list[int]]:
-    rows = [list(r) for r in m.rows]
-    pivots = _forward_eliminate(m.field, rows, m.ncols)
-    return Mat(m.field, rows, m.ncols), pivots
-
-
 def rank(m: Mat) -> int:
     if m.nrows == 0:
         return 0
@@ -202,64 +207,7 @@ def inverse(m: Mat) -> Mat:
     pivots = _forward_eliminate(m.field, aug, n)
     if len(pivots) != n:
         raise SingularMatrixError(f"matrix of rank {len(pivots)} < {n}")
-    return Mat(m.field, [r[n:] for r in aug], n)
-
-
-def nullspace(m: Mat) -> Mat:
-    """Basis of the right kernel {v : M v^T = 0}, one vector per row."""
-    red, pivots = rref(m)
-    free = [c for c in range(m.ncols) if c not in pivots]
-    f = m.field
-    neg = f.neg_table
-    basis = []
-    for fc in free:
-        v = [0] * m.ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = neg[red.rows[r][fc]]
-        basis.append(v)
-    return Mat(f, basis, m.ncols)
-
-
-def row_space_contains(m: Mat, vec) -> bool:
-    """Exact membership of vec in the row space of m."""
-    stacked = Mat(m.field, m.rows + [list(vec)], m.ncols)
-    return rank(stacked) == rank(m)
-
-
-# --- derived forms -----------------------------------------------------------
-
-
-def gram_hermitian(g: Mat) -> Mat:
-    """G G^dagger, the Gram matrix of the Hermitian inner product."""
-    return g.mul(g.dagger())
-
-
-def hermitian_dual_basis(g: Mat) -> Mat:
-    """Rows spanning {v : <u, v>_h = 0 for all rows u}, i.e. the kernel of
-    the conjugated generator."""
-    return nullspace(g.conj())
-
-
-def hull_dim(g: Mat) -> int:
-    """Dimension of Hull_h = C n C^perp_h for the row space C of g.
-
-    Computed as k - rank(G G^dagger) and, independently, as a direct
-    subspace intersection; the two must agree or something is deeply wrong,
-    so a disagreement raises instead of returning either answer.
-    """
-    k = rank(g)
-    if k != g.nrows:
-        raise ValueError("hull_dim expects a full-row-rank generator matrix")
-    via_gram = k - rank(gram_hermitian(g))
-    dual = hermitian_dual_basis(g)
-    stacked = Mat(g.field, g.rows + dual.rows, g.ncols)
-    via_intersection = k + dual.nrows - rank(stacked)
-    if via_gram != via_intersection:
-        raise AssertionError(
-            f"hull dimension cross-check failed: {via_gram} != {via_intersection}"
-        )
-    return via_gram
+    return Mat._owning(m.field, [r[n:] for r in aug], n)
 
 
 # --- characteristic polynomial ----------------------------------------------

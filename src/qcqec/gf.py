@@ -145,9 +145,6 @@ class Field:
             d = self.add_table[d][1]
         return d
 
-    def in_subfield_q(self, a: int) -> bool:
-        return self.conj(a) == a
-
     def coeffs(self, d: int) -> tuple[int, ...]:
         """Coefficient vector of digit d over GF(p), ascending basis powers."""
         return self._coeffs[d]

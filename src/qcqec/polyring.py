@@ -66,13 +66,6 @@ def poly_neg(field, a) -> tuple[int, ...]:
     return tuple(neg[x] for x in a)
 
 
-def poly_eval(field, a, x: int) -> int:
-    acc = 0
-    for c in reversed(trim(a)):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
 def poly_mul(field, a, b) -> tuple[int, ...]:
     a, b = trim(a), trim(b)
     if not a or not b:
@@ -116,14 +109,6 @@ def poly_mod(field, a, b) -> tuple[int, ...]:
 def divides(field, a, b) -> bool:
     """True iff a | b (unit-insensitive; a must be nonzero)."""
     return not poly_mod(field, b, a)
-
-
-def quotient_exact(field, a, b) -> tuple[int, ...]:
-    """a / b, raising if the division is not exact."""
-    q, r = poly_divmod(field, a, b)
-    if r:
-        raise PreconditionError("not-a-divisor", "inexact polynomial division")
-    return q
 
 
 def monic(field, a) -> tuple[int, ...]:
@@ -289,6 +274,26 @@ def frob_poly(field, vec) -> tuple[int, ...]:
     """Coefficient-wise q-power Frobenius."""
     conj = field.conj_table
     return tuple(conj[c] for c in vec)
+
+
+def conj_rev(field, n: int, a) -> tuple[int, ...]:
+    """The involution a(x) -> conj(a)(x^-1) mod x^n - 1, so that
+    circulant(conj_rev(a)) is the conjugate transpose of circulant(a)."""
+    return frob_poly(field, bar(ring_from_plain(field, n, a)))
+
+
+def ring_inv(field, n: int, a) -> tuple[int, ...]:
+    """The inverse of a unit a mod x^n - 1, by the extended Euclidean
+    algorithm; raises PreconditionError when a is not a unit."""
+    r0, r1 = x_pow_n_minus_1(field, n), trim(a)
+    s0, s1 = (), (field.one,)
+    while r1:
+        quo, rem = poly_divmod(field, r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, poly_add(field, s0, poly_neg(field, poly_mul(field, quo, s1)))
+    if len(r0) != 1:
+        raise PreconditionError("not-a-unit", f"not a unit mod x^{n} - 1")
+    return ring_from_plain(field, n, poly_scale(field, field.inv(r0[0]), s0))
 
 
 # --- duals and factorization ----------------------------------------------

@@ -11,16 +11,39 @@ the Hermitian duals of the two block codes.  Two preservation rules exist:
 the unit-alpha rule keeps Hermitian self-orthogonality, the general rule
 keeps the Gram matrix at full rank (used for entanglement-assisted codes).
 
-Everything that depends on g alone (G1, H1, the conjugate-reciprocal dual
-generator, the left-block parity check, the divisibility test and the H1
-projector of the entanglement certificate) is kept for the last
+All these matrices are made of circulant blocks, so every test on a code is
+a computation in the ring GF(q^2)[x]/(x^n - 1).  Write circ(a) for the
+matrix whose rows are x^i a and ā for conj(a)(x^-1) (`polyring.conj_rev`);
+then circ(a) circ(b) = circ(ab), circ(a)^dag = circ(ā), and the Hermitian
+product <x^i a, x^j b> is the coefficient of x^(j-i) in a b̄.  So:
+
+* G G^dag is the top-left k x k block of circ(T), T = g ḡ (1 + f f̄).  T lies
+  in <g>, where any k consecutive coordinates are an information set, so
+  the Gram matrix is zero iff T = 0, and its rank is that of circ(T),
+  n - deg gcd(T, x^n - 1).
+* The block identity G H^dag = 0 reads g conj_rev(dual_g) = 0 on the left
+  and g conj_rev(h2) + f g = 0 on the right, where h2 = -f̄ is H2's first
+  row.
+* H2^dag H2 = circ(f f̄), so the certificate's P is circ(e - u), with
+  u = (f f̄)^-1 and e the first row of the circulant H1 projector, which is
+  a matrix computation made once per g.  1 is not an eigenvalue of P iff
+  e - u - 1 is a unit.
+* x lies in the Hermitian dual of the left (right) block code iff x ḡ = 0
+  (x (f g)‾ = 0), and the Gram matrix of an extension is block diagonal:
+  G G^dag, then <x_i, x_i> + alpha_i^(q+1) for each added column.
+
+The matrices themselves (G1, G2, G, H1, H2 and H of a code, G of an
+extension, P and its characteristic polynomial) are built when first read,
+and every later read returns the same object.
+
+What depends on g alone (k, the conjugate-reciprocal dual generator, g ḡ,
+the divisibility test and the H1 projector row) is kept for the last
 (field, n, g) seen, since a search builds the codes of all its f for one g
 in a row; one entry keeps the memory a table run holds on to small.
-Callers only ever see copies of the cached matrices.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import famat, polyring
 from .errors import BudgetExceeded, PreconditionError
@@ -35,19 +58,17 @@ _SCAN_CAPS = {4: 4 ** 12, 9: 9 ** 8, 81: 81 ** 4}
 
 @dataclass(frozen=True, eq=False)
 class QcCode:
+    """The code generated by (g, f g); f, f g and gram_poly (T above) are
+    length-n ring vectors, g and dual_g plain polynomials."""
+
     field: Field
     n: int
     f: tuple
     g: tuple
     k: int
-    G1: famat.Mat
-    G2: famat.Mat
-    H1: famat.Mat
-    H2: famat.Mat
-    G: famat.Mat
-    H: famat.Mat
+    fg: tuple
+    gram_poly: tuple
     dual_g: tuple
-    f_coprime: bool
     orthogonal_gram: bool
     orthogonal_divisibility: bool
 
@@ -55,8 +76,47 @@ class QcCode:
     def length(self) -> int:
         return 2 * self.n
 
-    def gram(self) -> famat.Mat:
-        return famat.gram_hermitian(self.G)
+    @cached_property
+    def f_coprime(self) -> bool:
+        """gcd(f, x^n - 1) = 1, i.e. f is a unit of the ring."""
+        return polyring.is_unit(self.field, self.n, self.f)
+
+    @cached_property
+    def gram_rank(self) -> int:
+        """rank(G G^dag) = n - deg gcd(T, x^n - 1)."""
+        if self.orthogonal_gram:
+            return 0
+        xn1 = polyring.x_pow_n_minus_1(self.field, self.n)
+        return self.n - polyring.deg(polyring.poly_gcd(self.field, self.gram_poly, xn1))
+
+    @cached_property
+    def G1(self) -> famat.Mat:
+        return famat.mat_from_poly(self.field, self.n, self.g, self.k)
+
+    @cached_property
+    def G2(self) -> famat.Mat:
+        return famat.circulant(self.field, self.fg, self.k)
+
+    @cached_property
+    def G(self) -> famat.Mat:
+        return famat.hstack(self.G1, self.G2)
+
+    @cached_property
+    def H1(self) -> famat.Mat:
+        return famat.mat_from_poly(self.field, self.n, self.dual_g, self.n - self.k)
+
+    @cached_property
+    def H2(self) -> famat.Mat:
+        field, n = self.field, self.n
+        return famat.circulant(field, polyring.poly_neg(field, polyring.conj_rev(field, n, self.f)), n)
+
+    @cached_property
+    def H(self) -> famat.Mat:
+        field, n = self.field, self.n
+        return famat.vstack(
+            famat.hstack(self.H1, famat.Mat.zeros(field, n - self.k, n)),
+            famat.hstack(self.H2, famat.Mat.identity(field, n)),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +124,6 @@ class ExtendedCode:
     base: QcCode
     xs: tuple
     alphas: tuple
-    G: famat.Mat
     rule: str
     gram_rank: int
     self_products: tuple
@@ -81,6 +140,19 @@ class ExtendedCode:
     def dim(self) -> int:
         return self.base.k + self.columns_added
 
+    @cached_property
+    def G(self) -> famat.Mat:
+        """(G | 0), then per vector x_i one row with x_i on block i and
+        alpha_i in added column i."""
+        n, cols = self.base.n, self.columns_added
+        rows = [r + [0] * cols for r in self.base.G.rows]
+        for i, (x, alpha) in enumerate(zip(self.xs, self.alphas)):
+            row = [0] * (2 * n + cols)
+            row[i * n:(i + 1) * n] = x
+            row[2 * n + i] = alpha
+            rows.append(row)
+        return famat.Mat(self.base.field, rows)
+
 
 def hermitian_self_product(field: Field, vec) -> int:
     """<v,v>_h = sum of v_i^(q+1); lands in the subfield GF(q)."""
@@ -90,21 +162,13 @@ def hermitian_self_product(field: Field, vec) -> int:
     return acc
 
 
-def double_shift(vec) -> tuple:
-    """Simultaneous cyclic right shift of both halves of a length-2n vector."""
-    n = len(vec) // 2
-    return polyring.cyclic_shift(vec[:n], 1) + polyring.cyclic_shift(vec[n:], 1)
-
-
 @dataclass(frozen=True, eq=False)
 class _GeneratorBlocks:
-    """The part of a code that depends on g alone; G1 and H1 are never
-    handed out, only copies of them."""
+    """The part of a code that depends on g alone."""
 
     k: int
-    G1: famat.Mat
-    H1: famat.Mat
     dual_g: tuple
+    g_g_bar: tuple
     orthogonal_divisibility: bool
 
 
@@ -112,75 +176,59 @@ class _GeneratorBlocks:
 def _generator_blocks(field: Field, n: int, g: tuple) -> _GeneratorBlocks:
     if not polyring.divides(field, g, polyring.x_pow_n_minus_1(field, n)):
         raise PreconditionError("g-not-divisor", f"g does not divide x^{n}-1")
-    k = n - polyring.deg(g)
-    G1 = famat.mat_from_poly(field, n, g, k)
     dual_g = polyring.dual_gen(field, n, g)
-    H1 = famat.mat_from_poly(field, n, dual_g, n - k)
     # left half of the block identity G H^dag = (G1 H1^dag | G1 H2^dag + G2)
-    if not G1.mul(H1.dagger()).is_zero():
+    if any(polyring.ring_mul(field, n, g, polyring.conj_rev(field, n, dual_g))):
         raise AssertionError("parity check violated on left block")
-    return _GeneratorBlocks(k, G1, H1, dual_g, polyring.divides(field, dual_g, g))
+    g_g_bar = polyring.ring_mul(field, n, g, polyring.conj_rev(field, n, g))
+    return _GeneratorBlocks(n - polyring.deg(g), dual_g, g_g_bar,
+                            polyring.divides(field, dual_g, g))
 
 
 @lru_cache(maxsize=1)
-def _h1_projector(field: Field, n: int, g: tuple) -> famat.Mat | None:
-    """H1^dag (H1 H1^dag)^-1 H1, or None when H1 H1^dag is singular."""
-    H1 = _generator_blocks(field, n, g).H1
-    H1d = H1.dagger()
+def _h1_projector(field: Field, n: int, g: tuple) -> tuple | None:
+    """First row of the circulant H1^dag (H1 H1^dag)^-1 H1, or None when
+    H1 H1^dag is singular."""
+    blocks = _generator_blocks(field, n, g)
+    H1 = famat.mat_from_poly(field, n, blocks.dual_g, n - blocks.k)
     try:
-        h1_gram_inv = famat.inverse(H1.mul(H1d))
+        h1_gram_inv = famat.inverse(H1.mul(H1.dagger()))
     except famat.SingularMatrixError:
         return None
-    return H1d.mul(h1_gram_inv).mul(H1)
+    # the first row of H1^dag is the conjugate of H1's first column
+    first = famat.Mat(field, [polyring.frob_poly(field, H1.col(0))])
+    return first.mul(h1_gram_inv).mul(H1).row(0)
 
 
 def build(field: Field, n: int, f, g) -> QcCode:
-    """Construct the code generated by (g, f*g) with all derived matrices.
+    """The code generated by (g, f*g), tested in the ring; its matrices are
+    built when first read.
 
     g must divide x^n - 1.  f is reduced mod x^n - 1 and may be zero (the
     right block degenerates; flagged via f_coprime=False).
     """
     f = tuple(field.check_digit(d) for d in f)
     g = polyring.trim(tuple(field.check_digit(d) for d in g))
-    if len(f) > n:
-        f = polyring.ring_from_plain(field, n, f)
     blocks = _generator_blocks(field, n, g)
-    k = blocks.k
-
+    f = polyring.ring_from_plain(field, n, f)
     fg = polyring.ring_mul(field, n, f, g)
-    G1 = blocks.G1.copy()
-    G2 = famat.mat_from_poly(field, n, fg, k)
-    G = famat.hstack(G1, G2)
-
-    neg_conj_rev_f = polyring.poly_neg(
-        field, polyring.frob_poly(field, polyring.bar(polyring.ring_from_plain(field, n, f)))
-    )
-    H1 = blocks.H1.copy()
-    H2 = famat.mat_from_poly(field, n, neg_conj_rev_f, n)
-    H = famat.vstack(
-        famat.hstack(H1, famat.Mat.zeros(field, n - k, n)),
-        famat.hstack(H2, famat.Mat.identity(field, n)),
-    )
-    # the left half of the block identity is checked once per g
-    if not G1.mul(H2.dagger()).add(G2).is_zero():
+    f_bar = polyring.conj_rev(field, n, f)
+    # right half of the block identity; H2's first row is -f̄
+    h2_bar = polyring.conj_rev(field, n, polyring.poly_neg(field, f_bar))
+    if polyring.poly_add(field, polyring.ring_mul(field, n, g, h2_bar), fg):
         raise AssertionError("parity check violated on right block")
-
-    gram = famat.gram_hermitian(G)
+    one_plus_f_f_bar = polyring.poly_add(field, (field.one,), polyring.ring_mul(field, n, f, f_bar))
+    gram_poly = polyring.ring_mul(field, n, blocks.g_g_bar, one_plus_f_f_bar)
     code = QcCode(
         field=field,
         n=n,
-        f=polyring.ring_from_plain(field, n, f),
+        f=f,
         g=g,
-        k=k,
-        G1=G1,
-        G2=G2,
-        H1=H1,
-        H2=H2,
-        G=G,
-        H=H,
+        k=blocks.k,
+        fg=fg,
+        gram_poly=gram_poly,
         dual_g=blocks.dual_g,
-        f_coprime=polyring.poly_gcd(field, f, polyring.x_pow_n_minus_1(field, n)) == (1,),
-        orthogonal_gram=gram.is_zero(),
+        orthogonal_gram=not any(gram_poly),
         orthogonal_divisibility=blocks.orthogonal_divisibility,
     )
     # divisibility is a sufficient condition, never weaker than the Gram test
@@ -193,7 +241,7 @@ def block_code_generator(code: QcCode, side: int) -> tuple:
     """Generator polynomial of the cyclic code spanned by G1 (side 1) or G2."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    gen = code.g if side == 1 else polyring.ring_mul(code.field, code.n, code.f, code.g)
+    gen = code.g if side == 1 else code.fg
     xn1 = polyring.x_pow_n_minus_1(code.field, code.n)
     return polyring.monic(code.field, polyring.poly_gcd(code.field, gen, xn1))
 
@@ -272,8 +320,8 @@ def _extend(code: QcCode, xs, alphas) -> ExtendedCode:
             raise PreconditionError("alpha-zero", "extension column scalar must be nonzero")
 
     for i, x in enumerate(xs):
-        block = code.G1 if i == 0 else code.G2
-        if not famat.Mat(field, [list(x)]).mul(block.dagger()).is_zero():
+        gen_bar = polyring.conj_rev(field, n, code.g if i == 0 else code.fg)
+        if any(polyring.ring_mul(field, n, x, gen_bar)):
             raise PreconditionError("not-in-dual", f"x{i + 1} is not in the block code's Hermitian dual")
 
     products = tuple(hermitian_self_product(field, x) for x in xs)
@@ -291,22 +339,12 @@ def _extend(code: QcCode, xs, alphas) -> ExtendedCode:
             if pr == field.mul(p_minus_1, field.norm_q(a)):
                 raise PreconditionError("wrong-self-product", "<x,x> equals (p-1)*alpha^(q+1)")
 
-    pad = famat.Mat.zeros(field, k, cols)
-    rows = [famat.hstack(code.G, pad)]
-    zero_n = (0,) * n
-    if cols == 1:
-        rows.append(famat.Mat(field, [list(xs[0] + zero_n + (alphas[0],))]))
-    else:
-        rows.append(famat.Mat(field, [list(xs[0] + zero_n + (alphas[0], 0))]))
-        rows.append(famat.Mat(field, [list(zero_n + xs[1] + (0, alphas[1]))]))
-    G = rows[0]
-    for r in rows[1:]:
-        G = famat.vstack(G, r)
-
-    gram = famat.gram_hermitian(G)
-    gram_rank = famat.rank(gram)
+    # the extended Gram matrix is block diagonal: G G^dag, then one entry
+    # <x_i, x_i> + alpha_i^(q+1) per added column
+    gram_rank = code.gram_rank + sum(
+        field.add(pr, field.norm_q(a)) != 0 for pr, a in zip(products, alphas))
     if rule == RULE_ORTHOGONAL:
-        if not gram.is_zero():
+        if gram_rank:
             raise AssertionError("extension broke self-orthogonality")
     elif gram_rank != k + cols:
         raise PreconditionError(
@@ -317,7 +355,6 @@ def _extend(code: QcCode, xs, alphas) -> ExtendedCode:
         base=code,
         xs=xs,
         alphas=alphas,
-        G=G,
         rule=rule,
         gram_rank=gram_rank,
         self_products=products,
@@ -328,30 +365,40 @@ def _extend(code: QcCode, xs, alphas) -> ExtendedCode:
 class EntanglementCertificate:
     """Conditions under which the code/dual pair gives maximal-entanglement codes.
 
-    p_matrix is H1^dag (H1 H1^dag)^-1 H1 - (H2^dag H2)^-1; the certificate
-    holds when H1 H1^dag is nonsingular and 1 is not an eigenvalue of P
-    (tested division-free as rank(P - I) = n).
+    P = H1^dag (H1 H1^dag)^-1 H1 - (H2^dag H2)^-1 is the circulant of p_row;
+    the certificate holds when H1 H1^dag is nonsingular and 1 is not an
+    eigenvalue of P, i.e. p_row - 1 is a unit mod x^n - 1.  p_matrix and
+    char_poly_p are computed when first read.
     """
 
+    field: Field
     h1_gram_nonsingular: bool
     one_not_eigenvalue: bool
-    p_matrix: famat.Mat | None
-    char_poly_p: tuple | None
+    p_row: tuple | None
 
     @property
     def satisfied(self) -> bool:
         return self.h1_gram_nonsingular and self.one_not_eigenvalue
+
+    @cached_property
+    def p_matrix(self) -> famat.Mat | None:
+        return None if self.p_row is None else famat.circulant(self.field, self.p_row, len(self.p_row))
+
+    @cached_property
+    def char_poly_p(self) -> tuple | None:
+        return None if self.p_row is None else famat.char_poly(self.p_matrix)
 
 
 def entanglement_certificate(code: QcCode) -> EntanglementCertificate:
     if not code.f_coprime:
         raise PreconditionError("f-not-coprime", "certificate needs gcd(f, x^n - 1) = 1")
     field, n = code.field, code.n
-    projector = _h1_projector(field, n, code.g)
-    if projector is None:
-        return EntanglementCertificate(False, False, None, None)
-    # gcd(f, x^n - 1) = 1 makes the circulant of f, hence H2, invertible
-    h2_gram_inv = famat.inverse(code.H2.dagger().mul(code.H2))
-    p = projector.sub(h2_gram_inv)
-    one_not_eig = famat.rank(p.sub(famat.Mat.identity(field, n))) == n
-    return EntanglementCertificate(True, one_not_eig, p, famat.char_poly(p))
+    e = _h1_projector(field, n, code.g)
+    if e is None:
+        return EntanglementCertificate(field, False, False, None)
+    # gcd(f, x^n - 1) = 1 makes f f̄ a unit; circ(u) is (H2^dag H2)^-1
+    u = polyring.ring_inv(field, n, polyring.ring_mul(field, n, code.f, polyring.conj_rev(field, n, code.f)))
+    sub = field.sub_table
+    p_row = tuple(sub[a][b] for a, b in zip(e, u))
+    p_minus_1 = (sub[p_row[0]][field.one],) + p_row[1:]
+    return EntanglementCertificate(field, True, polyring.is_unit(field, n, p_minus_1), p_row)

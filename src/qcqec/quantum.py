@@ -12,7 +12,7 @@ codes at once, and their rank-preserving extensions give two more.
 from dataclasses import dataclass
 from math import comb
 
-from . import famat, qcc, wdist
+from . import qcc, wdist
 from .errors import PreconditionError, SpecError
 
 
@@ -115,18 +115,13 @@ def gv_verdict(q: int, n: int, k: int, d: int) -> GvVerdict:
 
 
 def entanglement_count(code: qcc.QcCode) -> int:
-    """c = rank(H H^dag), cross-checked against rank(G G^dag) + n - 2k."""
-    c = famat.rank(code.H.mul(code.H.dagger()))
-    via_gram = famat.rank(code.gram()) + code.length - 2 * code.k
-    if c != via_gram:
-        raise AssertionError(f"entanglement count identities disagree: {c} != {via_gram}")
-    return c
+    """c = rank(H H^dag) for the code's full-rank parity-check matrix H.
 
-
-def eaqecc_from_qc(code: qcc.QcCode, d: int | None) -> EaqeccParams:
-    """Entanglement-assisted code of the quasi-cyclic code itself."""
-    c = entanglement_count(code)
-    return EaqeccParams(code.field.q, code.length, 2 * code.k - code.length + c, d, c)
+    The Hermitian hulls of a code and of its dual coincide, so
+    rank(H H^dag) = (2n - k) - (k - rank(G G^dag)); the Gram rank is read
+    off the ring (`QcCode.gram_rank`).
+    """
+    return code.gram_rank + code.length - 2 * code.k
 
 
 @dataclass(frozen=True)

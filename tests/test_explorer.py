@@ -7,9 +7,12 @@ budgets; determinism is exercised by comparing two full runs byte for byte
 (minus timestamps).
 """
 
+import gc
 import hashlib
 import json
+import os
 import re
+import types
 
 import pytest
 
@@ -252,3 +255,35 @@ def test_search_records_match_golden_digest(tmp_path, mode):
         doc.pop("ts")
         digest.update((json.dumps(doc, separators=(",", ":")) + "\n").encode())
     assert digest.hexdigest() == GOLDEN_N7[mode]
+
+
+def test_search_leaves_no_cyclic_garbage(monkeypatch):
+    # a search's frames, functions and codes are freed by reference
+    # counting, not left for a later collection: the divisor walk and the
+    # skip reasons of the extension-vector pool hold no reference cycles
+    package = os.path.dirname(explorer.__file__)
+
+    def ours(obj):
+        if isinstance(obj, qcc.QcCode):
+            return True
+        if isinstance(obj, types.FrameType):
+            return obj.f_code.co_filename.startswith(package)
+        if isinstance(obj, types.FunctionType):
+            return (obj.__module__ or "").startswith("qcqec")
+        return False
+
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for mode in ("qecc", "eaqecc"):
+            list(explorer.search(explorer.SearchConfig(q=2, n=7, mode=mode)))
+        # every generator skipped: the pool's scan is over its budget
+        monkeypatch.setitem(qcc._SCAN_CAPS, 4, 1)
+        records = list(explorer.search(explorer.SearchConfig(q=2, n=7, mode="qecc")))
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if ours(obj)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not records
+    assert not leaked, leaked[:5]

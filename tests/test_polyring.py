@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import oracles
 from qcqec.errors import PreconditionError, SpecError
 from qcqec.gf import field_make
 from qcqec import polyring as pr
@@ -343,7 +344,7 @@ def test_reference_generators_are_products_of_factors():
         rem = pr.monic(field, g)
         for f in factors:
             while pr.deg(rem) >= 1 and pr.divides(field, f, rem):
-                rem = pr.quotient_exact(field, rem, f)
+                rem = oracles.quotient_exact(field, rem, f)
         assert pr.deg(rem) == 0
 
 
@@ -403,6 +404,24 @@ def test_is_unit_matches_euclid(field, n):
     for zero in ((), (0,) * n, (0,) * (3 * n)):
         assert not pr.is_unit(field, n, zero)
     assert pr.is_unit(field, n, (1,))
+
+
+@pytest.mark.parametrize("field,n", UNIT_GRID, ids=[f"Q{f.Q}-n{n}" for f, n in UNIT_GRID])
+def test_ring_inv(field, n):
+    # a unit times its inverse is 1 mod x^n - 1; a non-unit is refused
+    rng = random.Random(field.Q * 1000 + n + 1)
+    one = (1,) + (0,) * (n - 1)
+    inverted = refused = 0
+    for _ in range(200):
+        f = [rng.randrange(field.Q) for _ in range(n + rng.randrange(3))]
+        if pr.is_unit(field, n, f):
+            assert pr.ring_mul(field, n, f, pr.ring_inv(field, n, f)) == one, f
+            inverted += 1
+        else:
+            with pytest.raises(PreconditionError):
+                pr.ring_inv(field, n, f)
+            refused += 1
+    assert inverted and refused
 
 
 def test_is_unit_rejects_bad_length():

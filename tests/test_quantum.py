@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracles
 from qcqec import famat, qcc, quantum, refdata, wdist
 from qcqec.errors import PreconditionError, SpecError
 from qcqec.gf import field_make
@@ -92,7 +93,7 @@ def test_maximal_pair_gf4_n7():
     assert pair.primal.c + pair.dual.c == 14
     assert pair.primal.k + pair.dual.k == 14
     # the direct check-rank route gives the primal family member
-    assert quantum.eaqecc_from_qc(code, 7) == pair.primal
+    assert oracles.eaqecc_from_qc(code, 7) == pair.primal
 
 
 def test_maximal_pair_gf4_n11():

@@ -1,0 +1,142 @@
+"""The ring forms of `qcc` and `quantum` against the matrix routes they replaced.
+
+`build` tests the Gram matrix and the parity check in GF(q^2)[x]/(x^n - 1),
+the certificate finds P and its eigenvalue 1 there, and the entanglement
+count and the Gram rank of an extension are read off a gcd degree and the
+self products.  Each is held here against the elimination over the
+matrices it stands for (tests/oracles.py): over every generator of the
+q = 2, n = 7 and n = 15 search configurations, the code of every collected
+table row, and samples over GF(9) and GF(81).
+"""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import oracles
+from qcqec import explorer, famat, polyring, qcc, refdata
+from qcqec.errors import BudgetExceeded, PreconditionError
+from qcqec.gf import field_make
+
+GF4 = field_make(2)
+GF9 = field_make(3)
+GF81 = field_make(9)
+
+# the generators the benchmark's search configurations walk
+SEARCH_CONFIGS = {
+    "qecc-n7": (7, "qecc"),
+    "qecc-n15": (15, "qecc"),
+    "eaqecc-n15": (15, "eaqecc"),
+}
+
+
+def search_generators(field, n, mode):
+    if mode == "qecc":
+        gs = explorer.enumerate_self_orthogonal_g(field, n)
+    else:
+        gs = explorer._divisor_products(field, n, explorer.DIVISOR_CAP, 1)
+    return [g for g in gs if 0 < polyring.deg(g) < n]
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_CONFIGS))
+def test_search_generators(name):
+    n, mode = SEARCH_CONFIGS[name]
+    rng = random.Random(n)
+    gs = search_generators(GF4, n, mode)
+    assert len(gs) >= 2
+    satisfied = extended = 0
+    for g in gs:
+        f = explorer._sample_f(GF4, n, rng, None)
+        code, cert = oracles.check_code(GF4, n, f, g)
+        satisfied += cert.satisfied
+        if mode == "eaqecc":
+            continue
+        assert code.orthogonal_gram
+        probe, _ = oracles.check_code(GF4, n, (0,) * n, g)  # the per-g probe
+        try:
+            x1 = qcc.find_extension_vector(probe, 1)
+        except (PreconditionError, BudgetExceeded):
+            continue
+        ext = oracles.check_extension(code, (x1,), (1,))
+        assert ext.rule == qcc.RULE_ORTHOGONAL and ext.gram_rank == 0
+        extended += 1
+    assert satisfied if mode == "eaqecc" else extended
+
+
+@pytest.mark.parametrize("family", sorted(refdata.TABLES))
+def test_table_rows(family):
+    # rows with a recorded discrepancy may list a g that does not divide
+    # x^n - 1 or an x1 outside the block dual; the rest must extend cleanly
+    # or pass the certificate
+    checked = 0
+    for row in refdata.TABLES[family]:
+        f, g, x1 = row.polys()
+        try:
+            code, cert = oracles.check_code(row.field(), row.n, f, g)
+        except PreconditionError as exc:
+            assert row.note and exc.code == "g-not-divisor"
+            continue
+        checked += 1
+        if x1 is None:
+            assert cert.satisfied or row.note
+        else:
+            got = oracles.check_extension(code, (x1,), (1,))
+            assert row.note or got.rule == qcc.RULE_ORTHOGONAL
+    assert checked
+
+
+def dual_vector(code, side, rng):
+    basis = qcc.block_dual_basis(code, side)
+    msg = [rng.randrange(code.field.Q) for _ in range(basis.nrows)]
+    return tuple(famat.Mat(code.field, [msg]).mul(basis).rows[0])
+
+
+@pytest.mark.parametrize("field,n", [(GF9, 10), (GF9, 11), (GF81, 8), (GF81, 10)])
+def test_samples(field, n):
+    rng = random.Random(field.Q * n)
+    gs = oracles.proper_divisors(field, n)
+    outcomes = {}
+    satisfied = 0
+    for g in rng.sample(gs, min(8, len(gs))):
+        for i in range(3):
+            f = [rng.randrange(field.Q) for _ in range(n)]
+            if i == 2:
+                f = [1] + [0] * (n - 1)  # f = 1: a zero Gram iff g's is
+            code, cert = oracles.check_code(field, n, f, g)
+            satisfied += bool(cert and cert.satisfied)
+            alphas = [rng.randrange(1, field.Q) for _ in range(2)]
+            x1, x2 = dual_vector(code, 1, rng), dual_vector(code, 2, rng)
+            stray = tuple(rng.randrange(field.Q) for _ in range(n))
+            for xs, al in (((x1,), alphas[:1]), ((x1, x2), alphas),
+                           ((x1,), (1,)), ((stray,), alphas[:1]), ((x1, stray), alphas)):
+                got = oracles.check_extension(code, xs, al)
+                key = got if isinstance(got, str) else got.rule
+                outcomes[key] = outcomes.get(key, 0) + 1
+    assert satisfied
+    assert outcomes.get(qcc.RULE_GRAM_RANK) and outcomes.get("not-in-dual"), outcomes
+
+
+def test_right_parity_check_is_caught_under_optimize():
+    # python -O strips assert statements; the ring identity behind the
+    # right-block parity check must still run and raise when it breaks
+    program = """
+from qcqec import polyring, qcc
+from qcqec.gf import field_make
+
+assert False, "assert statements are live"
+polyring.poly_neg = lambda field, a: tuple(a)
+try:
+    qcc.build(field_make(3), 10, (1, 5, 2, 1), (5, 3, 1, 0, 5, 7, 1))
+except AssertionError as exc:
+    print("caught:", exc)
+"""
+    src_dir = str(Path(qcc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    done = subprocess.run([sys.executable, "-O", "-c", program], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "caught: parity check violated on right block\n"
