@@ -4,7 +4,6 @@ from qcqec.errors import (
     BudgetExceeded,
     PreconditionError,
     QcqecError,
-    SingularMatrixError,
     SpecError,
 )
 from qcqec.gf import Field, field_make
@@ -13,7 +12,6 @@ __all__ = [
     "BudgetExceeded",
     "PreconditionError",
     "QcqecError",
-    "SingularMatrixError",
     "SpecError",
     "Field",
     "field_make",

@@ -45,10 +45,6 @@ class BudgetExceeded(QcqecError):
         self.budget = budget
 
 
-class SingularMatrixError(QcqecError):
-    """Matrix inversion was asked of a singular matrix."""
-
-
 def require_int(what: str, value) -> None:
     """A SpecError naming what, unless value is an int (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, int):

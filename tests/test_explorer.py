@@ -246,15 +246,29 @@ GOLDEN_N7 = {
 }
 
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN_N7))
-def test_search_records_match_golden_digest(tmp_path, mode):
+def _records_digest(tmp_path, mode):
     _run(tmp_path, "golden.jsonl", q=2, n=7, mode=mode, rng_seed=0)
     digest = hashlib.sha256()
     for line in (tmp_path / "golden.jsonl").read_text().splitlines():
         doc = json.loads(line)
         doc.pop("ts")
         digest.update((json.dumps(doc, separators=(",", ":")) + "\n").encode())
-    assert digest.hexdigest() == GOLDEN_N7[mode]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_N7))
+def test_search_records_match_golden_digest(tmp_path, mode):
+    assert _records_digest(tmp_path, mode) == GOLDEN_N7[mode]
+
+
+def test_eaqecc_search_never_inverts(tmp_path, monkeypatch):
+    # the certificate is read off gcds with the divisors: no candidate pays
+    # for a ring inverse (only P, which a search never reads, needs one)
+    def refuse(*args, **kwargs):
+        raise AssertionError("ring_inv called")
+
+    monkeypatch.setattr(polyring, "ring_inv", refuse)
+    assert _records_digest(tmp_path, "eaqecc") == GOLDEN_N7["eaqecc"]
 
 
 def test_search_leaves_no_cyclic_garbage(monkeypatch):

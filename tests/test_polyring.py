@@ -424,6 +424,27 @@ def test_ring_inv(field, n):
     assert inverted and refused
 
 
+@pytest.mark.parametrize("field,n", UNIT_GRID, ids=[f"Q{f.Q}-n{n}" for f, n in UNIT_GRID])
+def test_ring_inv_modulo_a_divisor(field, n):
+    # modulo a divisor m of x^n - 1, a times its inverse is 1 mod m exactly
+    # when gcd(a, m) = 1, and the inverse has degree below deg m
+    rng = random.Random(field.Q * 1000 + n + 2)
+    inverted = refused = 0
+    for m in rng.sample(oracles.proper_divisors(field, n), 6):
+        for _ in range(20):
+            a = [rng.randrange(field.Q) for _ in range(n)]
+            if pr.poly_gcd(field, a, m) == (1,):
+                inv = pr.ring_inv(field, n, a, m)
+                assert len(inv) == n and pr.deg(inv) < pr.deg(m)
+                assert pr.poly_mod(field, pr.poly_mul(field, a, inv), m) == (1,)
+                inverted += 1
+            else:
+                with pytest.raises(PreconditionError):
+                    pr.ring_inv(field, n, a, m)
+                refused += 1
+    assert inverted and refused
+
+
 def test_is_unit_rejects_bad_length():
     for n in (0, -3):
         with pytest.raises(SpecError):

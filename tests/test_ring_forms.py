@@ -89,10 +89,47 @@ def test_table_rows(family):
     assert checked
 
 
+# lengths and the values the H1 H1^dag flag takes over their divisors.  Over
+# GF(4) every 4-cyclotomic coset mod 9 is fixed by s -> -2s, so every
+# divisor of x^9 - 1 is conjugate self-reciprocal; the other lengths have
+# generators of both kinds.  At n = 6 and 10 over GF(4) and n = 6 over
+# GF(9), p divides n and x^n - 1 has repeated factors, so a conjugate
+# self-reciprocal dual_g can still share a factor with (x^n - 1)/dual_g.
+LCD_LENGTHS = [(GF4, 9, {True}), (GF4, 17, {True, False}), (GF4, 21, {True, False}),
+               (GF9, 8, {True, False}), (GF9, 13, {True, False}),
+               (GF4, 6, {True, False}), (GF4, 10, {True, False}), (GF9, 6, {True, False})]
+
+
+@pytest.mark.parametrize("field,n,flags", LCD_LENGTHS,
+                         ids=[f"Q{f.Q}-n{n}" for f, n, _ in LCD_LENGTHS])
+def test_certificate_by_divisors(field, n, flags):
+    rng = random.Random(field.Q * 100 + n)
+    gs = oracles.proper_divisors(field, n)
+    seen = set()
+    for g in rng.sample(gs, min(32, len(gs))):
+        f = [rng.randrange(field.Q) for _ in range(n)]
+        while not polyring.is_unit(field, n, f):
+            f = [rng.randrange(field.Q) for _ in range(n)]
+        _, cert = oracles.check_code(field, n, f, g)
+        seen.add(cert.h1_gram_nonsingular)
+    assert seen == flags
+
+
+def test_certificate_of_the_full_space():
+    # g = 1: H1 has no rows, so H1 H1^dag is the empty matrix, nonsingular,
+    # and the idempotent e of <dual_g> = <x^n - 1> is 0: P = circ(e - u)
+    # with u = (f f̄)^-1
+    f = polyring.parse_compact(GF4, "032321", 7)
+    code, cert = oracles.check_code(GF4, 7, f, (1,))
+    assert code.k == 7
+    assert cert.h1_gram_nonsingular
+    assert cert.p_row == polyring.poly_neg(GF4, polyring.ring_inv(GF4, 7, code.f_f_bar))
+
+
 def dual_vector(code, side, rng):
     basis = qcc.block_dual_basis(code, side)
     msg = [rng.randrange(code.field.Q) for _ in range(basis.nrows)]
-    return tuple(famat.Mat(code.field, [msg]).mul(basis).rows[0])
+    return tuple(oracles.mul(famat.Mat(code.field, [msg]), basis).rows[0])
 
 
 @pytest.mark.parametrize("field,n", [(GF9, 10), (GF9, 11), (GF81, 8), (GF81, 10)])

@@ -99,7 +99,7 @@ def test_plane_span_is_the_row_space(field):
 
 
 def test_full_space_enumerator():
-    enum = wdist.enumerate_code(fm.Mat.identity(GF4, 2))
+    enum = wdist.enumerate_code(oracles.identity(GF4, 2))
     assert enum.counts == (1, 6, 9)
 
 
@@ -165,7 +165,7 @@ def test_one_row_block_table_matches_naive_oracle(field, k, monkeypatch):
 
 
 def test_enumerate_budget():
-    g = fm.Mat.identity(GF4, 8)
+    g = oracles.identity(GF4, 8)
     with pytest.raises(BudgetExceeded) as exc:
         wdist.enumerate_code(g, budget=4 ** 7)
     assert exc.value.required == 4 ** 8
@@ -210,7 +210,7 @@ def corrupt(job):
 
 wdist._scan = corrupt
 try:
-    wdist.enumerate_code(famat.Mat.identity(field_make(2), 3))
+    wdist.enumerate_code(famat.Mat(field_make(2), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 except AssertionError as exc:
     print("caught:", exc)
 """
@@ -223,7 +223,7 @@ except AssertionError as exc:
 
 
 def test_enumerator_counts_are_python_ints():
-    enum = wdist.enumerate_code(fm.Mat.identity(GF4, 2))
+    enum = wdist.enumerate_code(oracles.identity(GF4, 2))
     assert all(type(c) is int for c in enum.counts)
 
 
@@ -256,6 +256,13 @@ def test_krawtchouk_generating_function(Q, n):
 
 def test_krawtchouk_frozen_value():
     assert list(wdist.krawtchouk_columns(4, 2))[1][1] == 2
+
+
+def test_krawtchouk_table_is_the_columns():
+    # macwilliams reads the columns from a cache per (Q, n)
+    for Q, n in ((4, 30), (4, 31), (4, 30), (9, 12)):
+        assert wdist._krawtchouk_table(Q, n) == tuple(map(tuple, wdist.krawtchouk_columns(Q, n)))
+    assert wdist._krawtchouk_table.cache_info().hits
 
 
 @pytest.mark.parametrize("field", [GF4, GF9])
