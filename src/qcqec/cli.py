@@ -326,8 +326,8 @@ def cmd_search(args) -> int:
         config = explorer.SearchConfig(**raw)
     except TypeError as exc:
         raise SpecError(f"bad search config: {exc}") from exc
-    emitted = []
-    for rec in explorer.search(config):
+    emitted, best = [], {}
+    for rec in explorer.search(config, best):
         emitted.append(rec)
         print("frontier: q=%d n=%d k=%d d=%s d_dual=%s f=%s g=%s" %
               (rec.q, rec.n, rec.k, rec.d, rec.d_dual, rec.f, rec.g))
@@ -335,7 +335,7 @@ def cmd_search(args) -> int:
            "emitted": [dict(r.payload(), hash=r.hash) for r in emitted]}
     summary = "%d frontier records" % len(emitted)
     if config.output_path:
-        summary += "\n" + explorer.report(config.output_path)
+        summary += "\n" + explorer.render_report(best)
     _emit(doc, summary, args.json)
     return 0
 

@@ -16,6 +16,7 @@ and a record read back whose content does not match its hash is refused.
 
 import hashlib
 import json
+import os
 import random
 import sys
 import time
@@ -53,6 +54,9 @@ class SearchConfig:
             require_int(name, getattr(self, name))
         if self.max_f_degree is not None:
             require_int("max_f_degree", self.max_f_degree)
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            # open() would take an int for a file descriptor of this process
+            raise SpecError(f"output_path must be a string, got {self.output_path!r}")
         if self.mode not in SEARCH_MODES:
             raise SpecError(f"mode must be one of {SEARCH_MODES}, got {self.mode!r}")
         if self.max_f_samples < 0:
@@ -252,22 +256,29 @@ def _evaluate(field: Field, config: SearchConfig, f, g, fc, gc, x1s) -> CodeReco
                       None, (p.n, p.k, p.d, p.c), flags, config.rng_seed)
 
 
-def _load_existing(path):
-    """Seen (f, g) pairs and the best (d_dual, d) per (n, k) in a records file.
+def _open_records(path, mode):
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise SpecError(f"cannot open records file {path}: {exc.strerror or exc}") from exc
+
+
+def read_records(path, resume=False):
+    """Yield the records of a records file in file order, each checked
+    against its hash.
 
     Every record is written together with its newline, so a final line
-    without one is what an interrupted write left behind.  It is cut off
-    with a warning on stderr, so that the next record starts on a line of
-    its own, and the search evaluates that candidate again.  A line that
-    does not parse anywhere else is an error naming it.
+    without one is what an interrupted write left behind.  It is not read,
+    and a warning on stderr says so.  With resume it is also cut off the
+    file once the records before it are read, so that the next record starts
+    on a line of its own and the search evaluates that candidate again; a
+    missing file then reads as empty.  A line that does not parse anywhere
+    else is an error naming it.
     """
-    seen, best = set(), {}
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        return seen, best
+    if resume and not os.path.exists(path):
+        return
     torn = None
-    with fh:
+    with _open_records(path, "rb") as fh:
         complete = 0  # bytes up to the end of the last complete line
         for lineno, line in enumerate(fh, 1):
             if not line.endswith(b"\n"):
@@ -280,26 +291,38 @@ def _load_existing(path):
                 rec = record_from_doc(json.loads(line))
             except (json.JSONDecodeError, UnicodeDecodeError, SpecError) as exc:
                 raise SpecError(f"{path}:{lineno}: {exc}") from exc
-            seen.add((rec.f, rec.g))
-            if rec.d_dual is not None:
-                key = (rec.n, rec.k)
-                best[key] = max(best.get(key, (0, 0)), (rec.d_dual, rec.d))
+            yield rec
     if torn is not None:
+        action = "cutting it off and resuming" if resume else "not reading it"
         print(f"warning: {path}:{torn}: final line has no newline (interrupted "
-              "write); cutting it off and resuming", file=sys.stderr)
-        with open(path, "r+b") as fh:
-            fh.truncate(complete)
-    return seen, best
+              f"write); {action}", file=sys.stderr)
+        if resume:
+            with open(path, "r+b") as fh:
+                fh.truncate(complete)
 
 
-def search(config: SearchConfig):
+def keep_best(best: dict, rec: CodeRecord) -> None:
+    """Hold rec in best if it beats the record held for its (q, n, k):
+    records without a dual distance never count, and among equal
+    (d_dual, d) the first one stays."""
+    if rec.skipped or rec.d_dual is None:
+        return
+    key = (rec.q, rec.n, rec.k)
+    cur = best.get(key)
+    if cur is None or (rec.d_dual, rec.d) > (cur.d_dual, cur.d):
+        best[key] = rec
+
+
+def search(config: SearchConfig, best: dict | None = None):
     """Evaluate candidates in deterministic order, yielding frontier records.
 
     Every candidate (including skips) is appended to config.output_path, so
     a rerun against the same file picks up where the last one stopped.
     Yielded records are exactly those that strictly improve the best
     (d_dual, d) recorded so far for their (n, dimension) slot, so no yield
-    is ever dominated by an earlier one.
+    is ever dominated by an earlier one.  A `best` dict passed in is filled
+    by keep_best with the records read back, then with those evaluated: with
+    a records file, that is what report reads from it at the end.
     """
     field = field_make(config.q)
     if config.mode == "qecc":
@@ -309,11 +332,18 @@ def search(config: SearchConfig):
         # check-rank certificate, so every proper divisor is a candidate
         gs = _divisor_products(field, config.n, DIVISOR_CAP, 1)
     gs = [g for g in gs if 0 < polyring.deg(g) < config.n]  # deg n: zero code
+    if best is None:
+        best = {}
 
-    seen, best = (set(), {})
+    seen, frontier, sink = set(), {}, None
     if config.output_path:
-        seen, best = _load_existing(config.output_path)
-    sink = open(config.output_path, "a", encoding="utf-8") if config.output_path else None
+        for rec in read_records(config.output_path, resume=True):
+            seen.add((rec.f, rec.g))
+            if rec.d_dual is not None:
+                key = (rec.n, rec.k)
+                frontier[key] = max(frontier.get(key, (0, 0)), (rec.d_dual, rec.d))
+            keep_best(best, rec)
+        sink = _open_records(config.output_path, "ab")
     try:
         for gi, g in enumerate(gs):
             rng = random.Random(config.rng_seed * 0x9E3779B1 + gi)
@@ -332,14 +362,15 @@ def search(config: SearchConfig):
                 seen.add((fc, gc))
                 rec = _evaluate(field, config, f, g, fc, gc, x1s)
                 key = (rec.n, rec.k)
-                if not rec.skipped and (rec.d_dual, rec.d) > best.get(key, (0, 0)):
-                    best[key] = (rec.d_dual, rec.d)
+                if not rec.skipped and (rec.d_dual, rec.d) > frontier.get(key, (0, 0)):
+                    frontier[key] = (rec.d_dual, rec.d)
                     rec = CodeRecord(**{**rec.__dict__,
                                         "flags": {**rec.flags, "frontier": True}})
                 rec = rec.sealed()
                 if sink:
-                    sink.write(rec.to_line() + "\n")
+                    sink.write((rec.to_line() + "\n").encode())
                     sink.flush()
+                keep_best(best, rec)
                 if rec.flags.get("frontier"):
                     yield rec
     finally:
@@ -367,24 +398,16 @@ def _reference_lookup(q: int, n: int, k: int):
 
 def report(records_path) -> str:
     """Best record per (n, k) with the matching collected row, if any."""
-    by_key = {}
-    with open(records_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = record_from_doc(json.loads(line))
-            except (json.JSONDecodeError, SpecError) as exc:
-                raise SpecError(f"{records_path}:{lineno}: {exc}") from exc
-            if rec.skipped or rec.d_dual is None:
-                continue
-            key = (rec.q, rec.n, rec.k)
-            cur = by_key.get(key)
-            if cur is None or (rec.d_dual, rec.d) > (cur.d_dual, cur.d):
-                by_key[key] = rec
+    best = {}
+    for rec in read_records(records_path):
+        keep_best(best, rec)
+    return render_report(best)
 
+
+def render_report(best: dict) -> str:
+    """The report of keep_best's records, one line per (q, n, k)."""
     lines = []
-    for (q, n, k), rec in sorted(by_key.items()):
+    for (q, n, k), rec in sorted(best.items()):
         if rec.qecc:
             derived = "[[%d,%d,%d]]_%d" % (rec.qecc[0], rec.qecc[1], rec.qecc[2], q)
             N = rec.qecc[0]

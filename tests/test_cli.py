@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qcqec import cli, refdata, wdist
+from qcqec import cli, explorer, refdata, wdist
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -262,6 +262,45 @@ def test_search_command(capsys, tmp_path):
     assert (tmp_path / "records.jsonl").exists()
 
 
+def _search_summary(capsys, cfg):
+    """The report part of a search's stdout: what follows the count of
+    frontier records."""
+    rc, out, _ = run(capsys, "search", "--config", cfg)
+    assert rc == 0
+    lines = out.splitlines()
+    count = [i for i, line in enumerate(lines) if line.endswith(" frontier records")]
+    assert len(count) == 1
+    return "\n".join(lines[count[0] + 1:])
+
+
+def test_search_summary_is_the_report_of_the_file(capsys, tmp_path):
+    # the summary comes from the records the search read and wrote; it must
+    # be what reading the finished file gives
+    records = tmp_path / "records.jsonl"
+
+    def config(mode):
+        return write_spec(tmp_path, mode + ".json",
+                          {"q": 2, "n": 7, "mode": mode, "max_f_samples": 3,
+                           "x1_samples": 2, "output_path": str(records)})
+
+    qecc, eaqecc = config("qecc"), config("eaqecc")
+    fresh = _search_summary(capsys, qecc)
+    assert "collected: [15,4,8]_4 -> [[15,7,3]]_2" in fresh
+    assert fresh == explorer.report(str(records))
+    intact = _search_summary(capsys, qecc)  # nothing left to evaluate
+    assert intact == fresh == explorer.report(str(records))
+
+    text = records.read_text()
+    start = text.rstrip("\n").rfind("\n") + 1
+    records.write_text(text[: start + (len(text) - start) // 2])
+    assert _search_summary(capsys, qecc) == explorer.report(str(records)) == fresh
+    assert len(records.read_text().splitlines()) == len(text.splitlines())
+
+    both = _search_summary(capsys, eaqecc)  # a second config, same file
+    assert "[[14," in both and "[[15,7,3]]_2" in both
+    assert both == explorer.report(str(records))
+
+
 def test_search_rejects_bad_config(capsys, tmp_path):
     cfg = write_spec(tmp_path, "bad.json", {"q": 2, "n": 7, "bogus": 1})
     rc, _, err = run(capsys, "search", "--config", cfg)
@@ -290,6 +329,25 @@ def test_search_unreadable_config(capsys, tmp_path):
         error = json.loads(err)["error"]
         assert error["type"] == "spec"
         assert message in error["message"]
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent", "int"])
+def test_search_rejects_bad_output_path(capsys, tmp_path, where):
+    # an int would be taken by open() for a file descriptor of this process
+    output_path, message = {
+        "directory": (str(tmp_path), "cannot open records file"),
+        "missing-parent": (str(tmp_path / "no" / "r.jsonl"), "cannot open records file"),
+        "int": (7, "output_path must be a string"),
+    }[where]
+    cfg = write_spec(tmp_path, "search.json",
+                     {"q": 2, "n": 7, "max_f_samples": 1, "x1_samples": 1,
+                      "output_path": output_path})
+    rc, out, err = run(capsys, "search", "--config", cfg)
+    assert rc == 2
+    assert "frontier" not in out
+    error = json.loads(err)["error"]
+    assert error["type"] == "spec"
+    assert message in error["message"]
 
 
 def test_search_refuses_edited_record(capsys, tmp_path):

@@ -11,6 +11,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import re
 import types
 
@@ -190,6 +191,28 @@ def test_report_side_by_side(tmp_path):
     assert explorer.report(str(doubled)) == text
 
 
+def test_report_keeps_the_first_best_record(tmp_path):
+    # per (q, n, k) the first record in file order with the highest
+    # (d_dual, d); the file must hold a tie for that to show
+    path = tmp_path / "n7.jsonl"
+    _run(tmp_path, "n7.jsonl", q=2, n=7, mode="eaqecc", max_f_samples=6)
+    recs = [explorer.record_from_doc(json.loads(line))
+            for line in path.read_text().splitlines()]
+    first, ties = {}, 0
+    for rec in recs:
+        if rec.d_dual is None:
+            continue
+        cur = first.get(rec.k)
+        if cur is None or (rec.d_dual, rec.d) > (cur.d_dual, cur.d):
+            first[rec.k] = rec
+        elif (rec.d_dual, rec.d) == (cur.d_dual, cur.d) and rec.f != cur.f:
+            ties += 1
+    assert first and ties
+    text = explorer.report(str(path))
+    for rec in first.values():
+        assert "f=%s g=%s" % (rec.f, rec.g) in text
+
+
 def test_report_empty_and_malformed(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -200,6 +223,28 @@ def test_report_empty_and_malformed(tmp_path):
     with pytest.raises(SpecError) as info:
         explorer.report(str(bad))
     assert "bad.jsonl:1" in str(info.value)
+
+
+def test_report_names_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "r.jsonl"
+    _run(tmp_path, "r.jsonl", q=2, n=7, mode="qecc", max_f_samples=2)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b'"g":"', b'"g":"\xff', 1)
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(SpecError) as info:
+        explorer.report(str(path))
+    assert "r.jsonl:2" in str(info.value)
+
+
+def test_report_leaves_a_torn_line_unread(tmp_path, capsys):
+    path = tmp_path / "r.jsonl"
+    _run(tmp_path, "r.jsonl", q=2, n=7, mode="qecc", max_f_samples=4)
+    text = path.read_text()
+    whole = explorer.report(str(path))
+    path.write_text(text + text.splitlines(keepends=True)[0][:40])
+    assert explorer.report(str(path)) == whole
+    assert "no newline" in capsys.readouterr().err
+    assert path.read_text().endswith(text.splitlines()[0][:40])  # not cut
 
 
 def _flip_distance(path):
@@ -254,6 +299,26 @@ def _records_digest(tmp_path, mode):
         doc.pop("ts")
         digest.update((json.dumps(doc, separators=(",", ":")) + "\n").encode())
     return digest.hexdigest()
+
+
+# sha256 of the f that _sample_f draws, in compact form one to a line: 8
+# draws from each of the first 4 per-generator streams at the benchmark's
+# seeds 0, 1 and 7, for n = 7 and 15 over GF(4) and n = 10 over GF(9).
+# Taken while is_unit still reduced f by rows of digits; it pins the
+# rejection sampler's accept/reject decisions and so its RNG stream.
+GOLDEN_F_DRAWS = "53ab4a33ebe989bbf7df6b3418e7dc3439acd7c6caba8611762ae7f9d46dd175"
+
+
+def test_sample_f_draws_match_golden_digest():
+    digest = hashlib.sha256()
+    for field, n in ((GF4, 7), (GF4, 15), (GF9, 10)):
+        for seed in (0, 1, 7):
+            for gi in range(4):
+                rng = random.Random(seed * 0x9E3779B1 + gi)
+                for _ in range(8):
+                    f = explorer._sample_f(field, n, rng, None)
+                    digest.update((polyring.render_compact(field, f) + "\n").encode())
+    assert digest.hexdigest() == GOLDEN_F_DRAWS
 
 
 @pytest.mark.parametrize("mode", sorted(GOLDEN_N7))
