@@ -5,10 +5,12 @@ Subcommands: verify (run a spec file through the full pipeline), extend
 calculators), search (batch exploration), table (re-derive the collected
 parameter rows and diff).
 
-Reports are deterministic apart from the timing block.  Exit codes: 0 on
-success, 1 when a table diff finds mismatches, 2 on bad input, 3 when an
-enumeration or scan overruns its budget, 4 when a mathematical
-precondition fails; 3 and 4 carry a machine-readable error object.
+Reports are deterministic apart from the timing block.  A code of more
+messages than the budget is reported as skipped, not enumerated.  Exit
+codes: 0 on success, 1 when a table diff finds mismatches, 2 on bad input,
+3 when the extension-vector scan or a search's divisor walk overruns its
+cap, 4 when a mathematical precondition fails; 2 to 4 carry a
+machine-readable error object.
 """
 
 import argparse
@@ -86,7 +88,7 @@ def load_spec(path: str) -> dict:
             raise SpecError(f"spec is missing {key!r}")
     for key in ("q", "n", "alpha1", "alpha2", "enum_budget"):
         if key in doc:
-            require_int(f"spec field {key!r}", doc[key])
+            require_int(f"spec field {key!r}", doc[key], 1 if key == "enum_budget" else None)
     mode = doc.get("mode")
     if mode is None:
         mode = ("extend-two" if doc.get("x2") else
@@ -107,8 +109,7 @@ def _budget(flag: int | None, file_value: int | None = None) -> int:
     return next((b for b in (flag, file_value) if b is not None), wdist.DEFAULT_BUDGET)
 
 
-def _spec_evaluation(spec: dict, budget: int | None, workers: int,
-                     allow_long: bool) -> pipeline.Evaluation:
+def _spec_evaluation(spec: dict, budget: int | None, workers: int) -> pipeline.Evaluation:
     field = field_make(spec["q"])
     n = spec["n"]
     columns = refdata.MODES.index(spec["mode"])
@@ -117,14 +118,13 @@ def _spec_evaluation(spec: dict, budget: int | None, workers: int,
         polyring.trim(_parse_poly(field, spec["g"], None, "g")),
         tuple(_parse_poly(field, spec[key], n, key) for key in ("x1", "x2")[:columns]),
         tuple(spec.get(key, 1) for key in ("alpha1", "alpha2")[:columns]),
-        budget=_budget(budget, spec.get("enum_budget")), workers=workers,
-        allow_long=allow_long)
+        budget=_budget(budget, spec.get("enum_budget")), workers=workers)
 
 
-def run_spec(spec: dict, budget: int | None, workers: int, allow_long: bool) -> dict:
+def run_spec(spec: dict, budget: int | None, workers: int) -> dict:
     """Full pipeline for one spec; returns the report document."""
     t0 = time.perf_counter()
-    return _verify_report(spec, _spec_evaluation(spec, budget, workers, allow_long), t0)
+    return _verify_report(spec, _spec_evaluation(spec, budget, workers), t0)
 
 
 def _verify_report(spec: dict, ev: pipeline.Evaluation, t0: float) -> dict:
@@ -263,7 +263,7 @@ def _emit(doc: dict, text: str, json_path: str | None, out=None) -> None:
 
 def cmd_verify(args) -> int:
     spec = load_spec(args.spec)
-    report = run_spec(spec, args.budget, args.threads, args.allow_long)
+    report = run_spec(spec, args.budget, args.threads)
     _emit(report, _render_report(report), args.json)
     return 0
 
@@ -271,8 +271,7 @@ def cmd_verify(args) -> int:
 def cmd_extend(args) -> int:
     t0 = time.perf_counter()
     spec = load_spec(args.spec)
-    base = _spec_evaluation(dict(spec, mode="base"), args.budget, args.threads,
-                            args.allow_long)
+    base = _spec_evaluation(dict(spec, mode="base"), args.budget, args.threads)
     xs = tuple(qcc.find_extension_vector(base.code, side, args.alpha)
                for side in range(1, args.columns + 1))
     alpha = 1 if args.alpha is None else args.alpha
@@ -375,17 +374,15 @@ def cmd_table(args) -> int:
     for row in refdata.TABLES[family]:
         k = (row.code or row.eaqecc)[1]
         entry = {"n": row.n, "k": k, "note": row.note or None}
-        ev = row.evaluation(budget=_budget(args.budget), workers=args.threads,
-                            allow_long=args.allow_long)
+        ev = row.evaluation(budget=_budget(args.budget), workers=args.threads)
         if ev.skipped:
             entry["status"] = "skipped (long-run)"
             entry["estimate"] = ev.estimate
         else:
             try:
                 result = _check_table_row(row, ev)
-            except (PreconditionError, BudgetExceeded) as exc:
-                entry["status"] = "error: %s" % (
-                    exc.code if isinstance(exc, PreconditionError) else "budget")
+            except PreconditionError as exc:
+                entry["status"] = "error: %s" % exc.code
                 entry["detail"] = str(exc)
                 bad = True
             else:
@@ -438,17 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", metavar="PATH", help="also write a JSON report")
         if "threads" in flags:
             p.add_argument("--threads", type=int, default=1, metavar="N")
-        if "allow-long" in flags:
-            p.add_argument("--allow-long", action="store_true",
-                           help="run enumerations past the desk-scale threshold")
         if "budget" in flags:
             p.add_argument("--budget", type=int, default=None, metavar="N",
-                           help="enumerated-message cap; wins over the file's "
-                           "enum_budget (default 2^32)")
+                           help="codes of more messages are skipped; wins over "
+                           "the file's enum_budget (default 2^29)")
         if "seed" in flags:
             p.add_argument("--seed", type=int, default=None, metavar="N")
 
-    enumerates = ("threads", "allow-long", "budget")
+    enumerates = ("threads", "budget")
 
     p = sub.add_parser("verify", help="run a spec file through the pipeline")
     p.add_argument("spec")
@@ -500,6 +494,9 @@ def _error_doc(kind: str, exc: Exception) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("budget", "threads"):
+            if getattr(args, flag, None) is not None:
+                require_int("--" + flag, getattr(args, flag), 1)
         return args.fn(args)
     except SpecError as exc:
         doc, code = _error_doc("spec", exc), 2

@@ -45,7 +45,10 @@ class BudgetExceeded(QcqecError):
         self.budget = budget
 
 
-def require_int(what: str, value) -> None:
-    """A SpecError naming what, unless value is an int (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecError(f"{what} must be an integer, got {value!r}")
+def require_int(what: str, value, least: int | None = None) -> None:
+    """A SpecError naming what, unless value is an int (a bool is not) and
+    at least `least`."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise SpecError(f"{what} must be an integer{bound}, got {value!r}")

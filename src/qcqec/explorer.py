@@ -6,7 +6,7 @@ complement divides them); f is rejection-sampled uniformly among ring
 elements coprime to x^n - 1.  Every evaluated candidate is appended to a
 JSONL file so interrupted runs resume without re-enumerating, and a record
 is emitted to the caller only when it improves the best (dual distance,
-distance) pair seen for its dimension.
+distance) pair seen for its field, length and dimension.
 
 A record line carries the inputs in compact notation plus the computed
 parameters, so re-running the pipeline on (q, n, f, g) reproduces it
@@ -49,9 +49,9 @@ class SearchConfig:
     x1_samples: int = 8
 
     def __post_init__(self):
-        for name in ("q", "n", "max_f_samples", "rng_seed", "enum_budget",
-                     "x1_samples"):
+        for name in ("q", "n", "max_f_samples", "rng_seed", "x1_samples"):
             require_int(name, getattr(self, name))
+        require_int("enum_budget", self.enum_budget, 1)
         if self.max_f_degree is not None:
             require_int("max_f_degree", self.max_f_degree)
         if self.output_path is not None and not isinstance(self.output_path, str):
@@ -213,8 +213,7 @@ def _x1_pool(field: Field, code: qcc.QcCode, rng: random.Random, want: int):
 def _evaluate(field: Field, config: SearchConfig, f, g, fc, gc, x1s) -> CodeRecord:
     """Build and measure one candidate, given f and g and their compact
     forms; skips come back as flagged records."""
-    base = pipeline.Evaluation(field, config.n, f, g, budget=config.enum_budget,
-                               allow_long=True)
+    base = pipeline.Evaluation(field, config.n, f, g, budget=config.enum_budget)
     code = base.code
     flags = {"mode": config.mode, "self_orthogonal": code.orthogonal_gram,
              "certificate_ok": None, "x1": None, "frontier": False}
@@ -227,12 +226,11 @@ def _evaluate(field: Field, config: SearchConfig, f, g, fc, gc, x1s) -> CodeReco
     if config.mode == "qecc":
         if isinstance(x1s, str):
             return skip(x1s)
-        try:
-            # the first of the best (d_dual, d) wins
-            best = max((base.extended((x1,)) for x1 in x1s),
-                       key=lambda ev: (ev.dual_distance, ev.distance))
-        except BudgetExceeded:
+        extended = [base.extended((x1,)) for x1 in x1s]
+        if extended[0].skipped:
             return skip("enum-budget")  # same dimension for every x1
+        # the first of the best (d_dual, d) wins
+        best = max(extended, key=lambda ev: (ev.dual_distance, ev.distance))
         params = best.qecc
         cert = base.certificate
         flags["certificate_ok"] = bool(cert and cert.satisfied)
@@ -245,10 +243,9 @@ def _evaluate(field: Field, config: SearchConfig, f, g, fc, gc, x1s) -> CodeReco
     flags["certificate_ok"] = cert.satisfied
     if not cert.satisfied:
         return skip("certificate")
-    try:
-        d = base.distance
-    except BudgetExceeded:
+    if base.skipped:
         return skip("enum-budget")
+    d = base.distance
     if d is None:
         return skip("zero-code")
     p = base.eaqecc.primal
@@ -301,16 +298,20 @@ def read_records(path, resume=False):
                 fh.truncate(complete)
 
 
-def keep_best(best: dict, rec: CodeRecord) -> None:
-    """Hold rec in best if it beats the record held for its (q, n, k):
-    records without a dual distance never count, and among equal
-    (d_dual, d) the first one stays."""
+def _beats(best: dict, rec: CodeRecord) -> bool:
+    """Whether rec beats the record best holds for its (q, n, k): records
+    without a dual distance never do, and neither does an equal (d_dual, d)."""
     if rec.skipped or rec.d_dual is None:
-        return
-    key = (rec.q, rec.n, rec.k)
-    cur = best.get(key)
-    if cur is None or (rec.d_dual, rec.d) > (cur.d_dual, cur.d):
-        best[key] = rec
+        return False
+    cur = best.get((rec.q, rec.n, rec.k))
+    return cur is None or (rec.d_dual, rec.d) > (cur.d_dual, cur.d)
+
+
+def keep_best(best: dict, rec: CodeRecord) -> None:
+    """Hold rec in best if it beats the record held for its (q, n, k), so
+    that among equal (d_dual, d) the first one stays."""
+    if _beats(best, rec):
+        best[(rec.q, rec.n, rec.k)] = rec
 
 
 def search(config: SearchConfig, best: dict | None = None):
@@ -318,11 +319,12 @@ def search(config: SearchConfig, best: dict | None = None):
 
     Every candidate (including skips) is appended to config.output_path, so
     a rerun against the same file picks up where the last one stopped.
-    Yielded records are exactly those that strictly improve the best
-    (d_dual, d) recorded so far for their (n, dimension) slot, so no yield
-    is ever dominated by an earlier one.  A `best` dict passed in is filled
-    by keep_best with the records read back, then with those evaluated: with
-    a records file, that is what report reads from it at the end.
+    Yielded records, flagged "frontier", are exactly those that beat the
+    best record read back or evaluated so far for their (q, n, k), so no
+    yield is ever dominated by an earlier one.  A `best` dict passed in is
+    filled by keep_best with the records read back, then with those
+    evaluated: with a records file, that is what report reads from it at the
+    end.
     """
     field = field_make(config.q)
     if config.mode == "qecc":
@@ -335,13 +337,10 @@ def search(config: SearchConfig, best: dict | None = None):
     if best is None:
         best = {}
 
-    seen, frontier, sink = set(), {}, None
+    seen, sink = set(), None
     if config.output_path:
         for rec in read_records(config.output_path, resume=True):
             seen.add((rec.f, rec.g))
-            if rec.d_dual is not None:
-                key = (rec.n, rec.k)
-                frontier[key] = max(frontier.get(key, (0, 0)), (rec.d_dual, rec.d))
             keep_best(best, rec)
         sink = _open_records(config.output_path, "ab")
     try:
@@ -361,9 +360,8 @@ def search(config: SearchConfig, best: dict | None = None):
                     continue
                 seen.add((fc, gc))
                 rec = _evaluate(field, config, f, g, fc, gc, x1s)
-                key = (rec.n, rec.k)
-                if not rec.skipped and (rec.d_dual, rec.d) > frontier.get(key, (0, 0)):
-                    frontier[key] = (rec.d_dual, rec.d)
+                # decided before sealing: the hash covers the flags
+                if _beats(best, rec):
                     rec = CodeRecord(**{**rec.__dict__,
                                         "flags": {**rec.flags, "frontier": True}})
                 rec = rec.sealed()

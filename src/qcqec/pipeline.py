@@ -3,7 +3,7 @@ parameters, the chain that `verify`, `table` and `search` render.
 
 An `Evaluation` runs each stage the first time a result that needs it is
 read, so a caller pays only for what it reads: a table row past the
-long-run gate is never built, a stabilizer row never tests the entanglement
+message budget is never built, a stabilizer row never tests the entanglement
 certificate, and the eaqecc search enumerates only codes that pass it.
 Stages are called through their modules (`qcc.build`, `wdist.macwilliams`,
 ...), looked up at call time, so a wrapper put on a module attribute sees
@@ -16,22 +16,13 @@ from functools import cached_property
 from . import polyring, qcc, quantum, wdist
 from .gf import Field
 
-# enumerating a code of at least this dimension is not desk scale, per q
-LONG_RUN_DIM = {2: 15, 3: 10, 9: 5}
-
-
-def is_long_run(q: int, dim: int) -> bool:
-    """Whether the (q^2)^dim messages of a dimension-dim code are past desk scale."""
-    return dim >= LONG_RUN_DIM[q]
-
-
 @dataclass(frozen=True, eq=False)
 class Evaluation:
     """The code generated by (g, f g), extended by zero, one or two vectors
     xs with column scalars alphas (default 1), and what it yields.
 
-    Unless allow_long is set, a long-run code is not enumerated: enum, dual,
-    both distances and qecc read None, and eaqecc has unknown distances.
+    A code of more than budget messages is not enumerated: enum, dual, both
+    distances and qecc read None, and eaqecc has unknown distances.
     """
 
     field: Field
@@ -42,7 +33,6 @@ class Evaluation:
     alphas: tuple = ()
     budget: int = wdist.DEFAULT_BUDGET
     workers: int = 1
-    allow_long: bool = False
 
     def extended(self, xs, alphas=()) -> "Evaluation":
         """The same base code under the extension vectors xs, built once for both."""
@@ -64,13 +54,9 @@ class Evaluation:
         return f"{self.field.Q}^{self.dimension} messages x {self.length} symbols"
 
     @property
-    def long_run(self) -> bool:
-        return is_long_run(self.field.q, self.dimension)
-
-    @property
     def skipped(self) -> bool:
-        """Whether the long-run gate leaves the enumeration out."""
-        return self.long_run and not self.allow_long
+        """Whether the enumeration is left out: its messages are past the budget."""
+        return self.field.Q ** self.dimension > self.budget
 
     @cached_property
     def code(self) -> qcc.QcCode:

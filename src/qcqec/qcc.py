@@ -59,8 +59,9 @@ from .gf import Field
 RULE_ORTHOGONAL = "preserve-orthogonality"
 RULE_GRAM_RANK = "preserve-gram-rank"
 
-# exhaustive dual scans stop above ~4.3e7 candidates
-_SCAN_CAPS = {4: 4 ** 12, 9: 9 ** 8, 81: 81 ** 4}
+# exhaustive dual scans stop above 3^16 (4.3e7) candidates; a pure-Python
+# scan step costs about 100 enumerated words, so this is not the budget
+_SCAN_CAP = 3 ** 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +247,7 @@ def find_extension_vector(code: QcCode, side: int, alpha: int | None = None, sca
     field = code.field
     basis = block_dual_basis(code, side)
     dim = basis.nrows
-    cap = scan_cap if scan_cap is not None else _SCAN_CAPS[field.Q]
+    cap = scan_cap if scan_cap is not None else _SCAN_CAP
     if field.Q ** dim > cap:
         raise BudgetExceeded(field.Q ** dim, cap, what="extension-vector-scan")
 

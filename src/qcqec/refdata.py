@@ -6,8 +6,8 @@ verification suite.  Expected values are reference targets, not derived here.
 
 Polynomials in table rows use the compact digit notation of
 polyring.parse_compact; worked instances store explicit digit tuples.
-Rows whose enumeration is long-run (pipeline.is_long_run) are skipped unless
-asked for.
+A row whose code has more messages than the enumeration budget
+(pipeline.Evaluation.skipped) is skipped unless a larger budget is given.
 """
 
 from dataclasses import dataclass, field as dc_field

@@ -16,6 +16,7 @@ per work unit and exact Python ints once scaled and summed.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +28,10 @@ from qcqec.errors import BudgetExceeded, SpecError
 from qcqec import famat
 from qcqec.gf import Field, field_make
 
-DEFAULT_BUDGET = 2 ** 32
+# the one enumeration gate: a code of more than this many messages is not
+# enumerated.  2^29 keeps dimension 14 over GF(4), 9 over GF(9) and 4 over
+# GF(81), each a desk-scale run, and leaves out the next one up
+DEFAULT_BUDGET = 2 ** 29
 _BLOCK_BYTES = 1 << 20  # block table size cap
 _KRAWTCHOUK_CACHE_N = 32  # longest code whose MacWilliams columns are cached
 
@@ -185,6 +189,14 @@ def _scan(job) -> list[int]:
     return counts
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def enumerate_code(
     g: famat.Mat,
     budget: int = DEFAULT_BUDGET,
@@ -196,12 +208,13 @@ def enumerate_code(
     bijection.  Raises BudgetExceeded before doing any work if Q^k is past
     the budget (the budget counts all Q^k messages, scanned or implied by
     scaling).  With workers > 1 the work units are spread over a process
-    pool and their histograms summed, so the result does not depend on the
-    partitioning.
+    pool, no larger than the CPUs this process may use, and their histograms
+    summed, so the result does not depend on the partitioning.
     """
     field = g.field
     k, n = g.nrows, g.ncols
     total = field.Q ** k
+    workers = max(1, min(workers, _usable_cpus()))
     if total > budget:
         raise BudgetExceeded(total, budget)
     if k and famat.rank(g) != k:
@@ -215,7 +228,7 @@ def enumerate_code(
         inner, (P, W) = 1, BitPlanes.shape(field, n)
         while inner + 1 < k and field.Q ** (inner + 1) * 8 * P * W <= _BLOCK_BYTES:
             inner += 1
-        chunks = _work_units(field.Q, k - inner, inner, max(1, workers))
+        chunks = _work_units(field.Q, k - inner, inner, workers)
         rows = [tuple(r) for r in g.rows]
         jobs = [(field.q, rows, inner, chunk) for chunk in chunks]
         if len(jobs) == 1:
@@ -299,10 +312,6 @@ def macwilliams(enum: WeightEnumerator, Q: int) -> WeightEnumerator:
     if dual.total() != Q ** (n - k):
         raise AssertionError(f"dual total {dual.total()} != Q^(n-k) = {Q ** (n - k)}")
     return dual
-
-
-def dual_distance(enum: WeightEnumerator, Q: int) -> int | None:
-    return macwilliams(enum, Q).distance()
 
 
 def impure_distance(

@@ -7,7 +7,8 @@ collected parameter table.  Criterion 6 runs the randomized property
 suites at full size.  Criterion 7 checks that the deliberately-gated
 enumerations stay gated by default and that their parameter bookkeeping
 still holds, and runs the GF(81) [22,5] enumeration the CLI gates; the
-4^17-message [[103,69,7]]_2 reproduction runs only under --runlong.
+4^17-message [[103,69,7]]_2 reproduction runs only under --runlong.  It
+also holds the message budget to the per-field thresholds it replaced.
 
 Collected rows whose listed inputs provably cannot produce a listed value
 are asserted in their recorded-discrepancy form (see the notes in refdata
@@ -231,7 +232,7 @@ def test_acceptance_5_collected_table_desk_rows():
             key = (family, row.n, (row.code or row.eaqecc)[1])
             if key not in DESK_ROWS:
                 continue
-            assert not row.evaluation().long_run
+            assert not row.evaluation().skipped
             t0 = time.perf_counter()
             if family.startswith("stabilizer"):
                 check_stabilizer_row(row)
@@ -321,14 +322,14 @@ def test_acceptance_7_long_run_gating_and_bookkeeping():
     code, ext = built("q2-n51-extend-one")
     assert (ext.length, ext.dim) == (103, 17)
     assert code.orthogonal_gram and ext.rule == qcc.RULE_ORTHOGONAL
-    assert pipeline.is_long_run(2, ext.dim)
+    assert 4 ** ext.dim > wdist.DEFAULT_BUDGET
     assert ext.length - 2 * ext.dim == 69  # stabilizer net dimension
     with pytest.raises(BudgetExceeded) as e:
         wdist.enumerate_code(ext.G)
     assert e.value.required == 4 ** 17
 
     report = cli.run_spec(cli.load_spec(str(SPECS / "q2-n51-extend-one.json")),
-                          wdist.DEFAULT_BUDGET, 1, False)
+                          wdist.DEFAULT_BUDGET, 1)
     assert report["enumeration"]["skipped"] == "long-run"
     assert report["enumeration"]["estimate"] == "4^17 messages x 103 symbols"
     assert report["dimension"] == 17
@@ -340,10 +341,10 @@ def test_acceptance_7_long_run_gating_and_bookkeeping():
     assert (ext.length, ext.dim) == (22, 5)
     assert ext.rule == qcc.RULE_GRAM_RANK
     assert qcc.entanglement_certificate(code).satisfied
-    assert pipeline.is_long_run(9, ext.dim)
+    assert 81 ** ext.dim > wdist.DEFAULT_BUDGET
 
     report = cli.run_spec(cli.load_spec(str(SPECS / "q9-n10-extend-two.json")),
-                          wdist.DEFAULT_BUDGET, 1, False)
+                          wdist.DEFAULT_BUDGET, 1)
     assert report["enumeration"]["skipped"] == "long-run"
     assert report["certificate"]["satisfied"] is True
     assert report["eaqecc"] == {"extended": "[[22,17,?;5]]_9"}
@@ -353,11 +354,36 @@ def test_acceptance_7_long_run_gating_and_bookkeeping():
         for row in rows:
             key = (row.family, row.n, (row.code or row.eaqecc)[1])
             if key in DESK_ROWS:
-                assert not row.evaluation().long_run
+                assert not row.evaluation().skipped
     assert next(r for r in refdata.TABLES["stabilizer-gf4"]
-                if r.n == 29).evaluation().long_run
+                if r.n == 29).evaluation().skipped
     assert next(r for r in refdata.TABLES["stabilizer-gf9"]
-                if r.n == 23).evaluation().long_run
+                if r.n == 23).evaluation().skipped
+
+
+# the three gates the message budget replaced: enumerations of at least
+# this dimension were skipped unless asked for, per q, and extension-vector
+# scans of more than this many candidates were refused, per Q
+OLD_DIM_GATE = {2: 15, 3: 10, 9: 5}
+OLD_SCAN_GATE = {4: 4 ** 12, 9: 9 ** 8, 81: 81 ** 4}
+
+
+def test_acceptance_7_budget_decides_as_the_old_gates():
+    for q, threshold in OLD_DIM_GATE.items():
+        field, n = field_make(q), 24
+        for dim in range(25):
+            g = (0,) * (n - dim) + (field.one,)  # of degree n - dim
+            ev = pipeline.Evaluation(field, n, (0,) * n, g)
+            assert ev.dimension == dim
+            assert ev.skipped == (dim >= threshold), (q, dim)
+        for dim in range(30):
+            assert ((field.Q ** dim > qcc._SCAN_CAP)
+                    == (field.Q ** dim > OLD_SCAN_GATE[field.Q])), (q, dim)
+    rows = [row for rows in refdata.TABLES.values() for row in rows]
+    assert len(rows) == 27
+    for row in rows:
+        ev = row.evaluation()
+        assert ev.skipped == (ev.dimension >= OLD_DIM_GATE[row.q]), row
 
 
 @pytest.mark.longrun
@@ -373,10 +399,10 @@ def test_acceptance_7_long_run_reproductions():
 
 
 def test_acceptance_7_gf81_extended_distance():
-    # 81^5 messages: within the default budget, though the CLI still skips
-    # it as long-run unless --allow-long is given
+    # 81^5 messages: past the default budget, so it is asked for here and
+    # the CLI skips it unless given a budget this large
     code, ext = built("q9-n10-extend-two")
-    enum = wdist.enumerate_code(ext.G)
+    enum = wdist.enumerate_code(ext.G, budget=81 ** 5)
     assert sum(enum.counts) == 81 ** 5
     assert enum.distance() == 11
     assert refdata.find_reference("q9-n10-extend-two").expect["code"] == (22, 5, 11)

@@ -131,6 +131,18 @@ def test_search_determinism(tmp_path):
     assert lines[0] == lines[1]
 
 
+def test_frontier_is_kept_per_field(tmp_path):
+    # records of another field in the same file leave the frontier alone
+    _, fresh = _run(tmp_path, "fresh.jsonl", q=2, n=7, mode="eaqecc", max_f_samples=4)
+    assert len(fresh) == 3 and all(r.flags["frontier"] for r in fresh)
+    _, other = _run(tmp_path, "mixed.jsonl", q=3, n=7, mode="eaqecc", max_f_samples=1)
+    # a GF(9) record beats each of those at the same (n, k)
+    top = max((r.d_dual, r.d) for r in other if r.k == 6)
+    assert all(r.k == 6 and (r.d_dual, r.d) < top for r in fresh)
+    _, mixed = _run(tmp_path, "mixed.jsonl", q=2, n=7, mode="eaqecc", max_f_samples=4)
+    assert [r.payload() for r in mixed] == [r.payload() for r in fresh]
+
+
 def test_resume_after_torn_final_line(tmp_path, capsys):
     kw = dict(q=2, n=7, mode="qecc", max_f_samples=6, rng_seed=3)
     _run(tmp_path, "whole.jsonl", **kw)
@@ -357,7 +369,7 @@ def test_search_leaves_no_cyclic_garbage(monkeypatch):
         for mode in ("qecc", "eaqecc"):
             list(explorer.search(explorer.SearchConfig(q=2, n=7, mode=mode)))
         # every generator skipped: the pool's scan is over its budget
-        monkeypatch.setitem(qcc._SCAN_CAPS, 4, 1)
+        monkeypatch.setattr(qcc, "_SCAN_CAP", 1)
         records = list(explorer.search(explorer.SearchConfig(q=2, n=7, mode="qecc")))
         gc.collect()
         leaked = [obj for obj in gc.garbage if ours(obj)]

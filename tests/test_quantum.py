@@ -84,7 +84,7 @@ def test_maximal_pair_gf4_n7():
     assert quantum.entanglement_count(code) == 8
     enum = wdist.enumerate_code(code.G)
     assert enum.distance() == 7
-    dual_d = wdist.dual_distance(enum, 4)
+    dual_d = wdist.macwilliams(enum, 4).distance()
     cert = qcc.entanglement_certificate(code)
     pair = quantum.maximal_pair(code, enum.distance(), dual_d, cert)
     assert pair.primal == quantum.EaqeccParams(2, 14, 6, 7, 8)

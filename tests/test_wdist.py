@@ -177,7 +177,10 @@ def test_enumerate_rejects_rank_deficient():
         wdist.enumerate_code(g)
 
 
-def test_enumerate_workers_agree():
+def test_enumerate_workers_agree(monkeypatch):
+    # the pool is capped at the usable CPUs; lift the cap so that three
+    # workers are three processes on any machine
+    monkeypatch.setattr(wdist, "_usable_cpus", lambda: 3)
     rng = random.Random(5)
     g = rand_full_rank(rng, GF4, 5, 9)
     one = wdist.enumerate_code(g, workers=1)
@@ -186,12 +189,47 @@ def test_enumerate_workers_agree():
 
 
 @pytest.mark.parametrize("field,k,n", [(GF9, 6, 12), (GF81, 4, 8)])
-def test_enumerate_workers_agree_odd_characteristic(field, k, n):
+def test_enumerate_workers_agree_odd_characteristic(field, k, n, monkeypatch):
+    monkeypatch.setattr(wdist, "_usable_cpus", lambda: 3)
     rng = random.Random(11 + field.Q)
     g = rand_full_rank(rng, field, k, n)
     one = wdist.enumerate_code(g, workers=1)
     assert wdist.enumerate_code(g, workers=2) == one
     assert wdist.enumerate_code(g, workers=3) == one
+
+
+@pytest.mark.parametrize("affinity, cpu_count, pool", [
+    ({0, 1, 2}, 8, [3]),  # the CPUs this process may use, not the machine's
+    (None, 3, [3]),       # no affinity call: all CPUs
+    (None, None, []),     # nothing known: one worker, no pool
+])
+def test_pool_is_capped_at_usable_cpus(monkeypatch, affinity, cpu_count, pool):
+    # a fake pool records its size and runs the jobs here: no process starts
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(wdist, "ProcessPoolExecutor", FakePool)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    g = rand_full_rank(random.Random(5), GF4, 5, 9)
+    one = wdist.enumerate_code(g, workers=1)
+    assert wdist.enumerate_code(g, workers=10 ** 6) == one
+    assert started == pool
 
 
 def test_corrupt_histogram_is_caught_under_optimize():
@@ -293,7 +331,7 @@ def test_dual_distance_repetition_code():
     g = fm.Mat(GF4, [[1, 1, 1]])
     enum = wdist.enumerate_code(g)
     assert enum.counts == (1, 0, 0, 3)
-    assert wdist.dual_distance(enum, 4) == 2
+    assert wdist.macwilliams(enum, 4).distance() == 2
 
 
 def test_impure_distance():
