@@ -61,6 +61,9 @@ class SearchConfig:
             raise SpecError(f"mode must be one of {SEARCH_MODES}, got {self.mode!r}")
         if self.max_f_samples < 0:
             raise SpecError("max_f_samples must be >= 0")
+        if self.max_f_degree is not None and self.max_f_degree < 0:
+            # f would have no coefficient to draw, and 0 is never a unit
+            raise SpecError("max_f_degree must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -164,12 +167,28 @@ def enumerate_self_orthogonal_g(field: Field, n: int, cap: int = DIVISOR_CAP) ->
             if polyring.divides(field, polyring.dual_gen(field, n, g), g)]
 
 
+def _draw_digits(rng: random.Random, Q: int, count: int) -> list:
+    """count uniform digits below Q, the ones rng.randrange(Q) would draw.
+
+    CPython 3.10 to 3.13 implement randrange(Q) by
+    Random._randbelow_with_getrandbits: draw Q.bit_length() bits, and draw
+    again while the value is >= Q.  This is that loop with getrandbits
+    bound once, so it consumes the same stream.
+    """
+    getrandbits, k = rng.getrandbits, Q.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= Q:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
 def _sample_f(field: Field, n: int, rng: random.Random, max_deg: int | None) -> tuple:
     top = n if max_deg is None else min(max_deg + 1, n)
     while True:
-        f = [0] * n
-        for i in range(top):
-            f[i] = rng.randrange(field.Q)
+        f = _draw_digits(rng, field.Q, top) + [0] * (n - top)
         if polyring.is_unit(field, n, f):
             return tuple(f)
 
@@ -199,7 +218,7 @@ def _x1_pool(field: Field, code: qcc.QcCode, rng: random.Random, want: int):
     tries = 0
     while len(pool) < want and tries < 200 * want:
         tries += 1
-        msg = [rng.randrange(field.Q) for _ in range(dim)]
+        msg = _draw_digits(rng, field.Q, dim)
         if not any(msg):
             continue
         x = polyring.ring_mul(field, code.n, msg, dual)

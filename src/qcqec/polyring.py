@@ -6,6 +6,16 @@ gcd, exact quotients, factorizations).  "Ring" vectors are length-n digit
 tuples representing classes mod x^n - 1 (used for codeword manipulation).
 Functions take the field, and where needed n, as explicit context arguments.
 
+Products over GF(4) are integer products, by Kronecker substitution (cf.
+Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symb. Comput. 44, 2009): each GF(2) coordinate plane of
+a polynomial is packed one coefficient per byte into a Python int, three
+int products give the product's planes (see _gf4_product), and x^n = 1 is
+a shift and an XOR.  A byte slot holds a sum of up to 255 ones, so the
+path serves factors of which the shorter has at most 255 coefficients;
+longer ones, and GF(9) and GF(81), take the schoolbook loop over the
+field's tables.
+
 Compact notation
 ----------------
 Polynomials are written as digit strings in ascending degree order, e.g.
@@ -68,6 +78,15 @@ def poly_neg(field, a) -> tuple[int, ...]:
 
 
 def poly_mul(field, a, b) -> tuple[int, ...]:
+    if field.p == 2 and min(len(a), len(b)) <= _SLOT_TERMS:
+        c = _gf4_product(a, b)
+        return tuple(c.to_bytes((c.bit_length() + 7) // 8, "little"))
+    return _poly_mul_table(field, a, b)
+
+
+def _poly_mul_table(field, a, b) -> tuple[int, ...]:
+    """The schoolbook product by table lookups: the path of GF(9) and
+    GF(81), and the reference for the GF(4) integer product."""
     a, b = trim(a), trim(b)
     if not a or not b:
         return ()
@@ -132,6 +151,41 @@ def x_pow_n_minus_1(field, n: int) -> tuple[int, ...]:
     out[0] = field.neg(1)
     out[n] = 1
     return tuple(out)
+
+
+# The GF(4) product packs digit i of a polynomial into byte i of an int.
+# Slot k of the integer product of two such packings of GF(2) planes sums
+# the a_i b_j with i + j = k, at most min(len a, len b) ones, so up to
+# _SLOT_TERMS terms no sum carries into the next slot.
+_SLOT_TERMS = 255
+
+
+@lru_cache(maxsize=64)
+def _slot_ones(slots: int) -> int:
+    """The int with a 1 at the bottom of each of its first `slots` bytes."""
+    return int.from_bytes(b"\x01" * slots, "little")
+
+
+def _gf4_product(a, b) -> int:
+    """a b over GF(4), packed one digit per byte, low degree first.
+
+    The digit of c0 + c1 alpha is c0 + 2 c1, so bit j of a digit is its
+    coordinate j and a sum of digits is their XOR.  With alpha^2 =
+    alpha + 1, (a0 + a1 alpha)(b0 + b1 alpha) has the coordinates
+    c0 = p0 + p2 and c1 = p0 + p1 for the three plane products p0 = a0 b0,
+    p2 = a1 b1 and p1 = (a0 + a1)(b0 + b1) (Karatsuba).  Each is one
+    integer product whose slots hold counts; a count's parity is its
+    slot's low bit.
+    """
+    A = int.from_bytes(bytes(a), "little")
+    B = int.from_bytes(bytes(b), "little")
+    ones = _slot_ones(len(a) + len(b))
+    a0, a1 = A & ones, A >> 1 & ones
+    b0, b1 = B & ones, B >> 1 & ones
+    p0 = a0 * b0
+    p1 = (a0 ^ a1) * (b0 ^ b1)
+    p2 = a1 * b1
+    return (p0 ^ p2) & ones | ((p0 ^ p1) & ones) << 1
 
 
 # --- compact notation -----------------------------------------------------
@@ -254,7 +308,16 @@ def ring_from_plain(field, n: int, coeffs) -> tuple[int, ...]:
 
 
 def ring_mul(field, n: int, a, b) -> tuple[int, ...]:
-    return ring_from_plain(field, n, poly_mul(field, a, b))
+    # (at n = 0 the fold would never end)
+    if field.p == 2 and n > 0 and min(len(a), len(b)) <= _SLOT_TERMS:
+        c = _gf4_product(a, b)
+        # x^n = 1: fold the slots from n up back onto the first n
+        w = 8 * n
+        low = (1 << w) - 1
+        while c >> w:
+            c = c & low ^ c >> w
+        return tuple(c.to_bytes(n, "little"))
+    return ring_from_plain(field, n, _poly_mul_table(field, a, b))
 
 
 def cyclic_shift(vec, i: int) -> tuple[int, ...]:

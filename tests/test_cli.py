@@ -9,6 +9,9 @@ frozen ones the library tests pin; the point is that the CLI plumbing
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -413,6 +416,23 @@ def test_search_rejects_non_integer_config_fields(capsys, tmp_path, key, value):
     error = json.loads(err)["error"]
     assert error["type"] == "spec"
     assert f"{key} must be an integer" in error["message"]
+
+
+def test_search_rejects_negative_max_f_degree(tmp_path):
+    # a degree cap below 0 leaves f no digit to draw, and f = 0 is never a
+    # unit; the search once looped on it for ever, hence the child process
+    # and its timeout
+    cfg = write_spec(tmp_path, "search.json",
+                     {"q": 2, "n": 7, "max_f_degree": -1, "max_f_samples": 1})
+    program = ("import sys\nfrom qcqec import cli\n"
+               f"sys.exit(cli.main(['search', '--config', {cfg!r}]))\n")
+    env = dict(os.environ, PYTHONPATH=str(SPECS.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", program], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    error = json.loads(done.stderr)["error"]
+    assert error["type"] == "spec"
+    assert "max_f_degree must be >= 0" in error["message"]
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

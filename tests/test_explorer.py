@@ -333,6 +333,27 @@ def test_sample_f_draws_match_golden_digest():
     assert digest.hexdigest() == GOLDEN_F_DRAWS
 
 
+# The same, for 8 draws from each of the first 4 streams at seeds 0, 1 and
+# 7, for n = 10 over GF(81), whose digits take 7 bits, and for n = 15 over
+# GF(4) with max_f_degree = 3.  Taken while _sample_f still drew each digit
+# with rng.randrange(field.Q).
+GOLDEN_F_DRAWS_WIDE_AND_CAPPED = (
+    "cdd4166dbc8da2349cc9382cb34287bac3f8d3172f8e0a884b67e03da033d1a7")
+
+
+def test_sample_f_draws_gf81_and_degree_cap_match_golden_digest():
+    digest = hashlib.sha256()
+    for field, n, max_deg in ((field_make(9), 10, None), (GF4, 15, 3)):
+        for seed in (0, 1, 7):
+            for gi in range(4):
+                rng = random.Random(seed * 0x9E3779B1 + gi)
+                for _ in range(8):
+                    f = explorer._sample_f(field, n, rng, max_deg)
+                    assert max_deg is None or not any(f[max_deg + 1:])
+                    digest.update((polyring.render_compact(field, f) + "\n").encode())
+    assert digest.hexdigest() == GOLDEN_F_DRAWS_WIDE_AND_CAPPED
+
+
 @pytest.mark.parametrize("mode", sorted(GOLDEN_N7))
 def test_search_records_match_golden_digest(tmp_path, mode):
     assert _records_digest(tmp_path, mode) == GOLDEN_N7[mode]

@@ -142,6 +142,51 @@ def test_ring_mul_reduces_mod_xn_minus_1():
     assert pr.ring_mul(GF4, n, a, b) == (0, 1, 0, 0, 0, 0, 0)
 
 
+def _gf4_operands(rng, n):
+    """Pairs of GF(4) factors for ring_mul at length n: random ones of
+    equal and of unequal lengths, zero and constant ones, ones with n + 1
+    coefficients (x^n - 1 among them) and ones with more than 2n."""
+    def rand(length):
+        return tuple(rng.randrange(4) for _ in range(length))
+
+    xn1 = pr.x_pow_n_minus_1(GF4, n)
+    return [
+        (rand(n), rand(n)),
+        (rand(n), rand(rng.randrange(1, n + 1))),
+        (rand(rng.randrange(1, n + 1)), rand(n)),
+        ((), rand(n)), ((0,) * n, rand(n)), (rand(n), (0,)),
+        ((1,), rand(n)), (rand(n), (3,)), ((2,), (3,)),
+        (rand(n + 1), rand(n + 1)), (xn1, rand(n)), (rand(n), xn1),
+        (rand(2 * n + 3), rand(3)),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 15, 63, 127, 255, 256, 300])
+def test_gf4_product_matches_table_loop(n):
+    # the integer product over GF(4) against the schoolbook table loop,
+    # in the ring and as plain polynomials
+    rng = random.Random(n)
+    for a, b in _gf4_operands(rng, n):
+        plain = pr._poly_mul_table(GF4, a, b)
+        assert pr.poly_mul(GF4, a, b) == plain
+        assert pr.ring_mul(GF4, n, a, b) == pr.ring_from_plain(GF4, n, plain)
+
+
+@pytest.mark.parametrize("terms", [254, 255, 256])
+def test_gf4_product_at_the_slot_bound(terms):
+    # a slot of the integer product counts up to min(len a, len b) ones:
+    # 255 fit in a byte, 256 must take the table loop.  With every digit
+    # 1 or 3 the plane products count the most ones.
+    rng = random.Random(terms)
+    odd = tuple(rng.choice((1, 3)) for _ in range(terms + 40))
+    for a, b in (((1,) * terms, (1,) * terms), ((3,) * terms, (3,) * (terms + 7)),
+                 (odd[:terms], odd[::-1]), (odd, odd[:terms])):
+        plain = pr._poly_mul_table(GF4, a, b)
+        assert pr.poly_mul(GF4, a, b) == plain
+        for n in (terms - 1, terms, 2 * terms):
+            assert pr.ring_mul(GF4, n, a, b) == pr.ring_from_plain(GF4, n, plain)
+
+
 def test_cyclic_shift():
     v = (1, 2, 3, 0, 0)
     assert pr.cyclic_shift(v, 1) == (0, 1, 2, 3, 0)
