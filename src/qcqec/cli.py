@@ -375,26 +375,23 @@ def cmd_table(args) -> int:
         k = (row.code or row.eaqecc)[1]
         entry = {"n": row.n, "k": k, "note": row.note or None}
         ev = row.evaluation(budget=_budget(args.budget), workers=args.threads)
-        if ev.skipped:
-            entry["status"] = "skipped (long-run)"
-            entry["estimate"] = ev.estimate
+        try:
+            ev.h  # g | x^n - 1 first: a g that cannot be built is an error at every budget
+            result = None if ev.skipped else _check_table_row(row, ev)
+        except PreconditionError as exc:
+            entry.update(status="error: %s" % exc.code, detail=str(exc))
         else:
-            try:
-                result = _check_table_row(row, ev)
-            except PreconditionError as exc:
-                entry["status"] = "error: %s" % exc.code
-                entry["detail"] = str(exc)
-                bad = True
+            if result is None:
+                entry.update(status="skipped (long-run)", estimate=ev.estimate)
             else:
-                entry.update(result)
-                entry["status"] = "ok" if result["ok"] else "mismatch"
-                bad = not result["ok"]
-            # a documented data defect is expected behaviour, not a failure
-            if bad and row.note:
-                entry["status"] += " (recorded discrepancy)"
-                recorded += 1
-            elif bad:
-                failures += 1
+                entry.update(result, status="ok" if result["ok"] else "mismatch")
+        bad = entry["status"].startswith(("error", "mismatch"))
+        # a documented data defect is expected behaviour, not a failure
+        if bad and row.note:
+            entry["status"] += " (recorded discrepancy)"
+            recorded += 1
+        elif bad:
+            failures += 1
         rows_out.append(entry)
 
     doc = {"schema": SCHEMA, "table": args.id, "family": family,

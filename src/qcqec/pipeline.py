@@ -59,6 +59,12 @@ class Evaluation:
         return self.field.Q ** self.dimension > self.budget
 
     @cached_property
+    def h(self) -> tuple:
+        """(x^n - 1)/g by one division, raising g-not-divisor.  Read before the
+        budget gate, a g that cannot be built is that error at every budget."""
+        return polyring.quotient_exact_checked(self.field, self.n, self.g)
+
+    @cached_property
     def code(self) -> qcc.QcCode:
         return qcc.build(self.field, self.n, self.f, self.g)
 

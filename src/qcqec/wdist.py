@@ -8,19 +8,21 @@ span(rows[i+1:]), whose first nonzero message digit is 1, counted Q-1 times.
 
 Words are bit-sliced, 64 symbols to a uint64 word per bit plane: one plane
 per GF(2) coordinate, added by XOR, or two per GF(3) coordinate ("= 2" and
-"= 1"), added by the formula of Boothby and Bradshaw (arXiv:0901.1413).  A
-weight is the popcount of the OR of the planes.  Histograms are numpy int64
-per work unit and exact Python ints once scaled and summed.
+"= 1"), added by the formula of Boothby and Bradshaw (arXiv:0901.1413).
+A scan step takes one key, the planes of -b, and weighs the T table words
+t + b as their distances from the key, allocating nothing: each plane is
+XORed with the key's into one reused (W, T) buffer and ORed into a reused
+accumulator, whose popcounts go into a reused uint8 buffer; for W > 1 the
+words are summed in place in the narrowest dtype that holds n (uint8 up to
+255, uint16 above); one bincount makes the step's histogram.  Histograms are numpy int64 per
+work unit and exact Python ints once scaled and summed.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from qcqec.gf import Field, field_make
 # GF(81), each a desk-scale run, and leaves out the next one up
 DEFAULT_BUDGET = 2 ** 29
 _BLOCK_BYTES = 1 << 20  # block table size cap
-_KRAWTCHOUK_CACHE_N = 32  # longest code whose MacWilliams columns are cached
 
 
 @dataclass(frozen=True)
@@ -101,13 +102,18 @@ class BitPlanes:
         words = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
         return np.ascontiguousarray(words.transpose(0, 2, 1))
 
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def add(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """a + b, written into out when given (out must not overlap a or b)."""
         if self.field.p == 2:
-            return a ^ b
+            return np.bitwise_xor(a, b, out=out)
+        if out is None:
+            out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
         m = self.field.m
         ah, al, bh, bl = a[:m], a[m:], b[:m], b[m:]
         t = (al | bh) ^ (ah | bl)
-        return np.concatenate([(al | bl) ^ t, (ah | bh) ^ t])
+        np.bitwise_xor(al | bl, t, out=out[:m])
+        np.bitwise_xor(ah | bh, t, out=out[m:])
+        return out
 
     def neg(self, a: np.ndarray) -> np.ndarray:
         if self.field.p == 2:
@@ -115,21 +121,41 @@ class BitPlanes:
         m = self.field.m
         return np.concatenate([a[m:], a[:m]])
 
-    def weights(self, a: np.ndarray) -> np.ndarray:
-        """Hamming weight of each vector of a (P, W, R) batch."""
-        ones = np.bitwise_count(np.bitwise_or.reduce(a, axis=0))
-        return ones[0] if self.W == 1 else ones.sum(axis=0, dtype=np.intp)
+    def weight_buffers(self, R: int) -> tuple:
+        """Buffers for `weights` on R vectors, as the module docstring says."""
+        return (np.empty((self.W, R), np.uint64), np.empty((self.W, R), np.uint64),
+                np.empty((self.W, R), np.uint8), np.empty(R, np.min_scalar_type(self.n)))
+
+    def weights(self, a: np.ndarray, key: np.ndarray | None = None, bufs=None) -> np.ndarray:
+        """Symbols in which each vector of a (P, W, R) batch differs from key
+        ((P, W, 1) planes; zero by default).  With bufs from weight_buffers(R)
+        nothing is allocated, and the result is a view into them."""
+        x, acc, ones, total = self.weight_buffers(a.shape[2]) if bufs is None else bufs
+        for p in range(self.P):
+            np.bitwise_xor(a[p], 0 if key is None else key[p], out=x if p else acc)
+            if p:
+                np.bitwise_or(acc, x, out=acc)
+        np.bitwise_count(acc, out=ones)
+        return ones[0] if self.W == 1 else np.add.reduce(ones, axis=0, dtype=total.dtype, out=total)
 
     def multiples(self, row) -> np.ndarray:
         """Planes of s . row for every digit s, shape (P, W, Q)."""
         return self.encode(self._mul[:, list(row)])
 
-    def span(self, rows) -> np.ndarray:
-        """All Q^r codewords spanned by r digit rows, shape (P, W, Q^r)."""
-        table = np.zeros((self.P, self.W, 1), dtype=np.uint64)
-        for row in rows:
-            table = self.add(table[:, :, None, :], self.multiples(row)[:, :, :, None])
-            table = table.reshape(self.P, self.W, -1)
+    def span(self, rows, start: np.ndarray | None = None) -> np.ndarray:
+        """The Q^r words start + m . rows (start: (P, W, 1) planes, or zero),
+        m in base-Q order, shape (P, W, Q^r), in one allocation: row j makes
+        block s of the first Q^(j+1) words block 0 + s . row, all blocks in one
+        XOR over GF(2^m), one by one over GF(3^m) to keep the temporaries small."""
+        Q, mults = self.field.Q, [self.multiples(row) for row in rows]
+        table = np.empty((self.P, self.W, Q ** len(rows)), dtype=np.uint64)
+        table[:, :, :1] = 0 if start is None else start
+        step = Q - 1 if self.field.p == 2 else 1
+        for j, mult in enumerate(mults):
+            blocks = table.reshape(self.P, self.W, -1, Q, Q ** j)[:, :, 0]  # a view
+            for s in range(1, Q, step):
+                self.add(blocks[:, :, :1], mult[:, :, s : s + step, None],
+                         out=blocks[:, :, s : s + step])
         return table
 
 
@@ -171,19 +197,20 @@ def _scan(job) -> list[int]:
     bp = BitPlanes(field_make(q), len(rows[0]))
     outer = len(rows) - inner
     table = bp.span(rows[outer:])
-    work = np.empty_like(table)
+    bufs = bp.weight_buffers(table.shape[2])
     counts = [0] * (bp.n + 1)
     for head, mult in units:
-        offset = bp.span(())
+        offset = np.zeros((bp.P, bp.W, 1), dtype=np.uint64)
         for s, row in zip(head, rows):
-            offset = bp.add(offset, bp.multiples(row)[:, :, s : s + 1])
-        # weight(t + b) = weight(t - (-b)): a symbol of t + b is zero exactly
-        # where its planes equal those of -b, so XOR with -b shows the support
-        keys = bp.neg(bp.add(bp.span(rows[len(head) : outer]), offset))
+            if s:
+                offset = bp.add(offset, bp.encode(bp._mul[s, list(row)]))
+        # weight(t + b) is the distance of t from -b, and the keys -b run over
+        # -offset + span(the free outer rows), a span being closed under -1
+        keys = bp.span(rows[len(head) : outer], start=bp.neg(offset))
         hist = np.zeros(bp.n + 1, dtype=np.int64)
         for i in range(keys.shape[2]):
-            np.bitwise_xor(table, keys[:, :, i : i + 1], out=work)
-            hist += np.bincount(bp.weights(work), minlength=bp.n + 1)
+            hist += np.bincount(bp.weights(table, keys[:, :, i : i + 1], bufs),
+                                minlength=bp.n + 1)
         for w, c in enumerate(hist.tolist()):
             counts[w] += mult * c
     return counts
@@ -244,43 +271,7 @@ def enumerate_code(
     return enum
 
 
-def enumerate_code_naive(g: famat.Mat) -> WeightEnumerator:
-    """Reference enumeration by plain message products; exponential and slow,
-    kept as the oracle the fast path is checked against."""
-    field = g.field
-    k, n = g.nrows, g.ncols
-    counts = [0] * (n + 1)
-    for msg in itertools.product(field.digits, repeat=k):
-        cw = [0] * n
-        for c, row in zip(msg, g.rows):
-            if c:
-                cw = [field.add(x, field.mul(c, y)) for x, y in zip(cw, row)]
-        counts[sum(1 for x in cw if x)] += 1
-    return WeightEnumerator(n, k, tuple(counts))
-
-
 # --- MacWilliams ----------------------------------------------------------------
-
-
-def krawtchouk_columns(Q: int, n: int):
-    """Yield for i = 0..n the column K_0(i)..K_n(i), the coefficients of
-    (1 + (Q-1)y)^(n-i) (1 - y)^i; column i+1 is column i times
-    (1 - y) / (1 + (Q-1)y), a division that is exact."""
-    col = [comb(n, j) * (Q - 1) ** j for j in range(n + 1)]
-    yield col
-    for _ in range(n):
-        nxt = [col[0]]
-        for j in range(1, n + 1):
-            nxt.append(col[j] - col[j - 1] - (Q - 1) * nxt[j - 1])
-        col = nxt
-        yield col
-
-
-@lru_cache(maxsize=2)
-def _krawtchouk_table(Q: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """All columns of krawtchouk_columns(Q, n), for the last two (Q, n):
-    a search transforms codes of one or two short lengths over and over."""
-    return tuple(map(tuple, krawtchouk_columns(Q, n)))
 
 
 def macwilliams(enum: WeightEnumerator, Q: int) -> WeightEnumerator:
@@ -288,24 +279,30 @@ def macwilliams(enum: WeightEnumerator, Q: int) -> WeightEnumerator:
 
     Every B_j must come out a nonnegative integer and B_0 = 1, which is a
     strong end-to-end checksum on the enumeration; failures raise rather
-    than round.
+    than round.  Q^k B_j is the coefficient of y^j in sum_i A_i u^(n-i) v^i,
+    u = 1 + (Q-1)y, v = 1 - y, which Horner's rule evaluates at y = 2^S in
+    one integer by shifts and adds.  |Q^k B_j| <= Q^n sum_i |A_i| < 2^(S-1),
+    and a bias 2^(S-1) in each S-bit slot keeps a negative sum negative.
     """
     n, k = enum.n, enum.k
     scale = Q ** k
-    sums = [0] * (n + 1)
-    # longer codes' columns are streamed, not kept: a table run transforms
-    # each length once or twice, and a kept table adds to the peak memory
-    # (41 KB at n = 32 over GF(4), 0.15 MB at n = 59, 0.8 MB at n = 127)
-    cols = _krawtchouk_table(Q, n) if n <= _KRAWTCHOUK_CACHE_N else krawtchouk_columns(Q, n)
-    for col, a in zip(cols, enum.counts):
-        if a:
-            sums = [acc + a * c for acc, c in zip(sums, col)]
+    size = ((Q ** n * sum(map(abs, enum.counts))).bit_length() + 9) // 8  # bytes a slot
+    S = 8 * size
+    acc, vpow = 0, 1
+    for a in enum.counts:  # acc = acc . u + A_i v^i, vpow = v^i
+        acc += (Q - 1) * acc << S
+        acc += a * vpow
+        vpow -= vpow << S
+    slot_bias = bytes(size - 1) + b"\x80"  # 2^(S-1)
+    acc += int.from_bytes(slot_bias * (n + 1), "little")
+    slots = acc.to_bytes(size * (n + 1), "little")
     out = []
-    for j, acc in enumerate(sums):
-        b, r = divmod(acc, scale)
+    for j in range(n + 1):
+        c = int.from_bytes(slots[j * size : (j + 1) * size], "little") - (1 << (S - 1))
+        b, r = divmod(c, scale)
         if r or b < 0:
             raise AssertionError(
-                f"MacWilliams checksum failed at weight {j}: {acc}/{scale}"
+                f"MacWilliams checksum failed at weight {j}: {c}/{scale}"
             )
         out.append(b)
     dual = WeightEnumerator(n, n - k, tuple(out))

@@ -1,6 +1,8 @@
 """Test-only helpers: the matrix arithmetic that only tests use (products,
 sums, daggers, stacking, inverses), and the matrix routes that the library
-replaced by computations in the ring GF(q^2)[x]/(x^n - 1).
+replaced by computations in the ring GF(q^2)[x]/(x^n - 1); and the
+enumeration by message products and the Krawtchouk columns, which the
+bit-sliced scan and MacWilliams by Horner's rule are checked against.
 
 The tests hold `qcc` and `quantum` against these: every matrix below is
 built from f, g and the extension vectors directly, never read off a
@@ -8,7 +10,10 @@ built from f, g and the extension vectors directly, never read off a
 pytest puts tests/ on sys.path, so test modules import this as `oracles`.
 """
 
-from qcqec import famat, polyring, qcc, quantum
+import itertools
+from math import comb
+
+from qcqec import famat, polyring, qcc, quantum, wdist
 from qcqec.errors import PreconditionError
 
 
@@ -125,6 +130,44 @@ def quotient_exact(field, a, b) -> tuple:
     if r:
         raise PreconditionError("not-a-divisor", "inexact polynomial division")
     return q
+
+
+def enumerate_code_naive(g: famat.Mat) -> wdist.WeightEnumerator:
+    """Reference enumeration by plain message products; exponential and slow,
+    the oracle the bit-sliced scan of `wdist` is checked against."""
+    field = g.field
+    k, n = g.nrows, g.ncols
+    counts = [0] * (n + 1)
+    for msg in itertools.product(field.digits, repeat=k):
+        cw = [0] * n
+        for c, row in zip(msg, g.rows):
+            if c:
+                cw = [field.add(x, field.mul(c, y)) for x, y in zip(cw, row)]
+        counts[sum(1 for x in cw if x)] += 1
+    return wdist.WeightEnumerator(n, k, tuple(counts))
+
+
+def krawtchouk_columns(Q: int, n: int):
+    """Yield for i = 0..n the column K_0(i)..K_n(i), the coefficients of
+    (1 + (Q-1)y)^(n-i) (1 - y)^i; column i+1 is column i times
+    (1 - y) / (1 + (Q-1)y), a division that is exact."""
+    col = [comb(n, j) * (Q - 1) ** j for j in range(n + 1)]
+    yield col
+    for _ in range(n):
+        nxt = [col[0]]
+        for j in range(1, n + 1):
+            nxt.append(col[j] - col[j - 1] - (Q - 1) * nxt[j - 1])
+        col = nxt
+        yield col
+
+
+def krawtchouk_sums(counts, Q: int) -> list:
+    """sum_i A_i K_j(i) for every j, the MacWilliams sums before division
+    by Q^k, column by column."""
+    sums = [0] * len(counts)
+    for col, a in zip(krawtchouk_columns(Q, len(counts) - 1), counts):
+        sums = [acc + a * c for acc, c in zip(sums, col)]
+    return sums
 
 
 def double_shift(vec) -> tuple:

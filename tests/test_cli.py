@@ -267,6 +267,35 @@ def test_table_small_budget_skips_rows(capsys, tmp_path):
         None, "4^9 messages x 38 symbols", "4^10 messages x 62 symbols"]
 
 
+N65 = next(r for r in refdata.TABLES["stabilizer-gf9"] if r.n == 65)
+
+
+@pytest.mark.parametrize("budget", [None, str(9 ** 14)])
+def test_table_row_whose_g_does_not_divide_is_an_error_at_every_budget(
+        capsys, monkeypatch, tmp_path, budget):
+    # the n = 65 row's g does not divide x^65 - 1, so it cannot be built:
+    # an error, not a row skipped for its 9^13 messages
+    monkeypatch.setitem(refdata.TABLES, "stabilizer-gf9", (N65,))
+    report_path = tmp_path / "t3.json"
+    argv = ["table", "--id", "3", "--json", str(report_path)]
+    rc, out, _ = run(capsys, *argv, *(["--budget", budget] if budget else []))
+    assert rc == 0
+    assert "n=65  k=12  error: g-not-divisor (recorded discrepancy)" in out
+    doc = json.loads(report_path.read_text())
+    assert doc["rows"][0]["status"] == "error: g-not-divisor (recorded discrepancy)"
+    assert "estimate" not in doc["rows"][0]
+    assert (doc["failures"], doc["recorded_discrepancies"]) == (0, 1)
+
+
+@pytest.mark.parametrize("budget", [None, str(9 ** 14)])
+def test_verify_g_that_does_not_divide_at_every_budget(capsys, tmp_path, budget):
+    spec = write_spec(tmp_path, "n65.json", {"q": 3, "n": 65, "f": N65.f, "g": N65.g,
+                                             "x1": N65.x1, "mode": "extend-one"})
+    rc, _, err = run(capsys, "verify", spec, *(["--budget", budget] if budget else []))
+    assert rc == 4
+    assert json.loads(err)["error"]["code"] == "g-not-divisor"
+
+
 def test_table_bad_id(capsys):
     rc, _, err = run(capsys, "table", "--id", "7")
     assert rc == 2
@@ -517,7 +546,7 @@ GOLDEN_REPORTS = (
     (("table", "--id", "1"),
      "f31c6bbeec8b1aaece42fa3ca009b23dd78cda9d73f3d20e6ab4ef57ad415522"),
     (("table", "--id", "3"),
-     "4665b355fec0661f672d99877aa4a4d6c17da86a32300df5d95052f3b450823f"),
+     "4909e4fb2843397a8fc26c359c9291907cc1861ba2c4ca3562612c71257e8a92"),
     (("table", "--id", "5"),
      "1497a010aec63cfe2c5475658d9542dd375a89b2a03085ddb38709c60e6b749a"),
     (("table", "--id", "6"),

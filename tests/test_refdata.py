@@ -9,7 +9,8 @@ checked elsewhere (desk-scale rows in the acceptance suite).
 import pytest
 
 import oracles
-from qcqec import famat, polyring, qcc, refdata
+from qcqec import famat, polyring, qcc, refdata, wdist
+from qcqec.errors import PreconditionError
 from qcqec.gf import field_make
 
 ALL_ROWS = [row for rows in refdata.TABLES.values() for row in rows]
@@ -92,6 +93,14 @@ def test_assisted_row_certificate(row):
         assert row.note and (k, c) != (want_k, want_c)
     else:
         assert (k, c) == (want_k, want_c)
+
+
+@pytest.mark.parametrize("budget", [wdist.DEFAULT_BUDGET, 9 ** 14])
+def test_bad_divisor_rows_raise_before_the_budget_gate(budget):
+    for row in ALL_ROWS:
+        if (row.family, row.n) in BAD_DIVISOR:
+            with pytest.raises(PreconditionError, match="g-not-divisor"):
+                row.evaluation(budget=budget).h
 
 
 def test_long_run_flags():

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +67,7 @@ def test_scaled_packed_row():
 
 
 @pytest.mark.parametrize("field", [GF4, GF9, GF81])
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129, 255, 256, 257])
 def test_plane_weight_is_symbol_weight(field, n):
     rng = random.Random(n * field.Q)
     bp = wdist.BitPlanes(field, n)
@@ -78,6 +79,8 @@ def test_plane_weight_is_symbol_weight(field, n):
     assert weights.tolist() == want
     # np.bincount casts its input to intp under the 'safe' rule
     assert np.can_cast(weights.dtype, np.intp)
+    # the narrowest unsigned dtype that holds n
+    assert weights.dtype == (np.uint8 if n <= 255 else np.uint16)
 
 
 @pytest.mark.parametrize("field", [GF4, GF9, GF81])
@@ -93,6 +96,23 @@ def test_plane_span_is_the_row_space(field):
     assert got.shape == (bp.P, bp.W, field.Q ** 2)
     assert sorted(map(tuple, got.reshape(-1, field.Q ** 2).T.tolist())) == sorted(
         map(tuple, bp.encode(words).reshape(-1, field.Q ** 2).T.tolist()))
+
+
+@pytest.mark.parametrize("field,r,n", [(GF4, 8, 100), (GF9, 5, 83), (GF81, 2, 100)])
+def test_span_peak_is_about_the_table(field, r, n):
+    # the table is allocated once and filled block by block: a scan holds
+    # little more than its block table while building it
+    rng = random.Random(n + field.Q)
+    rows = [[rng.randrange(field.Q) for _ in range(n)] for _ in range(r)]
+    bp = wdist.BitPlanes(field, n)
+    tracemalloc.start()
+    try:
+        table = bp.span(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes >= 1 << 18
+    assert peak <= 1.5 * table.nbytes, peak / table.nbytes
 
 
 # --- enumeration ----------------------------------------------------------------
@@ -120,7 +140,7 @@ def test_enumerate_matches_naive_oracle(field, kmax, trials):
         n = rng.randrange(k, k + 9)
         g = rand_full_rank(rng, field, k, n)
         fast = wdist.enumerate_code(g)
-        slow = wdist.enumerate_code_naive(g)
+        slow = oracles.enumerate_code_naive(g)
         assert fast == slow
 
 
@@ -134,12 +154,13 @@ def test_enumerate_crosses_block_boundary():
     assert dual.counts[0] == 1  # checksum exercised
 
 
-@pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+# 255, 256, 257: the weight sum of a scan step is uint8 up to 255, uint16 above
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129, 255, 256, 257])
 @pytest.mark.parametrize("field,k", [(GF4, 4), (GF9, 3), (GF81, 2)])
 def test_enumerate_matches_naive_oracle_at_word_edges(field, k, n):
     rng = random.Random(n + field.Q)
     g = rand_full_rank(rng, field, k, n)
-    assert wdist.enumerate_code(g) == wdist.enumerate_code_naive(g)
+    assert wdist.enumerate_code(g) == oracles.enumerate_code_naive(g)
 
 
 @pytest.mark.parametrize("field,k,n", [(GF9, 6, 12), (GF81, 4, 8)])
@@ -161,7 +182,21 @@ def test_one_row_block_table_matches_naive_oracle(field, k, monkeypatch):
     monkeypatch.setattr(wdist, "_BLOCK_BYTES", 0)
     rng = random.Random(3 * field.Q)
     g = rand_full_rank(rng, field, k, k + 4)
-    assert wdist.enumerate_code(g) == wdist.enumerate_code_naive(g)
+    assert wdist.enumerate_code(g) == oracles.enumerate_code_naive(g)
+
+
+def test_one_row_block_table_at_n_256(monkeypatch):
+    monkeypatch.setattr(wdist, "_BLOCK_BYTES", 0)
+    g = rand_full_rank(random.Random(256), GF9, 3, 256)
+    assert wdist.enumerate_code(g) == oracles.enumerate_code_naive(g)
+
+
+def test_enumerate_workers_agree_at_n_256(monkeypatch):
+    monkeypatch.setattr(wdist, "_usable_cpus", lambda: 3)
+    g = rand_full_rank(random.Random(257), GF4, 6, 256)
+    one = wdist.enumerate_code(g, workers=1)
+    assert wdist.enumerate_code(g, workers=3) == one
+    assert one.total() == 4 ** 6
 
 
 def test_enumerate_budget():
@@ -288,19 +323,36 @@ def oracle_krawtchouk_row(Q, n, i):
 
 @pytest.mark.parametrize("Q,n", [(4, 8), (9, 6), (81, 4)])
 def test_krawtchouk_generating_function(Q, n):
-    cols = list(wdist.krawtchouk_columns(Q, n))
+    cols = list(oracles.krawtchouk_columns(Q, n))
     assert cols == [oracle_krawtchouk_row(Q, n, i) for i in range(n + 1)]
 
 
 def test_krawtchouk_frozen_value():
-    assert list(wdist.krawtchouk_columns(4, 2))[1][1] == 2
+    assert list(oracles.krawtchouk_columns(4, 2))[1][1] == 2
 
 
-def test_krawtchouk_table_is_the_columns():
-    # macwilliams reads the columns from a cache per (Q, n)
-    for Q, n in ((4, 30), (4, 31), (4, 30), (9, 12)):
-        assert wdist._krawtchouk_table(Q, n) == tuple(map(tuple, wdist.krawtchouk_columns(Q, n)))
-    assert wdist._krawtchouk_table.cache_info().hits
+@pytest.mark.parametrize("field,k,n", [
+    (GF4, 7, 30), (GF4, 8, 31), (GF4, 4, 127), (GF9, 3, 41), (GF81, 2, 22),
+])
+def test_macwilliams_matches_krawtchouk_sums(field, k, n):
+    # the packed Horner evaluation against the column-by-column sums, on
+    # real codes and at the lengths a search and a table run transform
+    g = rand_full_rank(random.Random(n * field.Q), field, k, n)
+    enum = wdist.enumerate_code(g)
+    want = [c // field.Q ** k for c in oracles.krawtchouk_sums(enum.counts, field.Q)]
+    assert list(wdist.macwilliams(enum, field.Q).counts) == want
+
+
+@pytest.mark.parametrize("counts, weight", [
+    ((1, 0, 1, 14), 1),   # sums divisible by 4^2, but B_1 = -2
+    ((1, 0, 13, 2), 2),   # B_2 = -2
+    ((1, 1, 1, 13), 1),   # B_1 is not an integer
+])
+def test_macwilliams_rejects_distributions_without_a_code(counts, weight):
+    # [3, 2]_4 distributions with the right total that no code has
+    enum = wdist.WeightEnumerator(3, 2, counts)
+    with pytest.raises(AssertionError, match=f"checksum failed at weight {weight}:"):
+        wdist.macwilliams(enum, 4)
 
 
 @pytest.mark.parametrize("field", [GF4, GF9])
