@@ -28,7 +28,7 @@ from .gf import Field, field_make
 
 SEARCH_MODES = ("qecc", "eaqecc")
 
-# enumerate_self_orthogonal_g gives up past this many divisor products
+# the divisor walk (`_divisor_products`) gives up past this many products
 DIVISOR_CAP = 2 ** 20
 
 
@@ -127,15 +127,15 @@ def record_from_doc(doc: dict) -> CodeRecord:
     return rec
 
 
-def _divisor_products(field: Field, n: int, cap: int, min_deg: int) -> list:
+def _divisor_products(field: Field, n: int, min_deg: int) -> list:
     """Monic divisors of x^n - 1 of degree >= min_deg, by subset products.
 
     Depth-first over the irreducible factors, pruning branches whose
     remaining factors cannot lift the degree to min_deg.
     """
     factors = polyring.factor_xn_minus_1(field, n)
-    if 2 ** len(factors) > cap:
-        raise BudgetExceeded(2 ** len(factors), cap, what="divisor-enumeration")
+    if 2 ** len(factors) > DIVISOR_CAP:
+        raise BudgetExceeded(2 ** len(factors), DIVISOR_CAP, what="divisor-enumeration")
     degs = [polyring.deg(fac) for fac in factors]
     suffix = [0] * (len(factors) + 1)
     for i in range(len(factors) - 1, -1, -1):
@@ -156,14 +156,14 @@ def _divisor_products(field: Field, n: int, cap: int, min_deg: int) -> list:
     return out
 
 
-def enumerate_self_orthogonal_g(field: Field, n: int, cap: int = DIVISOR_CAP) -> list:
+def enumerate_self_orthogonal_g(field: Field, n: int) -> list:
     """All monic divisors g of x^n - 1 with dual_gen(g) | g, sorted by degree.
 
     A qualifying g never has degree below n/2, since its conjugate-
     reciprocal complement of degree n - deg(g) must divide it; the walk
     prunes on that bound.
     """
-    return [g for g in _divisor_products(field, n, cap, (n + 1) // 2)
+    return [g for g in _divisor_products(field, n, (n + 1) // 2)
             if polyring.divides(field, polyring.dual_gen(field, n, g), g)]
 
 
@@ -351,7 +351,7 @@ def search(config: SearchConfig, best: dict | None = None):
     else:
         # entanglement-assisted codes need no self-orthogonality, only the
         # check-rank certificate, so every proper divisor is a candidate
-        gs = _divisor_products(field, config.n, DIVISOR_CAP, 1)
+        gs = _divisor_products(field, config.n, 1)
     gs = [g for g in gs if 0 < polyring.deg(g) < config.n]  # deg n: zero code
     if best is None:
         best = {}

@@ -1,16 +1,16 @@
-"""Dense exact linear algebra over the GF(q^2) digit fields.
+"""Digit matrices over the GF(q^2) digit fields.
 
 Matrices are lists of digit rows wrapped in a thin Mat class, at most a few
-hundred rows in size.  The arithmetic is pure Python over the field's
-lookup tables and works on whole rows: elimination updates a row with one
-list comprehension over a bound row of the multiplication table.  The
-constructor copies the rows it is given.
+hundred rows in size.  The constructor copies the rows it is given.
 
 The per-code tests run in the polynomial ring (see `qcc`), so matrices
 are only built for what reads them: the generator matrices that are
-enumerated (and the rank that checks them), and the P matrix and its
-characteristic polynomial of a report.  The matrix routes the ring forms
-replaced live with the tests, in tests/oracles.py.
+enumerated, the circulant dual bases an extension scan walks, and the P
+matrix whose characteristic polynomial a report prints.  The one piece of
+matrix arithmetic left is that polynomial, by a Hessenberg reduction that
+updates a row with one list comprehension over a bound row of the
+multiplication table.  Elimination, and the matrix routes the ring forms
+replaced, live with the tests, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -51,12 +51,6 @@ class Mat:
         return tuple(self.rows[i])
 
 
-def hstack(a: Mat, b: Mat) -> Mat:
-    if a.nrows != b.nrows:
-        raise ValueError("row count mismatch")
-    return Mat(a.field, [ra + rb for ra, rb in zip(a.rows, b.rows)], a.ncols + b.ncols)
-
-
 def circulant(field, vec, nrows: int) -> Mat:
     """nrows x len(vec) matrix whose i-th row is x^i * a(x): ascending
     coefficients of a, cyclically shifted right i places."""
@@ -70,50 +64,6 @@ def mat_from_poly(field, n: int, coeffs, nrows: int) -> Mat:
     if len(coeffs) > n:
         raise ValueError("polynomial does not fit in the ring")
     return circulant(field, tuple(coeffs) + (0,) * (n - len(coeffs)), nrows)
-
-
-# --- elimination ------------------------------------------------------------
-
-
-def _forward_eliminate(field, rows, ncols):
-    """In-place reduced row echelon form; returns the list of pivot columns.
-
-    Rows from the current pivot row down are zero left of the pivot
-    column, so only the columns from there on are updated.
-    """
-    add, mul, neg, inv = field.add_table, field.mul_table, field.neg_table, field.inv
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        iv = inv(rows[r][c])
-        if iv != 1:
-            m = mul[iv]
-            rows[r] = [m[x] for x in rows[r]]
-        tail = rows[r][c:]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                m = mul[neg[row[c]]]
-                row[c:] = [add[x][m[y]] for x, y in zip(row[c:], tail)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def rank(m: Mat) -> int:
-    if m.nrows == 0:
-        return 0
-    rows = [list(r) for r in m.rows]
-    return len(_forward_eliminate(m.field, rows, m.ncols))
 
 
 # --- characteristic polynomial ----------------------------------------------

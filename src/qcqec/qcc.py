@@ -1,8 +1,10 @@
 """One-generator quasi-cyclic codes of index 2 and their column extensions.
 
-A code instance has length 2n over GF(q^2).  Generator row i is the pair
-(x^i g, x^i f g) reduced mod x^n - 1, so the left block is a circulant slice
-of g and the right block a circulant slice of f*g.  The parity-check matrix
+A code instance has length 2n over GF(q^2).  Generator row i < k is the
+pair (x^i g, x^i f g) reduced mod x^n - 1, so the left block is a circulant
+slice of g and the right block a circulant slice of f*g.  The rows are
+independent by construction: g divides x^n - 1, so g(0) != 0 and the lowest
+nonzero entry of x^i g sits in column i.  The parity-check matrix
 stacks a circulant of the conjugate-reciprocal complement of g on top of
 (circulant of -conj_rev(f) | I_n).
 
@@ -23,7 +25,7 @@ product <x^i a, x^j b> is the coefficient of x^(j-i) in a b̄.  So:
   n - deg gcd(T, x^n - 1).
 * The block identity G H^dag = 0 reads g conj_rev(dual_g) = 0 on the left
   and g conj_rev(h2) + f g = 0 on the right, where h2 = -f̄ is H2's first
-  row.
+  row; conj_rev is an involution, so conj_rev(h2) = -f.
 * H1 is made of the circulant rows of d = dual_g, so H1 H1^dag is
   nonsingular iff the cyclic code <d> meets its Hermitian dual only in
   zero.  By the Hermitian form of the condition of Yang and Massey (1994),
@@ -38,9 +40,9 @@ product <x^i a, x^j b> is the coefficient of x^(j-i) in a b̄.  So:
   (x (f g)‾ = 0), and the Gram matrix of an extension is block diagonal:
   G G^dag, then <x_i, x_i> + alpha_i^(q+1) for each added column.
 
-The matrices themselves (G1, G2 and G of a code, G of an extension, P and
-its characteristic polynomial) are built when first read, and every later
-read returns the same object.
+The matrices themselves (G of a code, built in one pass from its rows, G
+of an extension, and the characteristic polynomial of P) are built when
+first read, and every later read returns the same object.
 
 What depends on g alone (k, the conjugate-reciprocal dual generator, g ḡ,
 the divisibility test and whether H1 H1^dag is nonsingular) is kept for
@@ -100,16 +102,11 @@ class QcCode:
         return self.n - polyring.deg(polyring.poly_gcd(self.field, self.gram_poly, xn1))
 
     @cached_property
-    def G1(self) -> famat.Mat:
-        return famat.mat_from_poly(self.field, self.n, self.g, self.k)
-
-    @cached_property
-    def G2(self) -> famat.Mat:
-        return famat.circulant(self.field, self.fg, self.k)
-
-    @cached_property
     def G(self) -> famat.Mat:
-        return famat.hstack(self.G1, self.G2)
+        """The k rows x^i (g | f g), in one pass."""
+        g = self.g + (0,) * (self.n - len(self.g))
+        rows = [polyring.cyclic_shift(g, i) + polyring.cyclic_shift(self.fg, i) for i in range(self.k)]
+        return famat.Mat(self.field, rows, 2 * self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +168,7 @@ def _generator_blocks(field: Field, n: int, g: tuple) -> _GeneratorBlocks:
     if not polyring.divides(field, g, polyring.x_pow_n_minus_1(field, n)):
         raise PreconditionError("g-not-divisor", f"g does not divide x^{n}-1")
     dual_g = polyring.dual_gen(field, n, g)
-    # left half of the block identity G H^dag = (G1 H1^dag | G1 H2^dag + G2)
+    # left half of the block identity G H^dag = 0
     if any(polyring.ring_mul(field, n, g, polyring.conj_rev(field, n, dual_g))):
         raise AssertionError("parity check violated on left block")
     g_g_bar = polyring.ring_mul(field, n, g, polyring.conj_rev(field, n, g))
@@ -188,18 +185,19 @@ def build(field: Field, n: int, f, g) -> QcCode:
     built when first read.
 
     g must divide x^n - 1.  f is reduced mod x^n - 1 and may be zero (the
-    right block degenerates; flagged via f_coprime=False).
+    right block degenerates; flagged via f_coprime=False).  Digits are
+    not checked here but where they come in: a spec's parser and the
+    search's draws.
     """
-    f = tuple(field.check_digit(d) for d in f)
-    g = polyring.trim(tuple(field.check_digit(d) for d in g))
+    g = polyring.trim(g)
     blocks = _generator_blocks(field, n, g)
     f = polyring.ring_from_plain(field, n, f)
     fg = polyring.ring_mul(field, n, f, g)
-    f_bar = polyring.conj_rev(field, n, f)
-    # right half of the block identity; H2's first row is -f̄
-    h2_bar = polyring.conj_rev(field, n, polyring.poly_neg(field, f_bar))
-    if polyring.poly_add(field, polyring.ring_mul(field, n, g, h2_bar), fg):
+    # right half of the block identity; H2's first row is -f̄, whose
+    # conj_rev is -f
+    if polyring.poly_add(field, polyring.ring_mul(field, n, g, polyring.poly_neg(field, f)), fg):
         raise AssertionError("parity check violated on right block")
+    f_bar = polyring.conj_rev(field, n, f)
     f_f_bar = polyring.ring_mul(field, n, f, f_bar)
     gram_poly = polyring.ring_mul(field, n, blocks.g_g_bar, polyring.poly_add(field, (field.one,), f_f_bar))
     code = QcCode(
@@ -223,7 +221,8 @@ def build(field: Field, n: int, f, g) -> QcCode:
 
 
 def block_code_generator(code: QcCode, side: int) -> tuple:
-    """Generator polynomial of the cyclic code spanned by G1 (side 1) or G2."""
+    """Generator polynomial of the cyclic code spanned by the left (side 1)
+    or right (side 2) block of G."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     gen = code.g if side == 1 else code.fg
@@ -238,7 +237,7 @@ def block_dual_basis(code: QcCode, side: int) -> famat.Mat:
     return famat.mat_from_poly(code.field, code.n, dual, polyring.deg(cyc))
 
 
-def find_extension_vector(code: QcCode, side: int, alpha: int | None = None, scan_cap: int | None = None) -> tuple:
+def find_extension_vector(code: QcCode, side: int, alpha: int | None = None) -> tuple:
     """First dual codeword (lexicographic message order) usable as an extension row.
 
     alpha=None selects the self-orthogonality rule <x,x> = p-1; a nonzero
@@ -247,9 +246,8 @@ def find_extension_vector(code: QcCode, side: int, alpha: int | None = None, sca
     field = code.field
     basis = block_dual_basis(code, side)
     dim = basis.nrows
-    cap = scan_cap if scan_cap is not None else _SCAN_CAP
-    if field.Q ** dim > cap:
-        raise BudgetExceeded(field.Q ** dim, cap, what="extension-vector-scan")
+    if field.Q ** dim > _SCAN_CAP:
+        raise BudgetExceeded(field.Q ** dim, _SCAN_CAP, what="extension-vector-scan")
 
     if alpha is None:
         target = field.from_int(field.p - 1)
@@ -355,8 +353,8 @@ class EntanglementCertificate:
     read off the divisors (module docstring): the first once per g, the
     second as gcd(1 + f f̄, dual_g) = 1.  P is the circulant of
     p_row = e - (f f̄)^-1, e = d (d^-1 mod h) the idempotent of <d>,
-    d = dual_g; p_row, p_matrix and char_poly_p are computed when first
-    read, and are None when H1 H1^dag is singular.
+    d = dual_g; p_row and char_poly_p are computed when first read, and
+    are None when H1 H1^dag is singular.
     """
 
     code: QcCode
@@ -381,12 +379,10 @@ class EntanglementCertificate:
         return tuple(sub[a][b] for a, b in zip(e, u))
 
     @cached_property
-    def p_matrix(self) -> famat.Mat | None:
-        return None if self.p_row is None else famat.circulant(self.code.field, self.p_row, len(self.p_row))
-
-    @cached_property
     def char_poly_p(self) -> tuple | None:
-        return None if self.p_row is None else famat.char_poly(self.p_matrix)
+        if self.p_row is None:
+            return None
+        return famat.char_poly(famat.circulant(self.code.field, self.p_row, len(self.p_row)))
 
 
 def entanglement_certificate(code: QcCode) -> EntanglementCertificate:

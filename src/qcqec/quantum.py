@@ -104,6 +104,8 @@ class GvVerdict:
 
 
 def gv_verdict(q: int, n: int, k: int, d: int) -> GvVerdict:
+    if q < 2:
+        raise SpecError(f"q must be at least 2, got {q}")
     applicable = n > k >= 2 and (n - k) % 2 == 0 and d >= 2
     if not applicable:
         return GvVerdict(q, n, k, d, False, None, None)

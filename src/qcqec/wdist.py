@@ -16,6 +16,9 @@ accumulator, whose popcounts go into a reused uint8 buffer; for W > 1 the
 words are summed in place in the narrowest dtype that holds n (uint8 up to
 255, uint16 above); one bincount makes the step's histogram.  Histograms are numpy int64 per
 work unit and exact Python ints once scaled and summed.
+
+No elimination checks the generator matrix: the scan counts every message,
+so a weight-0 count above 1 is the sign of dependent rows.
 """
 
 from __future__ import annotations
@@ -232,7 +235,9 @@ def enumerate_code(
     """Exact weight enumerator of the row space of g by full traversal.
 
     g must have full row rank so that messages and codewords are in
-    bijection.  Raises BudgetExceeded before doing any work if Q^k is past
+    bijection.  The scan itself checks this: it counts every message, so
+    its weight-0 count is Q^(k - rank g), and anything but 1 raises
+    ValueError.  Raises BudgetExceeded before doing any work if Q^k is past
     the budget (the budget counts all Q^k messages, scanned or implied by
     scaling).  With workers > 1 the work units are spread over a process
     pool, no larger than the CPUs this process may use, and their histograms
@@ -244,8 +249,6 @@ def enumerate_code(
     workers = max(1, min(workers, _usable_cpus()))
     if total > budget:
         raise BudgetExceeded(total, budget)
-    if k and famat.rank(g) != k:
-        raise ValueError("generator matrix must have full row rank")
 
     if k == 0:
         counts = [1] + [0] * n
@@ -265,6 +268,8 @@ def enumerate_code(
                 partials = list(ex.map(_scan, jobs))
         counts = [sum(parts) for parts in zip(*partials)]
 
+    if counts[0] != 1:
+        raise ValueError("generator matrix must have full row rank")
     enum = WeightEnumerator(n, k, tuple(counts))
     if enum.total() != total:
         raise AssertionError(f"enumerator total {enum.total()} != Q^k = {total}")

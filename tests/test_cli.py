@@ -193,6 +193,14 @@ def test_gv_command(capsys):
     assert "not applicable" in out
 
 
+@pytest.mark.parametrize("q", ["1", "0", "-1"])
+def test_gv_rejects_q_below_two(capsys, q):
+    rc, _, err = run(capsys, "gv", "--q", q, "--n", "6", "--k", "2", "--d", "2")
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "spec" and "q must be at least 2" in error["message"]
+
+
 def test_flags_a_subcommand_ignores_are_rejected(capsys):
     for argv in (["gv", "--q", "2", "--n", "7", "--k", "1", "--d", "3",
                   "--threads", "2"],
@@ -419,6 +427,19 @@ def test_search_refuses_edited_record(capsys, tmp_path):
 
 
 BASE7 = {"q": 2, "n": 7, "f": "1", "g": "1^2"}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("f", "0323214"), ("g", "114"), ("f", [0, 3, 2, 4]), ("g", [1, 1, -1]),
+])
+def test_verify_rejects_out_of_range_digits(capsys, tmp_path, key, value):
+    # qcc.build takes its digits as given: the spec parser must refuse them
+    spec = write_spec(tmp_path, "spec.json", {**BASE7, key: value})
+    rc, _, err = run(capsys, "verify", spec)
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "spec"
+    assert "out of range for GF(4)" in error["message"]
 
 
 @pytest.mark.parametrize("key, value", [

@@ -58,9 +58,10 @@ def test_qualifying_g_contains_known_generators():
     assert polyring.trim(polyring.parse_compact(GF9, "5310571")) in gs10
 
 
-def test_divisor_cap():
+def test_divisor_cap(monkeypatch):
+    monkeypatch.setattr(explorer, "DIVISOR_CAP", 4)
     with pytest.raises(BudgetExceeded) as info:
-        explorer.enumerate_self_orthogonal_g(GF4, 7, cap=4)
+        explorer.enumerate_self_orthogonal_g(GF4, 7)
     assert info.value.required == 8
 
 

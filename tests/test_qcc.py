@@ -86,9 +86,10 @@ def test_build_gf4_n15():
     assert code.orthogonal_gram
     assert oracles.is_zero(oracles.gram_hermitian(code.G))
     # left block is the circulant of g, right block the circulant of f*g
-    assert code.G1.row(0) == G15 + (0,) * 5
-    assert code.G2.row(0) == (1, 0, 3, 2, 3, 3, 3, 2, 3, 2, 1, 3, 2, 0, 0)
-    assert code.G2.row(3) == polyring.cyclic_shift(code.G2.row(0), 3)
+    assert code.G.row(0)[:15] == G15 + (0,) * 5
+    assert code.G.row(0)[15:] == (1, 0, 3, 2, 3, 3, 3, 2, 3, 2, 1, 3, 2, 0, 0)
+    assert code.G.row(3)[15:] == polyring.cyclic_shift(code.G.row(0)[15:], 3)
+    assert code.G is code.G
 
 
 def test_extend_one_gf4_n15_matches_reference():
@@ -96,6 +97,7 @@ def test_extend_one_gf4_n15_matches_reference():
     assert ext.rule == qcc.RULE_ORTHOGONAL
     assert ext.length == 31 and ext.dim == 7
     assert ext.G == famat.Mat(GF4, EXT15_ROWS)
+    assert ext.G is ext.G
     assert oracles.is_zero(oracles.gram_hermitian(ext.G))
     assert ext.self_products == (1,)
 
@@ -127,7 +129,7 @@ def test_certificate_gf4_n7():
     assert cert.h1_gram_nonsingular
     assert cert.one_not_eigenvalue
     assert cert.satisfied
-    assert cert.p_matrix == famat.circulant(GF4, (0, 0, 2, 3, 2, 3, 0), 7)
+    assert cert.p_row == (0, 0, 2, 3, 2, 3, 0)
     assert cert.char_poly_p == (0, 1, 0, 0, 1, 0, 0, 1)  # x^7 + x^4 + x
 
 
@@ -154,7 +156,7 @@ def test_build_gf81_n10():
 def test_certificate_gf81_n10():
     cert = qcc.entanglement_certificate(build81())
     assert cert.satisfied
-    assert cert.p_matrix == famat.circulant(GF81, (61, 20, 1, 29, 42, 0, 50, 13, 1, 12), 10)
+    assert cert.p_row == (61, 20, 1, 29, 42, 0, 50, 13, 1, 12)
     # zeta-power factorization: x (x+z^10)(x+z^30)(x+z^50)(x+z^70)(x+z^60)^2(x+z^20)^3
     want = (0, 1)
     for const in (11, 31, 51, 71, 61, 61, 21, 21, 21):
@@ -187,10 +189,10 @@ def test_block_code_generators():
     # f coprime to x^n - 1 leaves the right block code equal to <g>
     assert code.f_coprime
     assert qcc.block_code_generator(code, 2) == G15
-    assert famat.rank(code.G2) == code.k
+    assert oracles.rank(oracles.generator_blocks(GF4, 15, code.f, G15)[1]) == code.k
 
     zero_f = qcc.build(GF4, 15, (0,), G15)
-    assert oracles.is_zero(zero_f.G2)
+    assert not any(any(row[15:]) for row in zero_f.G.rows)
     assert not zero_f.f_coprime
     assert qcc.block_dual_basis(zero_f, 2) == oracles.identity(GF4, 15)
 
@@ -260,11 +262,12 @@ def test_find_extension_vector_gf4():
     code = build15()
     v = qcc.find_extension_vector(code, 1)
     assert v == qcc.find_extension_vector(code, 1)
-    assert oracles.orthogonal_to_rows(v, code.G1)
+    G1, _ = oracles.generator_blocks(GF4, 15, code.f, code.g)
+    assert oracles.orthogonal_to_rows(v, G1)
     assert qcc.hermitian_self_product(GF4, v) == 1
     assert oracles.row_space_contains(qcc.block_dual_basis(code, 1), v)
     # the reference extension vector qualifies too
-    assert oracles.orthogonal_to_rows(X15, code.G1)
+    assert oracles.orthogonal_to_rows(X15, G1)
     assert qcc.hermitian_self_product(GF4, X15) == 1
 
 
@@ -277,20 +280,21 @@ def test_find_extension_vector_extends_cleanly():
     assert oracles.is_zero(oracles.gram_hermitian(ext.G))
 
 
-def test_find_extension_vector_budget():
-    code = build15()
-    with pytest.raises(BudgetExceeded) as e:
-        qcc.find_extension_vector(code, 1, scan_cap=4 ** 4)
-    assert e.value.required == 4 ** 9
+def test_find_extension_vector_budget(monkeypatch):
     # GF(81) duals above four dimensions are over the default cap
     with pytest.raises(BudgetExceeded):
         qcc.find_extension_vector(build81(), 1)
+    monkeypatch.setattr(qcc, "_SCAN_CAP", 4 ** 4)
+    with pytest.raises(BudgetExceeded) as e:
+        qcc.find_extension_vector(build15(), 1)
+    assert e.value.required == 4 ** 9
 
 
-def test_find_extension_vector_rank_rule():
+def test_find_extension_vector_rank_rule(monkeypatch):
     code = build81()
-    v = qcc.find_extension_vector(code, 1, alpha=1, scan_cap=81 ** 7)
-    assert oracles.orthogonal_to_rows(v, code.G1)
+    monkeypatch.setattr(qcc, "_SCAN_CAP", 81 ** 7)
+    v = qcc.find_extension_vector(code, 1, alpha=1)
+    assert oracles.orthogonal_to_rows(v, oracles.generator_blocks(GF81, 10, code.f, code.g)[0])
     assert qcc.hermitian_self_product(GF81, v) != GF81.from_int(2)
 
 
@@ -307,7 +311,7 @@ def test_certificate_singular_h1_gram():
     cert = qcc.entanglement_certificate(qcc.build(GF4, 15, (1,), G15))
     assert not cert.h1_gram_nonsingular
     assert not cert.satisfied
-    assert cert.p_matrix is None
+    assert cert.p_row is None and cert.char_poly_p is None
 
 
 # --- the per-generator cache ---------------------------------------------------
@@ -337,9 +341,8 @@ def test_cached_matrices_do_not_leak():
     for _ in range(2):
         code, cert = oracles.check_code(GF4, 7, F7, G7)
         assert cert.satisfied
-        for mat in (code.G1, code.G, cert.p_matrix):
-            for row in mat.rows:
-                row[:] = [1] * len(row)
+        for row in code.G.rows:
+            row[:] = [1] * len(row)
 
 
 def test_left_parity_check_is_caught_under_optimize():

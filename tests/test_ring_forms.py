@@ -6,7 +6,10 @@ count and the Gram rank of an extension are read off a gcd degree and the
 self products.  Each is held here against the elimination over the
 matrices it stands for (tests/oracles.py): over every generator of the
 q = 2, n = 7 and n = 15 search configurations, the code of every collected
-table row, and samples over GF(9) and GF(81).
+table row, and samples over GF(9) and GF(81).  The first two also check,
+by elimination, that G and the extended G have full row rank: the
+library builds them on the claim that their rows are independent by
+construction.
 """
 
 import os
@@ -38,7 +41,7 @@ def search_generators(field, n, mode):
     if mode == "qecc":
         gs = explorer.enumerate_self_orthogonal_g(field, n)
     else:
-        gs = explorer._divisor_products(field, n, explorer.DIVISOR_CAP, 1)
+        gs = explorer._divisor_products(field, n, 1)
     return [g for g in gs if 0 < polyring.deg(g) < n]
 
 
@@ -52,6 +55,7 @@ def test_search_generators(name):
     for g in gs:
         f = explorer._sample_f(GF4, n, rng, None)
         code, cert = oracles.check_code(GF4, n, f, g)
+        assert oracles.rank(code.G) == code.k  # what the enumeration relies on
         satisfied += cert.satisfied
         if mode == "eaqecc":
             continue
@@ -63,6 +67,7 @@ def test_search_generators(name):
             continue
         ext = oracles.check_extension(code, (x1,), (1,))
         assert ext.rule == qcc.RULE_ORTHOGONAL and ext.gram_rank == 0
+        assert oracles.rank(ext.G) == ext.dim
         extended += 1
     assert satisfied if mode == "eaqecc" else extended
 
@@ -81,11 +86,13 @@ def test_table_rows(family):
             assert row.note and exc.code == "g-not-divisor"
             continue
         checked += 1
+        assert oracles.rank(code.G) == code.k
         if x1 is None:
             assert cert.satisfied or row.note
         else:
             got = oracles.check_extension(code, (x1,), (1,))
             assert row.note or got.rule == qcc.RULE_ORTHOGONAL
+            assert isinstance(got, str) or oracles.rank(got.G) == got.dim
     assert checked
 
 

@@ -32,7 +32,7 @@ def rand_full_rank(rng, field, k, n):
         m = fm.Mat(
             field, [[rng.randrange(field.Q) for _ in range(n)] for _ in range(k)]
         )
-        if fm.rank(m) == k:
+        if oracles.rank(m) == k:
             return m
 
 
@@ -207,9 +207,27 @@ def test_enumerate_budget():
 
 
 def test_enumerate_rejects_rank_deficient():
-    g = fm.Mat(GF4, [[1, 2, 0], [2, 3, 0]])
-    with pytest.raises(ValueError):
-        wdist.enumerate_code(g)
+    for rows in ([[1, 2, 0], [2, 3, 0]], [[0, 0, 0]]):
+        with pytest.raises(ValueError, match="full row rank"):
+            wdist.enumerate_code(fm.Mat(GF4, rows))
+
+
+# k = 4 keeps one outer row over GF(4) and GF(9) and two over GF(81), whose
+# block table is capped at two rows
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("where", ["table", "outer"])
+@pytest.mark.parametrize("field,n", [(GF4, 12), (GF9, 10), (GF81, 6)], ids=["Q4", "Q9", "Q81"])
+def test_rank_deficiency_is_caught_by_the_scan(field, n, where, workers, monkeypatch):
+    # no elimination runs: the scan's weight-0 count Q^(k - rank) must refuse
+    # a dependent row, last (in the block table) or first (an outer row)
+    monkeypatch.setattr(wdist, "_usable_cpus", lambda: 2)
+    rng = random.Random(field.Q + n)
+    rows = rand_full_rank(rng, field, 3, n).rows
+    s = rng.randrange(1, field.Q)
+    dependent = [field.mul(s, field.add(a, b)) for a, b in zip(rows[0], rows[2])]
+    rows = rows + [dependent] if where == "table" else [dependent] + rows
+    with pytest.raises(ValueError, match="full row rank"):
+        wdist.enumerate_code(fm.Mat(field, rows), workers=workers)
 
 
 def test_enumerate_workers_agree(monkeypatch):
