@@ -3,10 +3,15 @@
 The generator polynomials compatible with Hermitian self-orthogonality are
 enumerated exactly (divisors of x^n - 1 whose conjugate-reciprocal
 complement divides them); f is rejection-sampled uniformly among ring
-elements coprime to x^n - 1.  Every evaluated candidate is appended to a
-JSONL file so interrupted runs resume without re-enumerating, and a record
-is emitted to the caller only when it improves the best (dual distance,
-distance) pair seen for its field, length and dimension.
+elements coprime to x^n - 1.  Each generator has its own random stream,
+which first feeds the extension-vector pool (qecc mode) and then the f
+sampler; the sampler draws its digits in bulk and unit-tests them in
+batches, in the stream of one randrange per digit (see _sample_fs), and
+the f it yields need no second unit test.  Every evaluated candidate is
+appended to a JSONL file so interrupted runs resume without
+re-enumerating, and a record is emitted to the caller only when it
+improves the best (dual distance, distance) pair seen for its field,
+length and dimension.
 
 A record line carries the inputs in compact notation plus the computed
 parameters, so re-running the pipeline on (q, n, f, g) reproduces it
@@ -21,6 +26,9 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
+
+import numpy as np
 
 from . import pipeline, polyring, qcc, wdist
 from .errors import BudgetExceeded, PreconditionError, SpecError, require_int
@@ -173,7 +181,9 @@ def _draw_digits(rng: random.Random, Q: int, count: int) -> list:
     CPython 3.10 to 3.13 implement randrange(Q) by
     Random._randbelow_with_getrandbits: draw Q.bit_length() bits, and draw
     again while the value is >= Q.  This is that loop with getrandbits
-    bound once, so it consumes the same stream.
+    bound once, so it consumes the same stream and stops where it stops.
+    The golden f-draw digests of the tests check it on each CPython the
+    CI runs.
     """
     getrandbits, k = rng.getrandbits, Q.bit_length()
     out = []
@@ -185,12 +195,57 @@ def _draw_digits(rng: random.Random, Q: int, count: int) -> list:
     return out
 
 
-def _sample_f(field: Field, n: int, rng: random.Random, max_deg: int | None) -> tuple:
-    top = n if max_deg is None else min(max_deg + 1, n)
-    while True:
-        f = _draw_digits(rng, field.Q, top) + [0] * (n - top)
-        if polyring.is_unit(field, n, f):
-            return tuple(f)
+# one bulk draw asks for at most this many 32-bit outputs
+_DRAW_WORDS = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def _digit_bytes(Q: int) -> tuple:
+    """The bytes.translate arguments that turn the top bytes of 32-bit
+    outputs into the digits of _draw_digits: a byte b stands for the draw
+    b >> (8 - k), k = Q.bit_length(), and is deleted when that is >= Q."""
+    shift = 8 - Q.bit_length()
+    return (bytes(b >> shift for b in range(256)),
+            bytes(b for b in range(256) if b >> shift >= Q))
+
+
+def _sample_fs(field: Field, n: int, rng: random.Random, max_deg: int | None, count: int):
+    """Yield count f drawn uniformly among the units mod x^n - 1 of degree
+    at most max_deg: the f that count rounds of "draw the digits of f by
+    _draw_digits until f is a unit" would give, in the same order.
+
+    The digits come in bulk.  In CPython (random's getrandbits in
+    _randommodule.c) getrandbits(32 w) returns w consecutive 32-bit
+    outputs, the first one least significant, and getrandbits(k) for k <= 32
+    is one output shifted right by 32 - k.  So draw i of _draw_digits is the
+    top byte of output i shifted right by 8 - k (k <= 7 here), kept iff it
+    is below Q, and a whole batch of draws is one bytes.translate.  The
+    kept digits are cut into blocks of the degree cap's length, and every
+    block is unit-tested in one polyring.units call.
+
+    Batches are sized by the unit density, at most _DRAW_WORDS outputs
+    each, so nothing grows with count.  The last batch reads rng past the
+    last f yielded: rng must not be used after this generator, which holds
+    because each generator's rng ends with its f loop.
+    """
+    Q, top = field.Q, n if max_deg is None else min(max_deg + 1, n)
+    table, reject = _digit_bytes(Q)
+    # outputs a yielded f costs: 1 / density blocks, top digits a block and
+    # 2^k / Q outputs a digit
+    cost = top * (1 << Q.bit_length()) / Q / polyring.unit_density(field, n)
+    pad = (0,) * (n - top)
+    digits = b""
+    while count > 0:
+        words = min(_DRAW_WORDS, int(1.25 * count * cost) + 8)
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        digits += raw[3::4].translate(table, reject)
+        blocks = len(digits) // top
+        ok = polyring.units(field, n, np.frombuffer(digits, np.uint8, blocks * top)
+                            .reshape(blocks, top))
+        for b in np.flatnonzero(ok)[:count].tolist():
+            count -= 1
+            yield tuple(digits[b * top : (b + 1) * top]) + pad
+        digits = digits[blocks * top :]
 
 
 def _x1_pool(field: Field, code: qcc.QcCode, rng: random.Random, want: int):
@@ -234,6 +289,7 @@ def _evaluate(field: Field, config: SearchConfig, f, g, fc, gc, x1s) -> CodeReco
     forms; skips come back as flagged records."""
     base = pipeline.Evaluation(field, config.n, f, g, budget=config.enum_budget)
     code = base.code
+    code.__dict__["f_coprime"] = True  # f was drawn a unit; cached_property's slot
     flags = {"mode": config.mode, "self_orthogonal": code.orthogonal_gram,
              "certificate_ok": None, "x1": None, "frontier": False}
 
@@ -372,8 +428,8 @@ def search(config: SearchConfig, best: dict | None = None):
                 # block, i.e. only on g, so resolve the pool once per g
                 probe = qcc.build(field, config.n, (0,) * config.n, g)
                 x1s = _x1_pool(field, probe, rng, config.x1_samples)
-            for _ in range(config.max_f_samples):
-                f = _sample_f(field, config.n, rng, config.max_f_degree)
+            for f in _sample_fs(field, config.n, rng, config.max_f_degree,
+                                config.max_f_samples):
                 fc = polyring.render_compact(field, f)
                 if (fc, gc) in seen:
                     continue

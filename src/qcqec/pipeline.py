@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import polyring, qcc, quantum, wdist
+from .errors import SpecError
 from .gf import Field
 
 @dataclass(frozen=True, eq=False)
@@ -33,6 +34,17 @@ class Evaluation:
     alphas: tuple = ()
     budget: int = wdist.DEFAULT_BUDGET
     workers: int = 1
+
+    def __post_init__(self):
+        """The one range check of the digits: the stages take them as given,
+        and a negative one would index the field's tables from the end."""
+        Q = self.field.Q
+        named = [("f", self.f), ("g", self.g), ("alpha", self.alphas)]
+        named += [(f"x{i}", x) for i, x in enumerate(self.xs, 1)]
+        for name, digits in named:
+            if digits and (min(digits) < 0 or max(digits) >= Q):
+                bad = min(digits) if min(digits) < 0 else max(digits)
+                raise SpecError(f"{name} digit {bad} out of range for GF({Q})")
 
     def extended(self, xs, alphas=()) -> "Evaluation":
         """The same base code under the extension vectors xs, built once for both."""

@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import cycle
+from typing import NamedTuple
+
+import numpy as np
 
 from qcqec.errors import PreconditionError, SpecError
 from qcqec.gf import Field
@@ -482,194 +484,95 @@ def _factor_cached(field: Field, n: int) -> tuple[tuple[int, ...], ...]:
 def is_unit(field: Field, n: int, f) -> bool:
     """True iff gcd(f, x^n - 1) = 1, i.e. f is a unit mod x^n - 1.
 
-    By the Chinese remainder theorem (the decomposition of quasi-cyclic
-    codes by Ling and Sole) that holds exactly when f mod m != 0 for every
-    irreducible factor m of x^n - 1.  The residues of f are the sum over i
-    of f_i (x^i mod m); coefficients past degree n - 1 wrap around, as
-    x^i = x^(i mod n) modulo every factor.
-
-    Residue vectors are bit planes packed into Python ints, in the encoding
-    of wdist.BitPlanes: one plane per GF(2) coordinate of a digit, added by
-    XOR, or two per GF(3) coordinate ("= 2" and "= 1"), added by the
-    formula of Boothby and Bradshaw.  The planes of all coordinates sit
-    side by side in one int (see _ResiduePlanes), so adding two residue
-    vectors is one XOR over GF(4) and seven int operations over GF(9) and
-    GF(81), whatever n is.  The x^i of equal digits f_i are summed first;
-    each sum is then split into its GF(p) coordinates, and those are
-    recombined by Horner's rule in the field generator alpha.
-
-    The first call for a (field, n) factors x^n - 1 and builds the planes of
-    x^0, ..., x^(n-1), about a millisecond at n = 127 over GF(4) besides
-    the factoring; later calls take a few microseconds over GF(4).  So this
-    is the test for many f of one length, and poly_gcd the one for a single
-    f.
+    f may have any length; it is reduced mod x^n - 1 and tested as one row
+    of `units`.
     """
-    planes = _residue_planes(field, n)
-    if field.p == 3:
-        his, los = [0] * field.Q, [0] * field.Q
-        for (xh, xl), c in zip(cycle(planes.powers), f):
-            ah, al = his[c], los[c]
-            t = (al | xh) ^ (ah | xl)
-            his[c], los[c] = (al | xl) ^ t, (ah | xh) ^ t
-        return planes.every_block_nonzero(planes.combine(his, los, set(f)))
-    # over GF(4), the search's hot path, combine() is written out for the
-    # one plane int of a GF(2) vector
-    sums = [0] * field.Q
-    for x, c in zip(cycle(planes.powers), f):
-        sums[c] ^= x
-    parts = [0] * field.m
-    for c in range(1, field.Q):
-        if sums[c]:
-            for j, x in enumerate(field.coeffs(c)):
-                if x:
-                    parts[j] ^= sums[c]
-    W, full, shift, fold = planes.W, planes.full, planes.top_shift, planes.fold1
-    acc = parts[-1]
-    for part in reversed(parts[:-1]):
-        acc = ((acc << W) & full) ^ ((acc >> shift) * fold) ^ part
-    return planes.every_block_nonzero(acc)
+    if n < 1:
+        raise SpecError(f"n must be positive, got {n}")
+    return bool(units(field, n, [ring_from_plain(field, n, f)])[0])
 
 
-def _add3(a, b):
-    """Sum of two GF(3) plane pairs ("= 2" planes, "= 1" planes)."""
-    ah, al = a
-    bh, bl = b
-    t = (al | bh) ^ (ah | bl)
-    return (al | bl) ^ t, (ah | bh) ^ t
+def units(field: Field, n: int, rows) -> np.ndarray:
+    """Whether each row is a unit mod x^n - 1, as a bool array.
 
+    rows is an (R, L) array of digits, L <= n, row f standing for
+    f_0 + f_1 x + ... + f_(L-1) x^(L-1).  By the Chinese remainder theorem
+    (the decomposition of quasi-cyclic codes by Ling and Sole, IEEE Trans.
+    IT 47, 2001) f is a unit exactly when f mod m != 0 for every irreducible
+    factor m of x^n - 1.  With n = n' p^e and p not dividing n', those are
+    the factors of x^n' - 1, and x^i = x^(i mod n') modulo each of them.
 
-def _xor2(a, b):
-    """Sum of two GF(2) plane pairs (the "= 2" planes are zero)."""
-    return a[0] ^ b[0], a[1] ^ b[1]
-
-
-class _ResiduePlanes:
-    """The planes of x^i mod m for i < n and every irreducible factor m of
-    x^n - 1, with the plane arithmetic that is_unit needs.
-
-    Each GF(p) coordinate of a digit gets a slot of W bits, coordinate j's
-    slot starting at bit j W.  A slot holds one block per factor m: deg(m)
-    bits for the coefficients of a residue mod m, low degree first, then a
-    guard bit that is zero in every stored vector.  A vector over GF(Q) is
-    a pair of such ints, the "= 2" planes and the "= 1" planes; over GF(2)
-    the first is zero, and `powers` keeps only the second.
-
-    With n = n' p^e and p not dividing n', x^n - 1 = (x^n' - 1)^(p^e) has
-    the irreducible factors of x^n' - 1, so those are the ones used.
+    Write h = (x^n' - 1)/m.  Then f mod m = 0 iff f h = 0 mod x^n' - 1, and
+    f h lies in the cyclic code <h> of dimension deg m, in which any deg m
+    consecutive coordinates are an information set.  So f mod m = 0 iff
+    coordinates 0 to deg m - 1 of f h vanish, and coordinate k of f h is
+    the sum over i of f_i h_((k - i) mod n').  These are GF(p)-linear in
+    the GF(p) coordinates of the f_i: a batch is one matrix product mod p
+    with the map of `_unit_map`, and one more product that sums each
+    factor's block, nonzero iff the block is.
     """
+    umap = _unit_map(field, n)
+    rows = np.asarray(rows)
+    R, L = rows.shape
+    coords = np.take(umap.coords, rows, axis=0).reshape(R, L * field.m)
+    residues = coords @ umap.matrix[: L * field.m]
+    residues -= field.p * np.floor(residues / field.p)  # exact: small integers
+    return (residues @ umap.blocks).all(axis=1)
 
-    def __init__(self, field: Field, n: int):
-        if n < 1:
-            raise SpecError(f"n must be positive, got {n}")
-        core = n
-        while core % field.p == 0:
-            core //= field.p
-        self.field = field
-        self.add = _add3 if field.p == 3 else _xor2
-        # x r mod m, for monic m = x^d + m_low: shift each block up one bit;
-        # the top coefficient t moves into the guard bit and comes back as
-        # t (-m_low).  A top whose coordinate j is 1 adds alpha^j (-m_low),
-        # one where it is 2 the negation.  A block of degree d whose guard
-        # bit is g spans the bits g - g / 2^d, so one subtraction per degree
-        # masks the blocks to add to.
-        W = guard = ones = 0
-        neg, x0, minus_low, by_degree = field.neg_table, [], [], {}
-        for fac in factor_xn_minus_1(field, core):
-            d = len(fac) - 1
-            x0.append((W, field.one))  # x^0 = 1 mod every factor
-            minus_low += [(W + k, neg[c]) for k, c in enumerate(fac[:-1]) if c]
-            guard |= 1 << W + d
-            ones |= (1 << d) - 1 << W
-            by_degree[d] = by_degree.get(d, 0) | 1 << W + d
-            W += d + 1  # d coefficient bits and the guard bit
-        self.W, self.slot, self.guard, self.ones = W, (1 << W) - 1, guard, ones
-        self.full, self.top_shift = (1 << field.m * W) - 1, (field.m - 1) * W
-        slots = sum(1 << j * W for j in range(field.m))
-        # alpha^m over the basis 1, alpha, ..., alpha^(m-1): where the top
-        # slot folds back when a vector is multiplied by alpha
-        top = field.coeffs(field.pow_(2, field.m))
-        self.fold1 = sum(1 << k * W for k, x in enumerate(top) if x == 1)
-        self.fold2 = sum(1 << k * W for k, x in enumerate(top) if x == 2)
 
-        folds = [self.encode(minus_low)]  # alpha^j (-m_low) of every block
-        while len(folds) < field.m:
-            folds.append(self.times_alpha(folds[-1]))
-        by_degree = tuple((guards, d) for d, guards in by_degree.items())
-        guards_all, add = guard * slots, self.add
-        v = self.encode(x0)
-        powers = []
-        for _ in range(n):
-            powers.append(v)
-            hi, lo = v[0] << 1, v[1] << 1
-            top_hi, top_lo = hi & guards_all, lo & guards_all
-            v = (hi ^ top_hi, lo ^ top_lo)
-            for j, (fh, fl) in enumerate(folds):
-                # the guard bits of the tops whose coordinate j is 1, and 2
-                t1, t2 = top_lo >> j * W & guard, top_hi >> j * W & guard
-                if not t1 | t2:
-                    continue
-                m1 = m2 = 0
-                for guards, d in by_degree:
-                    g1, g2 = t1 & guards, t2 & guards
-                    m1, m2 = m1 | g1 - (g1 >> d), m2 | g2 - (g2 >> d)
-                m1, m2 = m1 * slots, m2 * slots
-                v = add(v, (fh & m1 | fl & m2, fl & m1 | fh & m2))
-        self.powers = powers if field.p == 3 else [lo for _, lo in powers]
+def unit_density(field: Field, n: int) -> float:
+    """The share of units among the ring elements: the product of
+    1 - Q^(-deg m) over the irreducible factors m of x^n' - 1."""
+    return _unit_map(field, n).density
 
-    def encode(self, items):
-        """The plane pair of the vector with digit d at bit position pos of
-        its coordinates' slots, for the (pos, d) in items."""
-        hi = lo = 0
-        for pos, d in items:
-            for j, x in enumerate(self.field.coeffs(d)):
-                if x == 1:
-                    lo |= 1 << j * self.W + pos
-                elif x:
-                    hi |= 1 << j * self.W + pos
-        return hi, lo
 
-    def times_alpha(self, v):
-        """alpha v: every coordinate moves up a slot, and the top slot t
-        comes back as t alpha^m."""
-        hi, lo = v
-        th, tl = hi >> self.top_shift, lo >> self.top_shift
-        return self.add(((hi << self.W) & self.full, (lo << self.W) & self.full),
-                        (th * self.fold1 | tl * self.fold2,
-                         tl * self.fold1 | th * self.fold2))
-
-    def combine(self, his, los, digits):
-        """sum_c c (his[c], los[c]) over the given digits c of GF(3^m), by
-        Horner's rule in alpha on the GF(3) coordinates; returns the OR of
-        its two planes."""
-        m = self.field.m
-        part_his, part_los = [0] * m, [0] * m
-        for c in digits:
-            for j, x in enumerate(self.field.coeffs(c)):
-                if not x:
-                    continue
-                # a coordinate 2 adds the negation: the same planes, swapped
-                bh, bl = (his[c], los[c]) if x == 1 else (los[c], his[c])
-                ah, al = part_his[j], part_los[j]
-                t = (al | bh) ^ (ah | bl)
-                part_his[j], part_los[j] = (al | bl) ^ t, (ah | bh) ^ t
-        hi, lo = part_his[-1], part_los[-1]
-        for j in reversed(range(m - 1)):
-            hi, lo = _add3(self.times_alpha((hi, lo)), (part_his[j], part_los[j]))
-        return hi | lo
-
-    def every_block_nonzero(self, z) -> bool:
-        """Whether the OR of z's slots has a set bit in every block.
-
-        Adding 2^d - 1 to a d-bit block carries into its guard bit exactly
-        when the block is nonzero, and the carry stops there.
-        """
-        y = 0
-        while z:
-            y |= z & self.slot
-            z >>= self.W
-        return (y + self.ones) & self.guard == self.guard
+class _UnitMap(NamedTuple):
+    # float32 throughout, for BLAS products: every sum is an integer far
+    # below 2^24, so each is exact
+    matrix: np.ndarray   # (n m, m n'): the GF(p) map of f to the f h
+    coords: np.ndarray   # (Q, m): the GF(p) coordinates of a digit
+    blocks: np.ndarray   # (m n', F): column j is 1 on factor j's coordinates
+    density: float
 
 
 @lru_cache(maxsize=8)
-def _residue_planes(field: Field, n: int) -> _ResiduePlanes:
-    return _ResiduePlanes(field, n)
+def _unit_map(field: Field, n: int) -> _UnitMap:
+    """The map of `units` for one (field, n).
+
+    Row (i, t) holds coordinate u of alpha^t h_((k - i) mod n') in column
+    (u, k), for each factor's h and k < deg m, factor by factor.  Each h is
+    a product of a prefix and a suffix of the factor list, so 3 F products
+    make all F of them; the rest is gathers from the field's tables.
+    """
+    if n < 1:
+        raise SpecError(f"n must be positive, got {n}")
+    core = n
+    while core % field.p == 0:
+        core //= field.p
+    factors = factor_xn_minus_1(field, core)
+    prefix = [(field.one,)]
+    for fac in factors[:-1]:
+        prefix.append(poly_mul(field, fac, prefix[-1]))
+    hs, suffix = [None] * len(factors), (field.one,)
+    for j in reversed(range(len(factors))):
+        hs[j] = poly_mul(field, prefix[j], suffix)
+        suffix = poly_mul(field, factors[j], suffix)
+    H = np.zeros((len(factors), core), dtype=np.uint8)  # digits
+    for j, h in enumerate(hs):
+        H[j, : len(h)] = h
+    degs = [len(fac) - 1 for fac in factors]
+    which = np.repeat(np.arange(len(factors)), degs)  # the factor of output k
+    first = np.cumsum([0] + degs[:-1])
+    k = np.arange(core) - first[which]
+    # the (n', n) digits h_((k - i) mod n'), their multiples by alpha^t
+    # (digit t + 1), and the coordinates u of those, at [u, k, i, t]
+    entries = np.take(H, which[:, None] * core + (k[:, None] - np.arange(n)) % core)
+    coords = np.array([field.coeffs(d) for d in field.digits], dtype=np.float32)
+    by_alpha_t = np.array(field.mul_table[1 : field.m + 1], dtype=np.uint8).T
+    images = np.take(coords.T, np.take(by_alpha_t, entries, axis=0), axis=1)
+    matrix = np.ascontiguousarray(images.reshape(field.m * core, n * field.m).T)
+    blocks = np.tile(np.eye(len(factors), dtype=np.float32)[which], (field.m, 1))
+    density = math.prod(1 - field.Q ** -d for d in degs)
+    for shared in (matrix, coords, blocks):  # cached: every caller gets these
+        shared.setflags(write=False)
+    return _UnitMap(matrix, coords, blocks, density)

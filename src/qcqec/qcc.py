@@ -186,8 +186,8 @@ def build(field: Field, n: int, f, g) -> QcCode:
 
     g must divide x^n - 1.  f is reduced mod x^n - 1 and may be zero (the
     right block degenerates; flagged via f_coprime=False).  Digits are
-    not checked here but where they come in: a spec's parser and the
-    search's draws.
+    not checked here but where they come in: a spec's parser, the search's
+    draws and `pipeline.Evaluation`.
     """
     g = polyring.trim(g)
     blocks = _generator_blocks(field, n, g)
@@ -291,10 +291,11 @@ def extend_two(code: QcCode, x1, x2, alpha1: int = 1, alpha2: int = 1) -> Extend
 
 
 def _extend(code: QcCode, xs, alphas) -> ExtendedCode:
+    """The extension of code by the columns xs with scalars alphas; digits
+    are taken as given, as in `build`."""
     field, n, k = code.field, code.n, code.k
     cols = len(xs)
-    xs = tuple(tuple(field.check_digit(d) for d in x) for x in xs)
-    alphas = tuple(field.check_digit(a) for a in alphas)
+    xs = tuple(tuple(x) for x in xs)
     for x in xs:
         if len(x) != n:
             raise PreconditionError("bad-extension-length", f"extension vectors must have length {n}")

@@ -5,6 +5,13 @@ scanning about one in Q-1 of them: nonzero multiples of a word share its
 weight.  It scans the span of the last `inner` rows (the block table, zero
 word included) once, and for each outer row i the words rows[i] +
 span(rows[i+1:]), whose first nonzero message digit is 1, counted Q-1 times.
+A small code, whose whole span fits _ONE_STEP_BYTES (2^17 bytes: 4^6 words
+of up to 64 symbols over GF(4), 9^3 over GF(9), 81 over GF(81)), is
+scanned in one step instead: all k rows make the block table, and one
+weight pass counts every word, since there the projective split's saving is
+smaller than the cost of its extra steps.  The multiples s . row of all rows
+come from one encode, and the heads and spans of every step are read from
+them.
 
 Words are bit-sliced, 64 symbols to a uint64 word per bit plane: one plane
 per GF(2) coordinate, added by XOR, or two per GF(3) coordinate ("= 2" and
@@ -14,8 +21,8 @@ t + b as their distances from the key, allocating nothing: each plane is
 XORed with the key's into one reused (W, T) buffer and ORed into a reused
 accumulator, whose popcounts go into a reused uint8 buffer; for W > 1 the
 words are summed in place in the narrowest dtype that holds n (uint8 up to
-255, uint16 above); one bincount makes the step's histogram.  Histograms are numpy int64 per
-work unit and exact Python ints once scaled and summed.
+255, uint16 above); one bincount makes the step's histogram.  Histograms
+are numpy int64 per work unit and exact Python ints once scaled and summed.
 
 No elimination checks the generator matrix: the scan counts every message,
 so a weight-0 count above 1 is the sign of dependent rows.
@@ -26,6 +33,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +46,7 @@ from qcqec.gf import Field, field_make
 # GF(81), each a desk-scale run, and leaves out the next one up
 DEFAULT_BUDGET = 2 ** 29
 _BLOCK_BYTES = 1 << 20  # block table size cap
+_ONE_STEP_BYTES = 1 << 17  # the largest span scanned in one step
 
 
 @dataclass(frozen=True)
@@ -141,25 +150,35 @@ class BitPlanes:
         np.bitwise_count(acc, out=ones)
         return ones[0] if self.W == 1 else np.add.reduce(ones, axis=0, dtype=total.dtype, out=total)
 
-    def multiples(self, row) -> np.ndarray:
-        """Planes of s . row for every digit s, shape (P, W, Q)."""
-        return self.encode(self._mul[:, list(row)])
+    def multiples(self, rows) -> np.ndarray:
+        """Planes of s . row for every row and digit s, in one encode:
+        shape (P, W, len(rows), Q)."""
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1, self.n)
+        words = self.encode(self._mul[rows].transpose(0, 2, 1))  # mul is symmetric
+        return words.reshape(self.P, self.W, len(rows), self.field.Q)
 
-    def span(self, rows, start: np.ndarray | None = None) -> np.ndarray:
+    def span(self, mults: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
         """The Q^r words start + m . rows (start: (P, W, 1) planes, or zero),
-        m in base-Q order, shape (P, W, Q^r), in one allocation: row j makes
-        block s of the first Q^(j+1) words block 0 + s . row, all blocks in one
-        XOR over GF(2^m), one by one over GF(3^m) to keep the temporaries small."""
-        Q, mults = self.field.Q, [self.multiples(row) for row in rows]
-        table = np.empty((self.P, self.W, Q ** len(rows)), dtype=np.uint64)
+        m in base-Q order, shape (P, W, Q^r), from mults = multiples(rows), in
+        one allocation: row j makes block s of the first Q^(j+1) words block 0 +
+        s . row, all blocks in one XOR over GF(2^m), one by one over GF(3^m) to
+        keep the temporaries small."""
+        Q, r = self.field.Q, mults.shape[2]
+        table = np.empty((self.P, self.W, Q ** r), dtype=np.uint64)
         table[:, :, :1] = 0 if start is None else start
         step = Q - 1 if self.field.p == 2 else 1
-        for j, mult in enumerate(mults):
+        for j in range(r):
             blocks = table.reshape(self.P, self.W, -1, Q, Q ** j)[:, :, 0]  # a view
             for s in range(1, Q, step):
-                self.add(blocks[:, :, :1], mult[:, :, s : s + step, None],
+                self.add(blocks[:, :, :1], mults[:, :, j, s : s + step, None],
                          out=blocks[:, :, s : s + step])
         return table
+
+
+@lru_cache(maxsize=32)
+def _bit_planes(q: int, n: int) -> BitPlanes:
+    """The BitPlanes of a (q, n), made once in a process."""
+    return BitPlanes(field_make(q), n)
 
 
 # --- message scans ----------------------------------------------------------------
@@ -197,19 +216,20 @@ def _work_units(Q: int, outer: int, inner: int, workers: int):
 def _scan(job) -> list[int]:
     """Sum over the units of multiplier x weight histogram of their words."""
     q, rows, inner, units = job
-    bp = BitPlanes(field_make(q), len(rows[0]))
+    bp = _bit_planes(q, len(rows[0]))
+    mults = bp.multiples(rows)
     outer = len(rows) - inner
-    table = bp.span(rows[outer:])
+    table = bp.span(mults[:, :, outer:])
     bufs = bp.weight_buffers(table.shape[2])
     counts = [0] * (bp.n + 1)
     for head, mult in units:
         offset = np.zeros((bp.P, bp.W, 1), dtype=np.uint64)
-        for s, row in zip(head, rows):
+        for i, s in enumerate(head):
             if s:
-                offset = bp.add(offset, bp.encode(bp._mul[s, list(row)]))
+                offset = bp.add(offset, mults[:, :, i, s : s + 1])
         # weight(t + b) is the distance of t from -b, and the keys -b run over
         # -offset + span(the free outer rows), a span being closed under -1
-        keys = bp.span(rows[len(head) : outer], start=bp.neg(offset))
+        keys = bp.span(mults[:, :, len(head) : outer], start=bp.neg(offset))
         hist = np.zeros(bp.n + 1, dtype=np.int64)
         for i in range(keys.shape[2]):
             hist += np.bincount(bp.weights(table, keys[:, :, i : i + 1], bufs),
@@ -253,11 +273,17 @@ def enumerate_code(
     if k == 0:
         counts = [1] + [0] * n
     else:
-        # the block table stays under _BLOCK_BYTES, and one row stays outer
-        # when k >= 2 so that the projective scan saves work on small codes
-        inner, (P, W) = 1, BitPlanes.shape(field, n)
-        while inner + 1 < k and field.Q ** (inner + 1) * 8 * P * W <= _BLOCK_BYTES:
-            inner += 1
+        # a code whose span fits _ONE_STEP_BYTES is one block table and one
+        # weight pass; a larger one keeps a row outer, so that the projective
+        # scan saves work.  No block table passes _BLOCK_BYTES
+        P, W = BitPlanes.shape(field, n)
+        word_bytes = 8 * P * W
+        if field.Q ** k * word_bytes <= min(_ONE_STEP_BYTES, _BLOCK_BYTES):
+            inner = k
+        else:
+            inner = 1
+            while inner + 1 < k and field.Q ** (inner + 1) * word_bytes <= _BLOCK_BYTES:
+                inner += 1
         chunks = _work_units(field.Q, k - inner, inner, workers)
         rows = [tuple(r) for r in g.rows]
         jobs = [(field.q, rows, inner, chunk) for chunk in chunks]

@@ -181,6 +181,20 @@ def quotient_exact(field, a, b) -> tuple:
     return q
 
 
+def sample_fs_reference(field, n, rng, max_deg, count) -> list:
+    """count f by the plain rejection loop: the digits below the degree cap
+    by rng.randrange(Q) one at a time, f kept iff gcd(f, x^n - 1) = 1; the
+    reference for the search's bulk sampler."""
+    top = n if max_deg is None else min(max_deg + 1, n)
+    xn1 = polyring.x_pow_n_minus_1(field, n)
+    out = []
+    while len(out) < count:
+        f = tuple(rng.randrange(field.Q) for _ in range(top)) + (0,) * (n - top)
+        if polyring.poly_gcd(field, f, xn1) == (1,):
+            out.append(f)
+    return out
+
+
 def enumerate_code_naive(g: famat.Mat) -> wdist.WeightEnumerator:
     """Reference enumeration by plain message products; exponential and slow,
     the oracle the bit-sliced scan of `wdist` is checked against."""

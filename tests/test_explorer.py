@@ -17,12 +17,14 @@ import types
 
 import pytest
 
+import oracles
 from qcqec import explorer, polyring, qcc, quantum, wdist
 from qcqec.errors import BudgetExceeded, PreconditionError, SpecError
 from qcqec.gf import field_make
 
 GF4 = field_make(2)
 GF9 = field_make(3)
+GF81 = field_make(9)
 
 
 def naive_qualifying(field, n):
@@ -314,7 +316,7 @@ def _records_digest(tmp_path, mode):
     return digest.hexdigest()
 
 
-# sha256 of the f that _sample_f draws, in compact form one to a line: 8
+# sha256 of the f that _sample_fs draws, in compact form one to a line: 8
 # draws from each of the first 4 per-generator streams at the benchmark's
 # seeds 0, 1 and 7, for n = 7 and 15 over GF(4) and n = 10 over GF(9).
 # Taken while is_unit still reduced f by rows of digits; it pins the
@@ -328,15 +330,14 @@ def test_sample_f_draws_match_golden_digest():
         for seed in (0, 1, 7):
             for gi in range(4):
                 rng = random.Random(seed * 0x9E3779B1 + gi)
-                for _ in range(8):
-                    f = explorer._sample_f(field, n, rng, None)
+                for f in explorer._sample_fs(field, n, rng, None, 8):
                     digest.update((polyring.render_compact(field, f) + "\n").encode())
     assert digest.hexdigest() == GOLDEN_F_DRAWS
 
 
 # The same, for 8 draws from each of the first 4 streams at seeds 0, 1 and
 # 7, for n = 10 over GF(81), whose digits take 7 bits, and for n = 15 over
-# GF(4) with max_f_degree = 3.  Taken while _sample_f still drew each digit
+# GF(4) with max_f_degree = 3.  Taken while the sampler still drew each digit
 # with rng.randrange(field.Q).
 GOLDEN_F_DRAWS_WIDE_AND_CAPPED = (
     "cdd4166dbc8da2349cc9382cb34287bac3f8d3172f8e0a884b67e03da033d1a7")
@@ -348,11 +349,86 @@ def test_sample_f_draws_gf81_and_degree_cap_match_golden_digest():
         for seed in (0, 1, 7):
             for gi in range(4):
                 rng = random.Random(seed * 0x9E3779B1 + gi)
-                for _ in range(8):
-                    f = explorer._sample_f(field, n, rng, max_deg)
+                for f in explorer._sample_fs(field, n, rng, max_deg, 8):
                     assert max_deg is None or not any(f[max_deg + 1:])
                     digest.update((polyring.render_compact(field, f) + "\n").encode())
     assert digest.hexdigest() == GOLDEN_F_DRAWS_WIDE_AND_CAPPED
+
+
+# the bulk sampler against the one-digit-at-a-time reference; the long
+# lengths take fewer seeds, as the reference's Euclid is slow there
+SAMPLER_GRID = ([(GF4, n) for n in (3, 7, 14, 15, 21, 23, 63, 127)]
+                + [(GF9, n) for n in (8, 10, 12, 41)]
+                + [(GF81, n) for n in (6, 10, 22)])
+
+
+@pytest.mark.parametrize("field,n", SAMPLER_GRID,
+                         ids=[f"Q{f.Q}-n{n}" for f, n in SAMPLER_GRID])
+def test_sampler_matches_reference(field, n):
+    seeds = range(40 if n <= 23 else 12)
+    for max_deg in (None, 0, 3):
+        for count in (0, 1, 8):
+            for seed in seeds:
+                a, b = random.Random(seed), random.Random(seed)
+                if seed % 2:
+                    # a stream some digits into the generator's, as after
+                    # the extension-vector pool
+                    assert explorer._draw_digits(a, field.Q, seed) == [
+                        b.randrange(field.Q) for _ in range(seed)]
+                got = list(explorer._sample_fs(field, n, a, max_deg, count))
+                want = oracles.sample_fs_reference(field, n, b, max_deg, count)
+                assert got == want, (n, max_deg, count, seed)
+                assert all(type(d) is int for f in got for d in f)
+
+
+@pytest.mark.parametrize("q,n", [(2, 7), (2, 15), (3, 11)])
+def test_sampler_after_the_x1_pool_matches_reference(q, n, monkeypatch):
+    # qecc mode: each generator's stream first feeds the extension-vector
+    # pool, whose draws must stop where randrange's would
+    field = field_make(q)
+
+    def by_randrange(rng, Q, count):
+        return [rng.randrange(Q) for _ in range(count)]
+
+    gs = [g for g in explorer.enumerate_self_orthogonal_g(field, n)
+          if 0 < polyring.deg(g) < n]
+    assert gs
+    for gi, g in enumerate(gs):
+        probe = qcc.build(field, n, (0,) * n, g)
+        a, b = random.Random(gi), random.Random(gi)
+        pool = explorer._x1_pool(field, probe, a, 8)
+        with monkeypatch.context() as m:
+            m.setattr(explorer, "_draw_digits", by_randrange)
+            assert explorer._x1_pool(field, probe, b, 8) == pool
+        got = list(explorer._sample_fs(field, n, a, None, 8))
+        assert got == oracles.sample_fs_reference(field, n, b, None, 8)
+
+
+def test_sampler_draws_bounded_batches():
+    # a count of 10^12 allocates nothing in proportion: every bulk draw is
+    # at most _DRAW_WORDS outputs, and the f keep matching the reference
+    # across the batch boundaries
+    asked = []
+
+    class Watched(random.Random):
+        def getrandbits(self, k):
+            asked.append(k)
+            return super().getrandbits(k)
+
+    fs = explorer._sample_fs(GF4, 15, Watched(3), None, 10 ** 12)
+    got = [next(fs) for _ in range(2000)]
+    assert len(asked) >= 3
+    assert max(asked) <= 32 * explorer._DRAW_WORDS
+    assert got == oracles.sample_fs_reference(GF4, 15, random.Random(3), None, 2000)
+
+
+def test_sampler_with_batches_shorter_than_a_block(monkeypatch):
+    # three outputs a draw give one or two digits: most batches hold no
+    # whole block, and the digits carry over to the next
+    monkeypatch.setattr(explorer, "_DRAW_WORDS", 3)
+    for field, n in ((GF4, 15), (GF81, 10)):
+        got = list(explorer._sample_fs(field, n, random.Random(5), None, 8))
+        assert got == oracles.sample_fs_reference(field, n, random.Random(5), None, 8)
 
 
 @pytest.mark.parametrize("mode", sorted(GOLDEN_N7))

@@ -8,6 +8,7 @@ encoding agrees with the one the reference parameters were computed under.
 import math
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -461,6 +462,39 @@ def test_is_unit_matches_euclid(field, n):
     for zero in ((), (0,) * n, (0,) * (3 * n)):
         assert not pr.is_unit(field, n, zero)
     assert pr.is_unit(field, n, (1,))
+
+
+@pytest.mark.parametrize("field,n", UNIT_GRID + LONG_UNIT_GRID,
+                         ids=[f"Q{f.Q}-n{n}" for f, n in UNIT_GRID + LONG_UNIT_GRID])
+def test_units_batch_matches_is_unit_and_euclid(field, n):
+    # one batch of rows against one is_unit call and one Euclid per row:
+    # full-length rows, short rows (a degree cap), multiples of one factor
+    # and zero rows
+    rng = random.Random(field.Q * 1000 + n + 3)
+    core = n
+    while core % field.p == 0:
+        core //= field.p
+    factors = pr.factor_xn_minus_1(field, core)
+    for width in sorted({n, min(n, 4), 1}):
+        rows = [[rng.randrange(field.Q) for _ in range(width)] for _ in range(60)]
+        for fac in factors:
+            if len(fac) <= width:
+                row = pr.poly_mul(field, rand_poly(rng, field, width - len(fac)), fac)
+                rows.append(list(row) + [0] * (width - len(row)))
+        rows.append([0] * width)
+        got = pr.units(field, n, np.array(rows, dtype=np.uint8)).tolist()
+        assert got == [pr.is_unit(field, n, row) for row in rows]
+        assert got == [unit_by_euclid(field, n, row) for row in rows], width
+        assert True in got and False in got
+    assert pr.units(field, n, np.zeros((0, n), dtype=np.uint8)).tolist() == []
+
+
+@pytest.mark.parametrize("field,n", UNIT_GRID, ids=[f"Q{f.Q}-n{n}" for f, n in UNIT_GRID])
+def test_unit_density_is_the_share_of_units(field, n):
+    rng = random.Random(field.Q * 1000 + n + 4)
+    rows = np.array([[rng.randrange(field.Q) for _ in range(n)] for _ in range(4000)])
+    share = pr.units(field, n, rows).mean()
+    assert abs(share - pr.unit_density(field, n)) < 0.04
 
 
 @pytest.mark.parametrize("field,n", UNIT_GRID, ids=[f"Q{f.Q}-n{n}" for f, n in UNIT_GRID])

@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from qcqec import famat, polyring, qcc
-from qcqec.errors import BudgetExceeded, PreconditionError
+from qcqec import famat, pipeline, polyring, qcc
+from qcqec.errors import BudgetExceeded, PreconditionError, SpecError
 from qcqec.gf import field_make
 
 GF4 = field_make(2)
@@ -201,6 +201,23 @@ def test_g_must_divide():
     with pytest.raises(PreconditionError) as e:
         qcc.build(GF4, 15, F15, (0, 1))
     assert e.value.code == "g-not-divisor"
+
+
+# a negative digit would index the field tables from the end, and one past
+# Q out of them: the pipeline refuses both before any stage runs
+@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("where", ["f", "g", "x1", "alpha"])
+def test_evaluation_rejects_out_of_range_digits(where, bad):
+    parts = {"f": F15, "g": G15, "x1": X15, "alpha": (1,)}
+    digits = parts[where]
+    parts[where] = digits[:2] + (bad,) + digits[3:]
+    with pytest.raises(SpecError, match=f"{where} digit {bad} out of range for GF\\(4\\)"):
+        pipeline.Evaluation(GF4, 15, parts["f"], parts["g"], (parts["x1"],), parts["alpha"])
+    # extended() goes through the same check
+    base = pipeline.Evaluation(GF4, 15, F15, G15)
+    if where in ("x1", "alpha"):
+        with pytest.raises(SpecError, match="out of range"):
+            base.extended((parts["x1"],), parts["alpha"])
 
 
 def test_extension_vector_not_in_dual():

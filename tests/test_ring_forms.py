@@ -48,12 +48,12 @@ def search_generators(field, n, mode):
 @pytest.mark.parametrize("name", sorted(SEARCH_CONFIGS))
 def test_search_generators(name):
     n, mode = SEARCH_CONFIGS[name]
-    rng = random.Random(n)
     gs = search_generators(GF4, n, mode)
     assert len(gs) >= 2
     satisfied = extended = 0
-    for g in gs:
-        f = explorer._sample_f(GF4, n, rng, None)
+    for gi, g in enumerate(gs):
+        # one stream per generator, as in the search: the sampler reads ahead
+        f, = explorer._sample_fs(GF4, n, random.Random(n * 1000 + gi), None, 1)
         code, cert = oracles.check_code(GF4, n, f, g)
         assert oracles.rank(code.G) == code.k  # what the enumeration relies on
         satisfied += cert.satisfied

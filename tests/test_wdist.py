@@ -63,7 +63,7 @@ def test_scaled_packed_row():
     bp = wdist.BitPlanes(GF9, 4)
     row = (0, 1, 5, 8)
     want = bp.encode([[GF9.mul(s, d) for d in row] for s in GF9.digits])
-    assert np.array_equal(bp.multiples(row), want)
+    assert np.array_equal(bp.multiples([row])[:, :, 0], want)
 
 
 @pytest.mark.parametrize("field", [GF4, GF9, GF81])
@@ -92,7 +92,7 @@ def test_plane_span_is_the_row_space(field):
         [field.add(field.mul(s, x), field.mul(t, y)) for x, y in zip(*rows)]
         for s in field.digits for t in field.digits
     ]
-    got = bp.span(rows)
+    got = bp.span(bp.multiples(rows))
     assert got.shape == (bp.P, bp.W, field.Q ** 2)
     assert sorted(map(tuple, got.reshape(-1, field.Q ** 2).T.tolist())) == sorted(
         map(tuple, bp.encode(words).reshape(-1, field.Q ** 2).T.tolist()))
@@ -107,7 +107,7 @@ def test_span_peak_is_about_the_table(field, r, n):
     bp = wdist.BitPlanes(field, n)
     tracemalloc.start()
     try:
-        table = bp.span(rows)
+        table = bp.span(bp.multiples(rows))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -212,17 +212,19 @@ def test_enumerate_rejects_rank_deficient():
             wdist.enumerate_code(fm.Mat(GF4, rows))
 
 
-# k = 4 keeps one outer row over GF(4) and GF(9) and two over GF(81), whose
-# block table is capped at two rows
+# k = 7 over GF(4) and k = 4 over GF(9) are past the one-step span and keep
+# one outer row; k = 4 over GF(81) keeps two, its block table capped at two
+# rows
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("where", ["table", "outer"])
-@pytest.mark.parametrize("field,n", [(GF4, 12), (GF9, 10), (GF81, 6)], ids=["Q4", "Q9", "Q81"])
-def test_rank_deficiency_is_caught_by_the_scan(field, n, where, workers, monkeypatch):
+@pytest.mark.parametrize("field,n,rank", [(GF4, 12, 6), (GF9, 10, 3), (GF81, 6, 3)],
+                         ids=["Q4", "Q9", "Q81"])
+def test_rank_deficiency_is_caught_by_the_scan(field, n, rank, where, workers, monkeypatch):
     # no elimination runs: the scan's weight-0 count Q^(k - rank) must refuse
     # a dependent row, last (in the block table) or first (an outer row)
     monkeypatch.setattr(wdist, "_usable_cpus", lambda: 2)
     rng = random.Random(field.Q + n)
-    rows = rand_full_rank(rng, field, 3, n).rows
+    rows = rand_full_rank(rng, field, rank, n).rows
     s = rng.randrange(1, field.Q)
     dependent = [field.mul(s, field.add(a, b)) for a, b in zip(rows[0], rows[2])]
     rows = rows + [dependent] if where == "table" else [dependent] + rows
@@ -230,12 +232,41 @@ def test_rank_deficiency_is_caught_by_the_scan(field, n, where, workers, monkeyp
         wdist.enumerate_code(fm.Mat(field, rows), workers=workers)
 
 
+def one_step(field, k, n):
+    """Whether enumerate_code scans an [n, k]_Q code in one step."""
+    P, W = wdist.BitPlanes.shape(field, n)
+    return field.Q ** k * 8 * P * W <= min(wdist._ONE_STEP_BYTES, wdist._BLOCK_BYTES)
+
+
+# each side of the one-step span: over GF(4) 4^6 words fit and 4^7 do not, at
+# W = 1, and at W = 3 4^6 no longer fits; GF(9) 9^3 and 9^4; GF(81) 81 and 81^2
+@pytest.mark.parametrize("field,k,n,fits", [
+    (GF4, 6, 20, True), (GF4, 7, 20, False), (GF4, 5, 130, True), (GF4, 6, 130, False),
+    (GF9, 3, 12, True), (GF9, 4, 12, False), (GF81, 1, 9, True), (GF81, 2, 9, False),
+])
+def test_one_step_and_projective_scans_agree(field, k, n, fits, monkeypatch):
+    assert one_step(field, k, n) == fits
+    rng = random.Random(field.Q * 1000 + k * 100 + n)
+    codes = [rand_full_rank(rng, field, k, n) for _ in range(3)]
+    default = [wdist.enumerate_code(g) for g in codes]
+    # with the one-step span at 0 every code takes the projective scan, and
+    # with it at the block table cap every code that fits takes one step
+    monkeypatch.setattr(wdist, "_ONE_STEP_BYTES", 0)
+    assert not one_step(field, k, n)
+    assert [wdist.enumerate_code(g) for g in codes] == default
+    monkeypatch.setattr(wdist, "_ONE_STEP_BYTES", wdist._BLOCK_BYTES)
+    assert one_step(field, k, n)
+    assert [wdist.enumerate_code(g) for g in codes] == default
+    if field.Q ** k <= 4 ** 5:
+        assert default == [oracles.enumerate_code_naive(g) for g in codes]
+
+
 def test_enumerate_workers_agree(monkeypatch):
     # the pool is capped at the usable CPUs; lift the cap so that three
     # workers are three processes on any machine
     monkeypatch.setattr(wdist, "_usable_cpus", lambda: 3)
     rng = random.Random(5)
-    g = rand_full_rank(rng, GF4, 5, 9)
+    g = rand_full_rank(rng, GF4, 7, 9)  # past the one-step span: work units
     one = wdist.enumerate_code(g, workers=1)
     many = wdist.enumerate_code(g, workers=3)
     assert one == many
@@ -279,7 +310,7 @@ def test_pool_is_capped_at_usable_cpus(monkeypatch, affinity, cpu_count, pool):
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-    g = rand_full_rank(random.Random(5), GF4, 5, 9)
+    g = rand_full_rank(random.Random(5), GF4, 7, 9)  # past the one-step span
     one = wdist.enumerate_code(g, workers=1)
     assert wdist.enumerate_code(g, workers=10 ** 6) == one
     assert started == pool
