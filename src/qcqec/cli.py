@@ -89,16 +89,18 @@ def load_spec(path: str) -> dict:
     for key in ("q", "n", "alpha1", "alpha2", "enum_budget"):
         if key in doc:
             require_int(f"spec field {key!r}", doc[key], 1 if key == "enum_budget" else None)
+    # the vectors given set the column count; a stated mode must agree
+    x1, x2 = bool(doc.get("x1")), bool(doc.get("x2"))
+    if x2 and not x1:
+        raise SpecError("x2 needs x1")
     mode = doc.get("mode")
     if mode is None:
-        mode = ("extend-two" if doc.get("x2") else
-                "extend-one" if doc.get("x1") else "base")
+        mode = refdata.MODES[x1 + x2]
     if mode not in refdata.MODES:
         raise SpecError(f"mode must be one of {refdata.MODES}, got {mode!r}")
-    if mode == "extend-one" and not doc.get("x1"):
-        raise SpecError("extend-one needs x1")
-    if mode == "extend-two" and not (doc.get("x1") and doc.get("x2")):
-        raise SpecError("extend-two needs x1 and x2")
+    if mode != refdata.MODES[x1 + x2]:
+        vectors = ("no x1 or x2", "x1 and no x2", "x1 and x2")[refdata.MODES.index(mode)]
+        raise SpecError(f"{mode} needs {vectors}")
     doc = dict(doc)
     doc["mode"] = mode
     return doc

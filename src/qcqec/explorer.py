@@ -251,11 +251,11 @@ def _sample_fs(field: Field, n: int, rng: random.Random, max_deg: int | None, co
 def _x1_pool(field: Field, code: qcc.QcCode, rng: random.Random, want: int):
     """Qualifying one-column extension vectors for code's generator.
 
-    Membership and the self-product condition only involve g, so the pool
-    is shared by every f sampled for that generator.  The lexicographically
-    first vector is always included; the rest are rejection-sampled from
-    the block dual.  Returns the skip reason instead when even one vector
-    is out of reach.
+    Membership and the orthogonality rule, qcc.column_gram(x, 1) = 0, only
+    involve g, so the pool is shared by every f sampled for that generator.
+    The lexicographically first vector is always included; the rest are
+    rejection-sampled from the block dual.  Returns the skip reason instead
+    when even one vector is out of reach.
     """
     try:
         first = qcc.find_extension_vector(code, 1)
@@ -264,12 +264,7 @@ def _x1_pool(field: Field, code: qcc.QcCode, rng: random.Random, want: int):
     except BudgetExceeded:
         return "extension-scan-budget"
     pool, have = [first], {first}
-    # the block dual is <dual>, of dimension deg(cyc); its word for the
-    # message msg is msg * dual, a product of degree below n
-    cyc = qcc.block_code_generator(code, 1)
-    dual = polyring.dual_gen(field, code.n, cyc)
-    dim = polyring.deg(cyc)
-    target = field.from_int(field.p - 1)
+    dual, dim = qcc.block_dual(code, 1)
     tries = 0
     while len(pool) < want and tries < 200 * want:
         tries += 1
@@ -277,7 +272,7 @@ def _x1_pool(field: Field, code: qcc.QcCode, rng: random.Random, want: int):
         if not any(msg):
             continue
         x = polyring.ring_mul(field, code.n, msg, dual)
-        if qcc.hermitian_self_product(field, x) != target or x in have:
+        if qcc.column_gram(field, x, 1) or x in have:
             continue
         have.add(x)
         pool.append(x)

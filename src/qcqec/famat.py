@@ -5,17 +5,16 @@ hundred rows in size.  The constructor copies the rows it is given.
 
 The per-code tests run in the polynomial ring (see `qcc`), so matrices
 are only built for what reads them: the generator matrices that are
-enumerated, the circulant dual bases an extension scan walks, and the P
-matrix whose characteristic polynomial a report prints.  The one piece of
-matrix arithmetic left is that polynomial, by a Hessenberg reduction that
-updates a row with one list comprehension over a bound row of the
-multiplication table.  Elimination, and the matrix routes the ring forms
-replaced, live with the tests, in tests/oracles.py.
+enumerated, and the P matrix whose characteristic polynomial a report
+prints.  The one piece of matrix arithmetic left is that polynomial, by a
+Hessenberg reduction that updates a row with one list comprehension over
+a bound row of the multiplication table.  Elimination, and the matrix
+routes the ring forms replaced, live with the tests, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-from qcqec.polyring import cyclic_shift, trim
+from qcqec.polyring import cyclic_shift
 
 
 class Mat:
@@ -56,14 +55,6 @@ def circulant(field, vec, nrows: int) -> Mat:
     coefficients of a, cyclically shifted right i places."""
     vec = tuple(vec)
     return Mat(field, [cyclic_shift(vec, i) for i in range(nrows)], len(vec))
-
-
-def mat_from_poly(field, n: int, coeffs, nrows: int) -> Mat:
-    """Circulant of a plain polynomial padded to length n."""
-    coeffs = trim(coeffs)
-    if len(coeffs) > n:
-        raise ValueError("polynomial does not fit in the ring")
-    return circulant(field, tuple(coeffs) + (0,) * (n - len(coeffs)), nrows)
 
 
 # --- characteristic polynomial ----------------------------------------------

@@ -51,6 +51,8 @@ class Field:
     one = 1
 
     def __init__(self, p: int, modulus: tuple[int, ...]):
+        if len(modulus) < 2 or modulus[-1] % p != 1:
+            raise SpecError(f"modulus {modulus} is not monic of degree >= 1")
         self.p = p
         self.modulus = tuple(modulus)
         self.m = len(modulus) - 1
@@ -61,31 +63,22 @@ class Field:
         self.q = q
         self._Qm1 = self.Q - 1
 
-        if not _prime_poly_irreducible(modulus, p):
-            raise SpecError(f"modulus {modulus} is reducible over GF({p})")
-
-        # Antilog table: coefficient vector of alpha^i, built by repeated
-        # multiplication by x.  x must have full order Q-1 (primitivity).
-        m = self.m
-        vec = [0] * m
-        vec[0] = 1
-        antilog = []
-        seen = {}
+        # digit -> coefficient vector, and its inverse: zero, then
+        # alpha^i = x^i by repeated multiplication by x.  x must have full
+        # order Q-1 (primitivity), which also proves the modulus
+        # irreducible: Q-1 distinct powers make every nonzero residue a unit.
+        coeffs = self._coeffs = [(0,) * self.m]
+        digit_of = {coeffs[0]: 0}
+        vec = (1,) + coeffs[0][1:]
         for i in range(self._Qm1):
-            key = tuple(vec)
-            if key in seen:
+            if vec in digit_of:
                 raise SpecError(f"x has order {i} < {self._Qm1} mod {modulus}")
-            seen[key] = i
-            antilog.append(key)
+            digit_of[vec] = len(coeffs)
+            coeffs.append(vec)
             vec = _shift_mod(vec, modulus, p)
-        if tuple(vec) != tuple(antilog[0]):
+        if vec != coeffs[1]:
             raise SpecError(f"x is not primitive mod {modulus}")
 
-        # digit -> coefficient vector, and its inverse.
-        self._coeffs = [(0,) * m] + antilog
-        digit_of = {c: d for d, c in enumerate(self._coeffs)}
-
-        coeffs = self._coeffs
         Qm1 = self._Qm1
         self.add_table = [
             [digit_of[tuple((x + y) % p for x, y in zip(a, b))] for b in coeffs]
@@ -158,50 +151,15 @@ class Field:
         return f"Field(GF({self.Q}))"
 
 
-def _shift_mod(vec: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
-    """Multiply a coefficient vector by x and reduce by the modulus."""
+def _shift_mod(vec: tuple[int, ...], modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Multiply a coefficient vector by x and reduce by the monic modulus."""
     m = len(vec)
     top = vec[m - 1]
-    out = [0] + vec[: m - 1]
+    out = [0, *vec[: m - 1]]
     if top:
         for t in range(m):
             out[t] = (out[t] - top * modulus[t]) % p
-    return out
-
-
-def _prime_poly_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Brute-force irreducibility over GF(p); fine for the tiny moduli here."""
-    deg = len(f) - 1
-    if deg < 1 or f[-1] % p == 0:
-        return False
-    for ddeg in range(1, deg // 2 + 1):
-        # All monic divisor candidates of degree ddeg.
-        for idx in range(p ** ddeg):
-            cand = []
-            t = idx
-            for _ in range(ddeg):
-                cand.append(t % p)
-                t //= p
-            cand.append(1)
-            if _prime_poly_divides(cand, f, p):
-                return False
-    return True
-
-
-def _prime_poly_divides(d: list[int], f: tuple[int, ...], p: int) -> bool:
-    rem = [c % p for c in f]
-    dd = len(d) - 1
-    inv_lead = pow(d[-1], -1, p)
-    while len(rem) - 1 >= dd:
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        c = rem[-1] * inv_lead % p
-        shift = len(rem) - 1 - dd
-        for t in range(dd + 1):
-            rem[shift + t] = (rem[shift + t] - c * d[t]) % p
-        rem.pop()
-    return not any(rem)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -8,10 +8,11 @@ nonzero entry of x^i g sits in column i.  The parity-check matrix
 stacks a circulant of the conjugate-reciprocal complement of g on top of
 (circulant of -conj_rev(f) | I_n).
 
-Extensions append one or two columns plus matching rows built from vectors in
-the Hermitian duals of the two block codes.  Two preservation rules exist:
-the unit-alpha rule keeps Hermitian self-orthogonality, the general rule
-keeps the Gram matrix at full rank (used for entanglement-assisted codes).
+Extensions append one or two columns plus matching rows (x_i | alpha_i),
+x_i in the Hermitian dual of block code i.  Each column adds `column_gram`
+to the Gram matrix (last item below): zero, with alpha_i = 1, keeps
+Hermitian self-orthogonality; nonzero keeps a full rank (used for
+entanglement-assisted codes).
 
 All these matrices are made of circulant blocks, so every test on a code is
 a computation in the ring GF(q^2)[x]/(x^n - 1).  Write circ(a) for the
@@ -38,7 +39,8 @@ product <x^i a, x^j b> is the coefficient of x^(j-i) in a b̄.  So:
   -u (1 + f f̄).  So 1 is not an eigenvalue of P iff gcd(1 + f f̄, d) = 1.
 * x lies in the Hermitian dual of the left (right) block code iff x ḡ = 0
   (x (f g)‾ = 0), and the Gram matrix of an extension is block diagonal:
-  G G^dag, then <x_i, x_i> + alpha_i^(q+1) for each added column.
+  G G^dag, then column_gram = <x_i, x_i> + alpha_i^(q+1) for each added
+  column.
 
 The matrices themselves (G of a code, built in one pass from its rows, G
 of an extension, and the characteristic polynomial of P) are built when
@@ -116,7 +118,6 @@ class ExtendedCode:
     alphas: tuple
     rule: str
     gram_rank: int
-    self_products: tuple
 
     @property
     def columns_added(self) -> int:
@@ -220,53 +221,52 @@ def build(field: Field, n: int, f, g) -> QcCode:
     return code
 
 
-def block_code_generator(code: QcCode, side: int) -> tuple:
-    """Generator polynomial of the cyclic code spanned by the left (side 1)
-    or right (side 2) block of G."""
+def block_dual(code: QcCode, side: int) -> tuple[tuple, int]:
+    """(d, r) for the Hermitian dual of the cyclic code spanned by the left
+    (side 1) or right (side 2) block of G: with r = deg gcd(g or f g,
+    x^n - 1), the dual is {m d : deg m < r}, and d is a ring vector."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    gen = code.g if side == 1 else code.fg
-    xn1 = polyring.x_pow_n_minus_1(code.field, code.n)
-    return polyring.monic(code.field, polyring.poly_gcd(code.field, gen, xn1))
+    field, n = code.field, code.n
+    cyc = polyring.poly_gcd(field, code.g if side == 1 else code.fg,
+                            polyring.x_pow_n_minus_1(field, n))
+    return polyring.ring_from_plain(field, n, polyring.dual_gen(field, n, cyc)), polyring.deg(cyc)
 
 
-def block_dual_basis(code: QcCode, side: int) -> famat.Mat:
-    """Circulant basis of the Hermitian dual of the side's block code."""
-    cyc = block_code_generator(code, side)
-    dual = polyring.dual_gen(code.field, code.n, cyc)
-    return famat.mat_from_poly(code.field, code.n, dual, polyring.deg(cyc))
+def column_gram(field: Field, x, alpha: int) -> int:
+    """<x,x> + alpha^(q+1), the Gram entry of the column that the row
+    (x | alpha) adds.  Zero keeps a zero Gram matrix zero (with alpha = 1,
+    the orthogonality rule); nonzero adds one to its rank."""
+    return field.add(hermitian_self_product(field, x), field.norm_q(alpha))
 
 
 def find_extension_vector(code: QcCode, side: int, alpha: int | None = None) -> tuple:
-    """First dual codeword (lexicographic message order) usable as an extension row.
+    """First word of the side's block dual, in lexicographic message order,
+    usable as an extension row.
 
-    alpha=None selects the self-orthogonality rule <x,x> = p-1; a nonzero
-    alpha selects the rank rule <x,x> != (p-1) * alpha^(q+1).
+    alpha=None selects the orthogonality rule column_gram(x, 1) = 0; a
+    nonzero alpha selects the rank rule column_gram(x, alpha) != 0.
     """
-    field = code.field
-    basis = block_dual_basis(code, side)
-    dim = basis.nrows
+    field, n = code.field, code.n
+    d, dim = block_dual(code, side)
     if field.Q ** dim > _SCAN_CAP:
         raise BudgetExceeded(field.Q ** dim, _SCAN_CAP, what="extension-vector-scan")
 
-    if alpha is None:
-        target = field.from_int(field.p - 1)
-        want_equal = True
+    orthogonal = alpha is None
+    if orthogonal:
+        alpha = 1
     else:
         alpha = field.check_digit(alpha)
         if alpha == 0:
             raise PreconditionError("alpha-zero", "extension column scalar must be nonzero")
-        target = field.mul(field.from_int(field.p - 1), field.norm_q(alpha))
-        want_equal = False
 
-    rows = [basis.row(i) for i in range(dim)]
+    rows = [polyring.cyclic_shift(d, i) for i in range(dim)]
     add, mul = field.add_table, field.mul_table
-    stack = [(0, [0] * code.n)]  # depth-first in message-digit order = lexicographic
+    stack = [(0, [0] * n)]  # depth-first in message-digit order = lexicographic
     while stack:
         depth, acc = stack.pop()
         if depth == dim:
-            prod = hermitian_self_product(field, acc)
-            if (prod == target) == want_equal and any(acc):
+            if any(acc) and (column_gram(field, acc, alpha) == 0) == orthogonal:
                 return tuple(acc)
             continue
         row = rows[depth]
@@ -308,10 +308,8 @@ def _extend(code: QcCode, xs, alphas) -> ExtendedCode:
         if any(polyring.ring_mul(field, n, x, gen_bar)):
             raise PreconditionError("not-in-dual", f"x{i + 1} is not in the block code's Hermitian dual")
 
-    products = tuple(hermitian_self_product(field, x) for x in xs)
-    p_minus_1 = field.from_int(field.p - 1)
-    unit_rule = all(a == 1 for a in alphas) and all(pr == p_minus_1 for pr in products)
-    if unit_rule:
+    grams = tuple(column_gram(field, x, a) for x, a in zip(xs, alphas))
+    if all(a == 1 for a in alphas) and not any(grams):
         rule = RULE_ORTHOGONAL
         if not code.orthogonal_gram:
             raise PreconditionError("base-not-self-orthogonal", "self-orthogonality rule needs GG^dag = 0")
@@ -319,18 +317,13 @@ def _extend(code: QcCode, xs, alphas) -> ExtendedCode:
         rule = RULE_GRAM_RANK
         if field.q == 2:
             raise PreconditionError("wrong-field-size", "the rank-preserving rule needs q > 2")
-        for a, pr in zip(alphas, products):
-            if pr == field.mul(p_minus_1, field.norm_q(a)):
-                raise PreconditionError("wrong-self-product", "<x,x> equals (p-1)*alpha^(q+1)")
+        if not all(grams):
+            raise PreconditionError("wrong-self-product", "<x,x> equals (p-1)*alpha^(q+1)")
 
-    # the extended Gram matrix is block diagonal: G G^dag, then one entry
-    # <x_i, x_i> + alpha_i^(q+1) per added column
-    gram_rank = code.gram_rank + sum(
-        field.add(pr, field.norm_q(a)) != 0 for pr, a in zip(products, alphas))
-    if rule == RULE_ORTHOGONAL:
-        if gram_rank:
-            raise AssertionError("extension broke self-orthogonality")
-    elif gram_rank != k + cols:
+    # the extended Gram matrix is block diagonal: G G^dag, then one
+    # column_gram entry per added column
+    gram_rank = code.gram_rank + sum(gr != 0 for gr in grams)
+    if rule == RULE_GRAM_RANK and gram_rank != k + cols:
         raise PreconditionError(
             "base-gram-rank-deficient",
             f"extended Gram rank {gram_rank} != {k + cols}; base code has a nonzero Hermitian hull",
@@ -341,7 +334,6 @@ def _extend(code: QcCode, xs, alphas) -> ExtendedCode:
         alphas=alphas,
         rule=rule,
         gram_rank=gram_rank,
-        self_products=products,
     )
 
 

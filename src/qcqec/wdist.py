@@ -60,8 +60,6 @@ class WeightEnumerator:
     def __post_init__(self):
         if len(self.counts) != self.n + 1:
             raise ValueError("counts must have length n + 1")
-        if self.counts[0] != 1:
-            raise ValueError("a linear code has exactly one word of weight 0")
 
     def distance(self) -> int | None:
         """Minimum nonzero weight, or None for the zero code."""

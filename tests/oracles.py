@@ -34,6 +34,14 @@ def identity(field, n) -> famat.Mat:
     return famat.Mat(field, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
 
+def mat_from_poly(field, n: int, coeffs, nrows: int) -> famat.Mat:
+    """Circulant of a plain polynomial padded to length n."""
+    coeffs = polyring.trim(coeffs)
+    if len(coeffs) > n:
+        raise ValueError("polynomial does not fit in the ring")
+    return famat.circulant(field, coeffs + (0,) * (n - len(coeffs)), nrows)
+
+
 def is_zero(m: famat.Mat) -> bool:
     return not any(map(any, m.rows))
 
@@ -239,6 +247,30 @@ def double_shift(vec) -> tuple:
     return polyring.cyclic_shift(vec[:n], 1) + polyring.cyclic_shift(vec[n:], 1)
 
 
+def first_extension_vector(code, side, alpha=None):
+    """qcc.find_extension_vector by one product per message: the messages
+    m in itertools.product order, the words m d of the block dual, with d
+    the dual generator of gcd(g or f g, x^n - 1), and the rule written out
+    on the self product: <x,x> = p - 1 for alpha None, else
+    <x,x> != (p - 1) alpha^(q+1).  None when no word qualifies."""
+    field, n = code.field, code.n
+    cyc = polyring.poly_gcd(field, code.g if side == 1 else code.fg,
+                            polyring.x_pow_n_minus_1(field, n))
+    d = polyring.dual_gen(field, n, cyc)
+    p_minus_1 = field.from_int(field.p - 1)
+    for msg in itertools.product(field.digits, repeat=polyring.deg(cyc)):
+        x = polyring.ring_mul(field, n, msg, d)
+        if not any(x):
+            continue
+        product = qcc.hermitian_self_product(field, x)
+        if alpha is None:
+            if product == p_minus_1:
+                return x
+        elif product != field.mul(p_minus_1, field.norm_q(alpha)):
+            return x
+    return None
+
+
 def eaqecc_from_qc(code, d) -> quantum.EaqeccParams:
     """Entanglement-assisted code of the quasi-cyclic code itself."""
     c = quantum.entanglement_count(code)
@@ -321,7 +353,7 @@ def generator_blocks(field, n, f, g) -> tuple:
     """G1 and G2: the first k rows of circ(g) and of circ(f g)."""
     k = n - polyring.deg(g)
     fg = polyring.ring_mul(field, n, f, g)
-    return famat.mat_from_poly(field, n, g, k), famat.mat_from_poly(field, n, fg, k)
+    return mat_from_poly(field, n, g, k), mat_from_poly(field, n, fg, k)
 
 
 def parity_check(field, n, dual_g, f) -> tuple:
@@ -329,7 +361,7 @@ def parity_check(field, n, dual_g, f) -> tuple:
     dual_g (none for g = 1, whose dual_g is x^n - 1 up to a scalar), and
     the circulant of -conj(f)(x^-1)."""
     r = n - polyring.deg(dual_g)
-    H1 = famat.mat_from_poly(field, n, dual_g, r) if r else famat.Mat(field, [], n)
+    H1 = mat_from_poly(field, n, dual_g, r) if r else famat.Mat(field, [], n)
     f = polyring.ring_from_plain(field, n, f)
     conj_rev_f = polyring.frob_poly(field, polyring.bar(f))
     H2 = famat.circulant(field, polyring.poly_neg(field, conj_rev_f), n)

@@ -141,6 +141,51 @@ def test_spec_error_exit_codes(capsys, tmp_path):
     assert rc == 2
 
 
+# a self-orthogonal [14,3]_4 base and a vector of its left block dual
+N7_SO = {"q": 2, "n": 7, "f": "12", "g": "101^3"}
+N7_X1 = "(13)^23^21"
+
+
+@pytest.mark.parametrize("vectors, message", [
+    ({"mode": "base", "x1": N7_X1}, "base needs no x1 or x2"),
+    ({"mode": "extend-one"}, "extend-one needs x1 and no x2"),
+    ({"mode": "extend-one", "x1": N7_X1, "x2": N7_X1}, "extend-one needs x1 and no x2"),
+    ({"mode": "extend-two", "x1": N7_X1}, "extend-two needs x1 and x2"),
+    ({"x2": N7_X1}, "x2 needs x1"),
+    ({"mode": "extend-two", "x2": N7_X1}, "x2 needs x1"),
+])
+def test_mode_must_match_the_vectors(capsys, tmp_path, vectors, message):
+    # a mode that disagrees with the vectors given used to drop them
+    spec = write_spec(tmp_path, "spec.json", {**N7_SO, **vectors})
+    report_path = tmp_path / "err.json"
+    rc, _, err = run(capsys, "verify", spec, "--json", str(report_path))
+    assert rc == 2
+    assert json.loads(err)["error"] == {"type": "spec", "message": message}
+    assert json.loads(report_path.read_text())["error"]["message"] == message
+
+
+def test_mode_follows_the_vectors(capsys, tmp_path):
+    spec = write_spec(tmp_path, "spec.json", {**N7_SO, "x1": N7_X1})
+    report_path = tmp_path / "report.json"
+    rc, _, _ = run(capsys, "verify", spec, "--json", str(report_path))
+    assert rc == 0
+    doc = json.loads(report_path.read_text())
+    assert (doc["spec"]["mode"], doc["spec"]["x1"], doc["spec"]["x2"]) == (
+        "extend-one", "1313^31", None)
+    assert doc["classical"] == "[15,4,8]_4"
+
+
+# every word of the block dual of <x^3 + x + 1> at n = 7 over GF(4) has
+# <x,x> = 0, so the orthogonality rule has no vector to take; g = 1 spans
+# the whole space, whose dual is {0}
+@pytest.mark.parametrize("g", ["1101", "1"])
+def test_extend_without_a_qualifying_vector(capsys, tmp_path, g):
+    spec = write_spec(tmp_path, "n7.json", {"q": 2, "n": 7, "f": "1", "g": g})
+    rc, _, err = run(capsys, "extend", spec)
+    assert rc == 4
+    assert json.loads(err)["error"]["code"] == "no-qualifying-vector"
+
+
 def test_precondition_error_reaches_json(capsys, tmp_path):
     # x + x^2 has 0 as a root, so it cannot divide x^7 - 1
     spec = write_spec(tmp_path, "nondiv.json",

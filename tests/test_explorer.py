@@ -404,6 +404,45 @@ def test_sampler_after_the_x1_pool_matches_reference(q, n, monkeypatch):
         assert got == oracles.sample_fs_reference(field, n, b, None, 8)
 
 
+@pytest.mark.parametrize("q,n", [(2, 7), (2, 15), (2, 21), (3, 8), (3, 10), (3, 13)])
+def test_x1_pool_lies_in_the_block_dual(q, n):
+    field = field_make(q)
+    pooled = 0
+    for gi, g in enumerate(explorer.enumerate_self_orthogonal_g(field, n)):
+        if not 0 < polyring.deg(g) < n:
+            continue
+        probe = qcc.build(field, n, (0,) * n, g)
+        pool = explorer._x1_pool(field, probe, random.Random(gi), 8)
+        if isinstance(pool, str):
+            continue
+        left, _ = oracles.generator_blocks(field, n, probe.f, g)
+        assert len(set(pool)) == len(pool)
+        for x in pool:
+            assert any(x) and oracles.orthogonal_to_rows(x, left)
+            assert qcc.column_gram(field, x, 1) == 0
+        pooled += len(pool)
+    assert pooled
+
+
+@pytest.mark.parametrize("error, reason", [
+    (PreconditionError("no-qualifying-vector", "none"), "no-extension-vector"),
+    (BudgetExceeded(3 ** 17, 3 ** 16, what="extension-vector-scan"), "extension-scan-budget"),
+])
+def test_search_records_the_missing_extension_vector(tmp_path, monkeypatch, error, reason):
+    def refuse(code, side, alpha=None):
+        raise error
+
+    monkeypatch.setattr(qcc, "find_extension_vector", refuse)
+    cfg, recs = _run(tmp_path, "r.jsonl", q=2, n=7, mode="qecc", max_f_samples=3)
+    assert recs == []
+    records = list(explorer.read_records(cfg.output_path))
+    assert len(records) == 3 * len([g for g in explorer.enumerate_self_orthogonal_g(GF4, 7)
+                                    if 0 < polyring.deg(g) < 7])
+    for rec in records:
+        assert rec.flags["skipped"] == reason and rec.flags["x1"] is None
+        assert rec.d is None and rec.qecc is None
+
+
 def test_sampler_draws_bounded_batches():
     # a count of 10^12 allocates nothing in proportion: every bulk draw is
     # at most _DRAW_WORDS outputs, and the f keep matching the reference

@@ -49,7 +49,7 @@ def test_circulant_rows_are_shifts():
 def test_circulant_rank_is_cyclic_code_dimension():
     # dim <g> = n - deg g even when all n shifts are stacked
     g = pr.parse_compact(GF4, "1220310131")
-    m = fm.mat_from_poly(GF4, 15, g, 15)
+    m = oracles.mat_from_poly(GF4, 15, g, 15)
     assert oracles.rank(m) == 15 - pr.deg(g)
 
 

@@ -79,8 +79,26 @@ def test_unsupported_q_rejected():
 
 
 def test_reducible_modulus_rejected():
-    with pytest.raises(SpecError):
-        Field(2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over GF(2)
+    # the primitivity loop alone refuses these: it proves the residues a field
+    for p, modulus in [
+        (2, (1, 0, 1)),        # x^2 + 1 = (x + 1)^2
+        (2, (0, 1, 1)),        # x^2 + x = x (x + 1)
+        (3, (1, 1, 1)),        # x^2 + x + 1 = (x + 2)^2
+        (3, (1, 0, 0, 0, 1)),  # x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2)
+        (3, (2, 1, 1, 0, 1)),
+    ]:
+        assert not oracle_irreducible(list(modulus), p)
+        with pytest.raises(SpecError):
+            Field(p, modulus)
+    # and a modulus that is not monic of degree >= 1 never reaches it
+    for p, modulus in [
+        (2, (1, 1, 0)),  # x + 1 with a zero leading digit: would build GF(4)
+        (3, (2, 2, 2)),  # 2 (x^2 + x + 1)
+        (2, (1,)),       # degree 0: would fail indexing
+        (2, ()),
+    ]:
+        with pytest.raises(SpecError, match="not monic of degree >= 1"):
+            Field(p, modulus)
 
 
 def test_non_primitive_modulus_rejected():

@@ -99,7 +99,7 @@ def test_extend_one_gf4_n15_matches_reference():
     assert ext.G == famat.Mat(GF4, EXT15_ROWS)
     assert ext.G is ext.G
     assert oracles.is_zero(oracles.gram_hermitian(ext.G))
-    assert ext.self_products == (1,)
+    assert qcc.hermitian_self_product(GF4, ext.xs[0]) == 1
 
 
 def test_extend_two_gf9_n10_matches_reference():
@@ -110,7 +110,7 @@ def test_extend_two_gf9_n10_matches_reference():
     assert ext.length == 22 and ext.dim == 6
     assert ext.G == famat.Mat(GF9, EXT10_ROWS)
     # <x,x> = 2 in the prime subfield for both extension vectors
-    assert ext.self_products == (GF9.from_int(2),) * 2
+    assert [qcc.hermitian_self_product(GF9, x) for x in ext.xs] == [GF9.from_int(2)] * 2
 
 
 def test_parity_check_gf4_n7():
@@ -169,7 +169,7 @@ def test_extend_two_gf81_rank_rule():
     code = build81()
     ext = qcc.extend_two(code, X81A, X81B)
     assert ext.rule == qcc.RULE_GRAM_RANK
-    assert ext.self_products == (61, 51)
+    assert [qcc.hermitian_self_product(GF81, x) for x in ext.xs] == [61, 51]
     assert ext.gram_rank == 5
     assert ext.length == 22 and ext.dim == 5
     assert ext.G.row(3) == X81A + (0,) * 10 + (1, 0)
@@ -185,16 +185,21 @@ def test_double_shift_closure():
 
 def test_block_code_generators():
     code = build15()
-    assert qcc.block_code_generator(code, 1) == G15
+    # the block code of side 1 is <g>: its dual is generated by dual_gen(g)
+    # and has dimension deg g
+    left = (polyring.ring_from_plain(GF4, 15, polyring.dual_gen(GF4, 15, G15)), polyring.deg(G15))
+    assert qcc.block_dual(code, 1) == left
     # f coprime to x^n - 1 leaves the right block code equal to <g>
     assert code.f_coprime
-    assert qcc.block_code_generator(code, 2) == G15
+    assert qcc.block_dual(code, 2) == left
     assert oracles.rank(oracles.generator_blocks(GF4, 15, code.f, G15)[1]) == code.k
 
     zero_f = qcc.build(GF4, 15, (0,), G15)
     assert not any(any(row[15:]) for row in zero_f.G.rows)
     assert not zero_f.f_coprime
-    assert qcc.block_dual_basis(zero_f, 2) == oracles.identity(GF4, 15)
+    assert oracles.mat_from_poly(GF4, 15, *qcc.block_dual(zero_f, 2)) == oracles.identity(GF4, 15)
+    with pytest.raises(ValueError):
+        qcc.block_dual(code, 3)
 
 
 def test_g_must_divide():
@@ -282,10 +287,22 @@ def test_find_extension_vector_gf4():
     G1, _ = oracles.generator_blocks(GF4, 15, code.f, code.g)
     assert oracles.orthogonal_to_rows(v, G1)
     assert qcc.hermitian_self_product(GF4, v) == 1
-    assert oracles.row_space_contains(qcc.block_dual_basis(code, 1), v)
+    assert oracles.row_space_contains(oracles.mat_from_poly(GF4, 15, *qcc.block_dual(code, 1)), v)
     # the reference extension vector qualifies too
     assert oracles.orthogonal_to_rows(X15, G1)
     assert qcc.hermitian_self_product(GF4, X15) == 1
+
+
+def test_find_extension_vector_without_a_qualifying_vector():
+    # the block dual of <x^3 + x + 1> at n = 7 over GF(4) is isotropic:
+    # every word has <x,x> = 0, never p - 1
+    code = qcc.build(GF4, 7, (1,), (1, 1, 0, 1))
+    d, r = qcc.block_dual(code, 1)
+    assert oracles.is_zero(oracles.gram_hermitian(oracles.mat_from_poly(GF4, 7, d, r)))
+    with pytest.raises(PreconditionError) as e:
+        qcc.find_extension_vector(code, 1)
+    assert e.value.code == "no-qualifying-vector"
+    assert oracles.first_extension_vector(code, 1) is None
 
 
 def test_find_extension_vector_extends_cleanly():
@@ -313,6 +330,43 @@ def test_find_extension_vector_rank_rule(monkeypatch):
     v = qcc.find_extension_vector(code, 1, alpha=1)
     assert oracles.orthogonal_to_rows(v, oracles.generator_blocks(GF81, 10, code.f, code.g)[0])
     assert qcc.hermitian_self_product(GF81, v) != GF81.from_int(2)
+
+
+WALK_GRID = [(GF4, 7, (None,)), (GF4, 15, (None,)), (GF4, 21, (None,)),
+             (GF9, 8, (None, 2, 5)), (GF9, 10, (None, 2, 5)), (GF9, 13, (None, 2, 5)),
+             (GF81, 10, (None, 2, 41))]
+
+
+@pytest.mark.parametrize("field,n,alphas", WALK_GRID,
+                         ids=[f"gf{field.Q}-n{n}" for field, n, _ in WALK_GRID])
+def test_find_extension_vector_matches_the_product_walk(field, n, alphas, monkeypatch):
+    # a word x of the block dual with <x,x> = a != 0 has scalar multiples
+    # with every self product in GF(q)^*, so the orthogonality rule finds
+    # no vector iff every word is isotropic, and over q > 2 the rank rule
+    # always finds one; those walks of all Q^r messages stop at 4^8
+    monkeypatch.setattr(qcc, "_SCAN_CAP", 10 ** 30)
+    rng = random.Random(field.Q * n)
+    gs = oracles.proper_divisors(field, n)
+    found = {True: 0, False: 0}
+    for g in rng.sample(gs, min(8, len(gs))):
+        for f in ([rng.randrange(field.Q) for _ in range(n)], g, (0,)):
+            code = qcc.build(field, n, f, g)
+            for side in (1, 2):
+                d, r = qcc.block_dual(code, side)
+                basis = oracles.mat_from_poly(field, n, d, r)
+                isotropic = oracles.is_zero(oracles.gram_hermitian(basis))
+                for alpha in alphas:
+                    if isotropic and alpha is None and field.Q ** r > 4 ** 8:
+                        continue
+                    try:
+                        got = qcc.find_extension_vector(code, side, alpha)
+                    except PreconditionError as exc:
+                        assert exc.code == "no-qualifying-vector"
+                        got = None
+                    assert got == oracles.first_extension_vector(code, side, alpha)
+                    assert (got is None) == (isotropic and alpha is None)
+                    found[got is not None] += 1
+    assert found[True]
 
 
 def test_certificate_needs_coprime_f():

@@ -9,7 +9,7 @@ checked elsewhere (desk-scale rows in the acceptance suite).
 import pytest
 
 import oracles
-from qcqec import famat, polyring, qcc, refdata, wdist
+from qcqec import polyring, qcc, refdata, wdist
 from qcqec.errors import PreconditionError
 from qcqec.gf import field_make
 
@@ -61,7 +61,7 @@ def test_stabilizer_row_shapes(row):
     fld = row.field()
     assert polyring.divides(fld, polyring.dual_gen(fld, row.n, g), g)
     k = row.n - deg
-    g1 = famat.mat_from_poly(fld, row.n, g, k)
+    g1 = oracles.mat_from_poly(fld, row.n, g, k)
     in_dual = oracles.orthogonal_to_rows(x1, g1)
     product = qcc.hermitian_self_product(fld, x1)
     if (row.family, row.n) in BAD_AUX_VECTOR:

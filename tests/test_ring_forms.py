@@ -134,8 +134,9 @@ def test_certificate_of_the_full_space():
 
 
 def dual_vector(code, side, rng):
-    basis = qcc.block_dual_basis(code, side)
-    msg = [rng.randrange(code.field.Q) for _ in range(basis.nrows)]
+    d, r = qcc.block_dual(code, side)
+    basis = oracles.mat_from_poly(code.field, code.n, d, r)
+    msg = [rng.randrange(code.field.Q) for _ in range(r)]
     return tuple(oracles.mul(famat.Mat(code.field, [msg]), basis).rows[0])
 
 
