@@ -8,9 +8,9 @@ parameter rows and diff).
 Reports are deterministic apart from the timing block.  A code of more
 messages than the budget is reported as skipped, not enumerated.  Exit
 codes: 0 on success, 1 when a table diff finds mismatches, 2 on bad input,
-3 when the extension-vector scan or a search's divisor walk overruns its
-cap, 4 when a mathematical precondition fails; 2 to 4 carry a
-machine-readable error object.
+3 when a search's walk over the divisors of x^n - 1 overruns its cap, 4
+when a mathematical precondition fails; 2 to 4 carry a machine-readable
+error object.
 """
 
 import argparse

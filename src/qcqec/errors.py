@@ -33,7 +33,7 @@ class PreconditionError(QcqecError):
 class BudgetExceeded(QcqecError):
     """An exhaustive enumeration would overrun the configured budget.
 
-    ``required`` is the number of codewords (or scan steps) the full job
+    ``required`` is the number of codewords (or divisor products) the full job
     would take, so callers can report how far over budget the request was.
     """
 

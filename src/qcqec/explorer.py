@@ -178,7 +178,7 @@ def enumerate_self_orthogonal_g(field: Field, n: int) -> list:
 def _draw_digits(rng: random.Random, Q: int, count: int) -> list:
     """count uniform digits below Q, the ones rng.randrange(Q) would draw.
 
-    CPython 3.10 to 3.13 implement randrange(Q) by
+    CPython 3.10 to 3.14 implement randrange(Q) by
     Random._randbelow_with_getrandbits: draw Q.bit_length() bits, and draw
     again while the value is >= Q.  This is that loop with getrandbits
     bound once, so it consumes the same stream and stops where it stops.
@@ -254,15 +254,13 @@ def _x1_pool(field: Field, code: qcc.QcCode, rng: random.Random, want: int):
     Membership and the orthogonality rule, qcc.column_gram(x, 1) = 0, only
     involve g, so the pool is shared by every f sampled for that generator.
     The lexicographically first vector is always included; the rest are
-    rejection-sampled from the block dual.  Returns the skip reason instead
-    when even one vector is out of reach.
+    rejection-sampled from the block dual.  Returns the skip reason
+    "no-extension-vector" instead when the block dual has none.
     """
     try:
         first = qcc.find_extension_vector(code, 1)
     except PreconditionError:
         return "no-extension-vector"
-    except BudgetExceeded:
-        return "extension-scan-budget"
     pool, have = [first], {first}
     dual, dim = qcc.block_dual(code, 1)
     tries = 0

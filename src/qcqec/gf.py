@@ -91,7 +91,6 @@ class Field:
         ]
         self.conj_table = [0] + [a * q % Qm1 + 1 for a in range(Qm1)]
 
-        self.minus_one = self.neg_table[1]
         self.digits = range(self.Q)
 
     # --- arithmetic on digits -------------------------------------------
@@ -129,14 +128,6 @@ class Field:
     def norm_q(self, a: int) -> int:
         """a^(q+1), which always lands in the subfield GF(q)."""
         return self.pow_(a, self.q + 1)
-
-    def from_int(self, c: int) -> int:
-        """Digit of the prime-subfield element c (an ordinary integer)."""
-        c %= self.p
-        d = 0
-        for _ in range(c):
-            d = self.add_table[d][1]
-        return d
 
     def coeffs(self, d: int) -> tuple[int, ...]:
         """Coefficient vector of digit d over GF(p), ascending basis powers."""

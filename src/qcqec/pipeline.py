@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import polyring, qcc, quantum, wdist
-from .errors import SpecError
+from .errors import PreconditionError, SpecError
 from .gf import Field
 
 @dataclass(frozen=True, eq=False)
@@ -36,8 +36,13 @@ class Evaluation:
     workers: int = 1
 
     def __post_init__(self):
-        """The one range check of the digits: the stages take them as given,
-        and a negative one would index the field's tables from the end."""
+        """The one check of the input: n and g, which every stage divides
+        by, and the range of the digits, which the stages take as given (a
+        negative one would index the field's tables from the end)."""
+        if self.n < 1:
+            raise SpecError(f"n must be positive, got {self.n}")
+        if not any(self.g):
+            raise PreconditionError("g-not-divisor", "g must be nonzero")
         Q = self.field.Q
         named = [("f", self.f), ("g", self.g), ("alpha", self.alphas)]
         named += [(f"x{i}", x) for i, x in enumerate(self.xs, 1)]

@@ -41,6 +41,18 @@ product <x^i a, x^j b> is the coefficient of x^(j-i) in a b̄.  So:
   (x (f g)‾ = 0), and the Gram matrix of an extension is block diagonal:
   G G^dag, then column_gram = <x_i, x_i> + alpha_i^(q+1) for each added
   column.
+* The block dual is {m d : deg m < r} (`block_dual`), and an extension
+  takes its first word, in the lexicographic order of the messages m on
+  the rows x^i d, that the rule accepts.  That word is read off c = d d̄:
+  <x^a d, x^(a+t) d> = c_t and c_(-t) = conj(c_t).  c lies in <d>, of
+  dimension r, so c = 0 if c_t = 0 for all t < r: the dual is isotropic.
+  Else let t0 be the least t < r with c_t != 0.  The first Q^j messages
+  are the words on the last j rows, isotropic for j <= t0.  The norm maps
+  GF(q^2)^* onto GF(q)^* and a nonzero trace form is onto GF(q).  So for
+  the orthogonality rule (<x,x> = -1) no word qualifies if c = 0, and else
+  the first is x^(r-1-t0) d + s x^(r-1) d (s x^(r-1) d if t0 = 0), s the
+  least digit that qualifies.  For the rank rule (<x,x> != -alpha^(q+1),
+  q > 2) it is x^(r-1) d, or 2 x^(r-1) d when that fails: N(2) != 1.
 
 The matrices themselves (G of a code, built in one pass from its rows, G
 of an extension, and the characteristic polynomial of P) are built when
@@ -57,15 +69,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import famat, polyring
-from .errors import BudgetExceeded, PreconditionError
+from .errors import PreconditionError
 from .gf import Field
 
 RULE_ORTHOGONAL = "preserve-orthogonality"
 RULE_GRAM_RANK = "preserve-gram-rank"
-
-# exhaustive dual scans stop above 3^16 (4.3e7) candidates; a pure-Python
-# scan step costs about 100 enumerated words, so this is not the budget
-_SCAN_CAP = 3 ** 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,41 +253,35 @@ def find_extension_vector(code: QcCode, side: int, alpha: int | None = None) -> 
     usable as an extension row.
 
     alpha=None selects the orthogonality rule column_gram(x, 1) = 0; a
-    nonzero alpha selects the rank rule column_gram(x, alpha) != 0.
+    nonzero alpha selects the rank rule column_gram(x, alpha) != 0, which
+    q = 2 never allows (`_extend`), so it is refused at once.  The word is
+    read off d d̄ (module docstring) with at most Q - 1 column_gram tests.
     """
     field, n = code.field, code.n
-    d, dim = block_dual(code, side)
-    if field.Q ** dim > _SCAN_CAP:
-        raise BudgetExceeded(field.Q ** dim, _SCAN_CAP, what="extension-vector-scan")
-
     orthogonal = alpha is None
-    if orthogonal:
-        alpha = 1
-    else:
-        alpha = field.check_digit(alpha)
-        if alpha == 0:
-            raise PreconditionError("alpha-zero", "extension column scalar must be nonzero")
+    alpha = 1 if orthogonal else field.check_digit(alpha)
+    if alpha == 0:
+        raise PreconditionError("alpha-zero", "extension column scalar must be nonzero")
+    if field.q == 2 and not orthogonal:
+        raise PreconditionError("wrong-field-size", "the rank-preserving rule needs q > 2")
 
-    rows = [polyring.cyclic_shift(d, i) for i in range(dim)]
+    d, r = block_dual(code, side)
+    base, scalars = (0,) * n, range(1, field.Q)
+    if orthogonal:
+        c = polyring.ring_mul(field, n, d, polyring.conj_rev(field, n, d))
+        t0 = next((t for t in range(r) if c[t]), None)
+        if t0 is None:  # c = 0: the dual is isotropic
+            scalars = ()
+        elif t0:
+            base = polyring.cyclic_shift(d, r - 1 - t0)
+    top = polyring.cyclic_shift(d, r - 1)
     add, mul = field.add_table, field.mul_table
-    stack = [(0, [0] * n)]  # depth-first in message-digit order = lexicographic
-    while stack:
-        depth, acc = stack.pop()
-        if depth == dim:
-            if any(acc) and (column_gram(field, acc, alpha) == 0) == orthogonal:
-                return tuple(acc)
-            continue
-        row = rows[depth]
-        for digit in reversed(field.digits):
-            if digit == 0:
-                stack.append((depth + 1, acc))
-            else:
-                m = mul[digit]
-                stack.append((depth + 1, [add[a][m[r]] for a, r in zip(acc, row)]))
-    raise PreconditionError(
-        "no-qualifying-vector",
-        f"no dual codeword on side {side} satisfies the extension rule",
-    )
+    for s in scalars:
+        x = tuple(add[b][mul[s][t]] for b, t in zip(base, top))
+        if any(x) and (column_gram(field, x, alpha) == 0) == orthogonal:
+            return x
+    raise PreconditionError("no-qualifying-vector",
+                            f"no dual codeword on side {side} satisfies the extension rule")
 
 
 def extend_one(code: QcCode, x1, alpha1: int = 1) -> ExtendedCode:

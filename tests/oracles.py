@@ -251,22 +251,22 @@ def first_extension_vector(code, side, alpha=None):
     """qcc.find_extension_vector by one product per message: the messages
     m in itertools.product order, the words m d of the block dual, with d
     the dual generator of gcd(g or f g, x^n - 1), and the rule written out
-    on the self product: <x,x> = p - 1 for alpha None, else
-    <x,x> != (p - 1) alpha^(q+1).  None when no word qualifies."""
+    on the self product: <x,x> = -1 for alpha None, else
+    <x,x> != -alpha^(q+1).  None when no word qualifies."""
     field, n = code.field, code.n
     cyc = polyring.poly_gcd(field, code.g if side == 1 else code.fg,
                             polyring.x_pow_n_minus_1(field, n))
     d = polyring.dual_gen(field, n, cyc)
-    p_minus_1 = field.from_int(field.p - 1)
+    minus_one = field.neg(field.one)
     for msg in itertools.product(field.digits, repeat=polyring.deg(cyc)):
         x = polyring.ring_mul(field, n, msg, d)
         if not any(x):
             continue
         product = qcc.hermitian_self_product(field, x)
         if alpha is None:
-            if product == p_minus_1:
+            if product == minus_one:
                 return x
-        elif product != field.mul(p_minus_1, field.norm_q(alpha)):
+        elif product != field.mul(minus_one, field.norm_q(alpha)):
             return x
     return None
 

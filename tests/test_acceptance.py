@@ -361,11 +361,9 @@ def test_acceptance_7_long_run_gating_and_bookkeeping():
                 if r.n == 23).evaluation().skipped
 
 
-# the three gates the message budget replaced: enumerations of at least
-# this dimension were skipped unless asked for, per q, and extension-vector
-# scans of more than this many candidates were refused, per Q
+# the gate the message budget replaced: enumerations of at least this
+# dimension were skipped unless asked for, per q
 OLD_DIM_GATE = {2: 15, 3: 10, 9: 5}
-OLD_SCAN_GATE = {4: 4 ** 12, 9: 9 ** 8, 81: 81 ** 4}
 
 
 def test_acceptance_7_budget_decides_as_the_old_gates():
@@ -376,9 +374,6 @@ def test_acceptance_7_budget_decides_as_the_old_gates():
             ev = pipeline.Evaluation(field, n, (0,) * n, g)
             assert ev.dimension == dim
             assert ev.skipped == (dim >= threshold), (q, dim)
-        for dim in range(30):
-            assert ((field.Q ** dim > qcc._SCAN_CAP)
-                    == (field.Q ** dim > OLD_SCAN_GATE[field.Q])), (q, dim)
     rows = [row for rows in refdata.TABLES.values() for row in rows]
     assert len(rows) == 27
     for row in rows:

@@ -186,6 +186,59 @@ def test_extend_without_a_qualifying_vector(capsys, tmp_path, g):
     assert json.loads(err)["error"]["code"] == "no-qualifying-vector"
 
 
+# a degree-15 divisor of x^31 - 1 over GF(4) whose block dual (4^15
+# words) is isotropic: d d̄ = 0 shows it without a walk over the words
+def test_extend_isotropic_dual_without_a_walk(capsys, tmp_path):
+    spec = write_spec(tmp_path, "n31.json",
+                      {"q": 2, "n": 31, "f": "1", "g": "1^30^31^20^410^21"})
+    rc, _, err = run(capsys, "extend", spec)
+    assert rc == 4
+    assert json.loads(err)["error"]["code"] == "no-qualifying-vector"
+
+
+def test_extend_rank_rule_needs_q_above_2(capsys):
+    rc, _, err = run(capsys, "extend", f"{SPECS}/q2-n15-extend-one.json", "--alpha", "1")
+    assert rc == 4
+    assert json.loads(err)["error"]["code"] == "wrong-field-size"
+
+
+# each block dual of the GF(81) spec has 81^7 words; the rank rule takes
+# x^6 d on each side.  Two columns make 81^5 messages, past the
+# default budget, so the distance is left open
+@pytest.mark.parametrize("columns, params", [
+    ("1", "[[21,17,4;4]]_9"), ("2", "[[22,17,?;5]]_9"),
+])
+def test_extend_rank_rule_over_gf81(capsys, columns, params):
+    rc, out, _ = run(capsys, "extend", f"{SPECS}/q9-n10-extend-two.json",
+                     "--columns", columns, "--alpha", "2")
+    assert rc == 0
+    assert "extension rule: preserve-gram-rank" in out
+    assert f"eaqecc: extended={params}" in out
+
+
+def test_extend_orthogonality_rule_over_gf81(capsys):
+    rc, _, err = run(capsys, "extend", f"{SPECS}/q9-n10-extend-two.json")
+    assert rc == 4
+    assert json.loads(err)["error"]["code"] == "base-not-self-orthogonal"
+
+
+@pytest.mark.parametrize("command", ["verify", "extend"])
+def test_length_below_one_is_bad_input(capsys, tmp_path, command):
+    spec = write_spec(tmp_path, "n0.json", {"q": 2, "n": 0, "f": [], "g": "1"})
+    rc, _, err = run(capsys, command, spec)
+    assert rc == 2
+    assert json.loads(err)["error"] == {"type": "spec", "message": "n must be positive, got 0"}
+
+
+@pytest.mark.parametrize("g", ["0", "", [0, 0]])
+@pytest.mark.parametrize("command", ["verify", "extend"])
+def test_zero_g_is_not_a_divisor(capsys, tmp_path, command, g):
+    spec = write_spec(tmp_path, "g0.json", {"q": 2, "n": 7, "f": "1", "g": g})
+    rc, _, err = run(capsys, command, spec)
+    assert rc == 4
+    assert json.loads(err)["error"]["code"] == "g-not-divisor"
+
+
 def test_precondition_error_reaches_json(capsys, tmp_path):
     # x + x^2 has 0 as a root, so it cannot divide x^7 - 1
     spec = write_spec(tmp_path, "nondiv.json",

@@ -426,7 +426,6 @@ def test_x1_pool_lies_in_the_block_dual(q, n):
 
 @pytest.mark.parametrize("error, reason", [
     (PreconditionError("no-qualifying-vector", "none"), "no-extension-vector"),
-    (BudgetExceeded(3 ** 17, 3 ** 16, what="extension-vector-scan"), "extension-scan-budget"),
 ])
 def test_search_records_the_missing_extension_vector(tmp_path, monkeypatch, error, reason):
     def refuse(code, side, alpha=None):
@@ -505,8 +504,11 @@ def test_search_leaves_no_cyclic_garbage(monkeypatch):
     try:
         for mode in ("qecc", "eaqecc"):
             list(explorer.search(explorer.SearchConfig(q=2, n=7, mode=mode)))
-        # every generator skipped: the pool's scan is over its budget
-        monkeypatch.setattr(qcc, "_SCAN_CAP", 1)
+        # every generator skipped: the pool finds no extension vector
+        def refuse(code, side, alpha=None):
+            raise PreconditionError("no-qualifying-vector", "none")
+
+        monkeypatch.setattr(qcc, "find_extension_vector", refuse)
         records = list(explorer.search(explorer.SearchConfig(q=2, n=7, mode="qecc")))
         gc.collect()
         leaked = [obj for obj in gc.garbage if ours(obj)]

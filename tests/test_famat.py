@@ -144,7 +144,7 @@ def oracle_char_poly(m):
         inversions = sum(
             1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
         )
-        sign = f.from_int(1 if inversions % 2 == 0 else f.p - 1)
+        sign = f.one if inversions % 2 == 0 else f.neg(f.one)
         poly = (sign,)
         for i in range(n):
             e = m.rows[i][perm[i]]

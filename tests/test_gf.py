@@ -128,21 +128,19 @@ def test_gf4_anchors():
     assert f.add(2, 3) == 1          # alpha + alpha^2 = 1
     assert f.conj(2) == 3
     assert f.conj(3) == 2
-    assert f.minus_one == 1
-    assert f.from_int(1) == 1
+    assert f.neg(f.one) == 1         # -1 = 1 in characteristic 2
 
 
 def test_gf9_anchors():
     f = field_make(3)
     assert f.conj(2) == 4            # alpha^q = alpha^3, digit 4
-    assert f.from_int(2) == 5        # the integer 2 is alpha^4
-    assert f.mul(f.from_int(2), f.from_int(2)) == 1
-    assert f.minus_one == f.from_int(2)
+    assert f.neg(f.one) == 5         # -1, the integer 2, is alpha^4
+    assert f.mul(f.neg(f.one), f.neg(f.one)) == 1
 
 
 def test_gf81_anchors():
     f = field_make(9)
-    assert f.from_int(2) == 41       # 2 = -1 = alpha^40
+    assert f.neg(f.one) == 41        # -1 = 2 = alpha^40
     assert f.conj(2) == 10           # alpha^9, digit 10
     assert f.norm_q(2) == 11         # alpha^(q+1) = alpha^10
 

@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 from qcqec import famat, pipeline, polyring, qcc
-from qcqec.errors import BudgetExceeded, PreconditionError, SpecError
+from qcqec.errors import PreconditionError, SpecError
 from qcqec.gf import field_make
 
 GF4 = field_make(2)
@@ -110,7 +110,7 @@ def test_extend_two_gf9_n10_matches_reference():
     assert ext.length == 22 and ext.dim == 6
     assert ext.G == famat.Mat(GF9, EXT10_ROWS)
     # <x,x> = 2 in the prime subfield for both extension vectors
-    assert [qcc.hermitian_self_product(GF9, x) for x in ext.xs] == [GF9.from_int(2)] * 2
+    assert [qcc.hermitian_self_product(GF9, x) for x in ext.xs] == [GF9.neg(GF9.one)] * 2
 
 
 def test_parity_check_gf4_n7():
@@ -264,7 +264,7 @@ def test_extension_rank_rule_needs_full_gram():
 def test_extension_base_not_self_orthogonal():
     code = build81()
     scaled = tuple(GF81.mul(7, d) for d in X81A)  # rescaled to <x,x> = 2
-    assert qcc.hermitian_self_product(GF81, scaled) == GF81.from_int(2)
+    assert qcc.hermitian_self_product(GF81, scaled) == GF81.neg(GF81.one)
     with pytest.raises(PreconditionError) as e:
         qcc.extend_one(code, scaled)
     assert e.value.code == "base-not-self-orthogonal"
@@ -314,37 +314,63 @@ def test_find_extension_vector_extends_cleanly():
     assert oracles.is_zero(oracles.gram_hermitian(ext.G))
 
 
-def test_find_extension_vector_budget(monkeypatch):
-    # GF(81) duals above four dimensions are over the default cap
-    with pytest.raises(BudgetExceeded):
-        qcc.find_extension_vector(build81(), 1)
-    monkeypatch.setattr(qcc, "_SCAN_CAP", 4 ** 4)
-    with pytest.raises(BudgetExceeded) as e:
-        qcc.find_extension_vector(build15(), 1)
-    assert e.value.required == 4 ** 9
+def first_nonzero_shift(code, side) -> tuple[int, int | None]:
+    """(r, t0): the block dual's dimension and the least t < r at which
+    d d̄ has a nonzero coefficient, None when there is none."""
+    field, n = code.field, code.n
+    d, r = qcc.block_dual(code, side)
+    c = polyring.ring_mul(field, n, d, polyring.conj_rev(field, n, d))
+    return r, next((t for t in range(r) if c[t]), None)
 
 
-def test_find_extension_vector_rank_rule(monkeypatch):
+@pytest.mark.parametrize("build, r, t0, alphas", [
+    (build81, 7, 1, (None, 1, 2)),  # the first word lies on the last two rows
+    (build15, 9, 0, (None,)),       # and here on the last row
+], ids=["gf81-n10", "gf4-n15"])
+def test_find_extension_vector_of_a_large_dual(build, r, t0, alphas):
+    # 81^7 and 4^9 messages, which no walk over the dual could afford
+    code = build()
+    for side in (1, 2):
+        assert first_nonzero_shift(code, side) == (r, t0)
+        for alpha in alphas:
+            v = qcc.find_extension_vector(code, side, alpha)
+            assert v == oracles.first_extension_vector(code, side, alpha)
+
+
+def test_find_extension_vector_rank_rule():
     code = build81()
-    monkeypatch.setattr(qcc, "_SCAN_CAP", 81 ** 7)
     v = qcc.find_extension_vector(code, 1, alpha=1)
     assert oracles.orthogonal_to_rows(v, oracles.generator_blocks(GF81, 10, code.f, code.g)[0])
-    assert qcc.hermitian_self_product(GF81, v) != GF81.from_int(2)
+    assert qcc.hermitian_self_product(GF81, v) != GF81.neg(GF81.one)
 
 
-WALK_GRID = [(GF4, 7, (None,)), (GF4, 15, (None,)), (GF4, 21, (None,)),
-             (GF9, 8, (None, 2, 5)), (GF9, 10, (None, 2, 5)), (GF9, 13, (None, 2, 5)),
-             (GF81, 10, (None, 2, 41))]
+def test_find_extension_vector_rank_rule_needs_q_above_2():
+    # _extend refuses every rank-rule vector over GF(4), so none is sought
+    code = build15()
+    for alpha in (1, 2, 3):
+        with pytest.raises(PreconditionError) as e:
+            qcc.find_extension_vector(code, 1, alpha)
+        assert e.value.code == "wrong-field-size"
+        x = oracles.first_extension_vector(code, 1, alpha)
+        with pytest.raises(PreconditionError) as e:
+            qcc.extend_one(code, x, alpha)
+        assert e.value.code == "wrong-field-size"
+
+
+WALK_GRID = [(GF4, 7, (None, 1, 3)), (GF4, 15, (None, 1, 3)), (GF4, 17, (None, 1, 3)),
+             (GF4, 21, (None, 1, 3)), (GF4, 31, (None, 1, 3)),
+             (GF9, 8, (None, 1, 2, 5, 8)), (GF9, 10, (None, 1, 2, 5, 8)),
+             (GF9, 13, (None, 1, 2, 5, 8)), (GF81, 10, (None, 1, 2, 41, 80))]
 
 
 @pytest.mark.parametrize("field,n,alphas", WALK_GRID,
                          ids=[f"gf{field.Q}-n{n}" for field, n, _ in WALK_GRID])
-def test_find_extension_vector_matches_the_product_walk(field, n, alphas, monkeypatch):
+def test_find_extension_vector_matches_the_product_walk(field, n, alphas):
     # a word x of the block dual with <x,x> = a != 0 has scalar multiples
     # with every self product in GF(q)^*, so the orthogonality rule finds
     # no vector iff every word is isotropic, and over q > 2 the rank rule
-    # always finds one; those walks of all Q^r messages stop at 4^8
-    monkeypatch.setattr(qcc, "_SCAN_CAP", 10 ** 30)
+    # always finds one; walks of all Q^r messages stop at 4^9.  Over GF(4)
+    # the rank rule is refused before any search
     rng = random.Random(field.Q * n)
     gs = oracles.proper_divisors(field, n)
     found = {True: 0, False: 0}
@@ -356,15 +382,19 @@ def test_find_extension_vector_matches_the_product_walk(field, n, alphas, monkey
                 basis = oracles.mat_from_poly(field, n, d, r)
                 isotropic = oracles.is_zero(oracles.gram_hermitian(basis))
                 for alpha in alphas:
-                    if isotropic and alpha is None and field.Q ** r > 4 ** 8:
+                    if field.q == 2 and alpha is not None:
+                        with pytest.raises(PreconditionError) as e:
+                            qcc.find_extension_vector(code, side, alpha)
+                        assert e.value.code == "wrong-field-size"
                         continue
                     try:
                         got = qcc.find_extension_vector(code, side, alpha)
                     except PreconditionError as exc:
                         assert exc.code == "no-qualifying-vector"
                         got = None
-                    assert got == oracles.first_extension_vector(code, side, alpha)
                     assert (got is None) == (isotropic and alpha is None)
+                    if got is not None or field.Q ** r <= 4 ** 9:
+                        assert got == oracles.first_extension_vector(code, side, alpha)
                     found[got is not None] += 1
     assert found[True]
 
