@@ -89,6 +89,9 @@ def load_spec(path: str) -> dict:
     for key in ("q", "n", "alpha1", "alpha2", "enum_budget"):
         if key in doc:
             require_int(f"spec field {key!r}", doc[key], 1 if key == "enum_budget" else None)
+    # n first: the vectors are parsed against it
+    if doc["n"] < 1:
+        raise SpecError(f"n must be positive, got {doc['n']}")
     # the vectors given set the column count; a stated mode must agree
     x1, x2 = bool(doc.get("x1")), bool(doc.get("x2"))
     if x2 and not x1:

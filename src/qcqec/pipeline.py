@@ -94,8 +94,9 @@ class Evaluation:
     def enum(self) -> wdist.WeightEnumerator | None:
         if self.skipped:
             return None
-        target = self.ext.G if self.ext else self.code.G
-        return wdist.enumerate_code(target, budget=self.budget, workers=self.workers)
+        code = self.ext or self.code
+        return wdist.enumerate_code(code.G, budget=self.budget, workers=self.workers,
+                                    plan=code.orbit_plan)
 
     @cached_property
     def dual(self) -> wdist.WeightEnumerator | None:

@@ -481,6 +481,54 @@ def _factor_cached(field: Field, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(factors, key=lambda f: (len(f), f)))
 
 
+def poly_powmod(field, a, e: int, m) -> tuple[int, ...]:
+    """a^e mod m, by square and multiply."""
+    out, a = poly_mod(field, (field.one,), m), poly_mod(field, a, m)
+    while e:
+        if e & 1:
+            out = poly_mod(field, poly_mul(field, out, a), m)
+        e >>= 1
+        if e:
+            a = poly_mod(field, poly_mul(field, a, a), m)
+    return out
+
+
+def prime_factors(N: int) -> tuple[int, ...]:
+    """The distinct primes dividing N >= 1, by trial division."""
+    out, p = [], 2
+    while p * p <= N:
+        if N % p == 0:
+            out.append(p)
+            while N % p == 0:
+                N //= p
+        p += 1 if p == 2 else 2
+    return tuple(out + [N] * (N > 1))
+
+
+def x_order(field, m, n: int) -> int:
+    """The order of x modulo an irreducible factor m of x^n - 1: the least
+    divisor e of n with m | x^e - 1."""
+    order = n
+    for p in prime_factors(n):
+        while order % p == 0 and divides(field, m, x_pow_n_minus_1(field, order // p)):
+            order //= p
+    return order
+
+
+def primitive_element(field, m) -> tuple[int, ...]:
+    """The first element of order Q^d - 1 of GF(Q)[x]/(m), m irreducible of
+    degree d, in the base-Q order of its digits (low degree first): the first
+    a with a^((Q^d - 1)/p) != 1 for every prime p dividing Q^d - 1."""
+    Q, d = field.Q, deg(m)
+    size = Q ** d - 1
+    primes = prime_factors(size)
+    for t in range(1 if d == 1 else Q, size + 1):  # past d = 1, no constant is one
+        a = trim(tuple(t // Q ** i % Q for i in range(d)))
+        if all(poly_powmod(field, a, size // p, m) != (field.one,) for p in primes):
+            return a
+    raise AssertionError(f"no primitive element modulo {m}: it is not irreducible")
+
+
 def is_unit(field: Field, n: int, f) -> bool:
     """True iff gcd(f, x^n - 1) = 1, i.e. f is a unit mod x^n - 1.
 

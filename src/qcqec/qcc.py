@@ -58,6 +58,20 @@ The matrices themselves (G of a code, built in one pass from its rows, G
 of an extension, and the characteristic polynomial of P) are built when
 first read, and every later read returns the same object.
 
+The orbit plan of `wdist.enumerate_code` (its module docstring has the
+algebra) depends on g alone and is kept per (field, n, g, columns added).
+Levels are chosen greedily: among the irreducible factors m of h not yet
+taken, the one whose N fibers plus the projective scan of the rest cost
+least by `wdist.unit_seconds`, while that beats scanning the rest
+projectively now.  |H1| = lcm(ord_m(x), Q - 1), and the representatives
+are the first N powers of the first primitive element of GF(Q)[x]/(m).
+The plan's rows are x^i M (g | f g) for i < deg m_j, M the product of the
+factors taken before level j, then x^i M (g | f g) for the rest, a basis
+since a message of degree < k is uniquely a + b m_j with deg a < deg m_j;
+the extension rows lead.  A length n divisible by p takes no plan (h is
+then not squarefree), and neither does a code scanned in one step, which
+builds nothing.
+
 What depends on g alone (k, the conjugate-reciprocal dual generator, g ḡ,
 the divisibility test and whether H1 H1^dag is nonsingular) is kept for
 the last (field, n, g) seen, since a search builds the codes of all its f
@@ -65,10 +79,11 @@ for one g in a row; one entry keeps the memory a table run holds on to
 small.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from . import famat, polyring
+from . import famat, polyring, wdist
 from .errors import PreconditionError
 from .gf import Field
 
@@ -118,6 +133,11 @@ class QcCode:
         rows = [polyring.cyclic_shift(g, i) + polyring.cyclic_shift(self.fg, i) for i in range(self.k)]
         return famat.Mat(self.field, rows, 2 * self.n)
 
+    @property
+    def orbit_plan(self) -> wdist.OrbitPlan | None:
+        """How `wdist.enumerate_code` splits the scan of G (module docstring)."""
+        return _orbit_plan(self.field, self.n, self.g, 0)
+
 
 @dataclass(frozen=True, eq=False)
 class ExtendedCode:
@@ -151,6 +171,12 @@ class ExtendedCode:
             row[2 * n + i] = alpha
             rows.append(row)
         return famat.Mat(self.base.field, rows)
+
+    @property
+    def orbit_plan(self) -> wdist.OrbitPlan | None:
+        """The base code's plan behind the extension rows (module docstring)."""
+        base = self.base
+        return _orbit_plan(base.field, base.n, base.g, self.columns_added)
 
 
 def hermitian_self_product(field: Field, vec) -> int:
@@ -187,6 +213,74 @@ def _generator_blocks(field: Field, n: int, g: tuple) -> _GeneratorBlocks:
            and polyring.poly_gcd(field, dual_g, polyring.quotient_exact_checked(field, n, dual_g)) == (1,))
     return _GeneratorBlocks(n - polyring.deg(g), dual_g, g_g_bar,
                             polyring.divides(field, dual_g, g), lcd)
+
+
+@lru_cache(maxsize=8)
+def _orbit_levels(field: Field, n: int, g: tuple) -> tuple:
+    """The levels of the orbit scan of the codes of g, as (m, |H1|, reps),
+    chosen greedily by the scan's cost model (module docstring)."""
+    if n % field.p == 0:
+        return ()
+    Q = field.Q
+    k = n - polyring.deg(g)
+    inner = wdist.table_rows(field, k, 2 * n)
+
+    def cost(d, mult, rows):  # N fibers, then the rest scanned projectively
+        return ((Q ** d - 1) // mult * wdist.unit_seconds(field, 2 * n, inner, rows - d)
+                + wdist.projective_seconds(field, 2 * n, inner, rows - d))
+
+    # the first choice depends on (d, |H1|) alone, which the Q-cyclotomic
+    # coset of s gives for the factor with the roots alpha^s: d = |coset|
+    # and ord(x) = n / gcd(n, s); when no coset passes, nothing is factored
+    shapes = {(len(c), math.lcm(n // math.gcd(n, c[0]), Q - 1)) for c in polyring.cyclotomic_cosets(Q, n)}
+    projective = wdist.projective_seconds(field, 2 * n, inner, k)
+    if all(d > k or cost(d, mult, k) >= projective for d, mult in shapes):
+        return ()
+    h = polyring.quotient_exact_checked(field, n, g)
+    factors = [(m, polyring.deg(m), math.lcm(polyring.x_order(field, m, n), Q - 1))
+               for m in polyring.factor_xn_minus_1(field, n) if polyring.divides(field, m, h)]
+    levels, rows = [], k
+    while True:
+        best, choice = wdist.projective_seconds(field, 2 * n, inner, rows), None
+        for m, d, mult in factors:
+            if cost(d, mult, rows) < best:
+                best, choice = cost(d, mult, rows), (m, d, mult)
+        if choice is None:
+            return tuple(levels)
+        factors.remove(choice)
+        m, d, mult = choice
+        # the cosets of H1 = <x, GF(Q)*> in GF(Q^d)* are gamma^j H1, j < N
+        reps, r = [], (field.one,)
+        gamma = polyring.primitive_element(field, m) if Q ** d - 1 > mult else None
+        for j in range((Q ** d - 1) // mult):
+            if j:
+                r = polyring.poly_mod(field, polyring.poly_mul(field, r, gamma), m)
+            reps.append(r + (0,) * (d - len(r)))
+        levels.append((m, mult, tuple(reps)))
+        rows -= d
+
+
+@lru_cache(maxsize=8)
+def _orbit_plan(field: Field, n: int, g: tuple, cols: int) -> wdist.OrbitPlan | None:
+    """The orbit plan of the codes of g extended by cols columns, or None
+    when they are scanned in one step or it takes no level.  Its basis is
+    written in the messages of G: the rows x^i of the base code, then the
+    extension rows."""
+    k = n - polyring.deg(g)
+    if wdist.table_rows(field, k + cols, 2 * n + cols) == k + cols:
+        return None
+    levels = _orbit_levels(field, n, g)
+    if not levels:
+        return None
+    basis, prefix = [], (field.one,)
+    for m, _, _ in levels:
+        basis += [(0,) * i + prefix for i in range(polyring.deg(m))]
+        prefix = polyring.poly_mul(field, prefix, m)
+    basis += [(0,) * i + prefix for i in range(k + 1 - len(prefix))]
+    basis = [row + (0,) * (k + cols - len(row)) for row in basis]
+    lead = [(0,) * (k + i) + (1,) + (0,) * (cols - 1 - i) for i in range(cols)]
+    return wdist.OrbitPlan(tuple(lead + basis), cols,
+                           tuple((mult, reps) for _, mult, reps in levels))
 
 
 def build(field: Field, n: int, f, g) -> QcCode:

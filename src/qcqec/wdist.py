@@ -13,6 +13,26 @@ smaller than the cost of its extra steps.  The multiples s . row of all rows
 come from one encode, and the heads and spans of every step are read from
 them.
 
+A quasi-cyclic code can go further (`qcc` makes the plan; Ling and Sole,
+"On the algebraic structure of quasi-cyclic codes I", IEEE Trans. IT 47,
+2001).  Its messages are R_h = GF(Q)[x]/(h), and a word's weight is kept
+by m -> x m (the double shift) as by m -> s m.  For an irreducible factor
+m of h of degree d, the words whose message is r != 0 modulo m make the
+fiber c(r) + C', C' the code of the messages divisible by m, of dimension
+k - d; multiplying by H1 = <x mod m, GF(Q)*> permutes the fibers and keeps
+weights.  So the words with a nonzero m-residue are counted as |H1| times
+the fibers of N = (Q^d - 1)/|H1| coset representatives r = gamma^j, each
+scanned as the key offset c(r) plus the span of C', and C' is split again
+or scanned projectively.  An `OrbitPlan` writes this as scan rows (a basis
+of the code adapted to the levels, given as combinations of the rows of the
+g passed in) and units (head, |H1|), one per fiber, in the form of the
+projective units.  Rows that lead the plan, the columns of an extension,
+are scanned projectively first, so only its all-zero part, the base code,
+is split.  A unit may span fewer rows than the block table: the table holds
+the span of the last rows, the last row first, so its first Q^j words span
+the last j rows.  `unit_seconds` is the cost model the plan is chosen by,
+with a key at _KEY_S and a table word at _WORD_S per plane word.
+
 Words are bit-sliced, 64 symbols to a uint64 word per bit plane: one plane
 per GF(2) coordinate, added by XOR, or two per GF(3) coordinate ("= 2" and
 "= 1"), added by the formula of Boothby and Bradshaw (arXiv:0901.1413).
@@ -34,6 +54,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +68,12 @@ from qcqec.gf import Field, field_make
 DEFAULT_BUDGET = 2 ** 29
 _BLOCK_BYTES = 1 << 20  # block table size cap
 _ONE_STEP_BYTES = 1 << 17  # the largest span scanned in one step
+# the scan's cost model (`unit_seconds`): a key costs _KEY_S, unit overhead
+# included, and each table word it is weighed against _WORD_S per plane
+# word; both timed once, as `_scan` of one-unit jobs over GF(4), GF(9) and
+# GF(81) at W = 1 and 2, on a 2-core x86-64 (Python 3.11, numpy 2.4)
+_KEY_S = 30e-6
+_WORD_S = 2.3e-9
 
 
 @dataclass(frozen=True)
@@ -182,23 +209,78 @@ def _bit_planes(q: int, n: int) -> BitPlanes:
 # --- message scans ----------------------------------------------------------------
 
 
-def _work_units(Q: int, outer: int, inner: int, workers: int):
-    """Work units, dealt into at most `workers` lists of about equal work.
+class OrbitPlan(NamedTuple):
+    """How to split the scan of a code by its double-shift orbits (module
+    docstring).  Scan row i is sum_j basis[i][j] g.rows[j], for the
+    generator g passed with the plan.  The first `lead` scan rows are
+    scanned projectively; then each level (mult, reps) takes len(reps[0])
+    rows, and stands for mult x the words rep . (its rows) + span(every
+    later row), for each rep; the rows after the last level are scanned
+    projectively."""
+
+    basis: tuple
+    lead: int
+    levels: tuple
+
+
+def table_rows(field: Field, k: int, n: int) -> int:
+    """Rows of the block table of an [n, k]_Q scan: all k when their span
+    fits _ONE_STEP_BYTES (one step), else the most whose span fits
+    _BLOCK_BYTES, keeping at least one row outside the table."""
+    P, W = BitPlanes.shape(field, n)
+    word_bytes = 8 * P * W
+    if field.Q ** k * word_bytes <= min(_ONE_STEP_BYTES, _BLOCK_BYTES):
+        return k
+    inner = 1
+    while inner + 1 < k and field.Q ** (inner + 1) * word_bytes <= _BLOCK_BYTES:
+        inner += 1
+    return inner
+
+
+def unit_seconds(field: Field, n: int, inner: int, free: int) -> float:
+    """Estimated time of a work unit of `free` free rows at length n, with
+    a table of `inner` rows: Q^max(0, free - inner) keys, each weighed
+    against Q^min(free, inner) words of P W plane words."""
+    P, W = BitPlanes.shape(field, n)
+    Q = field.Q
+    return Q ** max(0, free - inner) * (_KEY_S + Q ** min(free, inner) * P * W * _WORD_S)
+
+
+def projective_seconds(field: Field, n: int, inner: int, rows: int) -> float:
+    """Estimated time of the projective scan of the span of the last `rows`
+    rows (the units `_work_units` makes for them)."""
+    return (unit_seconds(field, n, inner, min(rows, inner))
+            + sum(unit_seconds(field, n, inner, free) for free in range(inner, rows)))
+
+
+def _work_units(Q: int, k: int, inner: int, workers: int, plan: OrbitPlan | None = None):
+    """The table rows and the work units, dealt into at most `workers` lists
+    of about equal work.
 
     A unit (head, multiplier) stands for multiplier x the weight histogram
-    of the words head . rows[:len(head)] + span(rows[len(head):]), one block
-    table per prefix of the outer rows.  The first units are the projective
-    split.  A unit is then cut by its next digit while its prefixes outnumber
-    the table rows, or, with workers > 1, while it holds over 1/(8 workers)
-    of the work."""
-    units = [((0,) * outer, 1)]
-    units += [((0,) * i + (1,), Q - 1) for i in range(outer)]
-    total = sum(Q ** (outer - len(head)) for head, _ in units)
+    of the words head . rows[:len(head)] + span(rows[len(head):]).  The
+    first units are the projective split of the plan's lead rows (a unit
+    per row whose digit is the first nonzero one, set to 1), a unit per
+    fiber of each level, and the projective split of the rows after the
+    levels, ending in the span of the table's rows.  The table has at most
+    `inner` rows, and no more than the largest unit spans.  A unit is then
+    cut by its next digit while it has more keys than table words, or, with
+    workers > 1, while it holds over 1/(8 workers) of the work."""
+    lead, levels = (plan.lead, plan.levels) if plan else (0, ())
+    units = [((0,) * i + (1,), Q - 1) for i in range(lead)]
+    at = lead
+    for mult, reps in levels:
+        units += [((0,) * at + rep, mult) for rep in reps]
+        at += len(reps[0])
+    units += [((0,) * i + (1,), Q - 1) for i in range(at, k - inner)]
+    units.append(((0,) * max(at, k - inner), 1))
+    inner = min(inner, max(k - len(head) for head, _ in units))
+    total = sum(Q ** (k - len(head)) for head, _ in units)
     cut = []
     while units:
         head, mult = units.pop()
-        free = outer - len(head)
-        if free > inner or (workers > 1 and free and 8 * workers * Q ** free > total):
+        free = k - len(head)
+        if free > 2 * inner or (workers > 1 and free > inner and 8 * workers * Q ** free > total):
             units += [(head + (s,), mult) for s in range(Q)]
         else:
             cut.append((Q ** free, head, mult))
@@ -208,33 +290,53 @@ def _work_units(Q: int, outer: int, inner: int, workers: int):
         i = loads.index(min(loads))
         chunks[i].append((head, mult))
         loads[i] += cost
-    return [chunk for chunk in chunks if chunk]
+    return inner, [chunk for chunk in chunks if chunk]
 
 
 def _scan(job) -> list[int]:
     """Sum over the units of multiplier x weight histogram of their words."""
     q, rows, inner, units = job
     bp = _bit_planes(q, len(rows[0]))
+    Q, k = bp.field.Q, len(rows)
     mults = bp.multiples(rows)
-    outer = len(rows) - inner
-    table = bp.span(mults[:, :, outer:])
-    bufs = bp.weight_buffers(table.shape[2])
+    # the span of the last `inner` rows, the last row first, so that its
+    # first Q^j words are the span of the last j rows
+    table = bp.span(mults[:, :, k - inner :][:, :, ::-1])
+    bufs = {}
     counts = [0] * (bp.n + 1)
     for head, mult in units:
         offset = np.zeros((bp.P, bp.W, 1), dtype=np.uint64)
         for i, s in enumerate(head):
             if s:
                 offset = bp.add(offset, mults[:, :, i, s : s + 1])
+        # the unit's table words: the span of its last min(free, inner) rows
+        R = Q ** min(k - len(head), inner)
+        if R not in bufs:
+            bufs[R] = bp.weight_buffers(R)
+        words, buf = table[:, :, :R], bufs[R]
         # weight(t + b) is the distance of t from -b, and the keys -b run over
-        # -offset + span(the free outer rows), a span being closed under -1
-        keys = bp.span(mults[:, :, len(head) : outer], start=bp.neg(offset))
+        # -offset + span(the free rows outside the table), a span being
+        # closed under -1
+        keys = bp.span(mults[:, :, len(head) : k - inner], start=bp.neg(offset))
         hist = np.zeros(bp.n + 1, dtype=np.int64)
         for i in range(keys.shape[2]):
-            hist += np.bincount(bp.weights(table, keys[:, :, i : i + 1], bufs),
+            hist += np.bincount(bp.weights(words, keys[:, :, i : i + 1], buf),
                                 minlength=bp.n + 1)
         for w, c in enumerate(hist.tolist()):
             counts[w] += mult * c
     return counts
+
+
+def _scan_rows(field: Field, g: famat.Mat, basis) -> list[tuple]:
+    """The rows basis . g over GF(Q), or g's own rows without a basis."""
+    if basis is None:
+        return [tuple(r) for r in g.rows]
+    add, mul = np.array(field.add_table), np.array(field.mul_table)
+    coeffs = np.array(basis, dtype=np.intp)
+    out = np.zeros((len(coeffs), g.ncols), dtype=np.intp)
+    for j, row in enumerate(g.rows):
+        out = add[out, mul[coeffs[:, j, None], row]]
+    return [tuple(r) for r in out.tolist()]
 
 
 def _usable_cpus() -> int:
@@ -249,6 +351,7 @@ def enumerate_code(
     g: famat.Mat,
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
+    plan: OrbitPlan | None = None,
 ) -> WeightEnumerator:
     """Exact weight enumerator of the row space of g by full traversal.
 
@@ -257,9 +360,12 @@ def enumerate_code(
     its weight-0 count is Q^(k - rank g), and anything but 1 raises
     ValueError.  Raises BudgetExceeded before doing any work if Q^k is past
     the budget (the budget counts all Q^k messages, scanned or implied by
-    scaling).  With workers > 1 the work units are spread over a process
-    pool, no larger than the CPUs this process may use, and their histograms
-    summed, so the result does not depend on the partitioning.
+    scaling).  A plan (`OrbitPlan`, made by `qcc.orbit_plan` for a
+    quasi-cyclic g) splits the scan by double-shift orbits; its basis must
+    be invertible, which the weight-0 count checks too.  With workers > 1
+    the work units are spread over a process pool, no larger than the CPUs
+    this process may use, and their histograms summed, so the result does
+    not depend on the partitioning.
     """
     field = g.field
     k, n = g.nrows, g.ncols
@@ -271,19 +377,8 @@ def enumerate_code(
     if k == 0:
         counts = [1] + [0] * n
     else:
-        # a code whose span fits _ONE_STEP_BYTES is one block table and one
-        # weight pass; a larger one keeps a row outer, so that the projective
-        # scan saves work.  No block table passes _BLOCK_BYTES
-        P, W = BitPlanes.shape(field, n)
-        word_bytes = 8 * P * W
-        if field.Q ** k * word_bytes <= min(_ONE_STEP_BYTES, _BLOCK_BYTES):
-            inner = k
-        else:
-            inner = 1
-            while inner + 1 < k and field.Q ** (inner + 1) * word_bytes <= _BLOCK_BYTES:
-                inner += 1
-        chunks = _work_units(field.Q, k - inner, inner, workers)
-        rows = [tuple(r) for r in g.rows]
+        inner, chunks = _work_units(field.Q, k, table_rows(field, k, n), workers, plan)
+        rows = _scan_rows(field, g, plan and plan.basis)
         jobs = [(field.q, rows, inner, chunk) for chunk in chunks]
         if len(jobs) == 1:
             partials = [_scan(jobs[0])]

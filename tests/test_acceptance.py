@@ -7,8 +7,9 @@ collected parameter table.  Criterion 6 runs the randomized property
 suites at full size.  Criterion 7 checks that the deliberately-gated
 enumerations stay gated by default and that their parameter bookkeeping
 still holds, and runs the GF(81) [22,5] enumeration the CLI gates; the
-4^17-message [[103,69,7]]_2 reproduction runs only under --runlong.  It
-also holds the message budget to the per-field thresholds it replaced.
+4^17-message [[103,69,7]]_2 reproduction and the 4^20-message assisted
+n = 41 row run only under --runlong.  It also holds the message budget to
+the per-field thresholds it replaced.
 
 Collected rows whose listed inputs provably cannot produce a listed value
 are asserted in their recorded-discrepancy form (see the notes in refdata
@@ -391,6 +392,20 @@ def test_acceptance_7_long_run_reproductions():
     assert dual.distance() == 7
     params = quantum.qecc_from_self_orthogonal(2, enum, dual)
     assert str(params) == "[[103,69,7]]_2"
+
+
+@pytest.mark.longrun
+def test_acceptance_7_assisted_n41():
+    # [[82,20,33;62]]_2: 4^20 messages at length 82, past the default
+    # budget; the orbit scan takes one level, 8525 fibers of 4^10 words,
+    # on two workers
+    row = next(r for r in refdata.TABLES["assisted-primal"] if r.n == 41)
+    ev = row.evaluation(budget=4 ** 20, workers=2)
+    assert [len(reps) for _, reps in ev.code.orbit_plan.levels] == [8525]
+    assert ev.distance == 33
+    side = ev.eaqecc.primal
+    assert (side.n, side.k, side.d, side.c) == row.eaqecc == (82, 20, 33, 62)
+    assert side.maximal
 
 
 def test_acceptance_7_gf81_extended_distance():

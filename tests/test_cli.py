@@ -230,6 +230,17 @@ def test_length_below_one_is_bad_input(capsys, tmp_path, command):
     assert json.loads(err)["error"] == {"type": "spec", "message": "n must be positive, got 0"}
 
 
+@pytest.mark.parametrize("doc", [{"q": 2, "n": -3, "f": [], "g": "1"},
+                                 {"q": 2, "n": 0, "f": "1", "g": "1"}])
+@pytest.mark.parametrize("command", ["verify", "extend"])
+def test_length_is_checked_before_the_vectors(capsys, tmp_path, command, doc):
+    # f is parsed against n, so a bad n must be reported as such first
+    rc, _, err = run(capsys, command, write_spec(tmp_path, "n.json", doc))
+    assert rc == 2
+    assert json.loads(err)["error"] == {"type": "spec",
+                                        "message": f"n must be positive, got {doc['n']}"}
+
+
 @pytest.mark.parametrize("g", ["0", "", [0, 0]])
 @pytest.mark.parametrize("command", ["verify", "extend"])
 def test_zero_g_is_not_a_divisor(capsys, tmp_path, command, g):

@@ -1,0 +1,233 @@
+"""The orbit scan: `qcc.orbit_plan` and `wdist.enumerate_code(G, plan=...)`.
+
+A one-generator code is R_h = GF(Q)[x]/(h) as a module, and its words of
+nonzero residue r modulo an irreducible factor m of h make the fiber
+c(r) + C', whose weights the double shift and the scalars carry onto the
+fiber of u r for every u in H1 = <x, GF(Q)*>.  Each plan is checked
+against the plain matrix scan of the same G and, where small enough,
+against the naive oracle; its cosets and its message count are checked on
+their own.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+import oracles
+from qcqec import cli, polyring, qcc, refdata, wdist
+from qcqec.errors import PreconditionError
+from qcqec.gf import field_make
+
+GF4 = field_make(2)
+GF9 = field_make(3)
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+@pytest.fixture
+def levels_taken(monkeypatch):
+    """No code is scanned in one step, and every level that saves words is
+    taken: a key costs nothing."""
+    monkeypatch.setattr(wdist, "_ONE_STEP_BYTES", 0)
+    monkeypatch.setattr(wdist, "_KEY_S", 0.0)
+    qcc._orbit_levels.cache_clear()
+    qcc._orbit_plan.cache_clear()
+    yield
+    qcc._orbit_levels.cache_clear()
+    qcc._orbit_plan.cache_clear()
+
+
+def g_leaving(field, n, h_factors):
+    """The g whose h = (x^n - 1)/g is the product of the factors of x^n - 1
+    at the indices h_factors (sorted as `factor_xn_minus_1` sorts them)."""
+    factors = polyring.factor_xn_minus_1(field, n)
+    h = (field.one,)
+    for i in h_factors:
+        h = polyring.poly_mul(field, h, factors[i])
+    return polyring.quotient_exact_checked(field, n, h)
+
+
+def random_code(field, n, h_factors, seed):
+    rng = random.Random(seed)
+    f = tuple(rng.randrange(field.Q) for _ in range(n))
+    return qcc.build(field, n, f, g_leaving(field, n, h_factors))
+
+
+def with_columns(code, cols, seed):
+    """The extension of code by cols random columns.  The scan does not
+    depend on the extension rule, so the vectors need not satisfy one."""
+    rng = random.Random(seed)
+    Q = code.field.Q
+    xs = tuple(tuple(rng.randrange(Q) for _ in range(code.n)) for _ in range(cols))
+    alphas = tuple(rng.randrange(1, Q) for _ in range(cols))
+    return qcc.ExtendedCode(code, xs, alphas, qcc.RULE_GRAM_RANK, 0)
+
+
+def messages(plan, Q, k):
+    """Q^k as the plan splits it: each level's |H1| N fibers of Q^(rows
+    after it) words, and the rest's span, times Q^lead for the lead rows."""
+    rows, total = k - plan.lead, 0
+    for mult, reps in plan.levels:
+        rows -= len(reps[0])
+        total += mult * len(reps) * Q ** rows
+    return Q ** plan.lead * (total + Q ** rows)
+
+
+# (field, n, indices of the factors of x^n - 1 that make h): degrees of h's
+# factors in brackets
+GRID = [
+    (GF4, 5, (1, 2)),        # [2, 2], k = 4
+    (GF4, 5, (0, 1, 2)),     # [1, 2, 2], k = 5
+    (GF4, 7, (1,)),          # [3], k = 3: the level spans every row
+    (GF4, 7, (1, 2)),        # [3, 3], k = 6
+    (GF4, 9, (0, 1, 3)),     # [1, 1, 3], k = 5
+    (GF4, 15, (3, 4, 5)),    # [2, 2, 2], k = 6
+    (GF4, 21, (3, 4)),       # [3, 3], k = 6
+    (GF9, 5, (1, 2)),        # [2, 2], k = 4
+    (GF9, 16, (0, 8)),       # [1, 2], k = 3
+    (GF9, 13, (0, 1)),       # [1, 3], k = 4
+]
+
+
+@pytest.mark.parametrize("field,n,h_factors", GRID)
+def test_orbit_scan_matches_matrix_scan_and_oracle(field, n, h_factors, levels_taken):
+    code = random_code(field, n, h_factors, n * field.Q)
+    plan = code.orbit_plan
+    assert plan is not None and plan.lead == 0
+    assert messages(plan, field.Q, code.k) == field.Q ** code.k
+    enum = wdist.enumerate_code(code.G, plan=plan)
+    assert enum == wdist.enumerate_code(code.G) == oracles.enumerate_code_naive(code.G)
+
+
+@pytest.mark.parametrize("field,n,h_factors,cols", [
+    (GF4, 5, (1, 2), 1), (GF4, 21, (3, 4), 1), (GF9, 5, (1,), 1), (GF9, 13, (0, 1), 1),
+    (GF9, 16, (8,), 2),
+])
+def test_orbit_scan_of_extensions(field, n, h_factors, cols, levels_taken):
+    ext = with_columns(random_code(field, n, h_factors, n + cols), cols, n)
+    plan = ext.orbit_plan
+    # the extension rows lead, and every level is the base code's
+    assert plan.lead == cols
+    assert plan.levels == ext.base.orbit_plan.levels
+    assert messages(plan, field.Q, ext.dim) == field.Q ** ext.dim
+    enum = wdist.enumerate_code(ext.G, plan=plan)
+    assert enum == wdist.enumerate_code(ext.G)
+    if field.Q ** ext.dim <= 9 ** 4:
+        assert enum == oracles.enumerate_code_naive(ext.G)
+
+
+@pytest.mark.parametrize("field,n,j", [(GF4, 6, 2), (GF4, 12, 6), (GF9, 6, 2), (GF9, 3, 1)])
+def test_p_dividing_n_takes_the_matrix_scan(field, n, j, levels_taken):
+    rng = random.Random(n)
+    g = polyring.x_pow_n_minus_1(field, j)  # divides x^n - 1 for j | n
+    code = qcc.build(field, n, tuple(rng.randrange(field.Q) for _ in range(n)), g)
+    assert code.orbit_plan is None
+    assert with_columns(code, 1, n).orbit_plan is None
+    assert wdist.enumerate_code(code.G) == oracles.enumerate_code_naive(code.G)
+
+
+def test_orbit_scan_on_two_workers(monkeypatch, levels_taken):
+    monkeypatch.setattr(wdist, "_usable_cpus", lambda: 2)
+    for code in (random_code(GF4, 21, (3, 4, 5), 1), with_columns(random_code(GF9, 13, (0, 1), 2), 1, 3)):
+        plan = code.orbit_plan
+        assert plan.levels
+        one = wdist.enumerate_code(code.G, plan=plan)
+        assert wdist.enumerate_code(code.G, plan=plan, workers=2) == one
+        assert one == wdist.enumerate_code(code.G)
+
+
+def test_cost_rule_can_take_no_level(monkeypatch):
+    # x^11 - 1 = (x - 1) q1 q2 over GF(4), deg q = 5 and x of order 11 mod q:
+    # |H1| = 33, so the one level there is has 31 fibers of one word each,
+    # dearer than the one-step scan of all 4^5 words
+    code = random_code(GF4, 11, (1,), 5)
+    assert code.orbit_plan is None
+    assert wdist.enumerate_code(code.G) == oracles.enumerate_code_naive(code.G)
+    # and past one step: [35, 9]_9, whose h is one factor of degree 8 with
+    # |H1| = 136, 316520 fibers of one word each.  The cyclotomic cosets
+    # of 17 tell that much, so x^17 - 1 is not factored
+    def no_factoring(*args):
+        raise AssertionError("x^n - 1 was factored")
+
+    monkeypatch.setattr(polyring, "factor_xn_minus_1", no_factoring)
+    qcc._orbit_levels.cache_clear()
+    qcc._orbit_plan.cache_clear()
+    ev = next(r for r in refdata.TABLES["stabilizer-gf9"] if r.n == 17).evaluation()
+    assert wdist.table_rows(GF9, ev.ext.dim, ev.ext.length) < ev.ext.dim
+    assert ev.ext.orbit_plan is None
+
+
+@pytest.mark.parametrize("field,n", [(GF4, 7), (GF4, 9), (GF4, 21), (GF9, 5), (GF9, 13)])
+def test_level_representatives_are_one_per_coset(field, n, levels_taken):
+    """The reps times H1 are disjoint and cover GF(Q^d)*."""
+    factors = polyring.factor_xn_minus_1(field, n)
+    code = random_code(field, n, range(1, len(factors)), 0)
+    plan = code.orbit_plan
+    chosen = [m for m, _, _ in qcc._orbit_levels(field, n, code.g)]
+    assert len(chosen) == len(plan.levels)
+    for m, (mult, reps) in zip(chosen, plan.levels):
+        d = polyring.deg(m)
+        assert mult == len({polyring.poly_mod(field, polyring.poly_scale(
+            field, s, (0,) * i + (1,)), m) for i in range(n) for s in range(1, field.Q)})
+        seen = set()
+        for rep in reps:
+            assert len(rep) == d
+            orbit = {polyring.poly_mod(field, polyring.poly_mul(
+                field, polyring.poly_scale(field, s, (0,) * i + (1,)), rep), m)
+                for i in range(n) for s in range(1, field.Q)}
+            assert len(orbit) == mult and not orbit & seen
+            seen |= orbit
+        assert len(seen) == field.Q ** d - 1
+
+
+def test_pipeline_calls_enumerate_code_once_with_the_full_generator(monkeypatch):
+    calls = []
+    enumerate_code = wdist.enumerate_code
+
+    def recorded(g, *args, **kwargs):
+        calls.append((g, kwargs))
+        return enumerate_code(g, *args, **kwargs)
+
+    monkeypatch.setattr(wdist, "enumerate_code", recorded)
+    row = next(r for r in refdata.TABLES["assisted-primal"] if r.n == 35)
+    ev = row.evaluation()
+    assert ev.eaqecc is not None
+    [(g, kwargs)] = calls
+    assert g is ev.code.G and kwargs["plan"] is ev.code.orbit_plan is not None
+
+    # a code scanned in one step builds no plan
+    def no_levels(*args):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(qcc, "_orbit_levels", no_levels)
+    calls.clear()
+    ev = refdata.TABLES["stabilizer-gf4"][0].evaluation()
+    assert ev.distance is not None
+    [(g, kwargs)] = calls
+    assert g is ev.ext.G and kwargs["plan"] is None
+
+
+def table_and_spec_evaluations():
+    for family in ("stabilizer-gf4", "stabilizer-gf9", "assisted-primal", "assisted-dual"):
+        for row in refdata.TABLES[family]:
+            ev = row.evaluation()
+            if not ev.skipped:
+                yield f"{family} n={row.n}", ev
+    for path in sorted(SPECS.glob("*.json")):
+        ev = cli._spec_evaluation(cli.load_spec(str(path)), None, 1)
+        if not ev.skipped:
+            yield path.name, ev
+
+
+def test_orbit_scan_matches_matrix_scan_on_tables_and_specs():
+    planned = 0
+    for name, ev in table_and_spec_evaluations():
+        try:
+            code = ev.ext or ev.code
+        except PreconditionError:  # a listed vector outside the block dual
+            continue
+        if code.orbit_plan is not None:
+            planned += 1
+            assert wdist.enumerate_code(code.G, plan=code.orbit_plan) == wdist.enumerate_code(code.G), name
+    assert planned >= 10

@@ -394,6 +394,54 @@ def test_reference_generators_are_products_of_factors():
         assert pr.deg(rem) == 0
 
 
+# --- powers, orders and primitive elements modulo a factor ----------------
+
+
+@pytest.mark.parametrize("field", [GF4, GF9, GF81])
+def test_poly_powmod_is_repeated_multiplication(field):
+    rng = random.Random(field.Q)
+    for _ in range(10):
+        m = pr.monic(field, rand_poly(rng, field, 5) + (1,))
+        a = rand_poly(rng, field, 7)
+        acc = pr.poly_mod(field, (field.one,), m)
+        for e in range(12):
+            assert pr.poly_powmod(field, a, e, m) == acc
+            acc = pr.poly_mod(field, pr.poly_mul(field, acc, a), m)
+
+
+def test_prime_factors():
+    for N in list(range(1, 300)) + [4 ** 18 - 1, 9 ** 11 - 1, 2 ** 31 - 1]:
+        primes = pr.prime_factors(N)
+        assert list(primes) == sorted(set(primes))
+        rest = N
+        for p in primes:
+            assert all(p % d for d in range(2, math.isqrt(p) + 1))
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1, N
+
+
+def powers_of(field, a, m):
+    """a^0, a^1, ... modulo m until the first repeat of 1."""
+    out, r = [pr.poly_mod(field, (field.one,), m)], pr.poly_mod(field, a, m)
+    while r != out[0]:
+        out.append(r)
+        r = pr.poly_mod(field, pr.poly_mul(field, r, a), m)
+    return out
+
+
+@pytest.mark.parametrize("field,n", [(GF4, 5), (GF4, 9), (GF4, 21), (GF9, 8), (GF9, 13),
+                                     (GF81, 11), (GF81, 16)])
+def test_x_order_and_primitive_element_by_brute_force(field, n):
+    for m in pr.factor_xn_minus_1(field, n):
+        d = pr.deg(m)
+        assert pr.x_order(field, m, n) == len(powers_of(field, (0, 1), m))
+        if field.Q ** d <= 6561:
+            gamma = pr.primitive_element(field, m)
+            assert len(gamma) <= d
+            assert len(set(powers_of(field, gamma, m))) == field.Q ** d - 1
+
+
 # --- units mod x^n - 1 -----------------------------------------------------
 
 
