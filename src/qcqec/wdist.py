@@ -33,6 +33,12 @@ the span of the last rows, the last row first, so its first Q^j words span
 the last j rows.  `unit_seconds` is the cost model the plan is chosen by,
 with a key at _KEY_S and a table word at _WORD_S per plane word.
 
+The same model decides where a scan runs.  With workers > 1 a process
+pool starts only when the one-worker scan's estimate, times the share
+1 - 1/workers that the other workers would take off it, passes _POOL_S,
+the cost of starting and shutting down a pool; a smaller scan runs in the
+main process, as with one worker.
+
 Words are bit-sliced, 64 symbols to a uint64 word per bit plane: one plane
 per GF(2) coordinate, added by XOR, or two per GF(3) coordinate ("= 2" and
 "= 1"), added by the formula of Boothby and Bradshaw (arXiv:0901.1413).
@@ -74,6 +80,14 @@ _ONE_STEP_BYTES = 1 << 17  # the largest span scanned in one step
 # GF(81) at W = 1 and 2, on a 2-core x86-64 (Python 3.11, numpy 2.4)
 _KEY_S = 30e-6
 _WORD_S = 2.3e-9
+# a process pool pays when the scan time it saves, (1 - 1/workers) of the
+# one-worker estimate, passes _POOL_S, the pool's start and shutdown: timed
+# as a 2-worker ProcessPoolExecutor mapping a trivial call, 13-21 ms over 8
+# tries on the same machine, with the fork start method (Linux's default up
+# to Python 3.13) from a process that had imported the package.  Where a
+# start costs more (spawn; forkserver, Linux's default from 3.14), the rule
+# errs toward pooling, as every scan of two or more work units once did
+_POOL_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -365,7 +379,9 @@ def enumerate_code(
     be invertible, which the weight-0 count checks too.  With workers > 1
     the work units are spread over a process pool, no larger than the CPUs
     this process may use, and their histograms summed, so the result does
-    not depend on the partitioning.
+    not depend on the partitioning.  The pool starts only when the scan's
+    estimate passes break-even (module docstring); a smaller scan runs in
+    this process.
     """
     field = g.field
     k, n = g.nrows, g.ncols
@@ -377,7 +393,11 @@ def enumerate_code(
     if k == 0:
         counts = [1] + [0] * n
     else:
-        inner, chunks = _work_units(field.Q, k, table_rows(field, k, n), workers, plan)
+        table = table_rows(field, k, n)
+        inner, chunks = _work_units(field.Q, k, table, 1, plan)
+        seconds = sum(unit_seconds(field, n, inner, k - len(head)) for head, _ in chunks[0])
+        if workers > 1 and seconds * (1 - 1 / workers) > _POOL_S:
+            inner, chunks = _work_units(field.Q, k, table, workers, plan)
         rows = _scan_rows(field, g, plan and plan.basis)
         jobs = [(field.q, rows, inner, chunk) for chunk in chunks]
         if len(jobs) == 1:

@@ -696,3 +696,15 @@ def test_reports_match_golden_digest(capsys, tmp_path, argv, digest):
     doc.pop("timing", None)
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def test_threads_pool_only_the_scans_past_break_even(capsys, monkeypatch, pools_started):
+    # table 3 pools its n = 35 row, a [35,9]_9 code estimated at over half a
+    # second, and scans its other rows here, each estimated at a few
+    # milliseconds at most; so is the [22,6]_9 extension of the GF(9) spec
+    monkeypatch.setattr(wdist, "_usable_cpus", lambda: 2)
+    rc, _, _ = run(capsys, "table", "--id", "3", "--threads", "2")
+    assert rc == 0 and pools_started == [2]
+    pools_started.clear()
+    rc, _, _ = run(capsys, "verify", f"{SPECS}/q3-n10-extend-two.json", "--threads", "2")
+    assert rc == 0 and pools_started == []

@@ -127,7 +127,7 @@ def test_p_dividing_n_takes_the_matrix_scan(field, n, j, levels_taken):
     assert wdist.enumerate_code(code.G) == oracles.enumerate_code_naive(code.G)
 
 
-def test_orbit_scan_on_two_workers(monkeypatch, levels_taken):
+def test_orbit_scan_on_two_workers(monkeypatch, levels_taken, pool_always):
     monkeypatch.setattr(wdist, "_usable_cpus", lambda: 2)
     for code in (random_code(GF4, 21, (3, 4, 5), 1), with_columns(random_code(GF9, 13, (0, 1), 2), 1, 3)):
         plan = code.orbit_plan
@@ -135,6 +135,18 @@ def test_orbit_scan_on_two_workers(monkeypatch, levels_taken):
         one = wdist.enumerate_code(code.G, plan=plan)
         assert wdist.enumerate_code(code.G, plan=plan, workers=2) == one
         assert one == wdist.enumerate_code(code.G)
+
+
+def test_table_plan_here_and_on_a_pool_agree(monkeypatch, pool_always):
+    # the [63, 11]_4 extension of the first GF(4) n = 31 row, with the plan
+    # its own cost rule takes: one level of 11 fibers
+    monkeypatch.setattr(wdist, "_usable_cpus", lambda: 2)
+    row = next(r for r in refdata.TABLES["stabilizer-gf4"] if r.n == 31)
+    code = row.evaluation().ext
+    assert [len(reps) for _, reps in code.orbit_plan.levels] == [11]
+    one = wdist.enumerate_code(code.G, plan=code.orbit_plan)
+    assert wdist.enumerate_code(code.G, plan=code.orbit_plan, workers=2) == one
+    assert one == wdist.enumerate_code(code.G)
 
 
 def test_cost_rule_can_take_no_level(monkeypatch):

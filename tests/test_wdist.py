@@ -191,7 +191,7 @@ def test_one_row_block_table_at_n_256(monkeypatch):
     assert wdist.enumerate_code(g) == oracles.enumerate_code_naive(g)
 
 
-def test_enumerate_workers_agree_at_n_256(monkeypatch):
+def test_enumerate_workers_agree_at_n_256(monkeypatch, pool_always):
     monkeypatch.setattr(wdist, "_usable_cpus", lambda: 3)
     g = rand_full_rank(random.Random(257), GF4, 6, 256)
     one = wdist.enumerate_code(g, workers=1)
@@ -219,10 +219,14 @@ def test_enumerate_rejects_rank_deficient():
 @pytest.mark.parametrize("where", ["table", "outer"])
 @pytest.mark.parametrize("field,n,rank", [(GF4, 12, 6), (GF9, 10, 3), (GF81, 6, 3)],
                          ids=["Q4", "Q9", "Q81"])
-def test_rank_deficiency_is_caught_by_the_scan(field, n, rank, where, workers, monkeypatch):
+def test_rank_deficiency_is_caught_by_the_scan(field, n, rank, where, workers, monkeypatch,
+                                               request):
     # no elimination runs: the scan's weight-0 count Q^(k - rank) must refuse
-    # a dependent row, last (in the block table) or first (an outer row)
+    # a dependent row, last (in the block table) or first (an outer row),
+    # and two workers must run a pool, small as these codes are
     monkeypatch.setattr(wdist, "_usable_cpus", lambda: 2)
+    if workers > 1:
+        request.getfixturevalue("pool_always")
     rng = random.Random(field.Q + n)
     rows = rand_full_rank(rng, field, rank, n).rows
     s = rng.randrange(1, field.Q)
@@ -261,7 +265,7 @@ def test_one_step_and_projective_scans_agree(field, k, n, fits, monkeypatch):
         assert default == [oracles.enumerate_code_naive(g) for g in codes]
 
 
-def test_enumerate_workers_agree(monkeypatch):
+def test_enumerate_workers_agree(monkeypatch, pool_always):
     # the pool is capped at the usable CPUs; lift the cap so that three
     # workers are three processes on any machine
     monkeypatch.setattr(wdist, "_usable_cpus", lambda: 3)
@@ -273,7 +277,7 @@ def test_enumerate_workers_agree(monkeypatch):
 
 
 @pytest.mark.parametrize("field,k,n", [(GF9, 6, 12), (GF81, 4, 8)])
-def test_enumerate_workers_agree_odd_characteristic(field, k, n, monkeypatch):
+def test_enumerate_workers_agree_odd_characteristic(field, k, n, monkeypatch, pool_always):
     monkeypatch.setattr(wdist, "_usable_cpus", lambda: 3)
     rng = random.Random(11 + field.Q)
     g = rand_full_rank(rng, field, k, n)
@@ -287,24 +291,8 @@ def test_enumerate_workers_agree_odd_characteristic(field, k, n, monkeypatch):
     (None, 3, [3]),       # no affinity call: all CPUs
     (None, None, []),     # nothing known: one worker, no pool
 ])
-def test_pool_is_capped_at_usable_cpus(monkeypatch, affinity, cpu_count, pool):
-    # a fake pool records its size and runs the jobs here: no process starts
-    started = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(wdist, "ProcessPoolExecutor", FakePool)
+def test_pool_is_capped_at_usable_cpus(monkeypatch, affinity, cpu_count, pool, pool_always,
+                                       pools_started):
     if affinity is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
@@ -313,7 +301,37 @@ def test_pool_is_capped_at_usable_cpus(monkeypatch, affinity, cpu_count, pool):
     g = rand_full_rank(random.Random(5), GF4, 7, 9)  # past the one-step span
     one = wdist.enumerate_code(g, workers=1)
     assert wdist.enumerate_code(g, workers=10 ** 6) == one
-    assert started == pool
+    assert pools_started == pool
+
+
+def test_scan_below_break_even_runs_here(monkeypatch, pools_started):
+    # a [9, 7]_4 scan is estimated at under a millisecond, far below a
+    # pool's start and shutdown: two workers scan it here, as one does
+    monkeypatch.setattr(wdist, "_usable_cpus", lambda: 2)
+    g = rand_full_rank(random.Random(5), GF4, 7, 9)  # past the one-step span
+    one = wdist.enumerate_code(g, workers=1)
+    assert wdist.enumerate_code(g, workers=2) == one
+    assert pools_started == []
+    # a pool that starts for nothing pays for any scan of two work units
+    monkeypatch.setattr(wdist, "_POOL_S", 0.0)
+    assert wdist.enumerate_code(g, workers=2) == one
+    assert pools_started == [2]
+
+
+# past the one-step span, on each side of a 64-symbol word; each code is
+# dealt to two workers as two jobs, and is far below break-even
+@pytest.mark.parametrize("field,k,n", [
+    (GF4, 7, 9), (GF4, 8, 64), (GF4, 7, 70), (GF9, 4, 12), (GF9, 5, 65),
+    (GF81, 2, 9), (GF81, 3, 66),
+], ids=lambda v: getattr(v, "Q", v))
+def test_scans_here_and_on_a_pool_agree(field, k, n, monkeypatch):
+    monkeypatch.setattr(wdist, "_usable_cpus", lambda: 2)
+    g = rand_full_rank(random.Random(field.Q * 1000 + k * 100 + n), field, k, n)
+    here = wdist.enumerate_code(g, workers=2)
+    monkeypatch.setattr(wdist, "_POOL_S", 0.0)
+    assert wdist.enumerate_code(g, workers=2) == here
+    if field.Q ** k <= 4 ** 5:
+        assert here == oracles.enumerate_code_naive(g)
 
 
 def test_corrupt_histogram_is_caught_under_optimize():
