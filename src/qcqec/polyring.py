@@ -529,6 +529,43 @@ def primitive_element(field, m) -> tuple[int, ...]:
     raise AssertionError(f"no primitive element modulo {m}: it is not irreducible")
 
 
+def _p_split(field, n: int) -> tuple[int, int]:
+    """(n', p^s), n = n' p^s with p not dividing n': x^n - 1 = (x^n' - 1)^(p^s)."""
+    power = 1
+    while n % field.p == 0:
+        n, power = n // field.p, power * field.p
+    return n, power
+
+
+def circulant_char_poly(field: Field, a) -> tuple[int, ...]:
+    """det(lambda I - circ(a)), circ(a) the matrix of rows x^i a for a ring
+    vector a of length n = n' p^s, p not dividing n': ascending digits,
+    monic of length n + 1.
+
+    circ(a) is multiplication by a on GF(Q)[x]/(x^n - 1), by the Chinese
+    remainder theorem the product of the GF(Q)[x]/(m^(p^s)) over the
+    irreducible factors m of x^n' - 1.  Each has p^s layers m^i / m^(i+1),
+    copies of GF(Q^d) = GF(Q)[x]/(m) where a acts as beta = a mod m, with
+    characteristic polynomial prod_{j<d} (lambda - beta^(Q^j)) (Lidl and
+    Niederreiter, Finite Fields, ch. 2).  That product is formed over
+    GF(Q)[x]/(m), where its coefficients come out constant.
+    """
+    core, power = _p_split(field, len(a))
+    out = (field.one,)
+    for m in factor_xn_minus_1(field, core):
+        beta = poly_mod(field, a, m)
+        coeffs = [(field.one,)]  # of lambda^0, lambda^1, ...
+        for _ in range(deg(m)):
+            neg_beta = poly_neg(field, beta)  # times lambda - beta: c_i <- c_(i-1) - beta c_i
+            coeffs = [poly_mod(field, poly_add(field, hi, poly_mul(field, neg_beta, lo)), m)
+                      for lo, hi in zip(coeffs + [()], [()] + coeffs)]
+            beta = poly_powmod(field, beta, field.Q, m)
+        factor = tuple(c[0] if c else 0 for c in coeffs)
+        for _ in range(power):
+            out = poly_mul(field, out, factor)
+    return out
+
+
 def is_unit(field: Field, n: int, f) -> bool:
     """True iff gcd(f, x^n - 1) = 1, i.e. f is a unit mod x^n - 1.
 
@@ -594,9 +631,7 @@ def _unit_map(field: Field, n: int) -> _UnitMap:
     """
     if n < 1:
         raise SpecError(f"n must be positive, got {n}")
-    core = n
-    while core % field.p == 0:
-        core //= field.p
+    core = _p_split(field, n)[0]
     factors = factor_xn_minus_1(field, core)
     prefix = [(field.one,)]
     for fac in factors[:-1]:

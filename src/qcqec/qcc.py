@@ -54,9 +54,9 @@ product <x^i a, x^j b> is the coefficient of x^(j-i) in a b̄.  So:
   least digit that qualifies.  For the rank rule (<x,x> != -alpha^(q+1),
   q > 2) it is x^(r-1) d, or 2 x^(r-1) d when that fails: N(2) != 1.
 
-The matrices themselves (G of a code, built in one pass from its rows, G
-of an extension, and the characteristic polynomial of P) are built when
-first read, and every later read returns the same object.
+G of a code (built in one pass from its rows), G of an extension and the
+characteristic polynomial of P (read off the factors of x^n - 1, with no
+matrix) are built when first read; every later read returns the same object.
 
 The orbit plan of `wdist.enumerate_code` (its module docstring has the
 algebra) depends on g alone and is kept per (field, n, g, columns added).
@@ -442,8 +442,9 @@ class EntanglementCertificate:
     read off the divisors (module docstring): the first once per g, the
     second as gcd(1 + f f̄, dual_g) = 1.  P is the circulant of
     p_row = e - (f f̄)^-1, e = d (d^-1 mod h) the idempotent of <d>,
-    d = dual_g; p_row and char_poly_p are computed when first read, and
-    are None when H1 H1^dag is singular.
+    d = dual_g, and char_poly_p = det(lambda I - P) is
+    `polyring.circulant_char_poly` of p_row.  Both are computed when first
+    read, and are None when H1 H1^dag is singular.
     """
 
     code: QcCode
@@ -471,7 +472,7 @@ class EntanglementCertificate:
     def char_poly_p(self) -> tuple | None:
         if self.p_row is None:
             return None
-        return famat.char_poly(famat.circulant(self.code.field, self.p_row, len(self.p_row)))
+        return polyring.circulant_char_poly(self.code.field, self.p_row)
 
 
 def entanglement_certificate(code: QcCode) -> EntanglementCertificate:

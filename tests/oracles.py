@@ -1,6 +1,7 @@
-"""Test-only helpers: the matrix arithmetic that only tests use (products,
-sums, daggers, stacking, elimination, rank, inverses), and the matrix
-routes that the library replaced by computations in the ring
+"""Test-only helpers: the matrix arithmetic that only tests use (circulants,
+products, sums, daggers, stacking, elimination, rank, inverses, and the
+characteristic polynomial by a Hessenberg reduction, the reference for
+`polyring.circulant_char_poly`), and the matrix routes that the library replaced by computations in the ring
 GF(q^2)[x]/(x^n - 1) or, for the full-rank check of a generator matrix,
 by the weight-0 count of its enumeration; and the
 enumeration by message products and the Krawtchouk columns, which the
@@ -34,12 +35,80 @@ def identity(field, n) -> famat.Mat:
     return famat.Mat(field, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
 
+def circulant(field, vec, nrows: int) -> famat.Mat:
+    """nrows x len(vec) matrix whose i-th row is x^i * a(x): ascending
+    coefficients of a, cyclically shifted right i places."""
+    vec = tuple(vec)
+    return famat.Mat(field, [polyring.cyclic_shift(vec, i) for i in range(nrows)], len(vec))
+
+
+def char_poly(m: famat.Mat) -> tuple[int, ...]:
+    """Characteristic polynomial det(xI - M), ascending digit coefficients.
+
+    The matrix is first brought to upper Hessenberg form by similarity
+    transformations (exact pivoting, any field), then the polynomial follows
+    from the leading-principal-minor recurrence, so no polynomial-entry
+    elimination is ever needed.
+    """
+    if m.nrows != m.ncols:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    f = m.field
+    n = m.nrows
+    if n == 0:
+        return (1,)
+    h = [list(r) for r in m.rows]
+    add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv
+
+    for j in range(n - 2):
+        piv = None
+        for i in range(j + 1, n):
+            if h[i][j]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        iv = inv(h[j + 1][j])
+        for i in range(j + 2, n):
+            if not h[i][j]:
+                continue
+            c = mul[h[i][j]][iv]
+            m = mul[neg[c]]
+            h[i] = [add[x][m[y]] for x, y in zip(h[i], h[j + 1])]
+            m = mul[c]
+            for row in h:
+                row[j + 1] = add[row[j + 1]][m[row[i]]]
+
+    # p_k = (x - h_kk) p_{k-1} - sum_i h_ik (prod_j h_{j,j-1}) p_{i-1}
+    ps = [(1,)]
+    for k in range(1, n + 1):
+        hkk = h[k - 1][k - 1]
+        prev = ps[k - 1]
+        m = mul[neg[hkk]]
+        cur = [0] + list(prev)
+        cur[:-1] = [add[x][m[c]] for x, c in zip(cur, prev)]
+        prod = 1
+        for i in range(k - 1, 0, -1):
+            prod = mul[prod][h[i][i - 1]]
+            if prod == 0:
+                break
+            coef = mul[h[i - 1][k - 1]][prod]
+            if coef:
+                m = mul[neg[coef]]
+                cur[:i] = [add[x][m[c]] for x, c in zip(cur, ps[i - 1])]
+        ps.append(tuple(cur))
+    return ps[n]
+
+
 def mat_from_poly(field, n: int, coeffs, nrows: int) -> famat.Mat:
     """Circulant of a plain polynomial padded to length n."""
     coeffs = polyring.trim(coeffs)
     if len(coeffs) > n:
         raise ValueError("polynomial does not fit in the ring")
-    return famat.circulant(field, coeffs + (0,) * (n - len(coeffs)), nrows)
+    return circulant(field, coeffs + (0,) * (n - len(coeffs)), nrows)
 
 
 def is_zero(m: famat.Mat) -> bool:
@@ -364,7 +433,7 @@ def parity_check(field, n, dual_g, f) -> tuple:
     H1 = mat_from_poly(field, n, dual_g, r) if r else famat.Mat(field, [], n)
     f = polyring.ring_from_plain(field, n, f)
     conj_rev_f = polyring.frob_poly(field, polyring.bar(f))
-    H2 = famat.circulant(field, polyring.poly_neg(field, conj_rev_f), n)
+    H2 = circulant(field, polyring.poly_neg(field, conj_rev_f), n)
     H = vstack(hstack(H1, zeros(field, r, n)), hstack(H2, identity(field, n)))
     return H1, H2, H
 
@@ -444,9 +513,9 @@ def check_code(field, n, f, g):
     p = ref["P"]
     if (cert.h1_gram_nonsingular, cert.one_not_eigenvalue) != certificate_booleans(p):
         raise AssertionError("certificate booleans differ from the matrix route")
-    if (None if cert.p_row is None else famat.circulant(field, cert.p_row, n)) != p:
+    if (None if cert.p_row is None else circulant(field, cert.p_row, n)) != p:
         raise AssertionError("P differs from the matrix route")
-    if cert.char_poly_p != (None if p is None else famat.char_poly(p)):
+    if cert.char_poly_p != (None if p is None else char_poly(p)):
         raise AssertionError("char(P) differs from the matrix route")
     return code, cert
 

@@ -1,11 +1,12 @@
 """Exact linear algebra tests, anchored by naive oracles.
 
-char_poly gets a Leibniz-expansion oracle (practical up to 4x4), rank gets
-the cyclic-code dimension formula, and the test-only hull_dim of oracles.py
-is exercised through its own built-in double computation plus
-hand-checkable cases.  The matrix arithmetic that only tests use (products,
-sums, daggers, stacking, elimination, rank, inverses) lives in oracles.py
-and is checked here too.
+The matrix arithmetic that only tests use lives in oracles.py (circulants,
+products, sums, daggers, stacking, elimination, rank, inverses and the
+Hessenberg characteristic polynomial) and is checked here.  char_poly,
+the reference that polyring.circulant_char_poly is held against, gets a
+Leibniz-expansion oracle (practical up to 4x4), rank gets the cyclic-code
+dimension formula, and the test-only hull_dim is exercised through its own
+built-in double computation plus hand-checkable cases.
 """
 
 import itertools
@@ -38,7 +39,7 @@ def rand_full_rank(rng, field, r, c):
 
 def test_circulant_rows_are_shifts():
     g = pr.parse_compact(GF4, "1220310131", n=15)
-    m = fm.circulant(GF4, g, 6)
+    m = oracles.circulant(GF4, g, 6)
     assert m.row(0) == (1, 2, 2, 0, 3, 1, 0, 1, 3, 1, 0, 0, 0, 0, 0)
     assert m.row(3) == (0, 0, 0, 1, 2, 2, 0, 3, 1, 0, 1, 3, 1, 0, 0)
     # row i is x^i * g as a ring element
@@ -160,7 +161,7 @@ def test_char_poly_vs_leibniz_oracle(field):
     for n in (1, 2, 3, 4):
         for _ in range(40):
             m = rand_mat(rng, field, n, n)
-            got = fm.char_poly(m)
+            got = oracles.char_poly(m)
             want = oracle_char_poly(m)
             assert len(got) == n + 1 and got[-1] == 1
             assert got == want
@@ -170,7 +171,7 @@ def test_char_poly_identity():
     # (x - 1)^n
     for field in (GF4, GF9):
         for n in (1, 3, 6):
-            got = fm.char_poly(oracles.identity(field, n))
+            got = oracles.char_poly(oracles.identity(field, n))
             want = (1,)
             for _ in range(n):
                 want = pr.poly_mul(field, want, (field.neg(1), 1))
@@ -188,7 +189,7 @@ def test_char_poly_companion():
                 rows[i][i - 1] = 1
             for i in range(n):
                 rows[i][n - 1] = field.neg(p[i])
-            assert fm.char_poly(fm.Mat(field, rows)) == p
+            assert oracles.char_poly(fm.Mat(field, rows)) == p
 
 
 def test_char_poly_similarity_invariant():
@@ -199,7 +200,7 @@ def test_char_poly_similarity_invariant():
             m = rand_mat(rng, field, n, n)
             s = rand_full_rank(rng, field, n, n)
             conjugated = oracles.mul(oracles.mul(s, m), oracles.inverse(s))
-            assert fm.char_poly(conjugated) == fm.char_poly(m)
+            assert oracles.char_poly(conjugated) == oracles.char_poly(m)
 
 
 # --- hull ------------------------------------------------------------------------

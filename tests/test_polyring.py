@@ -442,6 +442,27 @@ def test_x_order_and_primitive_element_by_brute_force(field, n):
             assert len(set(powers_of(field, gamma, m))) == field.Q ** d - 1
 
 
+# --- characteristic polynomial of a circulant -------------------------------
+
+
+@pytest.mark.parametrize("field", [GF4, GF9, GF81], ids=["Q4", "Q9", "Q81"])
+def test_circulant_char_poly_matches_hessenberg(field):
+    # every n from 1 to 21, the multiples of p among them (x^n - 1 then has
+    # repeated factors): the zero vector, x (circ(x) has char poly
+    # lambda^n - 1) and three seeded draws, against the matrix route
+    rng = random.Random(field.Q + 1)
+    for n in range(1, 22):
+        x = pr.ring_from_plain(field, n, (0, 1))
+        draws = [(0,) * n, x] + [tuple(rng.randrange(field.Q) for _ in range(n))
+                                 for _ in range(3)]
+        for a in draws:
+            got = pr.circulant_char_poly(field, a)
+            assert len(got) == n + 1 and got[-1] == field.one, (n, a)
+            assert got == oracles.char_poly(oracles.circulant(field, a, n)), (n, a)
+        assert pr.circulant_char_poly(field, draws[0]) == (0,) * n + (1,)
+        assert pr.circulant_char_poly(field, x) == pr.x_pow_n_minus_1(field, n)
+
+
 # --- units mod x^n - 1 -----------------------------------------------------
 
 

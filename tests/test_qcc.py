@@ -118,7 +118,7 @@ def test_parity_check_gf4_n7():
     assert code.dual_g == (1,) * 7
     H1, H2, H = oracles.parity_check(GF4, 7, code.dual_g, code.f)
     assert H1 == famat.Mat(GF4, [[1] * 7])
-    assert H2 == famat.circulant(GF4, (0, 0, 1, 3, 2, 3, 2), 7)
+    assert H2 == oracles.circulant(GF4, (0, 0, 1, 3, 2, 3, 2), 7)
     assert H.nrows == 8 and H.ncols == 14
     assert oracles.is_zero(oracles.mul(code.G, oracles.dagger(H)))
     assert code.f_coprime
@@ -147,7 +147,7 @@ def test_build_gf81_n10():
     assert code.dual_g == (1, 37, 13, 9)
     H1, H2, _ = oracles.parity_check(GF81, 10, code.dual_g, code.f)
     assert H1.row(0) == (1, 37, 13, 9) + (0,) * 6
-    assert H2 == famat.circulant(GF81, (41, 0, 0, 0, 0, 0, 0, 0, 7, 59), 10)
+    assert H2 == oracles.circulant(GF81, (41, 0, 0, 0, 0, 0, 0, 0, 7, 59), 10)
     assert code.G.row(0) == (49, 45, 11, 37, 53, 59, 45, 1, 0, 0) + (49, 59, 19, 16, 37, 57, 25, 24, 66, 15)
     assert code.G.row(1)[10:] == (15, 49, 59, 19, 16, 37, 57, 25, 24, 66)
     assert not code.orthogonal_gram

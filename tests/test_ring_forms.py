@@ -9,9 +9,11 @@ q = 2, n = 7 and n = 15 search configurations, the code of every collected
 table row, and samples over GF(9) and GF(81).  The first two also check,
 by elimination, that G and the extended G have full row rank: the
 library builds them on the claim that their rows are independent by
-construction.
+construction.  The two routes to "1 is not an eigenvalue of P", the gcd
+and char(P) at 1, are held against each other too.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -131,6 +133,59 @@ def test_certificate_of_the_full_space():
     assert code.k == 7
     assert cert.h1_gram_nonsingular
     assert cert.p_row == polyring.poly_neg(GF4, polyring.ring_inv(GF4, 7, code.f_f_bar))
+
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def char_poly_route_agrees(cert) -> bool:
+    # 1 is not an eigenvalue of P iff det(1 I - P), char(P) at 1, is nonzero
+    return cert.one_not_eigenvalue == (oracles.poly_eval(cert.code.field, cert.char_poly_p, 1) != 0)
+
+
+def test_one_not_eigenvalue_by_gcd_and_by_char_poly_on_the_specs():
+    # one_not_eigenvalue is gcd(1 + f f̄, dual_g) = 1, char_poly_p is read off
+    # the factors of x^n - 1; the specs checked are the three whose reports
+    # print char(P)
+    checked = []
+    for path in sorted(SPECS.glob("*.json")):
+        spec = json.loads(path.read_text())
+        field, n = field_make(spec["q"]), spec["n"]
+        code = qcc.build(field, n, polyring.parse_compact(field, spec["f"], n),
+                         polyring.trim(polyring.parse_compact(field, spec["g"])))
+        cert = qcc.entanglement_certificate(code) if code.f_coprime else None
+        if cert and cert.h1_gram_nonsingular:
+            assert char_poly_route_agrees(cert), path.name
+            checked.append(path.stem)
+    assert checked == ["q2-n11-base", "q2-n7-base", "q9-n10-extend-two"]
+
+
+# a grid of lengths, p | n included, with the verdicts of "1 is not an
+# eigenvalue of P" seen over up to 8 generators with H1 H1^dag nonsingular,
+# 3 unit f each.  Over GF(4), a root b of x^3 - 1 has b^-1 = b^2 = conj(b),
+# so f̄(b) = conj(f(b)) and 1 + f f̄ vanishes at b (f(b) f̄(b) is a norm,
+# 1); at n = 6 every such dual_g has a root of x^3 - 1.
+ROUTE_LENGTHS = [(GF4, 6, {False})] + [(GF4, n, {True, False}) for n in (7, 9, 10, 15, 17, 21)] \
+    + [(GF9, n, {True, False}) for n in (6, 8, 10, 13)]
+
+
+@pytest.mark.parametrize("field,n,verdicts", ROUTE_LENGTHS,
+                         ids=[f"Q{f.Q}-n{n}" for f, n, _ in ROUTE_LENGTHS])
+def test_one_not_eigenvalue_by_gcd_and_by_char_poly(field, n, verdicts):
+    rng = random.Random(field.Q * 1000 + n)
+    one = (field.one,) + (0,) * (n - 1)
+    gs = [g for g in oracles.proper_divisors(field, n)
+          if qcc.build(field, n, one, g).h1_gram_nonsingular]
+    seen = set()
+    for g in rng.sample(gs, min(8, len(gs))):
+        for _ in range(3):
+            f = [rng.randrange(field.Q) for _ in range(n)]
+            while not polyring.is_unit(field, n, f):
+                f = [rng.randrange(field.Q) for _ in range(n)]
+            cert = qcc.entanglement_certificate(qcc.build(field, n, f, g))
+            assert char_poly_route_agrees(cert), (g, f)
+            seen.add(cert.one_not_eigenvalue)
+    assert seen == verdicts
 
 
 def dual_vector(code, side, rng):
