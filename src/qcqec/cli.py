@@ -322,7 +322,9 @@ def cmd_factor(args) -> int:
 
 def cmd_search(args) -> int:
     raw = _load_object(args.config, "search config")
-    raw.pop("schema", None)
+    schema = raw.pop("schema", SCHEMA)
+    if schema != SCHEMA:
+        raise SpecError(f"unsupported search config schema {schema!r}")
     if args.seed is not None:
         raw["rng_seed"] = args.seed
     raw["enum_budget"] = _budget(args.budget, raw.get("enum_budget"))

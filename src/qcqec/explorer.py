@@ -1,17 +1,18 @@
 """Batch search over (f, g) candidates for one (q, n).
 
 The generator polynomials compatible with Hermitian self-orthogonality are
-enumerated exactly (divisors of x^n - 1 whose conjugate-reciprocal
-complement divides them); f is rejection-sampled uniformly among ring
-elements coprime to x^n - 1.  Each generator has its own random stream,
-which first feeds the extension-vector pool (qecc mode) and then the f
-sampler; the sampler draws its digits in bulk and unit-tests them in
-batches, in the stream of one randrange per digit (see _sample_fs), and
-the f it yields need no second unit test.  Every evaluated candidate is
-appended to a JSONL file so interrupted runs resume without
-re-enumerating, and a record is emitted to the caller only when it
-improves the best (dual distance, distance) pair seen for its field,
-length and dimension.
+read off the factors of x^n - 1: the divisors g whose conjugate-reciprocal
+complement divides them are those that take a factor from every
+conjugate-reciprocal pair and every self-conjugate factor (_generators).
+f is rejection-sampled uniformly among ring elements coprime to x^n - 1.
+Each generator has its own random stream, which first feeds the
+extension-vector pool (qecc mode) and then the f sampler; both draw their
+digits in bulk, in the stream of one randrange per digit (_draw_digits),
+the sampler unit-tests them in batches, and the f it yields need no
+second unit test.  Every evaluated candidate is appended to a JSONL file
+so interrupted runs resume without re-enumerating, and a record is
+emitted to the caller only when it improves the best (dual distance,
+distance) pair seen for its field, length and dimension.
 
 A record line carries the inputs in compact notation plus the computed
 parameters, so re-running the pipeline on (q, n, f, g) reproduces it
@@ -36,7 +37,8 @@ from .gf import Field, field_make
 
 SEARCH_MODES = ("qecc", "eaqecc")
 
-# the divisor walk (`_divisor_products`) gives up past this many products
+# `_generators` gives up when x^n - 1 has more than log2 of this many
+# irreducible factors
 DIVISOR_CAP = 2 ** 20
 
 
@@ -57,8 +59,10 @@ class SearchConfig:
     x1_samples: int = 8
 
     def __post_init__(self):
-        for name in ("q", "n", "max_f_samples", "rng_seed", "x1_samples"):
+        for name in ("q", "n", "rng_seed"):
             require_int(name, getattr(self, name))
+        require_int("max_f_samples", self.max_f_samples, 0)
+        require_int("x1_samples", self.x1_samples, 1)
         require_int("enum_budget", self.enum_budget, 1)
         if self.max_f_degree is not None:
             require_int("max_f_degree", self.max_f_degree)
@@ -67,8 +71,6 @@ class SearchConfig:
             raise SpecError(f"output_path must be a string, got {self.output_path!r}")
         if self.mode not in SEARCH_MODES:
             raise SpecError(f"mode must be one of {SEARCH_MODES}, got {self.mode!r}")
-        if self.max_f_samples < 0:
-            raise SpecError("max_f_samples must be >= 0")
         if self.max_f_degree is not None and self.max_f_degree < 0:
             # f would have no coefficient to draw, and 0 is never a unit
             raise SpecError("max_f_degree must be >= 0")
@@ -135,67 +137,67 @@ def record_from_doc(doc: dict) -> CodeRecord:
     return rec
 
 
-def _divisor_products(field: Field, n: int, min_deg: int) -> list:
-    """Monic divisors of x^n - 1 of degree >= min_deg, by subset products.
+def _generators(field: Field, n: int, self_orthogonal: bool) -> list:
+    """Monic divisors g of x^n - 1, sorted by (degree, coefficients): all of
+    them, or with self_orthogonal only those with dual_gen(g) | g.
 
-    Depth-first over the irreducible factors, pruning branches whose
-    remaining factors cannot lift the degree to min_deg.
+    An irreducible factor m with the roots β^s, s in a cyclotomic coset,
+    has the partner m* = monic(frob(reciprocal(m))) with the roots β^(-qs),
+    again a factor.  frob and reciprocal are multiplicative, so dual_gen(g)
+    is, up to a unit, the product of m* over the factors m that g lacks, and
+    as x^n - 1 is squarefree, dual_gen(g) | g exactly when g takes m, m* or
+    both from every pair m != m*, and every m = m*.  The cap counts 2^F
+    products for the F factors in either mode.
     """
     factors = polyring.factor_xn_minus_1(field, n)
     if 2 ** len(factors) > DIVISOR_CAP:
         raise BudgetExceeded(2 ** len(factors), DIVISOR_CAP, what="divisor-enumeration")
-    degs = [polyring.deg(fac) for fac in factors]
-    suffix = [0] * (len(factors) + 1)
-    for i in range(len(factors) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + degs[i]
-
-    out = []
-    stack = [(0, (field.one,), 0)]
-    while stack:
-        i, prod, prod_deg = stack.pop()
-        if prod_deg + suffix[i] < min_deg:
-            continue
-        if i == len(factors):
-            out.append(prod)
-            continue
-        stack.append((i + 1, prod, prod_deg))
-        stack.append((i + 1, polyring.poly_mul(field, prod, factors[i]), prod_deg + degs[i]))
-    out.sort(key=lambda g: (polyring.deg(g), g))
-    return out
+    one = (field.one,)
+    if self_orthogonal:
+        choices, paired = [], set()
+        for m in factors:
+            if m in paired:
+                continue
+            star = polyring.monic(field, polyring.frob_poly(field, polyring.reciprocal(m)))
+            paired.add(star)
+            choices.append([m] if star == m else [m, star, polyring.poly_mul(field, m, star)])
+    else:
+        choices = [[one, m] for m in factors]
+    gs = [one]
+    for options in choices:
+        gs = [g if c == one else polyring.poly_mul(field, g, c) for g in gs for c in options]
+    return sorted(gs, key=lambda g: (polyring.deg(g), g))
 
 
 def enumerate_self_orthogonal_g(field: Field, n: int) -> list:
-    """All monic divisors g of x^n - 1 with dual_gen(g) | g, sorted by degree.
-
-    A qualifying g never has degree below n/2, since its conjugate-
-    reciprocal complement of degree n - deg(g) must divide it; the walk
-    prunes on that bound.
-    """
-    return [g for g in _divisor_products(field, n, (n + 1) // 2)
-            if polyring.divides(field, polyring.dual_gen(field, n, g), g)]
+    """All monic divisors g of x^n - 1 with dual_gen(g) | g, sorted by degree."""
+    return _generators(field, n, True)
 
 
 def _draw_digits(rng: random.Random, Q: int, count: int) -> list:
-    """count uniform digits below Q, the ones rng.randrange(Q) would draw.
+    """count digits below Q, the ones rng.randrange(Q) would draw, with rng
+    left where randrange would leave it.
 
-    CPython 3.10 to 3.14 implement randrange(Q) by
-    Random._randbelow_with_getrandbits: draw Q.bit_length() bits, and draw
-    again while the value is >= Q.  This is that loop with getrandbits
-    bound once, so it consumes the same stream and stops where it stops.
-    The golden f-draw digests of the tests check it on each CPython the
-    CI runs.
+    CPython 3.10 to 3.14 implement randrange(Q) by drawing k = Q.bit_length()
+    bits until the value is below Q.  In CPython (_randommodule.c)
+    getrandbits(k), k <= 32, is one 32-bit output shifted right by 32 - k,
+    and getrandbits(32 w) is w consecutive outputs, the first one least
+    significant.  So draw i is the top byte of output i shifted right by
+    8 - k (k <= 7 here), kept iff below Q.  An output gives at most one
+    digit, so asking for as many outputs as digits are missing never reads
+    past where randrange stops.  The golden f-draw digests of the tests
+    check this on each CPython the CI runs.
     """
-    getrandbits, k = rng.getrandbits, Q.bit_length()
-    out = []
-    for _ in range(count):
-        r = getrandbits(k)
-        while r >= Q:
-            r = getrandbits(k)
-        out.append(r)
-    return out
+    table, reject = _digit_bytes(Q)
+    out = b""
+    while len(out) < count:
+        words = count - len(out)
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        out += raw[3::4].translate(table, reject)
+    return list(out)
 
 
-# one bulk draw asks for at most this many 32-bit outputs
+# an f-sampler batch asks for at most this many digits, so as many outputs
 _DRAW_WORDS = 1 << 16
 
 
@@ -214,31 +216,20 @@ def _sample_fs(field: Field, n: int, rng: random.Random, max_deg: int | None, co
     at most max_deg: the f that count rounds of "draw the digits of f by
     _draw_digits until f is a unit" would give, in the same order.
 
-    The digits come in bulk.  In CPython (random's getrandbits in
-    _randommodule.c) getrandbits(32 w) returns w consecutive 32-bit
-    outputs, the first one least significant, and getrandbits(k) for k <= 32
-    is one output shifted right by 32 - k.  So draw i of _draw_digits is the
-    top byte of output i shifted right by 8 - k (k <= 7 here), kept iff it
-    is below Q, and a whole batch of draws is one bytes.translate.  The
-    kept digits are cut into blocks of the degree cap's length, and every
-    block is unit-tested in one polyring.units call.
-
-    Batches are sized by the unit density, at most _DRAW_WORDS outputs
-    each, so nothing grows with count.  The last batch reads rng past the
-    last f yielded: rng must not be used after this generator, which holds
-    because each generator's rng ends with its f loop.
+    The digits come from _draw_digits in batches sized by the unit density,
+    at most _DRAW_WORDS digits each, so nothing grows with count, and the
+    blocks of a batch are unit-tested in one polyring.units call.  The last
+    batch reads rng past the last f yielded: rng must not be used after this
+    generator, which holds because each generator's rng ends with its f loop.
     """
-    Q, top = field.Q, n if max_deg is None else min(max_deg + 1, n)
-    table, reject = _digit_bytes(Q)
-    # outputs a yielded f costs: 1 / density blocks, top digits a block and
-    # 2^k / Q outputs a digit
-    cost = top * (1 << Q.bit_length()) / Q / polyring.unit_density(field, n)
+    top = n if max_deg is None else min(max_deg + 1, n)
+    # digits a yielded f costs: 1 / density blocks of top digits
+    cost = top / polyring.unit_density(field, n)
     pad = (0,) * (n - top)
     digits = b""
     while count > 0:
-        words = min(_DRAW_WORDS, int(1.25 * count * cost) + 8)
-        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        digits += raw[3::4].translate(table, reject)
+        want = min(_DRAW_WORDS, int(1.25 * count * cost) + 8)
+        digits += bytes(_draw_digits(rng, field.Q, want))
         blocks = len(digits) // top
         ok = polyring.units(field, n, np.frombuffer(digits, np.uint8, blocks * top)
                             .reshape(blocks, top))
@@ -395,13 +386,10 @@ def search(config: SearchConfig, best: dict | None = None):
     end.
     """
     field = field_make(config.q)
-    if config.mode == "qecc":
-        gs = enumerate_self_orthogonal_g(field, config.n)
-    else:
-        # entanglement-assisted codes need no self-orthogonality, only the
-        # check-rank certificate, so every proper divisor is a candidate
-        gs = _divisor_products(field, config.n, 1)
-    gs = [g for g in gs if 0 < polyring.deg(g) < config.n]  # deg n: zero code
+    # entanglement-assisted codes need no self-orthogonality, only the
+    # check-rank certificate, so every proper divisor is a candidate
+    gs = [g for g in _generators(field, config.n, config.mode == "qecc")
+          if 0 < polyring.deg(g) < config.n]  # deg n: zero code
     if best is None:
         best = {}
 

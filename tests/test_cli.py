@@ -476,6 +476,22 @@ def test_search_rejects_bad_config(capsys, tmp_path):
     assert "bogus" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("x1_samples", -3, "x1_samples must be an integer >= 1"),
+    ("x1_samples", 0, "x1_samples must be an integer >= 1"),
+    ("max_f_samples", -1, "max_f_samples must be an integer >= 0"),
+    ("schema", 7, "unsupported search config schema 7"),
+], ids=["x1_samples=-3", "x1_samples=0", "max_f_samples=-1", "schema=7"])
+def test_search_rejects_out_of_range_config(capsys, tmp_path, key, value, message):
+    cfg = write_spec(tmp_path, "search.json", {"q": 2, "n": 7, "max_f_samples": 1, key: value})
+    rc, out, err = run(capsys, "search", "--config", cfg)
+    assert rc == 2
+    assert "frontier" not in out
+    error = json.loads(err)["error"]
+    assert error["type"] == "spec"
+    assert message in error["message"]
+
+
 def test_verify_spec_not_utf8(capsys, tmp_path):
     path = tmp_path / "binary.json"
     path.write_bytes(b'{"q": 2, "n": 7, "f": [1], "g": [1, 1]}\xff')

@@ -1,12 +1,13 @@
 """Search harness tests.
 
-The qualifying-generator enumeration is checked against a naive all-subsets
-oracle, and the search stream against the parameters of small collected
+The generators of both search modes are checked against naive all-subsets
+oracles, and the search stream against the parameters of small collected
 rows it should be able to rediscover.  Everything here runs with small
 budgets; determinism is exercised by comparing two full runs byte for byte
 (minus timestamps).
 """
 
+import functools
 import gc
 import hashlib
 import json
@@ -27,7 +28,8 @@ GF9 = field_make(3)
 GF81 = field_make(9)
 
 
-def naive_qualifying(field, n):
+@functools.lru_cache(maxsize=None)  # shared by the oracle tests of both modes
+def naive_divisors(field, n):
     factors = polyring.factor_xn_minus_1(field, n)
     out = []
     for mask in range(2 ** len(factors)):
@@ -35,12 +37,23 @@ def naive_qualifying(field, n):
         for i, fac in enumerate(factors):
             if mask >> i & 1:
                 g = polyring.poly_mul(field, g, fac)
-        if polyring.divides(field, polyring.dual_gen(field, n, g), g):
-            out.append(g)
-    return sorted(out, key=lambda g: (polyring.deg(g), g))
+        out.append(g)
+    return tuple(sorted(out, key=lambda g: (polyring.deg(g), g)))
 
 
-@pytest.mark.parametrize("q,n", [(2, 7), (2, 15), (3, 10), (3, 11), (9, 4)])
+def naive_qualifying(field, n):
+    return [g for g in naive_divisors(field, n)
+            if polyring.divides(field, polyring.dual_gen(field, n, g), g)]
+
+
+# every length p does not divide whose x^n - 1 has at most 12 irreducible
+# factors: n <= 35 over GF(4) and GF(9), n <= 20 over GF(81)
+WALK_GRID = [(field.q, n) for field, top in ((GF4, 35), (GF9, 35), (GF81, 20))
+             for n in range(1, top + 1)
+             if n % field.p and len(polyring.cyclotomic_cosets(field.Q, n)) <= 12]
+
+
+@pytest.mark.parametrize("q,n", WALK_GRID)
 def test_qualifying_g_matches_naive_oracle(q, n):
     field = field_make(q)
     got = explorer.enumerate_self_orthogonal_g(field, n)
@@ -51,6 +64,26 @@ def test_qualifying_g_matches_naive_oracle(q, n):
         assert polyring.divides(field, g, xn1)
         assert 2 * polyring.deg(g) >= n
     assert got[-1] == xn1  # the zero code always qualifies
+
+
+@pytest.mark.parametrize("q,n", WALK_GRID)
+def test_all_divisors_match_naive_oracle(q, n):
+    # the eaqecc search's generators: every subset product of the factors
+    field = field_make(q)
+    assert explorer._generators(field, n, False) == list(naive_divisors(field, n))
+
+
+def test_qualifying_g_beyond_the_oracle():
+    # x^51 - 1 over GF(4) has 15 factors: six conjugate-reciprocal pairs,
+    # each taken in one of three ways, and three self-conjugate factors
+    gs = explorer.enumerate_self_orthogonal_g(GF4, 51)
+    assert len(gs) == len(set(gs)) == 3 ** 6
+    assert gs == sorted(gs, key=lambda g: (polyring.deg(g), g))
+    xn1 = polyring.x_pow_n_minus_1(GF4, 51)
+    for g in gs:
+        assert g[-1] == GF4.one
+        assert polyring.divides(GF4, g, xn1)
+        assert polyring.divides(GF4, polyring.dual_gen(GF4, 51, g), g)
 
 
 def test_qualifying_g_contains_known_generators():
@@ -461,8 +494,8 @@ def test_sampler_draws_bounded_batches():
 
 
 def test_sampler_with_batches_shorter_than_a_block(monkeypatch):
-    # three outputs a draw give one or two digits: most batches hold no
-    # whole block, and the digits carry over to the next
+    # batches of three digits hold no whole block, and the digits carry
+    # over to the next
     monkeypatch.setattr(explorer, "_DRAW_WORDS", 3)
     for field, n in ((GF4, 15), (GF81, 10)):
         got = list(explorer._sample_fs(field, n, random.Random(5), None, 8))

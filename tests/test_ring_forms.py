@@ -40,11 +40,8 @@ SEARCH_CONFIGS = {
 
 
 def search_generators(field, n, mode):
-    if mode == "qecc":
-        gs = explorer.enumerate_self_orthogonal_g(field, n)
-    else:
-        gs = explorer._divisor_products(field, n, 1)
-    return [g for g in gs if 0 < polyring.deg(g) < n]
+    return [g for g in explorer._generators(field, n, mode == "qecc")
+            if 0 < polyring.deg(g) < n]
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_CONFIGS))
