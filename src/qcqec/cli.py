@@ -18,7 +18,7 @@ import json
 import sys
 import time
 
-from . import explorer, pipeline, polyring, qcc, quantum, refdata, wdist
+from . import explorer, pipeline, polyring, qcc, quantum, refdata
 from .errors import BudgetExceeded, PreconditionError, SpecError, require_int
 from .gf import field_make
 
@@ -81,8 +81,10 @@ def _load_object(path: str, what: str) -> dict:
 
 def load_spec(path: str) -> dict:
     doc = _load_object(path, "spec")
-    if doc.get("schema", SCHEMA) != SCHEMA:
-        raise SpecError(f"unsupported spec schema {doc.get('schema')!r}")
+    schema = doc.get("schema", SCHEMA)
+    require_int("spec schema", schema)  # True == 1 == 1.0 in Python
+    if schema != SCHEMA:
+        raise SpecError(f"unsupported spec schema {schema!r}")
     for key in ("q", "n", "f", "g"):
         if key not in doc:
             raise SpecError(f"spec is missing {key!r}")
@@ -111,7 +113,7 @@ def load_spec(path: str) -> dict:
 
 def _budget(flag: int | None, file_value: int | None = None) -> int:
     """An explicit --budget wins, then the file's enum_budget, then the default."""
-    return next((b for b in (flag, file_value) if b is not None), wdist.DEFAULT_BUDGET)
+    return next((b for b in (flag, file_value) if b is not None), pipeline.DEFAULT_BUDGET)
 
 
 def _spec_evaluation(spec: dict, budget: int | None, workers: int) -> pipeline.Evaluation:
@@ -323,6 +325,7 @@ def cmd_factor(args) -> int:
 def cmd_search(args) -> int:
     raw = _load_object(args.config, "search config")
     schema = raw.pop("schema", SCHEMA)
+    require_int("search config schema", schema)
     if schema != SCHEMA:
         raise SpecError(f"unsupported search config schema {schema!r}")
     if args.seed is not None:

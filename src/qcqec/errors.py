@@ -31,15 +31,14 @@ class PreconditionError(QcqecError):
 
 
 class BudgetExceeded(QcqecError):
-    """An exhaustive enumeration would overrun the configured budget.
-
-    ``required`` is the number of codewords (or divisor products) the full job
-    would take, so callers can report how far over budget the request was.
+    """The search's generator walk (`explorer._generators`) would make more
+    generators than its cap; ``required`` says how many.  A code past the
+    message budget is skipped (`pipeline.Evaluation.skipped`), not raised.
     """
 
-    def __init__(self, required: int, budget: int, what: str = "enumeration"):
+    def __init__(self, required: int, budget: int):
         super().__init__(
-            f"{what} needs {required} steps but the budget is {budget}"
+            f"divisor-enumeration needs {required} steps but the budget is {budget}"
         )
         self.required = required
         self.budget = budget

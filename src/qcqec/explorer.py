@@ -22,6 +22,7 @@ and a record read back whose content does not match its hash is refused.
 
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -31,14 +32,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import pipeline, polyring, qcc, wdist
+from . import pipeline, polyring, qcc
 from .errors import BudgetExceeded, PreconditionError, SpecError, require_int
 from .gf import Field, field_make
 
 SEARCH_MODES = ("qecc", "eaqecc")
 
-# `_generators` gives up when x^n - 1 has more than log2 of this many
-# irreducible factors
+# `_generators` gives up when it would make more than this many generators
 DIVISOR_CAP = 2 ** 20
 
 
@@ -49,7 +49,7 @@ class SearchConfig:
     mode: str = "qecc"
     max_f_samples: int = 8
     rng_seed: int = 0
-    enum_budget: int = wdist.DEFAULT_BUDGET
+    enum_budget: int = pipeline.DEFAULT_BUDGET
     output_path: str | None = None
     # the source tables say nothing about how f was constrained; a degree
     # cap lets callers test hypotheses without touching the sampler
@@ -146,12 +146,10 @@ def _generators(field: Field, n: int, self_orthogonal: bool) -> list:
     again a factor.  frob and reciprocal are multiplicative, so dual_gen(g)
     is, up to a unit, the product of m* over the factors m that g lacks, and
     as x^n - 1 is squarefree, dual_gen(g) | g exactly when g takes m, m* or
-    both from every pair m != m*, and every m = m*.  The cap counts 2^F
-    products for the F factors in either mode.
+    both from every pair m != m*, and every m = m*.  Raises BudgetExceeded,
+    before any product is formed, if there would be more than DIVISOR_CAP.
     """
     factors = polyring.factor_xn_minus_1(field, n)
-    if 2 ** len(factors) > DIVISOR_CAP:
-        raise BudgetExceeded(2 ** len(factors), DIVISOR_CAP, what="divisor-enumeration")
     one = (field.one,)
     if self_orthogonal:
         choices, paired = [], set()
@@ -163,15 +161,13 @@ def _generators(field: Field, n: int, self_orthogonal: bool) -> list:
             choices.append([m] if star == m else [m, star, polyring.poly_mul(field, m, star)])
     else:
         choices = [[one, m] for m in factors]
+    count = math.prod(map(len, choices))
+    if count > DIVISOR_CAP:
+        raise BudgetExceeded(count, DIVISOR_CAP)
     gs = [one]
     for options in choices:
         gs = [g if c == one else polyring.poly_mul(field, g, c) for g in gs for c in options]
     return sorted(gs, key=lambda g: (polyring.deg(g), g))
-
-
-def enumerate_self_orthogonal_g(field: Field, n: int) -> list:
-    """All monic divisors g of x^n - 1 with dual_gen(g) | g, sorted by degree."""
-    return _generators(field, n, True)
 
 
 def _draw_digits(rng: random.Random, Q: int, count: int) -> list:

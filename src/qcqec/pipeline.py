@@ -17,6 +17,12 @@ from . import polyring, qcc, quantum, wdist
 from .errors import PreconditionError, SpecError
 from .gf import Field
 
+# the one enumeration gate: a code of more than this many messages is not
+# enumerated.  2^29 keeps dimension 14 over GF(4), 9 over GF(9) and 4 over
+# GF(81), each a desk-scale run, and leaves out the next one up
+DEFAULT_BUDGET = 2 ** 29
+
+
 @dataclass(frozen=True, eq=False)
 class Evaluation:
     """The code generated by (g, f g), extended by zero, one or two vectors
@@ -32,7 +38,7 @@ class Evaluation:
     g: tuple
     xs: tuple = ()
     alphas: tuple = ()
-    budget: int = wdist.DEFAULT_BUDGET
+    budget: int = DEFAULT_BUDGET
     workers: int = 1
 
     def __post_init__(self):
@@ -95,8 +101,7 @@ class Evaluation:
         if self.skipped:
             return None
         code = self.ext or self.code
-        return wdist.enumerate_code(code.G, budget=self.budget, workers=self.workers,
-                                    plan=code.orbit_plan)
+        return wdist.enumerate_code(code.G, workers=self.workers, plan=code.orbit_plan)
 
     @cached_property
     def dual(self) -> wdist.WeightEnumerator | None:

@@ -200,9 +200,7 @@ class _GeneratorBlocks:
 
 @lru_cache(maxsize=1)
 def _generator_blocks(field: Field, n: int, g: tuple) -> _GeneratorBlocks:
-    if not polyring.divides(field, g, polyring.x_pow_n_minus_1(field, n)):
-        raise PreconditionError("g-not-divisor", f"g does not divide x^{n}-1")
-    dual_g = polyring.dual_gen(field, n, g)
+    dual_g = polyring.dual_gen(field, n, g)  # raises g-not-divisor
     # left half of the block identity G H^dag = 0
     if any(polyring.ring_mul(field, n, g, polyring.conj_rev(field, n, dual_g))):
         raise AssertionError("parity check violated on left block")
@@ -215,7 +213,6 @@ def _generator_blocks(field: Field, n: int, g: tuple) -> _GeneratorBlocks:
                             polyring.divides(field, dual_g, g), lcd)
 
 
-@lru_cache(maxsize=8)
 def _orbit_levels(field: Field, n: int, g: tuple) -> tuple:
     """The levels of the orbit scan of the codes of g, as (m, |H1|, reps),
     chosen greedily by the scan's cost model (module docstring)."""

@@ -64,14 +64,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qcqec.errors import BudgetExceeded, SpecError
+from qcqec.errors import SpecError
 from qcqec import famat
 from qcqec.gf import Field, field_make
 
-# the one enumeration gate: a code of more than this many messages is not
-# enumerated.  2^29 keeps dimension 14 over GF(4), 9 over GF(9) and 4 over
-# GF(81), each a desk-scale run, and leaves out the next one up
-DEFAULT_BUDGET = 2 ** 29
 _BLOCK_BYTES = 1 << 20  # block table size cap
 _ONE_STEP_BYTES = 1 << 17  # the largest span scanned in one step
 # the scan's cost model (`unit_seconds`): a key costs _KEY_S, unit overhead
@@ -363,7 +359,6 @@ def _usable_cpus() -> int:
 
 def enumerate_code(
     g: famat.Mat,
-    budget: int = DEFAULT_BUDGET,
     workers: int = 1,
     plan: OrbitPlan | None = None,
 ) -> WeightEnumerator:
@@ -372,9 +367,7 @@ def enumerate_code(
     g must have full row rank so that messages and codewords are in
     bijection.  The scan itself checks this: it counts every message, so
     its weight-0 count is Q^(k - rank g), and anything but 1 raises
-    ValueError.  Raises BudgetExceeded before doing any work if Q^k is past
-    the budget (the budget counts all Q^k messages, scanned or implied by
-    scaling).  A plan (`OrbitPlan`, made by `qcc.orbit_plan` for a
+    ValueError.  A plan (`OrbitPlan`, made by `qcc.orbit_plan` for a
     quasi-cyclic g) splits the scan by double-shift orbits; its basis must
     be invertible, which the weight-0 count checks too.  With workers > 1
     the work units are spread over a process pool, no larger than the CPUs
@@ -387,8 +380,6 @@ def enumerate_code(
     k, n = g.nrows, g.ncols
     total = field.Q ** k
     workers = max(1, min(workers, _usable_cpus()))
-    if total > budget:
-        raise BudgetExceeded(total, budget)
 
     if k == 0:
         counts = [1] + [0] * n

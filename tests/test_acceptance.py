@@ -24,7 +24,6 @@ import pytest
 
 import oracles
 from qcqec import cli, explorer, famat, pipeline, polyring, qcc, quantum, refdata, wdist
-from qcqec.errors import BudgetExceeded
 from qcqec.gf import field_make
 
 GF4 = field_make(2)
@@ -277,7 +276,7 @@ def test_acceptance_6_property_suites():
         for n in range(2, 32):
             if n % fld.p == 0:
                 continue
-            for g in explorer.enumerate_self_orthogonal_g(fld, n):
+            for g in explorer._generators(fld, n, True):
                 if polyring.deg(g) == n:
                     continue  # zero code
                 f = tuple(rng.randrange(fld.Q) for _ in range(n))
@@ -323,14 +322,11 @@ def test_acceptance_7_long_run_gating_and_bookkeeping():
     code, ext = built("q2-n51-extend-one")
     assert (ext.length, ext.dim) == (103, 17)
     assert code.orthogonal_gram and ext.rule == qcc.RULE_ORTHOGONAL
-    assert 4 ** ext.dim > wdist.DEFAULT_BUDGET
+    assert 4 ** ext.dim > pipeline.DEFAULT_BUDGET
     assert ext.length - 2 * ext.dim == 69  # stabilizer net dimension
-    with pytest.raises(BudgetExceeded) as e:
-        wdist.enumerate_code(ext.G)
-    assert e.value.required == 4 ** 17
 
     report = cli.run_spec(cli.load_spec(str(SPECS / "q2-n51-extend-one.json")),
-                          wdist.DEFAULT_BUDGET, 1)
+                          pipeline.DEFAULT_BUDGET, 1)
     assert report["enumeration"]["skipped"] == "long-run"
     assert report["enumeration"]["estimate"] == "4^17 messages x 103 symbols"
     assert report["dimension"] == 17
@@ -342,10 +338,10 @@ def test_acceptance_7_long_run_gating_and_bookkeeping():
     assert (ext.length, ext.dim) == (22, 5)
     assert ext.rule == qcc.RULE_GRAM_RANK
     assert qcc.entanglement_certificate(code).satisfied
-    assert 81 ** ext.dim > wdist.DEFAULT_BUDGET
+    assert 81 ** ext.dim > pipeline.DEFAULT_BUDGET
 
     report = cli.run_spec(cli.load_spec(str(SPECS / "q9-n10-extend-two.json")),
-                          wdist.DEFAULT_BUDGET, 1)
+                          pipeline.DEFAULT_BUDGET, 1)
     assert report["enumeration"]["skipped"] == "long-run"
     assert report["certificate"]["satisfied"] is True
     assert report["eaqecc"] == {"extended": "[[22,17,?;5]]_9"}
@@ -386,7 +382,7 @@ def test_acceptance_7_budget_decides_as_the_old_gates():
 def test_acceptance_7_long_run_reproductions():
     # [[103,69,7]]: 4^17 messages, past the default budget
     _, ext = built("q2-n51-extend-one")
-    enum = wdist.enumerate_code(ext.G, budget=4 ** 17)
+    enum = wdist.enumerate_code(ext.G)
     assert enum.distance() == 38
     dual = wdist.macwilliams(enum, 4)
     assert dual.distance() == 7
@@ -409,10 +405,10 @@ def test_acceptance_7_assisted_n41():
 
 
 def test_acceptance_7_gf81_extended_distance():
-    # 81^5 messages: past the default budget, so it is asked for here and
-    # the CLI skips it unless given a budget this large
+    # 81^5 messages: past the default budget, so the CLI skips it unless
+    # given a budget this large; the scan itself is not gated
     code, ext = built("q9-n10-extend-two")
-    enum = wdist.enumerate_code(ext.G, budget=81 ** 5)
+    enum = wdist.enumerate_code(ext.G)
     assert sum(enum.counts) == 81 ** 5
     assert enum.distance() == 11
     assert refdata.find_reference("q9-n10-extend-two").expect["code"] == (22, 5, 11)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from qcqec import cli, explorer, refdata, wdist
+from qcqec import cli, explorer, pipeline, refdata, wdist
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -492,6 +492,20 @@ def test_search_rejects_out_of_range_config(capsys, tmp_path, key, value, messag
     assert message in error["message"]
 
 
+@pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["true", "float", "string"])
+@pytest.mark.parametrize("command", ["verify", "search"])
+def test_schema_must_be_the_integer_1(capsys, tmp_path, command, value):
+    # True == 1 == 1.0 in Python, so a comparison alone would take both
+    if command == "verify":
+        doc, argv = json.loads((SPECS / "q2-n7-base.json").read_text()), ["verify"]
+    else:
+        doc, argv = {"q": 2, "n": 7, "max_f_samples": 1, "x1_samples": 1}, ["search", "--config"]
+    rc, _, err = run(capsys, *argv, write_spec(tmp_path, "doc.json", dict(doc, schema=value)))
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "spec" and "schema" in error["message"]
+
+
 def test_verify_spec_not_utf8(capsys, tmp_path):
     path = tmp_path / "binary.json"
     path.write_bytes(b'{"q": 2, "n": 7, "f": [1], "g": [1, 1]}\xff')
@@ -666,7 +680,7 @@ def test_search_budget_precedence(capsys, tmp_path):
 
     assert skips() == {"enum-budget"}
     # an explicit --budget wins over the file, also when it is the default
-    assert skips("--budget", str(wdist.DEFAULT_BUDGET)) == {None}
+    assert skips("--budget", str(pipeline.DEFAULT_BUDGET)) == {None}
 
 
 # sha256 of each --json report with its "timing" block removed, serialized

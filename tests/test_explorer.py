@@ -56,7 +56,7 @@ WALK_GRID = [(field.q, n) for field, top in ((GF4, 35), (GF9, 35), (GF81, 20))
 @pytest.mark.parametrize("q,n", WALK_GRID)
 def test_qualifying_g_matches_naive_oracle(q, n):
     field = field_make(q)
-    got = explorer.enumerate_self_orthogonal_g(field, n)
+    got = explorer._generators(field, n, True)
     assert got == naive_qualifying(field, n)
     xn1 = polyring.x_pow_n_minus_1(field, n)
     for g in got:
@@ -76,7 +76,7 @@ def test_all_divisors_match_naive_oracle(q, n):
 def test_qualifying_g_beyond_the_oracle():
     # x^51 - 1 over GF(4) has 15 factors: six conjugate-reciprocal pairs,
     # each taken in one of three ways, and three self-conjugate factors
-    gs = explorer.enumerate_self_orthogonal_g(GF4, 51)
+    gs = explorer._generators(GF4, 51, True)
     assert len(gs) == len(set(gs)) == 3 ** 6
     assert gs == sorted(gs, key=lambda g: (polyring.deg(g), g))
     xn1 = polyring.x_pow_n_minus_1(GF4, 51)
@@ -87,22 +87,36 @@ def test_qualifying_g_beyond_the_oracle():
 
 
 def test_qualifying_g_contains_known_generators():
-    gs15 = explorer.enumerate_self_orthogonal_g(GF4, 15)
+    gs15 = explorer._generators(GF4, 15, True)
     assert polyring.trim(polyring.parse_compact(GF4, "1220310131")) in gs15
-    gs10 = explorer.enumerate_self_orthogonal_g(GF9, 10)
+    gs10 = explorer._generators(GF9, 10, True)
     assert polyring.trim(polyring.parse_compact(GF9, "5310571")) in gs10
 
 
 def test_divisor_cap(monkeypatch):
+    # the cap counts the generators a mode makes: x^7 - 1 over GF(4) has a
+    # self-conjugate factor and one conjugate-reciprocal pair, so 3 qecc
+    # generators, and 2^3 = 8 divisors
     monkeypatch.setattr(explorer, "DIVISOR_CAP", 4)
+    assert len(explorer._generators(GF4, 7, True)) == 3
     with pytest.raises(BudgetExceeded) as info:
-        explorer.enumerate_self_orthogonal_g(GF4, 7)
+        explorer._generators(GF4, 7, False)
     assert info.value.required == 8
+
+
+def test_divisor_cap_counts_qecc_generators_not_subsets():
+    # x^63 - 1 over GF(4) has 23 factors, nine conjugate-reciprocal pairs
+    # and five self-conjugate ones: 3^9 qecc generators under the cap, 2^23
+    # divisors past it
+    assert len(explorer._generators(GF4, 63, True)) == 3 ** 9
+    with pytest.raises(BudgetExceeded) as info:
+        explorer._generators(GF4, 63, False)
+    assert info.value.required == 2 ** 23
 
 
 def test_qualifying_g_rejects_p_dividing_n():
     with pytest.raises(PreconditionError) as info:
-        explorer.enumerate_self_orthogonal_g(GF4, 14)
+        explorer._generators(GF4, 14, True)
     assert info.value.code == "p-divides-n"
 
 
@@ -423,7 +437,7 @@ def test_sampler_after_the_x1_pool_matches_reference(q, n, monkeypatch):
     def by_randrange(rng, Q, count):
         return [rng.randrange(Q) for _ in range(count)]
 
-    gs = [g for g in explorer.enumerate_self_orthogonal_g(field, n)
+    gs = [g for g in explorer._generators(field, n, True)
           if 0 < polyring.deg(g) < n]
     assert gs
     for gi, g in enumerate(gs):
@@ -441,7 +455,7 @@ def test_sampler_after_the_x1_pool_matches_reference(q, n, monkeypatch):
 def test_x1_pool_lies_in_the_block_dual(q, n):
     field = field_make(q)
     pooled = 0
-    for gi, g in enumerate(explorer.enumerate_self_orthogonal_g(field, n)):
+    for gi, g in enumerate(explorer._generators(field, n, True)):
         if not 0 < polyring.deg(g) < n:
             continue
         probe = qcc.build(field, n, (0,) * n, g)
@@ -468,7 +482,7 @@ def test_search_records_the_missing_extension_vector(tmp_path, monkeypatch, erro
     cfg, recs = _run(tmp_path, "r.jsonl", q=2, n=7, mode="qecc", max_f_samples=3)
     assert recs == []
     records = list(explorer.read_records(cfg.output_path))
-    assert len(records) == 3 * len([g for g in explorer.enumerate_self_orthogonal_g(GF4, 7)
+    assert len(records) == 3 * len([g for g in explorer._generators(GF4, 7, True)
                                     if 0 < polyring.deg(g) < 7])
     for rec in records:
         assert rec.flags["skipped"] == reason and rec.flags["x1"] is None

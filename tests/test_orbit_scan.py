@@ -31,10 +31,8 @@ def levels_taken(monkeypatch):
     taken: a key costs nothing."""
     monkeypatch.setattr(wdist, "_ONE_STEP_BYTES", 0)
     monkeypatch.setattr(wdist, "_KEY_S", 0.0)
-    qcc._orbit_levels.cache_clear()
     qcc._orbit_plan.cache_clear()
     yield
-    qcc._orbit_levels.cache_clear()
     qcc._orbit_plan.cache_clear()
 
 
@@ -163,7 +161,6 @@ def test_cost_rule_can_take_no_level(monkeypatch):
         raise AssertionError("x^n - 1 was factored")
 
     monkeypatch.setattr(polyring, "factor_xn_minus_1", no_factoring)
-    qcc._orbit_levels.cache_clear()
     qcc._orbit_plan.cache_clear()
     ev = next(r for r in refdata.TABLES["stabilizer-gf9"] if r.n == 17).evaluation()
     assert wdist.table_rows(GF9, ev.ext.dim, ev.ext.length) < ev.ext.dim

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from qcqec import famat, pipeline, polyring, qcc
+from qcqec import famat, pipeline, polyring, qcc, quantum, refdata, wdist
 from qcqec.errors import PreconditionError, SpecError
 from qcqec.gf import field_make
 
@@ -223,6 +223,23 @@ def test_evaluation_rejects_out_of_range_digits(where, bad):
     if where in ("x1", "alpha"):
         with pytest.raises(SpecError, match="out of range"):
             base.extended((parts["x1"],), parts["alpha"])
+
+
+def test_a_skipped_evaluation_never_scans(monkeypatch):
+    # skipped is the one message gate: past the budget no result reaches
+    # the scan, and what needs no distance is still given
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a code past its budget was scanned")
+
+    monkeypatch.setattr(wdist, "enumerate_code", no_scan)
+    stabilizer = pipeline.Evaluation(GF4, 15, F15, G15, (X15,), budget=4 ** 6)
+    assisted = refdata.TABLES["assisted-primal"][0].evaluation(budget=1)
+    for ev in (stabilizer, assisted):
+        assert ev.skipped
+        assert ev.enum is ev.dual is ev.distance is ev.dual_distance is None
+        assert ev.qecc is None
+    assert stabilizer.ext.rule == qcc.RULE_ORTHOGONAL and stabilizer.eaqecc is None
+    assert assisted.eaqecc.primal == quantum.EaqeccParams(2, 30, 8, None, 22)
 
 
 def test_extension_vector_not_in_dual():

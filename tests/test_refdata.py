@@ -9,7 +9,7 @@ checked elsewhere (desk-scale rows in the acceptance suite).
 import pytest
 
 import oracles
-from qcqec import polyring, qcc, refdata, wdist
+from qcqec import pipeline, polyring, qcc, refdata
 from qcqec.errors import PreconditionError
 from qcqec.gf import field_make
 
@@ -95,7 +95,7 @@ def test_assisted_row_certificate(row):
         assert (k, c) == (want_k, want_c)
 
 
-@pytest.mark.parametrize("budget", [wdist.DEFAULT_BUDGET, 9 ** 14])
+@pytest.mark.parametrize("budget", [pipeline.DEFAULT_BUDGET, 9 ** 14])
 def test_bad_divisor_rows_raise_before_the_budget_gate(budget):
     for row in ALL_ROWS:
         if (row.family, row.n) in BAD_DIVISOR:

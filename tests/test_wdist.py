@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import oracles
-from qcqec.errors import BudgetExceeded
 from qcqec.gf import field_make
 from qcqec import famat as fm
 from qcqec import wdist
@@ -197,13 +196,6 @@ def test_enumerate_workers_agree_at_n_256(monkeypatch, pool_always):
     one = wdist.enumerate_code(g, workers=1)
     assert wdist.enumerate_code(g, workers=3) == one
     assert one.total() == 4 ** 6
-
-
-def test_enumerate_budget():
-    g = oracles.identity(GF4, 8)
-    with pytest.raises(BudgetExceeded) as exc:
-        wdist.enumerate_code(g, budget=4 ** 7)
-    assert exc.value.required == 4 ** 8
 
 
 def test_enumerate_rejects_rank_deficient():
