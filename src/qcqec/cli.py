@@ -59,7 +59,7 @@ def _parse_poly(field, value, n: int | None, what: str):
         vec = tuple(field.check_digit(d) for d in value)
         if n is not None:
             if len(vec) > n:
-                raise SpecError(f"{what} has {len(vec)} digits, n = {n}")
+                raise SpecError(f"{what} has {len(vec)} digits, more than {n}")
             vec = vec + (0,) * (n - len(vec))
         return vec
     raise SpecError(f"{what} must be a compact string or a digit list")
@@ -122,7 +122,7 @@ def _spec_evaluation(spec: dict, budget: int | None, workers: int) -> pipeline.E
     columns = refdata.MODES.index(spec["mode"])
     return pipeline.Evaluation(
         field, n, _parse_poly(field, spec["f"], n, "f"),
-        polyring.trim(_parse_poly(field, spec["g"], None, "g")),
+        polyring.trim(_parse_poly(field, spec["g"], n + 1, "g")),  # g may be x^n - 1
         tuple(_parse_poly(field, spec[key], n, key) for key in ("x1", "x2")[:columns]),
         tuple(spec.get(key, 1) for key in ("alpha1", "alpha2")[:columns]),
         budget=_budget(budget, spec.get("enum_budget")), workers=workers)
@@ -152,7 +152,7 @@ def _verify_report(spec: dict, ev: pipeline.Evaluation, t0: float) -> dict:
         "dimension": ev.dimension,
         "self_orthogonal": {
             "gram": code.orthogonal_gram,
-            "divisibility": code.orthogonal_divisibility,
+            "divisibility": code.gen.orthogonal_divisibility,
         },
         "extension_rule": ext.rule if ext else None,
         "f_coprime": code.f_coprime,
@@ -386,7 +386,7 @@ def cmd_table(args) -> int:
         entry = {"n": row.n, "k": k, "note": row.note or None}
         ev = row.evaluation(budget=_budget(args.budget), workers=args.threads)
         try:
-            ev.h  # g | x^n - 1 first: a g that cannot be built is an error at every budget
+            ev.code  # g | x^n - 1 first: a g that cannot be built is an error at every budget
             result = None if ev.skipped else _check_table_row(row, ev)
         except PreconditionError as exc:
             entry.update(status="error: %s" % exc.code, detail=str(exc))

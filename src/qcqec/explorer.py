@@ -139,13 +139,13 @@ def record_from_doc(doc: dict) -> CodeRecord:
 
 def _generators(field: Field, n: int, self_orthogonal: bool) -> list:
     """Monic divisors g of x^n - 1, sorted by (degree, coefficients): all of
-    them, or with self_orthogonal only those with dual_gen(g) | g.
+    them, or with self_orthogonal only those with dual_g | g (`qcc.Generator`).
 
     An irreducible factor m with the roots β^s, s in a cyclotomic coset,
     has the partner m* = monic(frob(reciprocal(m))) with the roots β^(-qs),
-    again a factor.  frob and reciprocal are multiplicative, so dual_gen(g)
+    again a factor.  frob and reciprocal are multiplicative, so dual_g
     is, up to a unit, the product of m* over the factors m that g lacks, and
-    as x^n - 1 is squarefree, dual_gen(g) | g exactly when g takes m, m* or
+    as x^n - 1 is squarefree, dual_g | g exactly when g takes m, m* or
     both from every pair m != m*, and every m = m*.  Raises BudgetExceeded,
     before any product is formed, if there would be more than DIVISOR_CAP.
     """

@@ -3,8 +3,11 @@ parameters, the chain that `verify`, `table` and `search` render.
 
 An `Evaluation` runs each stage the first time a result that needs it is
 read, so a caller pays only for what it reads: a table row past the
-message budget is never built, a stabilizer row never tests the entanglement
-certificate, and the eaqecc search enumerates only codes that pass it.
+message budget is built but never enumerated, a stabilizer row never tests
+the entanglement certificate, and the eaqecc search enumerates only codes
+that pass it.  What the stages know of g alone (h, dual_g, the H1 test,
+the idempotent, the block dual of <g> and the orbit levels) comes from
+the code's `qcc.Generator`, made by one division of x^n - 1 by g.
 Stages are called through their modules (`qcc.build`, `wdist.macwilliams`,
 ...), looked up at call time, so a wrapper put on a module attribute sees
 every call.
@@ -82,13 +85,11 @@ class Evaluation:
         return self.field.Q ** self.dimension > self.budget
 
     @cached_property
-    def h(self) -> tuple:
-        """(x^n - 1)/g by one division, raising g-not-divisor.  Read before the
-        budget gate, a g that cannot be built is that error at every budget."""
-        return polyring.quotient_exact_checked(self.field, self.n, self.g)
-
-    @cached_property
     def code(self) -> qcc.QcCode:
+        """The base code.  Its build divides x^n - 1 by g, the one division
+        every later stage reads (`qcc.Generator`), and raises g-not-divisor:
+        read before the budget gate, a g that cannot be built is that error
+        at every budget."""
         return qcc.build(self.field, self.n, self.f, self.g)
 
     @cached_property

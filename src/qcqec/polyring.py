@@ -196,63 +196,67 @@ def _gf4_product(a, b) -> int:
 def parse_compact(field, text: str, n: int | None = None) -> tuple[int, ...]:
     """Expand compact notation to a digit tuple (see module docstring).
 
-    With n given, the result is zero-padded to length n; an expansion longer
-    than n is an error.
+    With n given, the result is zero-padded to length n, and an expansion
+    longer than n is an error, raised while parsing: no run is expanded
+    past n digits.
     """
     text = text.strip()
     if field.Q > 9 or "," in text:
         digits = _parse_digit_list(field, text)
     else:
-        digits, pos = _parse_seq(field, text, 0)
-        if pos != len(text):
-            raise SpecError(f"unexpected {text[pos]!r} at position {pos} in {text!r}")
+        digits = _parse_seq(field, text, n)
     if n is not None:
         if len(digits) > n:
-            raise SpecError(
-                f"{text!r} expands to {len(digits)} digits, more than n={n}"
-            )
+            raise SpecError(f"{text!r} expands to {len(digits)} digits, more than {n}")
         digits = digits + [0] * (n - len(digits))
     return tuple(digits)
 
 
-def _parse_seq(field, s: str, i: int, closing: str | None = None):
-    out: list[int] = []
+def _parse_seq(field, s: str, limit: int | None) -> list[int]:
+    """The digits of a compact string, refused as soon as they pass limit.
+    The open groups are a stack, so deep nesting takes no recursion; size
+    counts the digits so far, each open group once."""
+    groups, size, i = [[]], 0, 0
     while i < len(s):
         ch = s[i]
-        if ch == closing:
-            return out, i
         if ch == "(":
-            atom, i = _parse_seq(field, s, i + 1, ")")
-            if i >= len(s) or s[i] != ")":
-                raise SpecError(f"unbalanced '(' in {s!r}")
+            groups.append([])
+            i += 1
+            continue
+        if ch == ")" and len(groups) > 1:
+            atom = groups.pop()
             if not atom:
                 raise SpecError(f"empty group in {s!r}")
-            i += 1
-        elif ch.isdigit():
+            size -= len(atom)
+        elif ch.isdecimal():
             atom = [field.check_digit(int(ch))]
-            i += 1
         else:
             raise SpecError(f"unexpected {ch!r} at position {i} in {s!r}")
+        i += 1
+        reps = 1
         if i < len(s) and s[i] == "^":
             i += 1
             if i < len(s) and s[i] == "{":
                 j = s.find("}", i)
                 if j < 0:
                     raise SpecError(f"unbalanced '{{' in {s!r}")
-                exp_text = s[i + 1 : j]
-                i = j + 1
-            elif i < len(s) and s[i].isdigit():
-                exp_text = s[i]
-                i += 1
+                exp_text, i = s[i + 1 : j], j + 1
+            elif i < len(s) and s[i].isdecimal():
+                exp_text, i = s[i], i + 1
             else:
                 raise SpecError(f"missing exponent at position {i} in {s!r}")
-            if not exp_text.isdigit() or int(exp_text) < 1:
+            exp_digits = exp_text.lstrip("0")
+            if not exp_text.isdecimal() or not exp_digits:
                 raise SpecError(f"bad exponent {exp_text!r} in {s!r}")
-            atom = atom * int(exp_text)
-        out.extend(atom)
-    if closing is not None:
+            # an exponent with more digits than limit passes it, unread
+            reps = limit + 1 if limit is not None and len(exp_digits) > len(str(limit)) else int(exp_digits)
+        size += len(atom) * reps
+        if limit is not None and size > limit:
+            raise SpecError(f"{s!r} expands to more than {limit} digits")
+        groups[-1].extend(atom * reps)
+    if len(groups) > 1:
         raise SpecError(f"unbalanced '(' in {s!r}")
-    return out, i
+    return groups[0]
 
 
 def _parse_digit_list(field, text: str) -> list[int]:
@@ -265,10 +269,10 @@ def _parse_digit_list(field, text: str) -> list[int]:
             out.append(2)
         elif token.startswith("z^"):
             k = token[2:]
-            if not k.isdigit():
+            if not k.isdecimal():
                 raise SpecError(f"bad token {token!r}")
             out.append(field.check_digit(int(k) + 1))
-        elif token.isdigit():
+        elif token.isdecimal():
             out.append(field.check_digit(int(token)))
         else:
             raise SpecError(f"bad token {token!r}")
@@ -369,20 +373,6 @@ def ring_inv(field, n: int, a, m=None) -> tuple[int, ...]:
 def reciprocal(coeffs) -> tuple[int, ...]:
     """x^deg(h) * h(1/x): the coefficient reversal of a trimmed polynomial."""
     return tuple(reversed(trim(coeffs)))
-
-
-def dual_gen(field, n: int, g) -> tuple[int, ...]:
-    """Generator of the Hermitian dual of the cyclic code <g> of length n.
-
-    Returns the coefficient-conjugated reciprocal of h = (x^n - 1)/g, exactly
-    as assembled (constant term 1 for monic g); generators are only defined
-    up to units and this is the normalization the parity-check circulants use.
-    """
-    g = trim(g)
-    if not g:
-        raise PreconditionError("g-not-divisor", "g must be nonzero")
-    h = quotient_exact_checked(field, n, g)
-    return frob_poly(field, reciprocal(h))
 
 
 def quotient_exact_checked(field, n: int, g) -> tuple[int, ...]:

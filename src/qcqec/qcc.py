@@ -31,11 +31,11 @@ product <x^i a, x^j b> is the coefficient of x^(j-i) in a b̄.  So:
   nonsingular iff the cyclic code <d> meets its Hermitian dual only in
   zero.  By the Hermitian form of the condition of Yang and Massey (1994),
   that holds iff d is conjugate self-reciprocal, monic(conj(x^deg d
-  d(1/x))) = monic(d), and coprime to h = (x^n - 1)/d.  Then
-  H1^dag (H1 H1^dag)^-1 H1 = circ(e), with e = d (d^-1 mod h) the
-  idempotent of <d> (e = 0 mod d, e = 1 mod h), and since
+  d(1/x))) = monic(d), and coprime to d' = (x^n - 1)/d.  Then
+  H1^dag (H1 H1^dag)^-1 H1 = circ(e), with e = d (d^-1 mod d') the
+  idempotent of <d> (e = 0 mod d, e = 1 mod d'), and since
   H2^dag H2 = circ(f f̄), the certificate's P is circ(e - u), u = (f f̄)^-1.
-  Modulo the factors of h, e - u - 1 = -u; modulo those of d it is
+  Modulo the factors of d', e - u - 1 = -u; modulo those of d it is
   -u (1 + f f̄).  So 1 is not an eigenvalue of P iff gcd(1 + f f̄, d) = 1.
 * x lies in the Hermitian dual of the left (right) block code iff x ḡ = 0
   (x (f g)‾ = 0), and the Gram matrix of an extension is block diagonal:
@@ -58,25 +58,26 @@ G of a code (built in one pass from its rows), G of an extension and the
 characteristic polynomial of P (read off the factors of x^n - 1, with no
 matrix) are built when first read; every later read returns the same object.
 
-The orbit plan of `wdist.enumerate_code` (its module docstring has the
-algebra) depends on g alone and is kept per (field, n, g, columns added).
-Levels are chosen greedily: among the irreducible factors m of h not yet
-taken, the one whose N fibers plus the projective scan of the rest cost
-least by `wdist.unit_seconds`, while that beats scanning the rest
-projectively now.  |H1| = lcm(ord_m(x), Q - 1), and the representatives
-are the first N powers of the first primitive element of GF(Q)[x]/(m).
-The plan's rows are x^i M (g | f g) for i < deg m_j, M the product of the
-factors taken before level j, then x^i M (g | f g) for the rest, a basis
-since a message of degree < k is uniquely a + b m_j with deg a < deg m_j;
-the extension rows lead.  A length n divisible by p takes no plan (h is
-then not squarefree), and neither does a code scanned in one step, which
-builds nothing.
+What depends on g alone is one `Generator`, made by `generator(field, n,
+g)` from the one division h = (x^n - 1)/g, which raises g-not-divisor.
+No fact divides again: reciprocal(g) reciprocal(h) = 1 - x^n, so
+(x^n - 1)/dual_g = -frob(reciprocal(g)), and (x^n - 1)/monic(g) =
+lead(g) h, so conj(lead g) dual_g generates the block dual of <g>.  The
+last 8 generators are kept: a search builds all f of one g in a row.
 
-What depends on g alone (k, the conjugate-reciprocal dual generator, g ḡ,
-the divisibility test and whether H1 H1^dag is nonsingular) is kept for
-the last (field, n, g) seen, since a search builds the codes of all its f
-for one g in a row; one entry keeps the memory a table run holds on to
-small.
+The orbit plan of `wdist.enumerate_code` (its module docstring has the
+algebra) is read off the generator's levels, which are chosen greedily:
+among the irreducible factors m of h not yet taken, the one whose N
+fibers plus the projective scan of the rest cost least by
+`wdist.unit_seconds`, while that beats scanning the rest projectively
+now.  |H1| = lcm(ord_m(x), Q - 1), and the representatives are the first
+N powers of the first primitive element of GF(Q)[x]/(m).  The plan's rows
+are x^i M (g | f g) for i < deg m_j, M the product of the factors taken
+before level j, then x^i M (g | f g) for the rest, a basis since a
+message of degree < k is uniquely a + b m_j with deg a < deg m_j; the
+extension rows lead.  A length n divisible by p takes no plan (h is then
+not squarefree), and neither does a code scanned in one step, which
+builds nothing.  A code makes its plan when first read.
 """
 
 import math
@@ -92,22 +93,136 @@ RULE_GRAM_RANK = "preserve-gram-rank"
 
 
 @dataclass(frozen=True, eq=False)
+class Generator:
+    """What the codes of one g share (module docstring); g, h and dual_g
+    are plain polynomials, g_g_bar a ring vector."""
+
+    field: Field
+    n: int
+    g: tuple
+    k: int
+    h: tuple
+    dual_g: tuple
+    g_g_bar: tuple
+    orthogonal_divisibility: bool
+
+    @property
+    def dual_cofactor(self) -> tuple:
+        """(x^n - 1)/dual_g = -frob(reciprocal(g)), with no division."""
+        return polyring.poly_neg(self.field, polyring.frob_poly(self.field, polyring.reciprocal(self.g)))
+
+    @cached_property
+    def h1_gram_nonsingular(self) -> bool:
+        """<dual_g> meets its Hermitian dual only in zero; frob(reciprocal(dual_g)) is h."""
+        field, d = self.field, self.dual_g
+        return (polyring.monic(field, self.h) == polyring.monic(field, d)
+                and polyring.poly_gcd(field, d, self.dual_cofactor) == (1,))
+
+    @cached_property
+    def idempotent(self) -> tuple | None:
+        """e = d (d^-1 mod (x^n - 1)/d), d = dual_g, the ring vector with
+        circ(e) = H1^dag (H1 H1^dag)^-1 H1; None when H1 H1^dag is singular."""
+        if not self.h1_gram_nonsingular:
+            return None
+        field, n, d = self.field, self.n, self.dual_g
+        return polyring.ring_mul(field, n, d, polyring.ring_inv(field, n, d, self.dual_cofactor))
+
+    @cached_property
+    def block_dual(self) -> tuple[tuple, int]:
+        """`block_dual` of <g>, generated by conj(lead g) dual_g."""
+        d = polyring.poly_scale(self.field, self.field.conj_table[self.g[-1]], self.dual_g)
+        return polyring.ring_from_plain(self.field, self.n, d), polyring.deg(self.g)
+
+    @cached_property
+    def orbit_levels(self) -> tuple:
+        """The levels of the orbit scan of the codes of g, as (m, |H1|, reps),
+        chosen greedily by the scan's cost model (module docstring)."""
+        field, n, k = self.field, self.n, self.k
+        if n % field.p == 0:
+            return ()
+        Q = field.Q
+        inner = wdist.table_rows(field, k, 2 * n)
+
+        def cost(d, mult, rows):  # N fibers, then the rest scanned projectively
+            return ((Q ** d - 1) // mult * wdist.unit_seconds(field, 2 * n, inner, rows - d)
+                    + wdist.projective_seconds(field, 2 * n, inner, rows - d))
+
+        # the first choice depends on (d, |H1|) alone, which the Q-cyclotomic
+        # coset of s gives for the factor with the roots alpha^s: d = |coset|
+        # and ord(x) = n / gcd(n, s); when no coset passes, nothing is factored
+        shapes = {(len(c), math.lcm(n // math.gcd(n, c[0]), Q - 1)) for c in polyring.cyclotomic_cosets(Q, n)}
+        projective = wdist.projective_seconds(field, 2 * n, inner, k)
+        if all(d > k or cost(d, mult, k) >= projective for d, mult in shapes):
+            return ()
+        factors = [(m, polyring.deg(m), math.lcm(polyring.x_order(field, m, n), Q - 1))
+                   for m in polyring.factor_xn_minus_1(field, n) if polyring.divides(field, m, self.h)]
+        levels, rows = [], k
+        while True:
+            best, choice = wdist.projective_seconds(field, 2 * n, inner, rows), None
+            for m, d, mult in factors:
+                if cost(d, mult, rows) < best:
+                    best, choice = cost(d, mult, rows), (m, d, mult)
+            if choice is None:
+                return tuple(levels)
+            factors.remove(choice)
+            m, d, mult = choice
+            # the cosets of H1 = <x, GF(Q)*> in GF(Q^d)* are gamma^j H1, j < N
+            reps, r = [], (field.one,)
+            gamma = polyring.primitive_element(field, m) if Q ** d - 1 > mult else None
+            for j in range((Q ** d - 1) // mult):
+                if j:
+                    r = polyring.poly_mod(field, polyring.poly_mul(field, r, gamma), m)
+                reps.append(r + (0,) * (d - len(r)))
+            levels.append((m, mult, tuple(reps)))
+            rows -= d
+
+    def orbit_plan(self, cols: int) -> wdist.OrbitPlan | None:
+        """The orbit plan of the codes of g extended by cols columns, or None
+        when they are scanned in one step or it takes no level.  Its basis is
+        written in the messages of G: the rows x^i, then the extension rows."""
+        field, k = self.field, self.k
+        if wdist.table_rows(field, k + cols, 2 * self.n + cols) == k + cols or not self.orbit_levels:
+            return None
+        basis, prefix = [], (field.one,)
+        for m, _, _ in self.orbit_levels:
+            basis += [(0,) * i + prefix for i in range(polyring.deg(m))]
+            prefix = polyring.poly_mul(field, prefix, m)
+        basis += [(0,) * i + prefix for i in range(k + 1 - len(prefix))]
+        basis = [row + (0,) * (k + cols - len(row)) for row in basis]
+        lead = [(0,) * (k + i) + (1,) + (0,) * (cols - 1 - i) for i in range(cols)]
+        return wdist.OrbitPlan(tuple(lead + basis), cols,
+                               tuple((mult, reps) for _, mult, reps in self.orbit_levels))
+
+
+@lru_cache(maxsize=8)
+def generator(field: Field, n: int, g: tuple) -> Generator:
+    """The generator of the trimmed g, by the one division, h = (x^n - 1)/g."""
+    if not g:
+        raise PreconditionError("g-not-divisor", "g must be nonzero")
+    h = polyring.quotient_exact_checked(field, n, g)
+    dual_g = polyring.frob_poly(field, polyring.reciprocal(h))
+    # left half of the block identity G H^dag = 0
+    if any(polyring.ring_mul(field, n, g, polyring.conj_rev(field, n, dual_g))):
+        raise AssertionError("parity check violated on left block")
+    g_g_bar = polyring.ring_mul(field, n, g, polyring.conj_rev(field, n, g))
+    return Generator(field, n, g, n - polyring.deg(g), h, dual_g, g_g_bar, polyring.divides(field, dual_g, g))
+
+
+@dataclass(frozen=True, eq=False)
 class QcCode:
     """The code generated by (g, f g); f, f g, f f̄ and gram_poly (T above)
-    are length-n ring vectors, g and dual_g plain polynomials."""
+    are length-n ring vectors, g a plain polynomial."""
 
     field: Field
     n: int
     f: tuple
     g: tuple
     k: int
+    gen: Generator
     fg: tuple
     f_f_bar: tuple
     gram_poly: tuple
-    dual_g: tuple
     orthogonal_gram: bool
-    orthogonal_divisibility: bool
-    h1_gram_nonsingular: bool
 
     @property
     def length(self) -> int:
@@ -133,10 +248,10 @@ class QcCode:
         rows = [polyring.cyclic_shift(g, i) + polyring.cyclic_shift(self.fg, i) for i in range(self.k)]
         return famat.Mat(self.field, rows, 2 * self.n)
 
-    @property
+    @cached_property
     def orbit_plan(self) -> wdist.OrbitPlan | None:
         """How `wdist.enumerate_code` splits the scan of G (module docstring)."""
-        return _orbit_plan(self.field, self.n, self.g, 0)
+        return self.gen.orbit_plan(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,11 +287,10 @@ class ExtendedCode:
             rows.append(row)
         return famat.Mat(self.base.field, rows)
 
-    @property
+    @cached_property
     def orbit_plan(self) -> wdist.OrbitPlan | None:
         """The base code's plan behind the extension rows (module docstring)."""
-        base = self.base
-        return _orbit_plan(base.field, base.n, base.g, self.columns_added)
+        return self.base.gen.orbit_plan(self.columns_added)
 
 
 def hermitian_self_product(field: Field, vec) -> int:
@@ -185,99 +299,6 @@ def hermitian_self_product(field: Field, vec) -> int:
     for d in vec:
         acc = field.add(acc, field.norm_q(d))
     return acc
-
-
-@dataclass(frozen=True, eq=False)
-class _GeneratorBlocks:
-    """The part of a code that depends on g alone."""
-
-    k: int
-    dual_g: tuple
-    g_g_bar: tuple
-    orthogonal_divisibility: bool
-    h1_gram_nonsingular: bool
-
-
-@lru_cache(maxsize=1)
-def _generator_blocks(field: Field, n: int, g: tuple) -> _GeneratorBlocks:
-    dual_g = polyring.dual_gen(field, n, g)  # raises g-not-divisor
-    # left half of the block identity G H^dag = 0
-    if any(polyring.ring_mul(field, n, g, polyring.conj_rev(field, n, dual_g))):
-        raise AssertionError("parity check violated on left block")
-    g_g_bar = polyring.ring_mul(field, n, g, polyring.conj_rev(field, n, g))
-    # <dual_g> meets its Hermitian dual only in zero (module docstring)
-    lcd = (polyring.monic(field, polyring.frob_poly(field, polyring.reciprocal(dual_g)))
-           == polyring.monic(field, dual_g)
-           and polyring.poly_gcd(field, dual_g, polyring.quotient_exact_checked(field, n, dual_g)) == (1,))
-    return _GeneratorBlocks(n - polyring.deg(g), dual_g, g_g_bar,
-                            polyring.divides(field, dual_g, g), lcd)
-
-
-def _orbit_levels(field: Field, n: int, g: tuple) -> tuple:
-    """The levels of the orbit scan of the codes of g, as (m, |H1|, reps),
-    chosen greedily by the scan's cost model (module docstring)."""
-    if n % field.p == 0:
-        return ()
-    Q = field.Q
-    k = n - polyring.deg(g)
-    inner = wdist.table_rows(field, k, 2 * n)
-
-    def cost(d, mult, rows):  # N fibers, then the rest scanned projectively
-        return ((Q ** d - 1) // mult * wdist.unit_seconds(field, 2 * n, inner, rows - d)
-                + wdist.projective_seconds(field, 2 * n, inner, rows - d))
-
-    # the first choice depends on (d, |H1|) alone, which the Q-cyclotomic
-    # coset of s gives for the factor with the roots alpha^s: d = |coset|
-    # and ord(x) = n / gcd(n, s); when no coset passes, nothing is factored
-    shapes = {(len(c), math.lcm(n // math.gcd(n, c[0]), Q - 1)) for c in polyring.cyclotomic_cosets(Q, n)}
-    projective = wdist.projective_seconds(field, 2 * n, inner, k)
-    if all(d > k or cost(d, mult, k) >= projective for d, mult in shapes):
-        return ()
-    h = polyring.quotient_exact_checked(field, n, g)
-    factors = [(m, polyring.deg(m), math.lcm(polyring.x_order(field, m, n), Q - 1))
-               for m in polyring.factor_xn_minus_1(field, n) if polyring.divides(field, m, h)]
-    levels, rows = [], k
-    while True:
-        best, choice = wdist.projective_seconds(field, 2 * n, inner, rows), None
-        for m, d, mult in factors:
-            if cost(d, mult, rows) < best:
-                best, choice = cost(d, mult, rows), (m, d, mult)
-        if choice is None:
-            return tuple(levels)
-        factors.remove(choice)
-        m, d, mult = choice
-        # the cosets of H1 = <x, GF(Q)*> in GF(Q^d)* are gamma^j H1, j < N
-        reps, r = [], (field.one,)
-        gamma = polyring.primitive_element(field, m) if Q ** d - 1 > mult else None
-        for j in range((Q ** d - 1) // mult):
-            if j:
-                r = polyring.poly_mod(field, polyring.poly_mul(field, r, gamma), m)
-            reps.append(r + (0,) * (d - len(r)))
-        levels.append((m, mult, tuple(reps)))
-        rows -= d
-
-
-@lru_cache(maxsize=8)
-def _orbit_plan(field: Field, n: int, g: tuple, cols: int) -> wdist.OrbitPlan | None:
-    """The orbit plan of the codes of g extended by cols columns, or None
-    when they are scanned in one step or it takes no level.  Its basis is
-    written in the messages of G: the rows x^i of the base code, then the
-    extension rows."""
-    k = n - polyring.deg(g)
-    if wdist.table_rows(field, k + cols, 2 * n + cols) == k + cols:
-        return None
-    levels = _orbit_levels(field, n, g)
-    if not levels:
-        return None
-    basis, prefix = [], (field.one,)
-    for m, _, _ in levels:
-        basis += [(0,) * i + prefix for i in range(polyring.deg(m))]
-        prefix = polyring.poly_mul(field, prefix, m)
-    basis += [(0,) * i + prefix for i in range(k + 1 - len(prefix))]
-    basis = [row + (0,) * (k + cols - len(row)) for row in basis]
-    lead = [(0,) * (k + i) + (1,) + (0,) * (cols - 1 - i) for i in range(cols)]
-    return wdist.OrbitPlan(tuple(lead + basis), cols,
-                           tuple((mult, reps) for _, mult, reps in levels))
 
 
 def build(field: Field, n: int, f, g) -> QcCode:
@@ -290,7 +311,7 @@ def build(field: Field, n: int, f, g) -> QcCode:
     draws and `pipeline.Evaluation`.
     """
     g = polyring.trim(g)
-    blocks = _generator_blocks(field, n, g)
+    gen = generator(field, n, g)
     f = polyring.ring_from_plain(field, n, f)
     fg = polyring.ring_mul(field, n, f, g)
     # right half of the block identity; H2's first row is -f̄, whose
@@ -299,23 +320,10 @@ def build(field: Field, n: int, f, g) -> QcCode:
         raise AssertionError("parity check violated on right block")
     f_bar = polyring.conj_rev(field, n, f)
     f_f_bar = polyring.ring_mul(field, n, f, f_bar)
-    gram_poly = polyring.ring_mul(field, n, blocks.g_g_bar, polyring.poly_add(field, (field.one,), f_f_bar))
-    code = QcCode(
-        field=field,
-        n=n,
-        f=f,
-        g=g,
-        k=blocks.k,
-        fg=fg,
-        f_f_bar=f_f_bar,
-        gram_poly=gram_poly,
-        dual_g=blocks.dual_g,
-        orthogonal_gram=not any(gram_poly),
-        orthogonal_divisibility=blocks.orthogonal_divisibility,
-        h1_gram_nonsingular=blocks.h1_gram_nonsingular,
-    )
+    gram_poly = polyring.ring_mul(field, n, gen.g_g_bar, polyring.poly_add(field, (field.one,), f_f_bar))
+    code = QcCode(field, n, f, g, gen.k, gen, fg, f_f_bar, gram_poly, not any(gram_poly))
     # divisibility is a sufficient condition, never weaker than the Gram test
-    if code.orthogonal_divisibility and not code.orthogonal_gram:
+    if gen.orthogonal_divisibility and not code.orthogonal_gram:
         raise AssertionError("dual_g divides g, yet G G^dag is nonzero")
     return code
 
@@ -326,10 +334,12 @@ def block_dual(code: QcCode, side: int) -> tuple[tuple, int]:
     x^n - 1), the dual is {m d : deg m < r}, and d is a ring vector."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
+    if side == 1:
+        return code.gen.block_dual
     field, n = code.field, code.n
-    cyc = polyring.poly_gcd(field, code.g if side == 1 else code.fg,
-                            polyring.x_pow_n_minus_1(field, n))
-    return polyring.ring_from_plain(field, n, polyring.dual_gen(field, n, cyc)), polyring.deg(cyc)
+    cyc = polyring.poly_gcd(field, code.fg, polyring.x_pow_n_minus_1(field, n))
+    # g divides f g, so <f g> = <g> when their degrees agree
+    return (code.gen if polyring.deg(cyc) == polyring.deg(code.g) else generator(field, n, cyc)).block_dual
 
 
 def column_gram(field: Field, x, alpha: int) -> int:
@@ -438,10 +448,10 @@ class EntanglementCertificate:
     eigenvalue of P = H1^dag (H1 H1^dag)^-1 H1 - (H2^dag H2)^-1.  Both are
     read off the divisors (module docstring): the first once per g, the
     second as gcd(1 + f f̄, dual_g) = 1.  P is the circulant of
-    p_row = e - (f f̄)^-1, e = d (d^-1 mod h) the idempotent of <d>,
-    d = dual_g, and char_poly_p = det(lambda I - P) is
-    `polyring.circulant_char_poly` of p_row.  Both are computed when first
-    read, and are None when H1 H1^dag is singular.
+    p_row = e - (f f̄)^-1, e the generator's idempotent of <dual_g>, and
+    char_poly_p = det(lambda I - P) is `polyring.circulant_char_poly` of
+    p_row.  Both are computed when first read, and are None when
+    H1 H1^dag is singular.
     """
 
     code: QcCode
@@ -454,14 +464,12 @@ class EntanglementCertificate:
 
     @cached_property
     def p_row(self) -> tuple | None:
-        if not self.h1_gram_nonsingular:
+        e = self.code.gen.idempotent  # circ(e) = H1^dag (H1 H1^dag)^-1 H1
+        if e is None:
             return None
-        field, n, d = self.code.field, self.code.n, self.code.dual_g
-        # circ(e) = H1^dag (H1 H1^dag)^-1 H1 and, as gcd(f, x^n - 1) = 1
-        # makes f f̄ a unit, circ(u) = (H2^dag H2)^-1
-        e = polyring.ring_mul(field, n, d, polyring.ring_inv(
-            field, n, d, polyring.quotient_exact_checked(field, n, d)))
-        u = polyring.ring_inv(field, n, self.code.f_f_bar)
+        # as gcd(f, x^n - 1) = 1 makes f f̄ a unit, circ(u) = (H2^dag H2)^-1
+        field = self.code.field
+        u = polyring.ring_inv(field, self.code.n, self.code.f_f_bar)
         sub = field.sub_table
         return tuple(sub[a][b] for a, b in zip(e, u))
 
@@ -475,8 +483,8 @@ class EntanglementCertificate:
 def entanglement_certificate(code: QcCode) -> EntanglementCertificate:
     if not code.f_coprime:
         raise PreconditionError("f-not-coprime", "certificate needs gcd(f, x^n - 1) = 1")
-    field = code.field
+    field, gen = code.field, code.gen
     one_plus_f_f_bar = polyring.poly_add(field, (field.one,), code.f_f_bar)
     return EntanglementCertificate(
-        code, code.h1_gram_nonsingular,
-        code.h1_gram_nonsingular and polyring.poly_gcd(field, one_plus_f_f_bar, code.dual_g) == (1,))
+        code, gen.h1_gram_nonsingular,
+        gen.h1_gram_nonsingular and polyring.poly_gcd(field, one_plus_f_f_bar, gen.dual_g) == (1,))

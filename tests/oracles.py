@@ -325,7 +325,7 @@ def first_extension_vector(code, side, alpha=None):
     field, n = code.field, code.n
     cyc = polyring.poly_gcd(field, code.g if side == 1 else code.fg,
                             polyring.x_pow_n_minus_1(field, n))
-    d = polyring.dual_gen(field, n, cyc)
+    d = dual_gen(field, n, cyc)
     minus_one = field.neg(field.one)
     for msg in itertools.product(field.digits, repeat=polyring.deg(cyc)):
         x = polyring.ring_mul(field, n, msg, d)
@@ -344,6 +344,16 @@ def eaqecc_from_qc(code, d) -> quantum.EaqeccParams:
     """Entanglement-assisted code of the quasi-cyclic code itself."""
     c = quantum.entanglement_count(code)
     return quantum.EaqeccParams(code.field.q, code.length, 2 * code.k - code.length + c, d, c)
+
+
+def dual_gen(field, n, g) -> tuple:
+    """The generator of the Hermitian dual of the cyclic code <g> by the
+    division route: frob(reciprocal((x^n - 1)/g)), as assembled (constant
+    term 1 for monic g).  `qcc.generator` reads it off its one division."""
+    g = polyring.trim(g)
+    if not g:
+        raise PreconditionError("g-not-divisor", "g must be nonzero")
+    return polyring.frob_poly(field, polyring.reciprocal(polyring.quotient_exact_checked(field, n, g)))
 
 
 def proper_divisors(field, n) -> list:
@@ -447,7 +457,7 @@ def reference_code(field, n, f, g) -> dict:
     """
     k = n - polyring.deg(g)
     f = polyring.ring_from_plain(field, n, f)
-    dual_g = polyring.dual_gen(field, n, g)
+    dual_g = dual_gen(field, n, g)
     G1, G2 = generator_blocks(field, n, f, g)
     H1, H2, H = parity_check(field, n, dual_g, f)
     G = hstack(G1, G2)
@@ -501,9 +511,10 @@ def check_code(field, n, f, g):
     routes; returns the code and its certificate (None for f not coprime)."""
     code = qcc.build(field, n, f, g)
     ref = reference_code(field, n, f, g)
-    for name in ("k", "G", "dual_g", "f_coprime", "orthogonal_divisibility",
-                 "orthogonal_gram", "h1_gram_nonsingular", "gram_rank"):
-        if getattr(code, name) != ref[name]:
+    for owner, name in [(code, "k"), (code, "G"), (code.gen, "dual_g"), (code, "f_coprime"),
+                        (code.gen, "orthogonal_divisibility"), (code, "orthogonal_gram"),
+                        (code.gen, "h1_gram_nonsingular"), (code, "gram_rank")]:
+        if getattr(owner, name) != ref[name]:
             raise AssertionError(f"{name} differs from the matrix route")
     if quantum.entanglement_count(code) != ref["entanglement_count"]:
         raise AssertionError("entanglement count differs from rank(H H^dag)")

@@ -149,7 +149,7 @@ def test_acceptance_2_two_column_extension_gv():
 def test_acceptance_3_base_code_entanglement_certificate():
     t0 = time.perf_counter()
     code, _ = built("q2-n7-base")
-    H1, H2, H = oracles.parity_check(GF4, code.n, code.dual_g, code.f)
+    H1, H2, H = oracles.parity_check(GF4, code.n, code.gen.dual_g, code.f)
     assert H1 == famat.Mat(GF4, H1_COLLECTED)
     assert H2 == famat.Mat(GF4, H2_COLLECTED)
 
@@ -281,7 +281,7 @@ def test_acceptance_6_property_suites():
                     continue  # zero code
                 f = tuple(rng.randrange(fld.Q) for _ in range(n))
                 code = qcc.build(fld, n, f, g)
-                assert code.orthogonal_divisibility
+                assert code.gen.orthogonal_divisibility
                 assert code.orthogonal_gram
                 built_codes.append(code)
 

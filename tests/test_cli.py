@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from qcqec import cli, explorer, pipeline, refdata, wdist
+from qcqec import cli, explorer, pipeline, polyring, qcc, refdata, wdist
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -411,6 +411,38 @@ def test_verify_g_that_does_not_divide_at_every_budget(capsys, tmp_path, budget)
     rc, _, err = run(capsys, "verify", spec, *(["--budget", budget] if budget else []))
     assert rc == 4
     assert json.loads(err)["error"]["code"] == "g-not-divisor"
+
+
+@pytest.mark.parametrize("table_id", [1, 5, 6])
+def test_table_divides_x_n_minus_1_once_per_generator(capsys, monkeypatch, table_id):
+    # every fact of g (h, dual_g, the H1 test, the idempotent, the block
+    # dual and the orbit levels) comes from one division by g; none divides
+    # by a dual_g
+    divisions = []
+    divide = polyring.quotient_exact_checked
+
+    def counted(field, n, g):
+        divisions.append((field.Q, n, tuple(g)))
+        return divide(field, n, g)
+
+    monkeypatch.setattr(polyring, "quotient_exact_checked", counted)
+    qcc.generator.cache_clear()
+    run(capsys, "table", "--id", str(table_id))
+    rows = refdata.TABLES[cli.TABLE_FAMILIES[table_id]]
+    assert sorted(divisions) == sorted({(row.q ** 2, row.n, row.polys()[1]) for row in rows})
+
+
+@pytest.mark.parametrize("key", ["f", "g", "x1"])
+def test_a_run_past_n_is_bad_input(capsys, tmp_path, key):
+    # the parser refuses the run before it expands it (n + 1 digits for g,
+    # which may be x^n - 1), so no MemoryError
+    doc = json.loads((SPECS / "q2-n15-extend-one.json").read_text())
+    doc[key] = "1^{99999999999}"
+    rc, _, err = run(capsys, "verify", write_spec(tmp_path, "long.json", doc))
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "spec"
+    assert "more than %d digits" % (16 if key == "g" else 15) in error["message"]
 
 
 def test_table_bad_id(capsys):

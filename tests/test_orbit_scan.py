@@ -31,9 +31,9 @@ def levels_taken(monkeypatch):
     taken: a key costs nothing."""
     monkeypatch.setattr(wdist, "_ONE_STEP_BYTES", 0)
     monkeypatch.setattr(wdist, "_KEY_S", 0.0)
-    qcc._orbit_plan.cache_clear()
+    qcc.generator.cache_clear()
     yield
-    qcc._orbit_plan.cache_clear()
+    qcc.generator.cache_clear()
 
 
 def g_leaving(field, n, h_factors):
@@ -161,7 +161,7 @@ def test_cost_rule_can_take_no_level(monkeypatch):
         raise AssertionError("x^n - 1 was factored")
 
     monkeypatch.setattr(polyring, "factor_xn_minus_1", no_factoring)
-    qcc._orbit_plan.cache_clear()
+    qcc.generator.cache_clear()
     ev = next(r for r in refdata.TABLES["stabilizer-gf9"] if r.n == 17).evaluation()
     assert wdist.table_rows(GF9, ev.ext.dim, ev.ext.length) < ev.ext.dim
     assert ev.ext.orbit_plan is None
@@ -173,7 +173,7 @@ def test_level_representatives_are_one_per_coset(field, n, levels_taken):
     factors = polyring.factor_xn_minus_1(field, n)
     code = random_code(field, n, range(1, len(factors)), 0)
     plan = code.orbit_plan
-    chosen = [m for m, _, _ in qcc._orbit_levels(field, n, code.g)]
+    chosen = [m for m, _, _ in code.gen.orbit_levels]
     assert len(chosen) == len(plan.levels)
     for m, (mult, reps) in zip(chosen, plan.levels):
         d = polyring.deg(m)
@@ -209,7 +209,7 @@ def test_pipeline_calls_enumerate_code_once_with_the_full_generator(monkeypatch)
     def no_levels(*args):
         raise AssertionError("a plan was built")
 
-    monkeypatch.setattr(qcc, "_orbit_levels", no_levels)
+    monkeypatch.setattr(qcc.Generator, "orbit_levels", property(no_levels))
     calls.clear()
     ev = refdata.TABLES["stabilizer-gf4"][0].evaluation()
     assert ev.distance is not None

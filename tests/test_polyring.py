@@ -15,6 +15,7 @@ import oracles
 from qcqec.errors import PreconditionError, SpecError
 from qcqec.gf import field_make
 from qcqec import polyring as pr
+from qcqec import qcc
 
 GF4 = field_make(2)
 GF9 = field_make(3)
@@ -56,6 +57,25 @@ def test_parse_compact_rejects_junk():
         pr.parse_compact(GF4, "14")  # digit out of range for GF(4)
     with pytest.raises(SpecError):
         pr.parse_compact(GF9, "19")
+
+
+def test_parse_compact_refuses_an_expansion_past_n_while_parsing():
+    # each would expand to gigabytes before a check after the parse
+    for bad in ["1^{99999999999}", "(1^{99999})^{99999}", "1^{" + "9" * 5000 + "}", "1^7(12)^{99999999999}"]:
+        with pytest.raises(SpecError, match="more than 7 digits"):
+            pr.parse_compact(GF4, bad, n=7)
+    assert pr.parse_compact(GF4, "1^7", n=7) == (1,) * 7
+    assert pr.parse_compact(GF4, "(1^2)^{003}1", n=7) == (1,) * 7
+    with pytest.raises(SpecError, match="more than 7 digits"):
+        pr.parse_compact(GF4, "(1^4)^2", n=7)
+    # groups nest without recursion, and a digit int() cannot read is junk
+    deep = "(" * 5000 + "1" + ")" * 5000
+    assert pr.parse_compact(GF4, deep) == pr.parse_compact(GF4, deep, n=1) == (1,)
+    for bad in ["\u00b2", "1^\u00b2", "1^{\u00b2}", "(" * 5000 + "1"]:
+        with pytest.raises(SpecError):
+            pr.parse_compact(GF4, bad, n=7)
+    with pytest.raises(SpecError):
+        pr.parse_compact(GF81, "1,\u00b2", n=7)
 
 
 def test_parse_digit_list_gf81():
@@ -249,20 +269,25 @@ def test_reference_generators_divide(field, n, g):
     assert pr.divides(field, g, pr.x_pow_n_minus_1(field, n))
 
 
+def dual_gen(field, n, g):
+    """The dual generator of <g>, as `qcc.generator` holds it."""
+    return qcc.generator(field, n, pr.trim(g)).dual_g
+
+
 def test_dual_gen_all_ones():
     # <x + 1> in length 7 over GF(4): dual generated by 1 + x + ... + x^6
-    assert pr.dual_gen(GF4, 7, (1, 1)) == (1,) * 7
+    assert dual_gen(GF4, 7, (1, 1)) == (1,) * 7
 
 
 def test_dual_gen_gf81_reference():
     g = (49, 45, 11, 37, 53, 59, 45, 1)
     # 1 + z^36 x + z^12 x^2 + z^8 x^3, the non-monic reciprocal normalization
-    assert pr.dual_gen(GF81, 10, g) == (1, 37, 13, 9)
+    assert dual_gen(GF81, 10, g) == (1, 37, 13, 9)
 
 
 @pytest.mark.parametrize("field,n,g", REFERENCE_DIVISORS)
 def test_dual_gen_properties(field, n, g):
-    d = pr.dual_gen(field, n, g)
+    d = dual_gen(field, n, g)
     assert pr.deg(d) == n - pr.deg(g)
     assert pr.divides(field, d, pr.x_pow_n_minus_1(field, n))
     if g[-1] == 1:
@@ -271,14 +296,14 @@ def test_dual_gen_properties(field, n, g):
 
 def test_dual_gen_rejects_non_divisor():
     with pytest.raises(PreconditionError) as exc:
-        pr.dual_gen(GF4, 7, (1, 2))
+        dual_gen(GF4, 7, (1, 2))
     assert exc.value.code == "g-not-divisor"
 
 
 def test_dual_gen_involution_up_to_units():
     # dualizing twice returns <g> itself, so the monic forms agree
     for field, n, g in REFERENCE_DIVISORS:
-        dd = pr.dual_gen(field, n, pr.dual_gen(field, n, g))
+        dd = dual_gen(field, n, dual_gen(field, n, g))
         assert pr.monic(field, dd) == pr.monic(field, g)
 
 

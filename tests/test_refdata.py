@@ -59,7 +59,7 @@ def test_stabilizer_row_shapes(row):
     # the unit-alpha extension applies: g self-orthogonal, x1 in the dual
     # of the left block with self-product p - 1
     fld = row.field()
-    assert polyring.divides(fld, polyring.dual_gen(fld, row.n, g), g)
+    assert polyring.divides(fld, oracles.dual_gen(fld, row.n, g), g)
     k = row.n - deg
     g1 = oracles.mat_from_poly(fld, row.n, g, k)
     in_dual = oracles.orthogonal_to_rows(x1, g1)
@@ -100,7 +100,7 @@ def test_bad_divisor_rows_raise_before_the_budget_gate(budget):
     for row in ALL_ROWS:
         if (row.family, row.n) in BAD_DIVISOR:
             with pytest.raises(PreconditionError, match="g-not-divisor"):
-                row.evaluation(budget=budget).h
+                row.evaluation(budget=budget).code
 
 
 def test_long_run_flags():

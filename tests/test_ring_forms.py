@@ -172,7 +172,7 @@ def test_one_not_eigenvalue_by_gcd_and_by_char_poly(field, n, verdicts):
     rng = random.Random(field.Q * 1000 + n)
     one = (field.one,) + (0,) * (n - 1)
     gs = [g for g in oracles.proper_divisors(field, n)
-          if qcc.build(field, n, one, g).h1_gram_nonsingular]
+          if qcc.build(field, n, one, g).gen.h1_gram_nonsingular]
     seen = set()
     for g in rng.sample(gs, min(8, len(gs))):
         for _ in range(3):
@@ -215,6 +215,39 @@ def test_samples(field, n):
                 outcomes[key] = outcomes.get(key, 0) + 1
     assert satisfied
     assert outcomes.get(qcc.RULE_GRAM_RANK) and outcomes.get("not-in-dual"), outcomes
+
+
+# qcc.generator divides x^n - 1 once, by g, and reads the rest off h and
+# g: (x^n - 1)/dual_g = -frob(reciprocal(g)) and (x^n - 1)/monic(g) =
+# lead(g) h.  Each fact is held against the division route it replaced.
+@pytest.mark.parametrize("field,n", [(GF4, 7), (GF4, 12), (GF4, 15), (GF9, 6), (GF9, 10),
+                                     (GF81, 6), (GF81, 8)])
+def test_generator_facts_match_the_division_routes(field, n):
+    rng = random.Random(field.Q + n)
+    xn1 = polyring.x_pow_n_minus_1(field, n)
+    gs = oracles.proper_divisors(field, n)
+    gs = rng.sample(gs, min(40, len(gs))) + [(1,), xn1]
+    lcd = set()
+    for g in gs:
+        g = polyring.poly_scale(field, rng.randrange(1, field.Q), g)  # monic or not
+        gen = qcc.generator(field, n, g)
+        assert gen.h == polyring.quotient_exact_checked(field, n, g)
+        d = oracles.dual_gen(field, n, g)
+        assert gen.dual_g == d
+        cofactor = polyring.quotient_exact_checked(field, n, d)
+        assert gen.dual_cofactor == cofactor
+        nonsingular = (polyring.monic(field, polyring.frob_poly(field, polyring.reciprocal(d)))
+                       == polyring.monic(field, d)
+                       and polyring.poly_gcd(field, d, cofactor) == (1,))
+        assert gen.h1_gram_nonsingular == nonsingular
+        lcd.add(nonsingular)
+        assert gen.idempotent == (polyring.ring_mul(field, n, d, polyring.ring_inv(field, n, d, cofactor))
+                                  if nonsingular else None)
+        cyc = polyring.poly_gcd(field, g, xn1)
+        left = polyring.ring_from_plain(field, n, oracles.dual_gen(field, n, cyc)), polyring.deg(cyc)
+        assert gen.block_dual == left
+        assert qcc.block_dual(qcc.build(field, n, (1,), g), 2) == left  # f = 1: <f g> = <g>
+    assert lcd == {True, False}
 
 
 def test_right_parity_check_is_caught_under_optimize():
