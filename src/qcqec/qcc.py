@@ -63,7 +63,8 @@ g)` from the one division h = (x^n - 1)/g, which raises g-not-divisor.
 No fact divides again: reciprocal(g) reciprocal(h) = 1 - x^n, so
 (x^n - 1)/dual_g = -frob(reciprocal(g)), and (x^n - 1)/monic(g) =
 lead(g) h, so conj(lead g) dual_g generates the block dual of <g>.  The
-last 8 generators are kept: a search builds all f of one g in a row.
+last generator is kept: a search builds all f of one g in a row, and a
+code holds its own.
 
 The orbit plan of `wdist.enumerate_code` (its module docstring has the
 algebra) is read off the generator's levels, which are chosen greedily:
@@ -194,7 +195,7 @@ class Generator:
                                tuple((mult, reps) for _, mult, reps in self.orbit_levels))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def generator(field: Field, n: int, g: tuple) -> Generator:
     """The generator of the trimmed g, by the one division, h = (x^n - 1)/g."""
     if not g:
@@ -338,8 +339,7 @@ def block_dual(code: QcCode, side: int) -> tuple[tuple, int]:
         return code.gen.block_dual
     field, n = code.field, code.n
     cyc = polyring.poly_gcd(field, code.fg, polyring.x_pow_n_minus_1(field, n))
-    # g divides f g, so <f g> = <g> when their degrees agree
-    return (code.gen if polyring.deg(cyc) == polyring.deg(code.g) else generator(field, n, cyc)).block_dual
+    return generator(field, n, cyc).block_dual
 
 
 def column_gram(field: Field, x, alpha: int) -> int:
