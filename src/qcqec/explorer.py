@@ -14,6 +14,18 @@ so interrupted runs resume without re-enumerating, and a record is
 emitted to the caller only when it improves the best (dual distance,
 distance) pair seen for its field, length and dimension.
 
+A candidate pays only for what f and x1 change.  Once per g: the
+`qcc.Generator` (one division of x^n - 1), its H1 test, and in qecc mode
+the extension-vector pool.  Once per f: `qcc.hermitian_forms`, f f̄ and
+T = g ḡ (1 + f f̄), which give the record's self_orthogonal flag and, in
+eaqecc mode, the certificate's verdict before anything is built, so a
+candidate that fails it is recorded with no code, matrix or scan; a code
+is built only for a candidate that passes (eaqecc) or is extended (qecc),
+and in qecc mode its first extension scan makes the base part (the block
+table of the base code and the histogram of its words) that the others
+share.  Once per x1: the extension's checks and rows, and the scan of its
+lead units, the words x1 + C, against that table.
+
 A record line carries the inputs in compact notation plus the computed
 parameters, so re-running the pipeline on (q, n, f, g) reproduces it
 exactly; the sha256 content hash covers everything except the timestamp,
@@ -76,6 +88,12 @@ class SearchConfig:
             raise SpecError("max_f_degree must be >= 0")
 
 
+# a record's line and the text its hash covers; one encoder each, as
+# json.dumps with options makes a new one per call
+_LINE_JSON = json.JSONEncoder(separators=(",", ":"))
+_HASH_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class CodeRecord:
     q: int
@@ -108,7 +126,7 @@ class CodeRecord:
         doc = self.payload()
         doc["hash"] = self.hash
         doc["ts"] = int(time.time())
-        return json.dumps(doc, separators=(",", ":"))
+        return _LINE_JSON.encode(doc)
 
     @property
     def skipped(self) -> bool:
@@ -116,7 +134,7 @@ class CodeRecord:
 
 
 def content_hash(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = _HASH_JSON.encode(payload)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -184,16 +202,20 @@ def _draw_digits(rng: random.Random, Q: int, count: int) -> list:
     past where randrange stops.  The golden f-draw digests of the tests
     check this on each CPython the CI runs.
     """
-    table, reject = _digit_bytes(Q)
     out = b""
     while len(out) < count:
-        words = count - len(out)
-        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        out += raw[3::4].translate(table, reject)
+        out += _output_digits(rng, Q, count - len(out))
     return list(out)
 
 
-# an f-sampler batch asks for at most this many digits, so as many outputs
+def _output_digits(rng: random.Random, Q: int, words: int) -> bytes:
+    """The digits below Q, in _draw_digits' stream, that the next `words`
+    32-bit outputs of rng give: one for each output whose draw is kept."""
+    table, reject = _digit_bytes(Q)
+    return rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(table, reject)
+
+
+# an f-sampler batch asks for at most this many outputs
 _DRAW_WORDS = 1 << 16
 
 
@@ -212,20 +234,23 @@ def _sample_fs(field: Field, n: int, rng: random.Random, max_deg: int | None, co
     at most max_deg: the f that count rounds of "draw the digits of f by
     _draw_digits until f is a unit" would give, in the same order.
 
-    The digits come from _draw_digits in batches sized by the unit density,
-    at most _DRAW_WORDS digits each, so nothing grows with count, and the
-    blocks of a batch are unit-tested in one polyring.units call.  The last
-    batch reads rng past the last f yielded: rng must not be used after this
-    generator, which holds because each generator's rng ends with its f loop.
+    The digits are _draw_digits' stream, taken in batches, each from one
+    getrandbits call of outputs sized by the unit density and the share
+    Q / 2^bit_length(Q) of outputs that give a digit, at most _DRAW_WORDS,
+    so nothing grows with count; the blocks of a batch are unit-tested in
+    one polyring.units call.  Every digit of an output read is kept, so the
+    stream is the same however it is cut.  The last batch reads rng past
+    the last f yielded: rng must not be used after this generator, which
+    holds because each generator's rng ends with its f loop.
     """
     top = n if max_deg is None else min(max_deg + 1, n)
-    # digits a yielded f costs: 1 / density blocks of top digits
-    cost = top / polyring.unit_density(field, n)
+    # outputs a yielded f costs: 1 / density blocks of top digits, each
+    # digit 2^bit_length(Q) / Q outputs
+    cost = top / polyring.unit_density(field, n) * 2 ** field.Q.bit_length() / field.Q
     pad = (0,) * (n - top)
     digits = b""
     while count > 0:
-        want = min(_DRAW_WORDS, int(1.25 * count * cost) + 8)
-        digits += bytes(_draw_digits(rng, field.Q, want))
+        digits += _output_digits(rng, field.Q, min(_DRAW_WORDS, int(1.25 * count * cost) + 8))
         blocks = len(digits) // top
         ok = polyring.units(field, n, np.frombuffer(digits, np.uint8, blocks * top)
                             .reshape(blocks, top))
@@ -265,22 +290,27 @@ def _x1_pool(field: Field, code: qcc.QcCode, rng: random.Random, want: int):
 
 
 def _evaluate(field: Field, config: SearchConfig, f, g, fc, gc, x1s) -> CodeRecord:
-    """Build and measure one candidate, given f and g and their compact
-    forms; skips come back as flagged records."""
-    base = pipeline.Evaluation(field, config.n, f, g, budget=config.enum_budget)
-    code = base.code
-    code.__dict__["f_coprime"] = True  # f was drawn a unit; cached_property's slot
-    flags = {"mode": config.mode, "self_orthogonal": code.orthogonal_gram,
+    """Measure one candidate, given f and g and their compact forms; skips
+    come back as flagged records.  An eaqecc candidate is built only once it
+    passes the certificate, which its forms decide."""
+    gen = qcc.generator(field, config.n, g)  # one division for all f of g
+    forms = qcc.hermitian_forms(gen, f)  # f was drawn a unit: a ring vector
+    flags = {"mode": config.mode, "self_orthogonal": forms.orthogonal_gram,
              "certificate_ok": None, "x1": None, "frontier": False}
 
     def skip(reason):
-        return CodeRecord(config.q, config.n, fc, gc, code.k, None, None,
+        return CodeRecord(config.q, config.n, fc, gc, gen.k, None, None,
                           None, None, {**flags, "skipped": reason},
                           config.rng_seed)
 
+    if config.mode == "eaqecc" and not forms.one_not_eigenvalue:
+        flags["certificate_ok"] = False
+        return skip("certificate")
+    if isinstance(x1s, str):
+        return skip(x1s)
+    base = pipeline.Evaluation(field, config.n, f, g, budget=config.enum_budget)
+    base.code.__dict__["f_coprime"] = True  # f was drawn a unit; cached_property's slot
     if config.mode == "qecc":
-        if isinstance(x1s, str):
-            return skip(x1s)
         extended = [base.extended((x1,)) for x1 in x1s]
         if extended[0].skipped:
             return skip("enum-budget")  # same dimension for every x1
@@ -294,17 +324,14 @@ def _evaluate(field: Field, config: SearchConfig, f, g, fc, gc, x1s) -> CodeReco
                           best.dual_distance, (params.n, params.k, params.d), None,
                           flags, config.rng_seed)
 
-    cert = base.certificate
-    flags["certificate_ok"] = cert.satisfied
-    if not cert.satisfied:
-        return skip("certificate")
+    flags["certificate_ok"] = base.certificate.satisfied
     if base.skipped:
         return skip("enum-budget")
     d = base.distance
     if d is None:
         return skip("zero-code")
     p = base.eaqecc.primal
-    return CodeRecord(config.q, config.n, fc, gc, code.k, d, base.dual_distance,
+    return CodeRecord(config.q, config.n, fc, gc, gen.k, d, base.dual_distance,
                       None, (p.n, p.k, p.d, p.c), flags, config.rng_seed)
 
 

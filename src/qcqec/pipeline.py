@@ -8,6 +8,16 @@ the entanglement certificate, and the eaqecc search enumerates only codes
 that pass it.  What the stages know of g alone (h, dual_g, the H1 test,
 the idempotent, the block dual of <g> and the orbit levels) comes from
 the code's `qcc.Generator`, made by one division of x^n - 1 by g.
+
+The evaluations that `extended` makes of one base code share it, and
+their scans share its base part: each column count has one scan plan,
+its extension rows leading, whose `wdist.SharedBase` the first scan fills
+with the block table of the base code and the histogram of its words;
+every later extension scans only its lead units, the words x1 + C, times
+Q - 1, against that table, in its own `wdist.enumerate_code` call.  An
+evaluation made with its vectors shares nothing and scans by the code's
+orbit plan, as a table row does.
+
 Stages are called through their modules (`qcc.build`, `wdist.macwilliams`,
 ...), looked up at call time, so a wrapper put on a module attribute sees
 every call.
@@ -61,10 +71,20 @@ class Evaluation:
                 raise SpecError(f"{name} digit {bad} out of range for GF({Q})")
 
     def extended(self, xs, alphas=()) -> "Evaluation":
-        """The same base code under the extension vectors xs, built once for both."""
+        """The same base code under the extension vectors xs, built once for
+        all of them, whose scans share one plan per column count."""
         other = replace(self, xs=tuple(xs), alphas=tuple(alphas))
         other.__dict__["code"] = self.code  # where cached_property keeps it
+        other.__dict__["shared_plans"] = self.shared_plans
         return other
+
+    @cached_property
+    def shared_plans(self) -> dict | None:
+        """The scan plans, by column count, of the extensions that `extended`
+        makes of this code: each leads with the extension rows and holds the
+        base part (wdist) their scans share.  An evaluation given its
+        vectors shares none."""
+        return None if self.xs else {}
 
     @property
     def length(self) -> int:
@@ -101,8 +121,15 @@ class Evaluation:
     def enum(self) -> wdist.WeightEnumerator | None:
         if self.skipped:
             return None
-        code = self.ext or self.code
-        return wdist.enumerate_code(code.G, workers=self.workers, plan=code.orbit_plan)
+        code, plans = self.ext or self.code, self.shared_plans
+        if self.ext is None or plans is None:
+            plan = code.orbit_plan
+        else:
+            cols = len(self.xs)
+            if cols not in plans:
+                plans[cols] = self.code.gen.scan_plan(cols)._replace(base=wdist.SharedBase())
+            plan = plans[cols]
+        return wdist.enumerate_code(code.G, workers=self.workers, plan=plan)
 
     @cached_property
     def dual(self) -> wdist.WeightEnumerator | None:

@@ -267,15 +267,18 @@ def _parse_digit_list(field, text: str) -> list[int]:
         token = token.strip()
         if token == "z":
             out.append(2)
-        elif token.startswith("z^"):
-            k = token[2:]
-            if not k.isdecimal():
-                raise SpecError(f"bad token {token!r}")
-            out.append(field.check_digit(int(k) + 1))
-        elif token.isdecimal():
-            out.append(field.check_digit(int(token)))
-        else:
+            continue
+        power = token.startswith("z^")
+        number = token[2:] if power else token
+        if not number.isdecimal():
             raise SpecError(f"bad token {token!r}")
+        # int() refuses a string of more than 4300 digits, leading zeros
+        # included: a number with more digits than Q is out of range, and
+        # is refused unread
+        number = number.lstrip("0") or "0"
+        if len(number) > len(str(field.Q)):
+            raise SpecError(f"a token of {len(token)} characters is out of range for GF({field.Q})")
+        out.append(field.check_digit(int(number) + power))
     return out
 
 

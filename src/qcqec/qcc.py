@@ -64,7 +64,11 @@ No fact divides again: reciprocal(g) reciprocal(h) = 1 - x^n, so
 (x^n - 1)/dual_g = -frob(reciprocal(g)), and (x^n - 1)/monic(g) =
 lead(g) h, so conj(lead g) dual_g generates the block dual of <g>.  The
 last generator is kept: a search builds all f of one g in a row, and a
-code holds its own.
+code holds its own.  What f adds over the generator, f f̄, T and the
+certificate's verdict gcd(1 + f f̄, dual_g) = 1, is `hermitian_forms`:
+`build` and the certificate read it off the code, and the search reads it
+before it decides to build at all; the last forms are kept, so a
+candidate that is built pays for them once.
 
 The orbit plan of `wdist.enumerate_code` (its module docstring has the
 algebra) is read off the generator's levels, which are chosen greedily:
@@ -78,7 +82,10 @@ before level j, then x^i M (g | f g) for the rest, a basis since a
 message of degree < k is uniquely a + b m_j with deg a < deg m_j; the
 extension rows lead.  A length n divisible by p takes no plan (h is then
 not squarefree), and neither does a code scanned in one step, which
-builds nothing.  A code makes its plan when first read.
+builds nothing.  A code makes its plan when first read.  `scan_plan` is
+the same plan with no level where none is taken: its extension rows still
+lead, which is what the extensions of one base code need to share the
+part of their scans that those rows do not touch (`wdist`).
 """
 
 import math
@@ -177,22 +184,28 @@ class Generator:
             levels.append((m, mult, tuple(reps)))
             rows -= d
 
-    def orbit_plan(self, cols: int) -> wdist.OrbitPlan | None:
-        """The orbit plan of the codes of g extended by cols columns, or None
-        when they are scanned in one step or it takes no level.  Its basis is
+    def scan_plan(self, cols: int) -> wdist.OrbitPlan:
+        """The scan plan of the codes of g extended by cols columns: the
+        extension rows lead, then the rows of the orbit levels, which a code
+        scanned in one step does not take, then the rest.  Its basis is
         written in the messages of G: the rows x^i, then the extension rows."""
         field, k = self.field, self.k
-        if wdist.table_rows(field, k + cols, 2 * self.n + cols) == k + cols or not self.orbit_levels:
-            return None
+        one_step = wdist.table_rows(field, k + cols, 2 * self.n + cols) == k + cols
+        levels = () if one_step else self.orbit_levels
         basis, prefix = [], (field.one,)
-        for m, _, _ in self.orbit_levels:
+        for m, _, _ in levels:
             basis += [(0,) * i + prefix for i in range(polyring.deg(m))]
             prefix = polyring.poly_mul(field, prefix, m)
         basis += [(0,) * i + prefix for i in range(k + 1 - len(prefix))]
         basis = [row + (0,) * (k + cols - len(row)) for row in basis]
         lead = [(0,) * (k + i) + (1,) + (0,) * (cols - 1 - i) for i in range(cols)]
-        return wdist.OrbitPlan(tuple(lead + basis), cols,
-                               tuple((mult, reps) for _, mult, reps in self.orbit_levels))
+        return wdist.OrbitPlan(tuple(lead + basis), cols, tuple((mult, reps) for _, mult, reps in levels))
+
+    def orbit_plan(self, cols: int) -> wdist.OrbitPlan | None:
+        """The scan plan when it takes a level, else None: G is then scanned
+        as its rows stand."""
+        plan = self.scan_plan(cols)
+        return plan if plan.levels else None
 
 
 @lru_cache(maxsize=1)
@@ -210,9 +223,47 @@ def generator(field: Field, n: int, g: tuple) -> Generator:
 
 
 @dataclass(frozen=True, eq=False)
+class HermitianForms:
+    """What f adds to the Hermitian forms of the codes of its generator: f f̄
+    and gram_poly (T above), ring vectors, and the certificate's verdict on
+    gcd(1 + f f̄, dual_g), all with no code built."""
+
+    gen: Generator
+    f_f_bar: tuple
+    gram_poly: tuple
+
+    @property
+    def orthogonal_gram(self) -> bool:
+        return not any(self.gram_poly)
+
+    @cached_property
+    def one_not_eigenvalue(self) -> bool:
+        """1 is not an eigenvalue of P, for a unit f: gcd(1 + f f̄, dual_g) = 1,
+        read only when H1 H1^dag is nonsingular, so it is the certificate's
+        whole verdict."""
+        gen, field = self.gen, self.gen.field
+        return (gen.h1_gram_nonsingular and polyring.poly_gcd(
+            field, polyring.poly_add(field, (field.one,), self.f_f_bar), gen.dual_g) == (1,))
+
+
+@lru_cache(maxsize=1)
+def hermitian_forms(gen: Generator, f: tuple) -> HermitianForms:
+    """The forms of the ring vector f over gen.  The last are kept: the
+    search reads them before it builds, and `build` reads them again."""
+    field, n = gen.field, gen.n
+    f_f_bar = polyring.ring_mul(field, n, f, polyring.conj_rev(field, n, f))
+    forms = HermitianForms(gen, f_f_bar, polyring.ring_mul(
+        field, n, gen.g_g_bar, polyring.poly_add(field, (field.one,), f_f_bar)))
+    # divisibility is a sufficient condition, never weaker than the Gram test
+    if gen.orthogonal_divisibility and not forms.orthogonal_gram:
+        raise AssertionError("dual_g divides g, yet G G^dag is nonzero")
+    return forms
+
+
+@dataclass(frozen=True, eq=False)
 class QcCode:
-    """The code generated by (g, f g); f, f g, f f̄ and gram_poly (T above)
-    are length-n ring vectors, g a plain polynomial."""
+    """The code generated by (g, f g); f and f g are length-n ring vectors,
+    g a plain polynomial."""
 
     field: Field
     n: int
@@ -221,13 +272,15 @@ class QcCode:
     k: int
     gen: Generator
     fg: tuple
-    f_f_bar: tuple
-    gram_poly: tuple
-    orthogonal_gram: bool
+    forms: HermitianForms
 
     @property
     def length(self) -> int:
         return 2 * self.n
+
+    @property
+    def orthogonal_gram(self) -> bool:
+        return self.forms.orthogonal_gram
 
     @cached_property
     def f_coprime(self) -> bool:
@@ -240,7 +293,7 @@ class QcCode:
         if self.orthogonal_gram:
             return 0
         xn1 = polyring.x_pow_n_minus_1(self.field, self.n)
-        return self.n - polyring.deg(polyring.poly_gcd(self.field, self.gram_poly, xn1))
+        return self.n - polyring.deg(polyring.poly_gcd(self.field, self.forms.gram_poly, xn1))
 
     @cached_property
     def G(self) -> famat.Mat:
@@ -319,14 +372,7 @@ def build(field: Field, n: int, f, g) -> QcCode:
     # conj_rev is -f
     if polyring.poly_add(field, polyring.ring_mul(field, n, g, polyring.poly_neg(field, f)), fg):
         raise AssertionError("parity check violated on right block")
-    f_bar = polyring.conj_rev(field, n, f)
-    f_f_bar = polyring.ring_mul(field, n, f, f_bar)
-    gram_poly = polyring.ring_mul(field, n, gen.g_g_bar, polyring.poly_add(field, (field.one,), f_f_bar))
-    code = QcCode(field, n, f, g, gen.k, gen, fg, f_f_bar, gram_poly, not any(gram_poly))
-    # divisibility is a sufficient condition, never weaker than the Gram test
-    if gen.orthogonal_divisibility and not code.orthogonal_gram:
-        raise AssertionError("dual_g divides g, yet G G^dag is nonzero")
-    return code
+    return QcCode(field, n, f, g, gen.k, gen, fg, hermitian_forms(gen, f))
 
 
 def block_dual(code: QcCode, side: int) -> tuple[tuple, int]:
@@ -469,7 +515,7 @@ class EntanglementCertificate:
             return None
         # as gcd(f, x^n - 1) = 1 makes f f̄ a unit, circ(u) = (H2^dag H2)^-1
         field = self.code.field
-        u = polyring.ring_inv(field, self.code.n, self.code.f_f_bar)
+        u = polyring.ring_inv(field, self.code.n, self.code.forms.f_f_bar)
         sub = field.sub_table
         return tuple(sub[a][b] for a, b in zip(e, u))
 
@@ -483,8 +529,4 @@ class EntanglementCertificate:
 def entanglement_certificate(code: QcCode) -> EntanglementCertificate:
     if not code.f_coprime:
         raise PreconditionError("f-not-coprime", "certificate needs gcd(f, x^n - 1) = 1")
-    field, gen = code.field, code.gen
-    one_plus_f_f_bar = polyring.poly_add(field, (field.one,), code.f_f_bar)
-    return EntanglementCertificate(
-        code, gen.h1_gram_nonsingular,
-        gen.h1_gram_nonsingular and polyring.poly_gcd(field, one_plus_f_f_bar, gen.dual_g) == (1,))
+    return EntanglementCertificate(code, code.gen.h1_gram_nonsingular, code.forms.one_not_eigenvalue)

@@ -39,6 +39,18 @@ pool starts only when the one-worker scan's estimate, times the share
 the cost of starting and shutting down a pool; a smaller scan runs in the
 main process, as with one worker.
 
+The extensions of one base code C differ only in their lead rows, so
+their scans share a base part (the split of Ling and Sole above, with
+the lead rows as the outer ones): the block table, which spans base rows
+only, and the histogram of the units whose lead digits are zero, the
+words of C itself.  A plan that carries a `SharedBase` makes that part
+on its first scan in this process and hands it to every later one, and
+each scan then weighs only its lead units, x1 + C with multiplier Q - 1
+for one column, through `_scan` against the shared table.  The shared
+part keeps the work units and the multiples of the base rows, so a later
+scan splits nothing and encodes only its lead rows.  A scan on more than
+one worker shares nothing: it makes its own table in each job.
+
 Words are bit-sliced, 64 symbols to a uint64 word per bit plane: one plane
 per GF(2) coordinate, added by XOR, or two per GF(3) coordinate ("= 2" and
 "= 1"), added by the formula of Boothby and Bradshaw (arXiv:0901.1413).
@@ -219,6 +231,17 @@ def _bit_planes(q: int, n: int) -> BitPlanes:
 # --- message scans ----------------------------------------------------------------
 
 
+class SharedBase:
+    """The base part of the scans of the extensions of one code by one
+    number of columns (module docstring): the multiples of the scan rows
+    after the lead, the block table over the last `inner` of them, the
+    histogram of the units whose lead digits are zero, and the lead units.
+    The first one-worker scan that reads it makes it."""
+
+    def __init__(self):
+        self.inner = self.lead_units = self.mults = self.table = self.counts = None
+
+
 class OrbitPlan(NamedTuple):
     """How to split the scan of a code by its double-shift orbits (module
     docstring).  Scan row i is sum_j basis[i][j] g.rows[j], for the
@@ -226,11 +249,13 @@ class OrbitPlan(NamedTuple):
     scanned projectively; then each level (mult, reps) takes len(reps[0])
     rows, and stands for mult x the words rep . (its rows) + span(every
     later row), for each rep; the rows after the last level are scanned
-    projectively."""
+    projectively.  A plan with a `base` reads the part of its scan that
+    the lead rows do not touch from there."""
 
     basis: tuple
     lead: int
     levels: tuple
+    base: SharedBase | None = None
 
 
 def table_rows(field: Field, k: int, n: int) -> int:
@@ -284,7 +309,8 @@ def _work_units(Q: int, k: int, inner: int, workers: int, plan: OrbitPlan | None
         at += len(reps[0])
     units += [((0,) * i + (1,), Q - 1) for i in range(at, k - inner)]
     units.append(((0,) * max(at, k - inner), 1))
-    inner = min(inner, max(k - len(head) for head, _ in units))
+    # the table spans no lead row, so that the base part holds it
+    inner = min(inner, k - lead, max(k - len(head) for head, _ in units))
     total = sum(Q ** (k - len(head)) for head, _ in units)
     cut = []
     while units:
@@ -303,15 +329,21 @@ def _work_units(Q: int, k: int, inner: int, workers: int, plan: OrbitPlan | None
     return inner, [chunk for chunk in chunks if chunk]
 
 
+def _block_table(bp: BitPlanes, mults: np.ndarray, inner: int) -> np.ndarray:
+    """The span of the last `inner` rows of mults, the last row first, so
+    that its first Q^j words are the span of the last j rows."""
+    return bp.span(mults[:, :, mults.shape[2] - inner :][:, :, ::-1])
+
+
 def _scan(job) -> list[int]:
-    """Sum over the units of multiplier x weight histogram of their words."""
-    q, rows, inner, units = job
-    bp = _bit_planes(q, len(rows[0]))
-    Q, k = bp.field.Q, len(rows)
-    mults = bp.multiples(rows)
-    # the span of the last `inner` rows, the last row first, so that its
-    # first Q^j words are the span of the last j rows
-    table = bp.span(mults[:, :, k - inner :][:, :, ::-1])
+    """Sum over the units of multiplier x weight histogram of their words,
+    from the multiples of the rows at length n, weighed against the block
+    table of the rows, made here unless given."""
+    q, n, mults, inner, units, table = job
+    bp = _bit_planes(q, n)
+    Q, k = bp.field.Q, mults.shape[2]
+    if table is None:
+        table = _block_table(bp, mults, inner)
     bufs = {}
     counts = [0] * (bp.n + 1)
     for head, mult in units:
@@ -341,12 +373,33 @@ def _scan_rows(field: Field, g: famat.Mat, basis) -> list[tuple]:
     """The rows basis . g over GF(Q), or g's own rows without a basis."""
     if basis is None:
         return [tuple(r) for r in g.rows]
-    add, mul = np.array(field.add_table), np.array(field.mul_table)
-    coeffs = np.array(basis, dtype=np.intp)
-    out = np.zeros((len(coeffs), g.ncols), dtype=np.intp)
-    for j, row in enumerate(g.rows):
-        out = add[out, mul[coeffs[:, j, None], row]]
-    return [tuple(r) for r in out.tolist()]
+    add, mul = field.add_table, field.mul_table
+    out = []
+    for b in basis:
+        acc = [0] * g.ncols
+        for c, row in zip(b, g.rows):
+            if c:
+                acc = [add[a][mul[c][x]] for a, x in zip(acc, row)]
+        out.append(tuple(acc))
+    return out
+
+
+def _shared_scan(field: Field, g: famat.Mat, plan: OrbitPlan) -> list[int]:
+    """The weight histogram of a one-worker scan whose plan shares its base
+    part: the base part's, made here on first read with the work units,
+    plus the lead units', which `_scan` weighs against its table."""
+    lead, base, k, n = plan.lead, plan.base, g.nrows, g.ncols
+    bp = _bit_planes(field.q, n)
+    if base.counts is None:
+        base.inner, (units,) = _work_units(field.Q, k, table_rows(field, k, n), 1, plan)
+        base.lead_units = [(head, mult) for head, mult in units if any(head[:lead])]
+        base.mults = bp.multiples(_scan_rows(field, g, plan.basis[lead:]))
+        base.table = _block_table(bp, base.mults, base.inner)
+        base_units = [(head[lead:], mult) for head, mult in units if not any(head[:lead])]
+        base.counts = _scan((field.q, n, base.mults, base.inner, base_units, base.table))
+    mults = np.concatenate([bp.multiples(_scan_rows(field, g, plan.basis[:lead])), base.mults], axis=2)
+    counts = _scan((field.q, n, mults, base.inner, base.lead_units, base.table))
+    return [a + b for a, b in zip(base.counts, counts)]
 
 
 def _usable_cpus() -> int:
@@ -383,14 +436,16 @@ def enumerate_code(
 
     if k == 0:
         counts = [1] + [0] * n
+    elif workers == 1 and plan and plan.base is not None:
+        counts = _shared_scan(field, g, plan)
     else:
         table = table_rows(field, k, n)
         inner, chunks = _work_units(field.Q, k, table, 1, plan)
         seconds = sum(unit_seconds(field, n, inner, k - len(head)) for head, _ in chunks[0])
         if workers > 1 and seconds * (1 - 1 / workers) > _POOL_S:
             inner, chunks = _work_units(field.Q, k, table, workers, plan)
-        rows = _scan_rows(field, g, plan and plan.basis)
-        jobs = [(field.q, rows, inner, chunk) for chunk in chunks]
+        mults = _bit_planes(field.q, n).multiples(_scan_rows(field, g, plan and plan.basis))
+        jobs = [(field.q, n, mults, inner, chunk, None) for chunk in chunks]
         if len(jobs) == 1:
             partials = [_scan(jobs[0])]
         else:

@@ -445,6 +445,18 @@ def test_a_run_past_n_is_bad_input(capsys, tmp_path, key):
     assert "more than %d digits" % (16 if key == "g" else 15) in error["message"]
 
 
+@pytest.mark.parametrize("token", ["9" * 5000, "z^" + "9" * 5000, "0" * 5000 + "99"],
+                         ids=["digits", "power", "leading-zeros"])
+def test_a_long_digit_list_token_is_bad_input(capsys, tmp_path, token):
+    # a GF(81) token is refused by its length before int() reads it, which
+    # would refuse more than 4300 digits with a ValueError
+    doc = {"q": 9, "n": 10, "f": token, "g": "1,1"}
+    rc, _, err = run(capsys, "verify", write_spec(tmp_path, "long.json", doc))
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "spec" and "out of range for GF(81)" in error["message"]
+
+
 def test_table_bad_id(capsys):
     rc, _, err = run(capsys, "table", "--id", "7")
     assert rc == 2

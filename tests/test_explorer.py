@@ -353,8 +353,21 @@ GOLDEN_N7 = {
 }
 
 
-def _records_digest(tmp_path, mode):
-    _run(tmp_path, "golden.jsonl", q=2, n=7, mode=mode, rng_seed=0)
+# The same digest for searches of max_f_samples = 2, taken before the
+# certificate was decided ahead of the build and before the scans of a
+# base code's extensions shared its base part: in eaqecc mode most
+# candidates are certificate skips, and in qecc mode every extension of
+# (2, 15) and (3, 8) scans through a shared base part.
+GOLDEN_SMALL = {
+    (2, 15, "qecc"): "1b6062cabca118c07166a874b51ce971e273b4f4772348b746672e5357a97925",
+    (2, 15, "eaqecc"): "7df280236b6b04734369a70db5d1b73d962a05cd9e7b96c131958e590558bc35",
+    (3, 8, "qecc"): "c0bc06be0c23c12dfb396cb5f02312ca599592e4da4c9c0c536d81227af322ae",
+    (3, 8, "eaqecc"): "352b5b77ecbfd40ebd121e6b1e9e46c18703f3d17ec8b3b75c314b7e421024b4",
+}
+
+
+def _records_digest(tmp_path, mode, q=2, n=7, **kw):
+    _run(tmp_path, "golden.jsonl", q=q, n=n, mode=mode, rng_seed=0, **kw)
     digest = hashlib.sha256()
     for line in (tmp_path / "golden.jsonl").read_text().splitlines():
         doc = json.loads(line)
@@ -519,6 +532,30 @@ def test_sampler_with_batches_shorter_than_a_block(monkeypatch):
 @pytest.mark.parametrize("mode", sorted(GOLDEN_N7))
 def test_search_records_match_golden_digest(tmp_path, mode):
     assert _records_digest(tmp_path, mode) == GOLDEN_N7[mode]
+
+
+@pytest.mark.parametrize("q,n,mode", sorted(GOLDEN_SMALL))
+def test_search_records_of_two_f_per_generator_match_golden_digest(tmp_path, q, n, mode):
+    assert _records_digest(tmp_path, mode, q, n, max_f_samples=2) == GOLDEN_SMALL[q, n, mode]
+
+
+def test_eaqecc_search_builds_only_what_passes_the_certificate(tmp_path, monkeypatch):
+    # a certificate skip is decided from f's forms over its generator, with
+    # no code built; every code built passes the certificate
+    built = []
+    build = qcc.build
+
+    def recorded(field, n, f, g):
+        code = build(field, n, f, g)
+        built.append(code)
+        return code
+
+    monkeypatch.setattr(qcc, "build", recorded)
+    _run(tmp_path, "r.jsonl", q=2, n=15, mode="eaqecc", max_f_samples=2, rng_seed=0)
+    records = list(explorer.read_records(str(tmp_path / "r.jsonl")))
+    passed = [rec for rec in records if rec.flags["certificate_ok"]]
+    assert len(records) == 1020 and 0 < len(built) == len(passed) < len(records) // 10
+    assert all(qcc.entanglement_certificate(code).satisfied for code in built)
 
 
 def test_eaqecc_search_never_inverts(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from qcqec import cli, polyring, qcc, refdata, wdist
+from qcqec import cli, pipeline, polyring, qcc, refdata, wdist
 from qcqec.errors import PreconditionError
 from qcqec.gf import field_make
 
@@ -113,6 +113,75 @@ def test_orbit_scan_of_extensions(field, n, h_factors, cols, levels_taken):
     assert enum == wdist.enumerate_code(ext.G)
     if field.Q ** ext.dim <= 9 ** 4:
         assert enum == oracles.enumerate_code_naive(ext.G)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The number of `_scan` calls so far, in a one-item list."""
+    calls = [0]
+    scan = wdist._scan
+
+    def counted(job):
+        calls[0] += 1
+        return scan(job)
+
+    monkeypatch.setattr(wdist, "_scan", counted)
+    return calls
+
+
+# (field, n, indices of h's factors, columns, whether the extension is
+# scanned in one step, whether it takes an orbit level)
+SHARED = [
+    (GF4, 7, (1,), 1, True, False),         # [15, 4]_4: one step
+    (GF4, 15, (3, 4, 5), 1, False, False),  # [31, 7]_4: past one step, no level
+    (GF4, 21, (3, 4), 1, False, True),      # [43, 7]_4 with the levels taken
+    (GF9, 13, (0, 1), 1, False, True),      # [27, 5]_9 with the levels taken
+    (GF4, 7, (1,), 2, True, False),         # [16, 5]_4: two columns, one step
+    (GF9, 16, (0, 8), 2, False, False),     # [34, 5]_9: two columns past one step
+]
+
+
+@pytest.mark.parametrize("field,n,h_factors,cols,one_step,levels", SHARED)
+def test_extensions_sharing_a_base_part_match_the_plain_scan(
+        field, n, h_factors, cols, one_step, levels, monkeypatch, scans):
+    if levels:
+        monkeypatch.setattr(wdist, "_ONE_STEP_BYTES", 0)
+        monkeypatch.setattr(wdist, "_KEY_S", 0.0)
+    qcc.generator.cache_clear()
+    code = random_code(field, n, h_factors, n)
+    plan = code.gen.scan_plan(cols)._replace(base=wdist.SharedBase())
+    k = code.k + cols
+    assert (wdist.table_rows(field, k, 2 * n + cols) == k) == one_step
+    assert bool(plan.levels) == levels and plan.lead == cols
+    for seed in range(4):
+        ext = with_columns(code, cols, seed)
+        before = scans[0]
+        enum = wdist.enumerate_code(ext.G, plan=plan)
+        # the base part is scanned by the first extension alone
+        assert scans[0] - before == (2 if seed == 0 else 1)
+        assert enum == wdist.enumerate_code(ext.G), seed
+        if field.Q ** k <= 4 ** 5:
+            assert enum == oracles.enumerate_code_naive(ext.G)
+    qcc.generator.cache_clear()
+
+
+def test_pipeline_extensions_share_one_base_part_per_column_count(scans):
+    # the evaluations that `extended` makes of one base code share one
+    # base part per column count, and an evaluation given its vectors
+    # shares nothing
+    spec = refdata.find_reference("q2-n15-extend-one")
+    base = pipeline.Evaluation(GF4, spec.n, spec.f, spec.g)
+    x2 = qcc.find_extension_vector(base.code, 2)
+    xs = [(spec.x1,), (qcc.find_extension_vector(base.code, 1),), (spec.x1, x2)]
+    counts = []
+    for vectors in xs + xs[:1]:
+        ev = base.extended(vectors)
+        before = scans[0]
+        assert ev.enum == wdist.enumerate_code(ev.ext.G)
+        counts.append(scans[0] - before - 1)
+    assert counts == [2, 1, 2, 1]
+    alone = pipeline.Evaluation(GF4, spec.n, spec.f, spec.g, xs[0])
+    assert alone.shared_plans is None and alone.enum == base.extended(xs[0]).enum
 
 
 @pytest.mark.parametrize("field,n,j", [(GF4, 6, 2), (GF4, 12, 6), (GF9, 6, 2), (GF9, 3, 1)])

@@ -129,7 +129,7 @@ def test_certificate_of_the_full_space():
     code, cert = oracles.check_code(GF4, 7, f, (1,))
     assert code.k == 7
     assert cert.h1_gram_nonsingular
-    assert cert.p_row == polyring.poly_neg(GF4, polyring.ring_inv(GF4, 7, code.f_f_bar))
+    assert cert.p_row == polyring.poly_neg(GF4, polyring.ring_inv(GF4, 7, code.forms.f_f_bar))
 
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -183,6 +183,40 @@ def test_one_not_eigenvalue_by_gcd_and_by_char_poly(field, n, verdicts):
             assert char_poly_route_agrees(cert), (g, f)
             seen.add(cert.one_not_eigenvalue)
     assert seen == verdicts
+
+
+# the search decides the certificate, and the Gram flag of its skip
+# record, from qcc.hermitian_forms over the generator before any build;
+# held against the built code's certificate and against the matrices,
+# g monic or not, p | n included (GF(4) n = 6 and 10, GF(9) and GF(81) n = 6)
+EARLY_LENGTHS = [(GF4, 6), (GF4, 7), (GF4, 10), (GF4, 15), (GF9, 6), (GF9, 8),
+                 (GF81, 5), (GF81, 6)]
+
+
+@pytest.mark.parametrize("field,n", EARLY_LENGTHS, ids=[f"Q{f.Q}-n{n}" for f, n in EARLY_LENGTHS])
+def test_certificate_before_the_build_matches_the_built_code(field, n):
+    rng = random.Random(field.Q * 10 + n)
+    one = (field.one,) + (0,) * (n - 1)
+    lcd = {True: [], False: []}
+    for g in oracles.proper_divisors(field, n):
+        lcd[qcc.build(field, n, one, g).gen.h1_gram_nonsingular].append(g)
+    seen = set()
+    for g in rng.sample(lcd[True], min(16, len(lcd[True]))) + rng.sample(lcd[False], min(4, len(lcd[False]))):
+        g = polyring.poly_scale(field, rng.randrange(1, field.Q), g)
+        for _ in range(3):
+            f = tuple(rng.randrange(field.Q) for _ in range(n))
+            while not polyring.is_unit(field, n, f):
+                f = tuple(rng.randrange(field.Q) for _ in range(n))
+            forms = qcc.hermitian_forms(qcc.generator(field, n, g), f)
+            qcc.hermitian_forms.cache_clear()  # the build makes its own
+            code = qcc.build(field, n, f, g)
+            cert = qcc.entanglement_certificate(code)
+            ref = oracles.reference_code(field, n, f, g)
+            assert forms.orthogonal_gram == code.orthogonal_gram == ref["orthogonal_gram"]
+            assert (forms.one_not_eigenvalue == cert.satisfied
+                    == oracles.certificate_booleans(ref["P"])[1]), (g, f)
+            seen.add((forms.orthogonal_gram, forms.one_not_eigenvalue))
+    assert {verdict for _, verdict in seen} == {True, False} or (field, n) == (GF4, 6)
 
 
 def dual_vector(code, side, rng):

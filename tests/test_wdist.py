@@ -354,6 +354,39 @@ except AssertionError as exc:
     assert done.stdout.startswith("caught: enumerator total 65 != Q^k = 64")
 
 
+def test_corrupt_histogram_is_caught_on_a_shared_base_under_optimize():
+    # an extension whose base part another extension of its base made
+    # scans only its lead units, and the total check still sees them
+    program = """
+from qcqec import pipeline, qcc, refdata, wdist
+from qcqec.gf import field_make
+
+assert False, "assert statements are live"
+spec = refdata.find_reference("q2-n15-extend-one")
+base = pipeline.Evaluation(field_make(2), spec.n, spec.f, spec.g)
+x1 = qcc.find_extension_vector(base.code, 1)
+base.extended((spec.x1,)).enum  # makes the base part, uncorrupted
+scan = wdist._scan
+
+def corrupt(job):
+    counts = scan(job)
+    counts[1] += 1
+    return counts
+
+wdist._scan = corrupt
+try:
+    base.extended((x1,)).enum
+except AssertionError as exc:
+    print("caught:", exc)
+"""
+    src_dir = str(Path(wdist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    done = subprocess.run([sys.executable, "-O", "-c", program], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("caught: enumerator total 16385 != Q^k = 16384")
+
+
 def test_enumerator_counts_are_python_ints():
     enum = wdist.enumerate_code(oracles.identity(GF4, 2))
     assert all(type(c) is int for c in enum.counts)
