@@ -92,8 +92,7 @@ def load_spec(path: str) -> dict:
         if key in doc:
             require_int(f"spec field {key!r}", doc[key], 1 if key == "enum_budget" else None)
     # n first: the vectors are parsed against it
-    if doc["n"] < 1:
-        raise SpecError(f"n must be positive, got {doc['n']}")
+    polyring.check_length(doc["n"])
     # the vectors given set the column count; a stated mode must agree
     x1, x2 = bool(doc.get("x1")), bool(doc.get("x2"))
     if x2 and not x1:
@@ -309,7 +308,7 @@ def cmd_gv(args) -> int:
 
 def cmd_factor(args) -> int:
     field = field_make(args.q)
-    factors = polyring.factor_xn_minus_1(field, args.n)
+    factors = polyring.factor_xn_minus_1(field, polyring.check_length(args.n))
     doc = {"schema": SCHEMA, "q": args.q, "n": args.n,
            "factors": [{"degree": polyring.deg(fac),
                         "coeffs": polyring.render_compact(field, fac)}

@@ -14,17 +14,26 @@ so interrupted runs resume without re-enumerating, and a record is
 emitted to the caller only when it improves the best (dual distance,
 distance) pair seen for its field, length and dimension.
 
-A candidate pays only for what f and x1 change.  Once per g: the
-`qcc.Generator` (one division of x^n - 1), its H1 test, and in qecc mode
-the extension-vector pool.  Once per f: `qcc.hermitian_forms`, f f̄ and
-T = g ḡ (1 + f f̄), which give the record's self_orthogonal flag and, in
-eaqecc mode, the certificate's verdict before anything is built, so a
-candidate that fails it is recorded with no code, matrix or scan; a code
-is built only for a candidate that passes (eaqecc) or is extended (qecc),
-and in qecc mode its first extension scan makes the base part (the block
-table of the base code and the histogram of its words) that the others
-share.  Once per x1: the extension's checks and rows, and the scan of its
-lead units, the words x1 + C, against that table.
+A candidate pays only for what f and x1 change.
+
+* Once per g: the `qcc.Generator` (one division of x^n - 1), its H1
+  test, and in qecc mode the extension-vector pool and the scan plan of
+  the one-column extensions, with its work units.
+* Once per (g, x1), kept on the generator: whether x1 lies in the
+  Hermitian dual of <g> and <x1, x1> (`qcc.Generator.column`), and the
+  multiples of the scan row (x1 | 0 | 1), which every f's scan reads.
+* Once per f: `qcc.hermitian_forms`, f f̄ and T = g ḡ (1 + f f̄), which
+  give the record's self_orthogonal flag and, in eaqecc mode, the
+  certificate's verdict before anything is built, so a candidate that
+  fails it is recorded with no code, matrix or scan.  A code is built
+  only for a candidate that passes (eaqecc) or is extended (qecc).  In
+  qecc mode its rows are padded for the extensions once, and its first
+  extension scan makes the base part (the block table of the base code
+  and the histogram of its words) that the others share.
+* Once per x1: the extension's own checks (the rule, the Gram rank),
+  its G, one `wdist.enumerate_code` call, which weighs only its lead
+  units, the words x1 + C, against that table, and one MacWilliams
+  transform.
 
 A record line carries the inputs in compact notation plus the computed
 parameters, so re-running the pipeline on (q, n, f, g) reproduces it
@@ -73,6 +82,7 @@ class SearchConfig:
     def __post_init__(self):
         for name in ("q", "n", "rng_seed"):
             require_int(name, getattr(self, name))
+        polyring.check_length(self.n)
         require_int("max_f_samples", self.max_f_samples, 0)
         require_int("x1_samples", self.x1_samples, 1)
         require_int("enum_budget", self.enum_budget, 1)

@@ -6,24 +6,26 @@ read, so a caller pays only for what it reads: a table row past the
 message budget is built but never enumerated, a stabilizer row never tests
 the entanglement certificate, and the eaqecc search enumerates only codes
 that pass it.  What the stages know of g alone (h, dual_g, the H1 test,
-the idempotent, the block dual of <g> and the orbit levels) comes from
-the code's `qcc.Generator`, made by one division of x^n - 1 by g.
+the idempotent, the block dual of <g>, the orbit levels, the scan plans
+and the side-1 checks of each extension vector) comes from the code's
+`qcc.Generator`, made by one division of x^n - 1 by g.
 
 The evaluations that `extended` makes of one base code share it, and
-their scans share its base part: each column count has one scan plan,
-its extension rows leading, whose `wdist.SharedBase` the first scan fills
-with the block table of the base code and the histogram of its words;
-every later extension scans only its lead units, the words x1 + C, times
-Q - 1, against that table, in its own `wdist.enumerate_code` call.  An
-evaluation made with its vectors shares nothing and scans by the code's
-orbit plan, as a table row does.
+their scans share its base part: each column count has the generator's
+scan plan, its extension rows leading, with a `wdist.SharedBase` of its
+own that the first scan fills with the block table of the base code and
+the histogram of its words; every later extension scans only its lead
+units, the words x1 + C, times Q - 1, against that table, in its own
+`wdist.enumerate_code` call.  `extended` checks only the vectors and
+scalars it is given.  An evaluation made with its vectors shares nothing
+and scans by the code's orbit plan, as a table row does.
 
 Stages are called through their modules (`qcc.build`, `wdist.macwilliams`,
 ...), looked up at call time, so a wrapper put on a module attribute sees
 every call.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from . import polyring, qcc, quantum, wdist
@@ -58,24 +60,32 @@ class Evaluation:
         """The one check of the input: n and g, which every stage divides
         by, and the range of the digits, which the stages take as given (a
         negative one would index the field's tables from the end)."""
-        if self.n < 1:
-            raise SpecError(f"n must be positive, got {self.n}")
+        polyring.check_length(self.n)
         if not any(self.g):
             raise PreconditionError("g-not-divisor", "g must be nonzero")
+        self._check_digits(("f", self.f), ("g", self.g))
+
+    def _check_digits(self, *named):
+        """The digits of the named (name, digits) pairs, then of the alphas
+        and the vectors, against the field."""
         Q = self.field.Q
-        named = [("f", self.f), ("g", self.g), ("alpha", self.alphas)]
-        named += [(f"x{i}", x) for i, x in enumerate(self.xs, 1)]
-        for name, digits in named:
+        vectors = [("alpha", self.alphas)] + [(f"x{i}", x) for i, x in enumerate(self.xs, 1)]
+        for name, digits in [*named, *vectors]:
             if digits and (min(digits) < 0 or max(digits) >= Q):
                 bad = min(digits) if min(digits) < 0 else max(digits)
                 raise SpecError(f"{name} digit {bad} out of range for GF({Q})")
 
     def extended(self, xs, alphas=()) -> "Evaluation":
         """The same base code under the extension vectors xs, built once for
-        all of them, whose scans share one plan per column count."""
-        other = replace(self, xs=tuple(xs), alphas=tuple(alphas))
-        other.__dict__["code"] = self.code  # where cached_property keeps it
-        other.__dict__["shared_plans"] = self.shared_plans
+        all of them, whose scans share one plan per column count.  The base
+        inputs were checked with the base: only xs and alphas are."""
+        other = object.__new__(Evaluation)
+        # the fields, then the base's code and plans where cached_property
+        # keeps them
+        other.__dict__.update({name: self.__dict__[name] for name in _BASE_INPUTS},
+                              xs=tuple(xs), alphas=tuple(alphas),
+                              code=self.code, shared_plans=self.shared_plans)
+        other._check_digits()
         return other
 
     @cached_property
@@ -169,3 +179,7 @@ class Evaluation:
         if self.ext.rule == qcc.RULE_GRAM_RANK:
             return quantum.extended_maximal_eaqecc(self.ext, self.dual_distance, cert)
         return None
+
+
+# what `Evaluation.extended` copies from the base evaluation
+_BASE_INPUTS = tuple(f.name for f in fields(Evaluation) if f.name not in ("xs", "alphas"))

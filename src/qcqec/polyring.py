@@ -306,6 +306,21 @@ def render_compact(field, coeffs) -> str:
 
 # --- ring vectors (length n, mod x^n - 1) ---------------------------------
 
+# the largest n that a spec, a search config or `factor --n` may give.  The
+# map of `units` is (m n) x (m n') float32 for n' <= n, 64 MiB at this n
+# over GF(81) (m = 4); a larger n is refused before anything is padded to
+# it, factored or mapped
+MAX_N = 1024
+
+
+def check_length(n: int) -> int:
+    """n, once 1 <= n <= MAX_N; a SpecError (exit 2) otherwise."""
+    if n < 1:
+        raise SpecError(f"n must be positive, got {n}")
+    if n > MAX_N:
+        raise SpecError(f"n must be at most {MAX_N}, got {n}")
+    return n
+
 
 def ring_from_plain(field, n: int, coeffs) -> tuple[int, ...]:
     out = [0] * n

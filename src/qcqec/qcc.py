@@ -57,6 +57,7 @@ product <x^i a, x^j b> is the coefficient of x^(j-i) in a b̄.  So:
 G of a code (built in one pass from its rows), G of an extension and the
 characteristic polynomial of P (read off the factors of x^n - 1, with no
 matrix) are built when first read; every later read returns the same object.
+A code pads its rows for its extensions once per column count.
 
 What depends on g alone is one `Generator`, made by `generator(field, n,
 g)` from the one division h = (x^n - 1)/g, which raises g-not-divisor.
@@ -64,11 +65,15 @@ No fact divides again: reciprocal(g) reciprocal(h) = 1 - x^n, so
 (x^n - 1)/dual_g = -frob(reciprocal(g)), and (x^n - 1)/monic(g) =
 lead(g) h, so conj(lead g) dual_g generates the block dual of <g>.  The
 last generator is kept: a search builds all f of one g in a row, and a
-code holds its own.  What f adds over the generator, f f̄, T and the
-certificate's verdict gcd(1 + f f̄, dual_g) = 1, is `hermitian_forms`:
-`build` and the certificate read it off the code, and the search reads it
-before it decides to build at all; the last forms are kept, so a
-candidate that is built pays for them once.
+code holds its own.  The generator also keeps what the extensions of its
+codes read of g alone: per vector x of side 1, whether x ḡ = 0 and <x,x>
+(`Generator.column`), which the x1 pool of a search would otherwise pay
+for once per f; side 2 reads f g and is checked per code.  What f adds
+over the generator, f f̄, T and the certificate's verdict
+gcd(1 + f f̄, dual_g) = 1, is `hermitian_forms`: `build` and the
+certificate read it off the code, and the search reads it before it
+decides to build at all; the last forms are kept, so a candidate that is
+built pays for them once.
 
 The orbit plan of `wdist.enumerate_code` (its module docstring has the
 algebra) is read off the generator's levels, which are chosen greedily:
@@ -85,11 +90,14 @@ not squarefree), and neither does a code scanned in one step, which
 builds nothing.  A code makes its plan when first read.  `scan_plan` is
 the same plan with no level where none is taken: its extension rows still
 lead, which is what the extensions of one base code need to share the
-part of their scans that those rows do not touch (`wdist`).
+part of their scans that those rows do not touch (`wdist`).  The
+generator makes it once per column count, with the `wdist.SharedPlan`
+in which the scans of all its codes keep their work units and the
+multiples of each lead row.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
 
 from . import famat, polyring, wdist
@@ -103,7 +111,8 @@ RULE_GRAM_RANK = "preserve-gram-rank"
 @dataclass(frozen=True, eq=False)
 class Generator:
     """What the codes of one g share (module docstring); g, h and dual_g
-    are plain polynomials, g_g_bar a ring vector."""
+    are plain polynomials, g_g_bar a ring vector.  It keeps what it has
+    worked out for the codes of g: each side-1 column and each scan plan."""
 
     field: Field
     n: int
@@ -113,6 +122,8 @@ class Generator:
     dual_g: tuple
     g_g_bar: tuple
     orthogonal_divisibility: bool
+    _columns: dict = dataclass_field(default_factory=dict, init=False, repr=False)
+    _plans: dict = dataclass_field(default_factory=dict, init=False, repr=False)
 
     @property
     def dual_cofactor(self) -> tuple:
@@ -134,6 +145,17 @@ class Generator:
             return None
         field, n, d = self.field, self.n, self.dual_g
         return polyring.ring_mul(field, n, d, polyring.ring_inv(field, n, d, self.dual_cofactor))
+
+    def column(self, x: tuple) -> tuple[bool, int]:
+        """(x ḡ = 0, <x, x>) for a ring vector x: whether x lies in the
+        Hermitian dual of <g>, and the self product that the Gram entry of
+        its column adds alpha^(q+1) to.  Both read g alone, so they are
+        worked out once per x: a search's pool vectors serve every f of g."""
+        if x not in self._columns:
+            field, n = self.field, self.n
+            in_dual = not any(polyring.ring_mul(field, n, x, polyring.conj_rev(field, n, self.g)))
+            self._columns[x] = in_dual, hermitian_self_product(field, x)
+        return self._columns[x]
 
     @cached_property
     def block_dual(self) -> tuple[tuple, int]:
@@ -188,7 +210,14 @@ class Generator:
         """The scan plan of the codes of g extended by cols columns: the
         extension rows lead, then the rows of the orbit levels, which a code
         scanned in one step does not take, then the rest.  Its basis is
-        written in the messages of G: the rows x^i, then the extension rows."""
+        written in the messages of G: the rows x^i, then the extension rows.
+        Made once per cols, with the `wdist.SharedPlan` that the shared
+        scans of every code of g by cols columns fill and read."""
+        if cols not in self._plans:
+            self._plans[cols] = self._scan_plan(cols)
+        return self._plans[cols]
+
+    def _scan_plan(self, cols: int) -> wdist.OrbitPlan:
         field, k = self.field, self.k
         one_step = wdist.table_rows(field, k + cols, 2 * self.n + cols) == k + cols
         levels = () if one_step else self.orbit_levels
@@ -199,7 +228,8 @@ class Generator:
         basis += [(0,) * i + prefix for i in range(k + 1 - len(prefix))]
         basis = [row + (0,) * (k + cols - len(row)) for row in basis]
         lead = [(0,) * (k + i) + (1,) + (0,) * (cols - 1 - i) for i in range(cols)]
-        return wdist.OrbitPlan(tuple(lead + basis), cols, tuple((mult, reps) for _, mult, reps in levels))
+        return wdist.OrbitPlan(tuple(lead + basis), cols, tuple((mult, reps) for _, mult, reps in levels),
+                               shared=wdist.SharedPlan())
 
     def orbit_plan(self, cols: int) -> wdist.OrbitPlan | None:
         """The scan plan when it takes a level, else None: G is then scanned
@@ -273,10 +303,24 @@ class QcCode:
     gen: Generator
     fg: tuple
     forms: HermitianForms
+    _rows: dict = dataclass_field(default_factory=dict, init=False, repr=False)
 
     @property
     def length(self) -> int:
         return 2 * self.n
+
+    def padded_rows(self, cols: int) -> list:
+        """The k rows x^i (g | f g), each followed by cols zeros, made once
+        per cols: the rows of G (cols = 0), and the base rows of the G of
+        every extension of this code by cols columns."""
+        if cols not in self._rows:
+            if cols:
+                self._rows[cols] = [row + (0,) * cols for row in self.padded_rows(0)]
+            else:
+                g = self.g + (0,) * (self.n - len(self.g))
+                self._rows[0] = [polyring.cyclic_shift(g, i) + polyring.cyclic_shift(self.fg, i)
+                                 for i in range(self.k)]
+        return self._rows[cols]
 
     @property
     def orthogonal_gram(self) -> bool:
@@ -298,9 +342,7 @@ class QcCode:
     @cached_property
     def G(self) -> famat.Mat:
         """The k rows x^i (g | f g), in one pass."""
-        g = self.g + (0,) * (self.n - len(self.g))
-        rows = [polyring.cyclic_shift(g, i) + polyring.cyclic_shift(self.fg, i) for i in range(self.k)]
-        return famat.Mat(self.field, rows, 2 * self.n)
+        return famat.Mat(self.field, self.padded_rows(0), 2 * self.n)
 
     @cached_property
     def orbit_plan(self) -> wdist.OrbitPlan | None:
@@ -333,7 +375,7 @@ class ExtendedCode:
         """(G | 0), then per vector x_i one row with x_i on block i and
         alpha_i in added column i."""
         n, cols = self.base.n, self.columns_added
-        rows = [r + [0] * cols for r in self.base.G.rows]
+        rows = list(self.base.padded_rows(cols))
         for i, (x, alpha) in enumerate(zip(self.xs, self.alphas)):
             row = [0] * (2 * n + cols)
             row[i * n:(i + 1) * n] = x
@@ -452,12 +494,18 @@ def _extend(code: QcCode, xs, alphas) -> ExtendedCode:
         if a == 0:
             raise PreconditionError("alpha-zero", "extension column scalar must be nonzero")
 
-    for i, x in enumerate(xs):
-        gen_bar = polyring.conj_rev(field, n, code.g if i == 0 else code.fg)
-        if any(polyring.ring_mul(field, n, x, gen_bar)):
+    # (x ḡ = 0 or x (f g)‾ = 0, <x, x>) per column: side 1 reads g alone,
+    # which the generator keeps per x; side 2 reads f g
+    columns = [code.gen.column(xs[0])]
+    for x in xs[1:]:
+        in_dual = not any(polyring.ring_mul(field, n, x, polyring.conj_rev(field, n, code.fg)))
+        columns.append((in_dual, hermitian_self_product(field, x)))
+    for i, (in_dual, _) in enumerate(columns):
+        if not in_dual:
             raise PreconditionError("not-in-dual", f"x{i + 1} is not in the block code's Hermitian dual")
 
-    grams = tuple(column_gram(field, x, a) for x, a in zip(xs, alphas))
+    # column_gram of each column, from its self product
+    grams = tuple(field.add(self_product, field.norm_q(a)) for (_, self_product), a in zip(columns, alphas))
     if all(a == 1 for a in alphas) and not any(grams):
         rule = RULE_ORTHOGONAL
         if not code.orthogonal_gram:

@@ -47,9 +47,14 @@ words of C itself.  A plan that carries a `SharedBase` makes that part
 on its first scan in this process and hands it to every later one, and
 each scan then weighs only its lead units, x1 + C with multiplier Q - 1
 for one column, through `_scan` against the shared table.  The shared
-part keeps the work units and the multiples of the base rows, so a later
-scan splits nothing and encodes only its lead rows.  A scan on more than
-one worker shares nothing: it makes its own table in each job.
+part keeps the multiples of the base rows.  The base codes of one
+generator share more, in the plan's `SharedPlan`: the work units, which
+depend only on the plan and the shape of G, and the multiples of each
+lead row (x1 | 0 | alpha), which do not depend on f.  So a scan of a
+later base splits nothing, and a later scan of an x1 encodes nothing:
+it costs one `_scan` of its lead units, and with no row outside the
+table that is one key.  A scan on more than one worker shares nothing:
+it makes its own table in each job.
 
 Words are bit-sliced, 64 symbols to a uint64 word per bit plane: one plane
 per GF(2) coordinate, added by XOR, or two per GF(3) coordinate ("= 2" and
@@ -69,6 +74,7 @@ so a weight-0 count above 1 is the sign of dependent rows.
 from __future__ import annotations
 
 import os
+import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -234,12 +240,25 @@ def _bit_planes(q: int, n: int) -> BitPlanes:
 class SharedBase:
     """The base part of the scans of the extensions of one code by one
     number of columns (module docstring): the multiples of the scan rows
-    after the lead, the block table over the last `inner` of them, the
-    histogram of the units whose lead digits are zero, and the lead units.
-    The first one-worker scan that reads it makes it."""
+    after the lead, the block table over them, and the histogram of the
+    units whose lead digits are zero.  The first one-worker scan that reads
+    it makes it."""
 
     def __init__(self):
-        self.inner = self.lead_units = self.mults = self.table = self.counts = None
+        self.mults = self.table = self.counts = None
+
+
+class SharedPlan:
+    """What the shared scans under one plan have in common whatever their
+    base code (module docstring): the rows of the block table, the
+    one-worker work units, cut into the lead units and the base units, and
+    the multiples of each lead row scanned so far, by its digits.  The
+    first shared scan makes the units, and a lead row's multiples are
+    encoded when it is first scanned."""
+
+    def __init__(self):
+        self.inner = self.lead_units = self.base_units = None
+        self.lead_mults = {}
 
 
 class OrbitPlan(NamedTuple):
@@ -250,12 +269,14 @@ class OrbitPlan(NamedTuple):
     rows, and stands for mult x the words rep . (its rows) + span(every
     later row), for each rep; the rows after the last level are scanned
     projectively.  A plan with a `base` reads the part of its scan that
-    the lead rows do not touch from there."""
+    the lead rows do not touch from there, and what does not depend on
+    the base from `shared`."""
 
     basis: tuple
     lead: int
     levels: tuple
     base: SharedBase | None = None
+    shared: SharedPlan | None = None
 
 
 def table_rows(field: Field, k: int, n: int) -> int:
@@ -358,24 +379,29 @@ def _scan(job) -> list[int]:
         words, buf = table[:, :, :R], bufs[R]
         # weight(t + b) is the distance of t from -b, and the keys -b run over
         # -offset + span(the free rows outside the table), a span being
-        # closed under -1
-        keys = bp.span(mults[:, :, len(head) : k - inner], start=bp.neg(offset))
-        hist = np.zeros(bp.n + 1, dtype=np.int64)
-        for i in range(keys.shape[2]):
+        # closed under -1; with no such row, -offset is the one key
+        keys = bp.neg(offset)
+        if len(head) < k - inner:
+            keys = bp.span(mults[:, :, len(head) : k - inner], start=keys)
+        hist = np.bincount(bp.weights(words, keys[:, :, :1], buf), minlength=bp.n + 1)
+        for i in range(1, keys.shape[2]):
             hist += np.bincount(bp.weights(words, keys[:, :, i : i + 1], buf),
                                 minlength=bp.n + 1)
-        for w, c in enumerate(hist.tolist()):
-            counts[w] += mult * c
+        counts = [c + mult * h for c, h in zip(counts, hist.tolist())]
     return counts
 
 
 def _scan_rows(field: Field, g: famat.Mat, basis) -> list[tuple]:
-    """The rows basis . g over GF(Q), or g's own rows without a basis."""
+    """The rows basis . g over GF(Q), or g's own rows without a basis; a
+    unit basis row picks its row of g."""
     if basis is None:
         return [tuple(r) for r in g.rows]
     add, mul = field.add_table, field.mul_table
     out = []
     for b in basis:
+        if b.count(0) == len(b) - 1 and 1 in b:
+            out.append(tuple(g.rows[b.index(1)]))
+            continue
         acc = [0] * g.ncols
         for c, row in zip(b, g.rows):
             if c:
@@ -386,19 +412,26 @@ def _scan_rows(field: Field, g: famat.Mat, basis) -> list[tuple]:
 
 def _shared_scan(field: Field, g: famat.Mat, plan: OrbitPlan) -> list[int]:
     """The weight histogram of a one-worker scan whose plan shares its base
-    part: the base part's, made here on first read with the work units,
-    plus the lead units', which `_scan` weighs against its table."""
-    lead, base, k, n = plan.lead, plan.base, g.nrows, g.ncols
+    part: the base part's, made here on first read, plus the lead units',
+    which `_scan` weighs against its table.  The work units and the lead
+    rows' multiples come from the plan's `shared` part, made on first read."""
+    lead, base, shared, k, n = plan.lead, plan.base, plan.shared, g.nrows, g.ncols
     bp = _bit_planes(field.q, n)
+    if shared.lead_units is None:
+        shared.inner, (units,) = _work_units(field.Q, k, table_rows(field, k, n), 1, plan)
+        shared.lead_units = [(head, mult) for head, mult in units if any(head[:lead])]
+        shared.base_units = [(head[lead:], mult) for head, mult in units if not any(head[:lead])]
     if base.counts is None:
-        base.inner, (units,) = _work_units(field.Q, k, table_rows(field, k, n), 1, plan)
-        base.lead_units = [(head, mult) for head, mult in units if any(head[:lead])]
         base.mults = bp.multiples(_scan_rows(field, g, plan.basis[lead:]))
-        base.table = _block_table(bp, base.mults, base.inner)
-        base_units = [(head[lead:], mult) for head, mult in units if not any(head[:lead])]
-        base.counts = _scan((field.q, n, base.mults, base.inner, base_units, base.table))
-    mults = np.concatenate([bp.multiples(_scan_rows(field, g, plan.basis[:lead])), base.mults], axis=2)
-    counts = _scan((field.q, n, mults, base.inner, base.lead_units, base.table))
+        base.table = _block_table(bp, base.mults, shared.inner)
+        base.counts = _scan((field.q, n, base.mults, shared.inner, shared.base_units, base.table))
+    lead_mults = []
+    for row in _scan_rows(field, g, plan.basis[:lead]):
+        if row not in shared.lead_mults:
+            shared.lead_mults[row] = bp.multiples([row])
+        lead_mults.append(shared.lead_mults[row])
+    mults = np.concatenate(lead_mults + [base.mults], axis=2)
+    counts = _scan((field.q, n, mults, shared.inner, shared.lead_units, base.table))
     return [a + b for a, b in zip(base.counts, counts)]
 
 
@@ -432,7 +465,7 @@ def enumerate_code(
     field = g.field
     k, n = g.nrows, g.ncols
     total = field.Q ** k
-    workers = max(1, min(workers, _usable_cpus()))
+    workers = min(workers, _usable_cpus()) if workers > 1 else 1
 
     if k == 0:
         counts = [1] + [0] * n
@@ -472,29 +505,45 @@ def macwilliams(enum: WeightEnumerator, Q: int) -> WeightEnumerator:
     than round.  Q^k B_j is the coefficient of y^j in sum_i A_i u^(n-i) v^i,
     u = 1 + (Q-1)y, v = 1 - y, which Horner's rule evaluates at y = 2^S in
     one integer by shifts and adds.  |Q^k B_j| <= Q^n sum_i |A_i| < 2^(S-1),
-    and a bias 2^(S-1) in each S-bit slot keeps a negative sum negative.
+    so that integer is sum_j c_j 2^(Sj) with every c_j in (-2^(S-1), 2^(S-1)),
+    and no other such sum gives it.  So when it is Q^k e, e >= 0, and each
+    S-bit slot e_j of e has Q^k e_j < 2^(S-1), then c_j = Q^k e_j for every j:
+    the B_j are the slots of e, read as 64-bit words in one struct call while
+    they fit one.  Otherwise, and to name the weight that fails, the slots
+    are read one by one, a bias 2^(S-1) in each keeping a negative one
+    negative.
     """
     n, k = enum.n, enum.k
     scale = Q ** k
-    size = ((Q ** n * sum(map(abs, enum.counts))).bit_length() + 9) // 8  # bytes a slot
+    # bytes a slot, at least the 8 of a 64-bit word
+    size = max(8, ((Q ** n * sum(map(abs, enum.counts))).bit_length() + 9) // 8)
     S = 8 * size
     acc, vpow = 0, 1
     for a in enum.counts:  # acc = acc . u + A_i v^i, vpow = v^i
         acc += (Q - 1) * acc << S
         acc += a * vpow
         vpow -= vpow << S
-    slot_bias = bytes(size - 1) + b"\x80"  # 2^(S-1)
-    acc += int.from_bytes(slot_bias * (n + 1), "little")
-    slots = acc.to_bytes(size * (n + 1), "little")
-    out = []
-    for j in range(n + 1):
-        c = int.from_bytes(slots[j * size : (j + 1) * size], "little") - (1 << (S - 1))
-        b, r = divmod(c, scale)
-        if r or b < 0:
-            raise AssertionError(
-                f"MacWilliams checksum failed at weight {j}: {c}/{scale}"
-            )
-        out.append(b)
+    e, r = divmod(acc, scale)
+    out = None
+    if acc >= 0 and not r and e.bit_length() <= S * (n + 1):
+        # each slot of e as a 64-bit word and the bytes above it
+        words = struct.unpack("<" + f"Q{size - 8}s" * (n + 1), e.to_bytes(size * (n + 1), "little"))
+        low = words[::2]
+        if words[1::2].count(bytes(size - 8)) == n + 1 and max(low) <= ((1 << (S - 1)) - 1) // scale:
+            out = low
+    if out is None:
+        slot_bias = bytes(size - 1) + b"\x80"  # 2^(S-1)
+        acc += int.from_bytes(slot_bias * (n + 1), "little")
+        slots = acc.to_bytes(size * (n + 1), "little")
+        out = []
+        for j in range(n + 1):
+            c = int.from_bytes(slots[j * size : (j + 1) * size], "little") - (1 << (S - 1))
+            b, r = divmod(c, scale)
+            if r or b < 0:
+                raise AssertionError(
+                    f"MacWilliams checksum failed at weight {j}: {c}/{scale}"
+                )
+            out.append(b)
     dual = WeightEnumerator(n, n - k, tuple(out))
     if dual.total() != Q ** (n - k):
         raise AssertionError(f"dual total {dual.total()} != Q^(n-k) = {Q ** (n - k)}")

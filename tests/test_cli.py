@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,50 @@ def test_length_is_checked_before_the_vectors(capsys, tmp_path, command, doc):
     assert rc == 2
     assert json.loads(err)["error"] == {"type": "spec",
                                         "message": f"n must be positive, got {doc['n']}"}
+
+
+LARGE_N = [10 ** 11, 10 ** 6, polyring.MAX_N + 1]
+
+
+def assert_length_refused(rc, err, n, seconds):
+    # exit 2 with the JSON error, in under a second: nothing was padded,
+    # factored or mapped for n
+    assert rc == 2 and seconds < 1.0
+    assert json.loads(err)["error"] == {
+        "type": "spec", "message": f"n must be at most {polyring.MAX_N}, got {n}"}
+
+
+@pytest.mark.parametrize("n", LARGE_N)
+@pytest.mark.parametrize("command", ["verify", "extend"])
+def test_a_spec_past_the_largest_length_is_bad_input(capsys, tmp_path, command, n):
+    spec = write_spec(tmp_path, "large.json", {"q": 2, "n": n, "f": "1", "g": "11"})
+    t0 = time.perf_counter()
+    rc, _, err = run(capsys, command, spec)
+    assert_length_refused(rc, err, n, time.perf_counter() - t0)
+
+
+@pytest.mark.parametrize("n", LARGE_N)
+def test_a_search_config_past_the_largest_length_is_bad_input(capsys, tmp_path, n):
+    cfg = write_spec(tmp_path, "large.json", {"q": 2, "n": n, "max_f_samples": 1})
+    t0 = time.perf_counter()
+    rc, _, err = run(capsys, "search", "--config", cfg)
+    assert_length_refused(rc, err, n, time.perf_counter() - t0)
+
+
+@pytest.mark.parametrize("n", LARGE_N)
+def test_factor_past_the_largest_length_is_bad_input(capsys, n):
+    t0 = time.perf_counter()
+    rc, _, err = run(capsys, "factor", "--q", "2", "--n", str(n))
+    assert_length_refused(rc, err, n, time.perf_counter() - t0)
+
+
+def test_the_largest_length_is_taken(capsys):
+    assert polyring.check_length(polyring.MAX_N) == polyring.MAX_N
+    # the largest odd n, as GF(4) needs: x^n - 1 is factored
+    rc, out, _ = run(capsys, "factor", "--q", "2", "--n", str(polyring.MAX_N - 1))
+    assert rc == 0 and out.startswith(f"x^{polyring.MAX_N - 1} - 1 over GF(4)")
+    rc, _, err = run(capsys, "factor", "--q", "2", "--n", "0")
+    assert rc == 2 and json.loads(err)["error"]["message"] == "n must be positive, got 0"
 
 
 @pytest.mark.parametrize("g", ["0", "", [0, 0]])

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from qcqec import cli, pipeline, polyring, qcc, refdata, wdist
+from qcqec import cli, explorer, pipeline, polyring, qcc, refdata, wdist
 from qcqec.errors import PreconditionError
 from qcqec.gf import field_make
 
@@ -182,6 +182,41 @@ def test_pipeline_extensions_share_one_base_part_per_column_count(scans):
     assert counts == [2, 1, 2, 1]
     alone = pipeline.Evaluation(GF4, spec.n, spec.f, spec.g, xs[0])
     assert alone.shared_plans is None and alone.enum == base.extended(xs[0]).enum
+
+
+# (field, n, index of g among the proper qecc generators, whether the
+# levels are taken): k = 3, 4, 6 over GF(4), 2 over GF(9)
+POOLED = [
+    (GF4, 7, 0, True), (GF4, 15, 8, True), (GF9, 5, 0, True), (GF4, 15, 0, False),
+]
+
+
+@pytest.mark.parametrize("field,n,gi,levels", POOLED)
+def test_bases_of_one_generator_extended_by_one_pool(field, n, gi, levels, monkeypatch):
+    # the search's flow: the bases of one generator (one per f), each
+    # extended by the same pool of x1, and by (x1, x2) with x2 read off its
+    # own right block; every enumerator is the plain scan's
+    if levels:
+        monkeypatch.setattr(wdist, "_ONE_STEP_BYTES", 0)
+        monkeypatch.setattr(wdist, "_KEY_S", 0.0)
+    qcc.generator.cache_clear()
+    g = [g for g in explorer._generators(field, n, True) if 0 < polyring.deg(g) < n][gi]
+    rng = random.Random(n)
+    pool = explorer._x1_pool(field, qcc.build(field, n, (0,) * n, g), rng, 3)
+    assert len(pool) == 3
+    gens = set()
+    for f in explorer._sample_fs(field, n, rng, None, 3):
+        base = pipeline.Evaluation(field, n, f, g)
+        gens.add(id(base.code.gen))
+        x2 = qcc.find_extension_vector(base.code, 2)
+        for xs in [(x1,) for x1 in pool] + [(pool[0], x2), (pool[-1], x2)]:
+            ev = base.extended(xs)
+            assert ev.enum == wdist.enumerate_code(ev.ext.G), (f, xs)
+            if field.Q ** ev.dimension <= 4 ** 6:
+                assert ev.enum == oracles.enumerate_code_naive(ev.ext.G), (f, xs)
+        assert bool(base.shared_plans[1].levels) == bool(base.shared_plans[2].levels) == levels
+    assert len(gens) == 1
+    qcc.generator.cache_clear()
 
 
 @pytest.mark.parametrize("field,n,j", [(GF4, 6, 2), (GF4, 12, 6), (GF9, 6, 2), (GF9, 3, 1)])

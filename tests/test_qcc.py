@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from qcqec import famat, pipeline, polyring, qcc, quantum, refdata, wdist
+from qcqec import explorer, famat, pipeline, polyring, qcc, quantum, refdata, wdist
 from qcqec.errors import PreconditionError, SpecError
 from qcqec.gf import field_make
 
@@ -248,6 +248,31 @@ def test_extension_vector_not_in_dual():
     with pytest.raises(PreconditionError) as e:
         qcc.extend_one(code, bad)
     assert e.value.code == "not-in-dual"
+
+
+def test_membership_is_checked_on_every_code_of_a_generator():
+    # once a pool vector is accepted on one code of g, a vector outside the
+    # dual of <g> still raises on the next code of g, and a vector accepted
+    # on g is checked again on another generator
+    n, g, bad = 15, G15, (1,) + (0,) * 14
+    others = [h for h in explorer._generators(GF4, n, False) if 0 < polyring.deg(h) < n]
+    for f in (F15, (1, 1), (0, 3, 1)):
+        code = qcc.build(GF4, n, f, g)
+        assert qcc.extend_one(code, X15).rule == qcc.RULE_ORTHOGONAL
+        with pytest.raises(PreconditionError) as e:
+            qcc.extend_one(code, bad)
+        assert e.value.code == "not-in-dual"
+    outside = [h for h in others if any(polyring.ring_mul(
+        GF4, n, X15, polyring.conj_rev(GF4, n, h)))]
+    assert outside
+    for h in outside[:2] + [g]:
+        code = qcc.build(GF4, n, F15, h)
+        if h == g:
+            assert qcc.extend_one(code, X15).rule == qcc.RULE_ORTHOGONAL
+            continue
+        with pytest.raises(PreconditionError) as e:
+            qcc.extend_one(code, X15)
+        assert e.value.code == "not-in-dual"
 
 
 def test_extension_wrong_field_size():

@@ -387,6 +387,43 @@ except AssertionError as exc:
     assert done.stdout.startswith("caught: enumerator total 16385 != Q^k = 16384")
 
 
+def test_corrupt_histogram_is_caught_on_a_second_base_of_its_generator_under_optimize():
+    # a second base of the same generator reads the plan, its work units and
+    # the lead rows' multiples that the first base made; its extensions'
+    # totals are still checked
+    program = """
+from qcqec import pipeline, qcc, refdata, wdist
+from qcqec.gf import field_make
+
+assert False, "assert statements are live"
+spec = refdata.find_reference("q2-n15-extend-one")
+first = pipeline.Evaluation(field_make(2), spec.n, spec.f, spec.g)
+x1 = qcc.find_extension_vector(first.code, 1)
+for xs in ((spec.x1,), (x1,)):
+    first.extended(xs).enum
+second = pipeline.Evaluation(field_make(2), spec.n, (1, 1), spec.g)
+second.extended((spec.x1,)).enum  # makes its base part, uncorrupted
+scan = wdist._scan
+
+def corrupt(job):
+    counts = scan(job)
+    counts[1] += 1
+    return counts
+
+wdist._scan = corrupt
+try:
+    second.extended((x1,)).enum
+except AssertionError as exc:
+    print("caught:", exc)
+"""
+    src_dir = str(Path(wdist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    done = subprocess.run([sys.executable, "-O", "-c", program], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("caught: enumerator total 16385 != Q^k = 16384")
+
+
 def test_enumerator_counts_are_python_ints():
     enum = wdist.enumerate_code(oracles.identity(GF4, 2))
     assert all(type(c) is int for c in enum.counts)
@@ -445,6 +482,38 @@ def test_macwilliams_rejects_distributions_without_a_code(counts, weight):
     enum = wdist.WeightEnumerator(3, 2, counts)
     with pytest.raises(AssertionError, match=f"checksum failed at weight {weight}:"):
         wdist.macwilliams(enum, 4)
+
+
+@pytest.mark.parametrize("Q", [4, 9])
+def test_macwilliams_returns_exactly_when_every_sum_is_a_count(Q):
+    # random distributions, most of them no code's, some with counts past
+    # 64 bits or negative: the transform returns exactly when every
+    # Krawtchouk sum is a nonnegative multiple of Q^k and the quotients
+    # total Q^(n-k), and then returns those quotients
+    rng = random.Random(Q)
+    returned = refused = 0
+    for _ in range(3000):
+        n = rng.randrange(1, 7)
+        k = rng.randrange(0, 3)
+        top = rng.choice([3, 2 ** 70])
+        counts = (1,) + tuple(rng.randrange(-1, top) for _ in range(n))
+        sums = oracles.krawtchouk_sums(counts, Q)
+        quotients = [c // Q ** k for c in sums]
+        if (all(c % Q ** k == 0 and c >= 0 for c in sums)
+                and sum(quotients) == Q ** (n - k)):
+            returned += 1
+            assert wdist.macwilliams(wdist.WeightEnumerator(n, k, counts), Q).counts == tuple(quotients)
+        else:
+            refused += 1
+            with pytest.raises(AssertionError):
+                wdist.macwilliams(wdist.WeightEnumerator(n, k, counts), Q)
+    # real codes, both sides of a 64-bit dual count
+    for field, k, n in [(GF4 if Q == 4 else GF9, 2, 9), (GF4 if Q == 4 else GF9, 1, 40)]:
+        enum = wdist.enumerate_code(rand_full_rank(rng, field, k, n))
+        want = [c // Q ** k for c in oracles.krawtchouk_sums(enum.counts, Q)]
+        assert list(wdist.macwilliams(enum, Q).counts) == want
+        returned += 1
+    assert returned > 2 and refused > 2000
 
 
 @pytest.mark.parametrize("field", [GF4, GF9])
