@@ -506,12 +506,10 @@ def macwilliams(enum: WeightEnumerator, Q: int) -> WeightEnumerator:
     u = 1 + (Q-1)y, v = 1 - y, which Horner's rule evaluates at y = 2^S in
     one integer by shifts and adds.  |Q^k B_j| <= Q^n sum_i |A_i| < 2^(S-1),
     so that integer is sum_j c_j 2^(Sj) with every c_j in (-2^(S-1), 2^(S-1)),
-    and no other such sum gives it.  So when it is Q^k e, e >= 0, and each
-    S-bit slot e_j of e has Q^k e_j < 2^(S-1), then c_j = Q^k e_j for every j:
-    the B_j are the slots of e, read as 64-bit words in one struct call while
-    they fit one.  Otherwise, and to name the weight that fails, the slots
-    are read one by one, a bias 2^(S-1) in each keeping a negative one
-    negative.
+    and the B_j are read off its S-bit slots: in one struct call while every
+    B_j <= Q^(n-k) fits a 64-bit word (`_quotient_words`), and otherwise,
+    or to name the weight that fails, one by one, a bias 2^(S-1) in each
+    slot keeping a negative one negative.
     """
     n, k = enum.n, enum.k
     scale = Q ** k
@@ -521,16 +519,10 @@ def macwilliams(enum: WeightEnumerator, Q: int) -> WeightEnumerator:
     acc, vpow = 0, 1
     for a in enum.counts:  # acc = acc . u + A_i v^i, vpow = v^i
         acc += (Q - 1) * acc << S
-        acc += a * vpow
+        if a:
+            acc += a * vpow
         vpow -= vpow << S
-    e, r = divmod(acc, scale)
-    out = None
-    if acc >= 0 and not r and e.bit_length() <= S * (n + 1):
-        # each slot of e as a 64-bit word and the bytes above it
-        words = struct.unpack("<" + f"Q{size - 8}s" * (n + 1), e.to_bytes(size * (n + 1), "little"))
-        low = words[::2]
-        if words[1::2].count(bytes(size - 8)) == n + 1 and max(low) <= ((1 << (S - 1)) - 1) // scale:
-            out = low
+    out = _quotient_words(acc, scale, size, n + 1) if 0 <= n - k and Q ** (n - k) < 1 << 64 else None
     if out is None:
         slot_bias = bytes(size - 1) + b"\x80"  # 2^(S-1)
         acc += int.from_bytes(slot_bias * (n + 1), "little")
@@ -548,6 +540,26 @@ def macwilliams(enum: WeightEnumerator, Q: int) -> WeightEnumerator:
     if dual.total() != Q ** (n - k):
         raise AssertionError(f"dual total {dual.total()} != Q^(n-k) = {Q ** (n - k)}")
     return dual
+
+
+def _quotient_words(acc: int, scale: int, size: int, slots: int) -> tuple | None:
+    """The `slots` slots of acc / scale, each of 8 size bits, read as 64-bit
+    words in one struct call; None unless acc = scale e, e >= 0, and every
+    slot e_j of e fits 64 bits with scale e_j < 2^(S-1), S = 8 size.
+
+    acc is sum_j c_j 2^(Sj) with every c_j in (-2^(S-1), 2^(S-1)), and no
+    other such sum gives it (`macwilliams`).  Under those conditions
+    sum_j (scale e_j) 2^(Sj) is one, so c_j = scale e_j for every j."""
+    S = 8 * size
+    e, r = divmod(acc, scale)
+    if acc < 0 or r or e.bit_length() > S * slots:
+        return None
+    # each slot of e as a 64-bit word and the bytes above it
+    words = struct.unpack("<" + f"Q{size - 8}s" * slots, e.to_bytes(size * slots, "little"))
+    low = words[::2]
+    if words[1::2].count(bytes(size - 8)) != slots or max(low) > ((1 << (S - 1)) - 1) // scale:
+        return None
+    return low
 
 
 def impure_distance(
