@@ -289,6 +289,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_gv(args) -> int:
+    polyring.check_length(args.n)  # the bound's integers grow with n
     v = quantum.gv_verdict(args.q, args.n, args.k, args.d)
     doc = {"schema": SCHEMA, "q": args.q, "n": args.n, "k": args.k,
            "d": args.d, "gv": _gv_doc(v)}

@@ -37,19 +37,38 @@ A candidate pays only for what f and x1 change.
 
 A record line carries the inputs in compact notation plus the computed
 parameters, so re-running the pipeline on (q, n, f, g) reproduces it
-exactly; the sha256 content hash covers everything except the timestamp,
-and a record read back whose content does not match its hash is refused.
+exactly, and the fingerprint of the search config that wrote it
+(`SearchConfig.fingerprint`).  The sha256 content hash covers everything
+except the timestamp.  A record's values are rendered to JSON text once,
+and that rendering gives both its line and the text its hash covers: the
+payload as json.dumps(sort_keys=True) writes it (`CodeRecord.sealed_line`).
+A record read back is checked against the same text, so one whose fields
+are missing, unknown or of the wrong type, or whose content does not match
+its hash, is refused.
+
+A resume reads the file once.  Its records fill the set of (f, g) already
+evaluated and the best record per (q, n, k); a record written under
+another config stops the search.  A generator that holds max_f_samples
+records of this config is finished: the walk skips it without making its
+random stream, its x1 pool or its f.  Every other generator is walked as
+in a fresh search, and the f already recorded are skipped.  Records
+without a fingerprint, written before records had one, fill the set and
+the best records but never finish a generator.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,15 +116,27 @@ class SearchConfig:
             # f would have no coefficient to draw, and 0 is never a unit
             raise SpecError("max_f_degree must be >= 0")
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """16 hex digits of the sha256 of the fields that decide the records
+        a search writes (FINGERPRINT_FIELDS), as sorted JSON.  max_f_samples
+        is not among them: a resume may draw more f per generator."""
+        fields = {name: getattr(self, name) for name in FINGERPRINT_FIELDS}
+        return _digest(_HASH_JSON.encode(fields))[:16]
 
-# a record's line and the text its hash covers; one encoder each, as
-# json.dumps with options makes a new one per call
-_LINE_JSON = json.JSONEncoder(separators=(",", ":"))
+
+FINGERPRINT_FIELDS = ("q", "n", "mode", "rng_seed", "max_f_degree", "x1_samples",
+                      "enum_budget")
+
+# the text a record's hash covers is the payload as this encoder writes it
 _HASH_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class CodeRecord:
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class CodeRecord(NamedTuple):
     q: int
     n: int
     f: str
@@ -115,54 +146,116 @@ class CodeRecord:
     d_dual: int | None
     qecc: tuple | None
     eaqecc: tuple | None
-    flags: dict = dataclass_field(default_factory=dict)
+    flags: dict
     seed: int = 0
+    config: str | None = None  # None: written before records had a fingerprint
     hash: str = ""
 
     def payload(self) -> dict:
         """Hash-covered content, in the fixed JSONL field order."""
-        return {
+        doc = {
             "q": self.q, "n": self.n, "f": self.f, "g": self.g,
             "k": self.k, "d": self.d, "d_dual": self.d_dual,
             "qecc": list(self.qecc) if self.qecc else None,
             "eaqecc": list(self.eaqecc) if self.eaqecc else None,
             "flags": self.flags, "seed": self.seed,
         }
+        if self.config is not None:
+            doc["config"] = self.config
+        return doc
 
-    def sealed(self) -> "CodeRecord":
-        return CodeRecord(**{**self.__dict__, "hash": content_hash(self.payload())})
-
-    def to_line(self) -> str:
-        doc = self.payload()
-        doc["hash"] = self.hash
-        doc["ts"] = int(time.time())
-        return _LINE_JSON.encode(doc)
+    def sealed_line(self) -> tuple:
+        """(the record with its hash, its JSONL line with a timestamp and
+        the newline)."""
+        body, text = _texts(self)
+        # not _replace: its copy goes through a tuple built by resizing,
+        # which CPython then keeps in its free list for 13-tuples, up to
+        # 2000 of them (256 KiB) over a search
+        rec = CodeRecord(*self[:-1], _digest(text))
+        return rec, '%s,"hash":"%s","ts":%d}\n' % (body, rec.hash, time.time())
 
     @property
     def skipped(self) -> bool:
         return "skipped" in self.flags
 
 
-def content_hash(payload: dict) -> str:
-    blob = _HASH_JSON.encode(payload)
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _json(value) -> str:
+    """value's JSON text, as _HASH_JSON writes it inside a payload."""
+    if type(value) is str:
+        return _json_str(value)
+    if value is None or type(value) is bool:  # the flags' usual values
+        return "null" if value is None else "true" if value else "false"
+    return _HASH_JSON.encode(value)
 
 
-def record_from_doc(doc: dict) -> CodeRecord:
-    """The record a JSONL line holds, once its content matches its hash."""
+# a record's line up to its config, and the text its hash covers after the
+# config: the same fields, in sorted order
+_LINE = ('{"q":%d,"n":%d,"f":%s,"g":%s,"k":%d,"d":%s,"d_dual":%s,"qecc":%s,'
+         '"eaqecc":%s,"flags":{%s},"seed":%d')
+_SORTED = ('"d":%s,"d_dual":%s,"eaqecc":%s,"f":%s,"flags":{%s},"g":%s,"k":%d,'
+           '"n":%d,"q":%d,"qecc":%s,"seed":%d}')
+
+
+def _texts(rec: CodeRecord) -> tuple:
+    """rec's line up to its hash, and the text its hash covers: the payload
+    in field order, and the same payload with every key sorted, as _HASH_JSON
+    writes it.  Each value is rendered once, for both.  Exact for the field
+    types record_from_doc admits."""
+    q, n, f, g, k, d, d_dual, qecc, eaqecc, flags, seed, config, _ = rec
+    flags = [(key, _json_str(key) + ":" + _json(value)) for key, value in flags.items()]
+    line_flags = ",".join([text for _, text in flags])
+    flags.sort()
+    f, g = _json_str(f), _json_str(g)
+    d = "null" if d is None else "%d" % d
+    d_dual = "null" if d_dual is None else "%d" % d_dual
+    qecc = "[%d,%d,%d]" % qecc if qecc else "null"
+    eaqecc = "[%d,%d,%d,%d]" % eaqecc if eaqecc else "null"
+    line = _LINE % (q, n, f, g, k, d, d_dual, qecc, eaqecc, line_flags, seed)
+    text = _SORTED % (d, d_dual, eaqecc, f, ",".join([text for _, text in flags]), g, k, n,
+                      q, qecc, seed)
+    if config is None:
+        return line, "{" + text
+    config = _json_str(config)
+    return line + ',"config":' + config, '{"config":' + config + "," + text
+
+
+def record_from_doc(doc) -> CodeRecord:
+    """The record a JSONL line holds, once every field it must have is there
+    with its type, it has no other, and its content matches its hash."""
+    if type(doc) is not dict:
+        raise SpecError("a record must be a JSON object")
     try:
-        rec = CodeRecord(
-            q=doc["q"], n=doc["n"], f=doc["f"], g=doc["g"], k=doc["k"],
-            d=doc["d"], d_dual=doc["d_dual"],
-            qecc=tuple(doc["qecc"]) if doc["qecc"] else None,
-            eaqecc=tuple(doc["eaqecc"]) if doc["eaqecc"] else None,
-            flags=doc["flags"], seed=doc["seed"], hash=doc["hash"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise SpecError(f"bad record field: {exc}") from exc
-    if content_hash(rec.payload()) != rec.hash:
+        rec = CodeRecord(doc["q"], doc["n"], doc["f"], doc["g"], doc["k"], doc["d"],
+                         doc["d_dual"], _as_tuple(doc["qecc"]), _as_tuple(doc["eaqecc"]),
+                         doc["flags"], doc["seed"], doc.get("config"), doc["hash"])
+    except KeyError as exc:
+        raise SpecError(f"record has no field {exc}") from None
+    if len(doc) > 12 + ("config" in doc) + ("ts" in doc):
+        unknown = sorted(doc.keys() - _RECORD_KEYS)
+        raise SpecError(f"unknown record field {unknown[0]!r}")
+    for name, value, kinds in zip(CodeRecord._fields, rec, _FIELD_TYPES):
+        if type(value) not in kinds:
+            if name == "config" and "config" not in doc:
+                continue
+            raise SpecError(f"bad record field {name!r}: a {type(value).__name__}")
+    for name, size in (("qecc", 3), ("eaqecc", 4)):
+        params = getattr(rec, name)
+        if params is not None and (len(params) != size or any(type(v) is not int for v in params)):
+            raise SpecError(f"bad record field {name!r}: not null or {size} integers")
+    if _digest(_texts(rec)[1]) != rec.hash:
         raise SpecError(f"record content does not match its hash {rec.hash!r}")
     return rec
+
+
+def _as_tuple(params):
+    return tuple(params) if type(params) is list else params
+
+
+# what a record's fields may hold, in field order: qecc and eaqecc are read
+# from lists; a record without a config was written before records had one
+_FIELD_TYPES = ({int}, {int}, {str}, {str}, {int}, {int, type(None)}, {int, type(None)},
+                {tuple, type(None)}, {tuple, type(None)}, {dict}, {int}, {str}, {str})
+_RECORD_KEYS = frozenset(CodeRecord._fields) | {"ts"}
 
 
 def _generators(field: Field, n: int, self_orthogonal: bool) -> list:
@@ -278,6 +371,12 @@ def _x1_pool(field: Field, code: qcc.QcCode, rng: random.Random, want: int):
     The lexicographically first vector is always included; the rest are
     rejection-sampled from the block dual.  Returns the skip reason
     "no-extension-vector" instead when the block dual has none.
+
+    The draws stop at want vectors or 200 want draws, or once the pool holds
+    every qualifying word of the block dual: after as many draws as it has
+    words, they are counted once (_qualifying_words).  Only a pool that holds
+    them all stops early, so the stream the f sampler reads next is the same
+    for every pool that ends short of that.
     """
     try:
         first = qcc.find_extension_vector(code, 1)
@@ -285,8 +384,12 @@ def _x1_pool(field: Field, code: qcc.QcCode, rng: random.Random, want: int):
         return "no-extension-vector"
     pool, have = [first], {first}
     dual, dim = qcc.block_dual(code, 1)
-    tries = 0
-    while len(pool) < want and tries < 200 * want:
+    tries, words, qualifying = 0, field.Q ** dim, None
+    while len(pool) < want and tries < 200 * want and len(pool) != qualifying:
+        if tries == words:
+            qualifying = _qualifying_words(field, code.n, dual, dim)
+            words = None
+            continue
         tries += 1
         msg = _draw_digits(rng, field.Q, dim)
         if not any(msg):
@@ -297,6 +400,14 @@ def _x1_pool(field: Field, code: qcc.QcCode, rng: random.Random, want: int):
         have.add(x)
         pool.append(x)
     return pool
+
+
+def _qualifying_words(field: Field, n: int, dual, dim: int) -> int:
+    """The number of nonzero words m dual, deg m < dim, of the block dual
+    with column_gram(x, 1) = 0: every vector _x1_pool can hold."""
+    return sum(1 for msg in itertools.product(range(field.Q), repeat=dim)
+               if any(msg) and not qcc.column_gram(
+                   field, polyring.ring_mul(field, n, msg, dual), 1))
 
 
 def _evaluate(field: Field, config: SearchConfig, f, g, fc, gc, x1s) -> CodeRecord:
@@ -311,7 +422,7 @@ def _evaluate(field: Field, config: SearchConfig, f, g, fc, gc, x1s) -> CodeReco
     def skip(reason):
         return CodeRecord(config.q, config.n, fc, gc, gen.k, None, None,
                           None, None, {**flags, "skipped": reason},
-                          config.rng_seed)
+                          config.rng_seed, config.fingerprint)
 
     if config.mode == "eaqecc" and not forms.one_not_eigenvalue:
         flags["certificate_ok"] = False
@@ -332,7 +443,7 @@ def _evaluate(field: Field, config: SearchConfig, f, g, fc, gc, x1s) -> CodeReco
         flags["x1"] = polyring.render_compact(field, best.xs[0])
         return CodeRecord(config.q, config.n, fc, gc, best.dimension, best.distance,
                           best.dual_distance, (params.n, params.k, params.d), None,
-                          flags, config.rng_seed)
+                          flags, config.rng_seed, config.fingerprint)
 
     flags["certificate_ok"] = base.certificate.satisfied
     if base.skipped:
@@ -342,7 +453,8 @@ def _evaluate(field: Field, config: SearchConfig, f, g, fc, gc, x1s) -> CodeReco
         return skip("zero-code")
     p = base.eaqecc.primal
     return CodeRecord(config.q, config.n, fc, gc, gen.k, d, base.dual_distance,
-                      None, (p.n, p.k, p.d, p.c), flags, config.rng_seed)
+                      None, (p.n, p.k, p.d, p.c), flags, config.rng_seed,
+                      config.fingerprint)
 
 
 def _open_records(path, mode):
@@ -352,9 +464,10 @@ def _open_records(path, mode):
         raise SpecError(f"cannot open records file {path}: {exc.strerror or exc}") from exc
 
 
-def read_records(path, resume=False):
-    """Yield the records of a records file in file order, each checked
-    against its hash.
+def read_records(path, resume=False, config=None):
+    """Yield the records of a records file in file order, one line at a
+    time, each checked against its hash; with a config fingerprint, a
+    record written under another config is an error naming its line.
 
     Every record is written together with its newline, so a final line
     without one is what an interrupted write left behind.  It is not read,
@@ -378,8 +491,15 @@ def read_records(path, resume=False):
                 continue
             try:
                 rec = record_from_doc(json.loads(line))
-            except (json.JSONDecodeError, UnicodeDecodeError, SpecError) as exc:
+            except (ValueError, RecursionError, SpecError) as exc:
+                # ValueError: not JSON, not UTF-8, or an integer past
+                # Python's digit limit
                 raise SpecError(f"{path}:{lineno}: {exc}") from exc
+            if config is not None and rec.config not in (None, config):
+                raise SpecError(
+                    f"{path}:{lineno}: record written under another search config "
+                    f"(fingerprint {rec.config}, this search {config}); resume with "
+                    f"the config that wrote it, or write to another output_path")
             yield rec
     if torn is not None:
         action = "cutting it off and resuming" if resume else "not reading it"
@@ -426,17 +546,25 @@ def search(config: SearchConfig, best: dict | None = None):
     if best is None:
         best = {}
 
-    seen, sink = set(), None
+    seen, finished, sink = set(), set(), None
     if config.output_path:
-        for rec in read_records(config.output_path, resume=True):
-            seen.add((rec.f, rec.g))
+        recorded = Counter()  # distinct f per g, in records of this config
+        for rec in read_records(config.output_path, resume=True, config=config.fingerprint):
+            if (rec.f, rec.g) not in seen:
+                seen.add((rec.f, rec.g))
+                recorded[rec.g] += rec.config is not None
             keep_best(best, rec)
+        finished = {gc for gc, count in recorded.items() if count >= config.max_f_samples}
         sink = _open_records(config.output_path, "ab")
     try:
         for gi, g in enumerate(gs):
-            rng = random.Random(config.rng_seed * 0x9E3779B1 + gi)
             gc = polyring.render_compact(field, g)
-            x1s = None
+            if gc in finished:
+                continue  # its first max_f_samples f are all recorded
+            rng = random.Random(config.rng_seed * 0x9E3779B1 + gi)
+            # the f of this generator evaluated so far: no other generator
+            # makes a record of this g, so seen holds only the file's
+            x1s, drawn = None, set()
             if config.mode == "qecc":
                 # qualifying extension vectors depend only on the left
                 # block, i.e. only on g, so resolve the pool once per g
@@ -445,17 +573,16 @@ def search(config: SearchConfig, best: dict | None = None):
             for f in _sample_fs(field, config.n, rng, config.max_f_degree,
                                 config.max_f_samples):
                 fc = polyring.render_compact(field, f)
-                if (fc, gc) in seen:
+                if (fc, gc) in seen or fc in drawn:
                     continue
-                seen.add((fc, gc))
+                drawn.add(fc)
                 rec = _evaluate(field, config, f, g, fc, gc, x1s)
                 # decided before sealing: the hash covers the flags
                 if _beats(best, rec):
-                    rec = CodeRecord(**{**rec.__dict__,
-                                        "flags": {**rec.flags, "frontier": True}})
-                rec = rec.sealed()
+                    rec = rec._replace(flags={**rec.flags, "frontier": True})
+                rec, line = rec.sealed_line()
                 if sink:
-                    sink.write((rec.to_line() + "\n").encode())
+                    sink.write(line.encode())
                     sink.flush()
                 keep_best(best, rec)
                 if rec.flags.get("frontier"):

@@ -5,7 +5,9 @@ characteristic polynomial by a Hessenberg reduction, the reference for
 GF(q^2)[x]/(x^n - 1) or, for the full-rank check of a generator matrix,
 by the weight-0 count of its enumeration; and the
 enumeration by message products and the Krawtchouk columns, which the
-bit-sliced scan and MacWilliams by Horner's rule are checked against.
+bit-sliced scan and MacWilliams by Horner's rule are checked against; and
+the json-based check of a search record, which `explorer.read_records`'
+one-pass record text is checked against.
 
 The tests hold `qcc` and `quantum` against these: every matrix below is
 built from f, g and the extension vectors directly, never read off a
@@ -13,7 +15,9 @@ built from f, g and the extension vectors directly, never read off a
 pytest puts tests/ on sys.path, so test modules import this as `oracles`.
 """
 
+import hashlib
 import itertools
+import json
 from math import comb
 
 from qcqec import famat, polyring, qcc, quantum, wdist
@@ -557,3 +561,58 @@ def check_extension(code, xs, alphas):
     if ext.gram_rank != gram_rank:
         raise AssertionError("extended Gram rank differs from the matrix route")
     return ext
+
+
+# --- search records ----------------------------------------------------------------
+
+
+def content_hash(payload: dict) -> str:
+    """sha256 of the payload as sorted, space-free JSON: a record's hash."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# the types of a record's fields; config is optional, and ts is not checked
+RECORD_FIELDS = {
+    "q": (int,), "n": (int,), "f": (str,), "g": (str,), "k": (int,),
+    "d": (int, type(None)), "d_dual": (int, type(None)),
+    "qecc": (list, type(None)), "eaqecc": (list, type(None)),
+    "flags": (dict,), "seed": (int,), "config": (str,), "hash": (str,),
+}
+
+
+def record_line_ok(line: bytes) -> bool:
+    """Whether a records line holds a record the search may read back: a
+    JSON object with every field of RECORD_FIELDS but config, each of its
+    type (a bool is not an int), qecc and eaqecc null or lists of 3 and 4
+    integers, no other field but ts, and a hash that is content_hash of
+    every field but hash and ts."""
+    try:
+        doc = json.loads(line)
+    except (ValueError, RecursionError):
+        return False
+    if not isinstance(doc, dict):
+        return False
+    keys = set(doc) - {"ts"}
+    if not set(RECORD_FIELDS) - {"config"} <= keys <= set(RECORD_FIELDS):
+        return False
+    if any(type(doc[key]) not in RECORD_FIELDS[key] for key in keys):
+        return False
+    for key, size in (("qecc", 3), ("eaqecc", 4)):
+        if doc[key] is not None and (len(doc[key]) != size
+                                     or any(type(v) is not int for v in doc[key])):
+            return False
+    return content_hash({key: doc[key] for key in keys - {"hash"}}) == doc["hash"]
+
+
+def without_config(text: str) -> str:
+    """A records file's text as written before records had a config: each
+    line without its config, and hashed again."""
+    lines = []
+    for line in text.splitlines():
+        doc = json.loads(line)
+        doc.pop("config")
+        doc["hash"] = content_hash({key: value for key, value in doc.items()
+                                    if key not in ("hash", "ts")})
+        lines.append(json.dumps(doc, separators=(",", ":")) + "\n")
+    return "".join(lines)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from qcqec import cli, explorer, pipeline, polyring, qcc, refdata, wdist
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -553,9 +554,76 @@ def test_search_summary_is_the_report_of_the_file(capsys, tmp_path):
     assert _search_summary(capsys, qecc) == explorer.report(str(records)) == fresh
     assert len(records.read_text().splitlines()) == len(text.splitlines())
 
-    both = _search_summary(capsys, eaqecc)  # a second config, same file
+    # a second config on the same file stops at its first record
+    text = records.read_text()
+    rc, _, err = run(capsys, "search", "--config", eaqecc)
+    assert rc == 2 and records.read_text() == text
+    assert "records.jsonl:1: record written under another search config" in (
+        json.loads(err)["error"]["message"])
+    # records written before records had a config do not stop it
+    records.write_text(oracles.without_config(text))
+    both = _search_summary(capsys, eaqecc)
     assert "[[14," in both and "[[15,7,3]]_2" in both
     assert both == explorer.report(str(records))
+
+
+# each field of the fingerprint, and a value other than the default config's
+FINGERPRINT_CHANGES = {
+    "q": 3, "n": 5, "mode": "eaqecc", "rng_seed": 1, "max_f_degree": 3,
+    "x1_samples": 4, "enum_budget": 4096,
+}
+
+
+def test_fingerprint_changes_cover_every_field():
+    assert sorted(FINGERPRINT_CHANGES) == sorted(explorer.FINGERPRINT_FIELDS)
+
+
+@pytest.mark.parametrize("key", sorted(FINGERPRINT_CHANGES))
+def test_a_resume_under_another_config_is_bad_input(capsys, tmp_path, key):
+    # a records file holds the records of one config: a resume that
+    # changes any field of the fingerprint exits 2, names the first line
+    # and leaves the file as it was
+    records = tmp_path / "records.jsonl"
+    doc = {"q": 2, "n": 7, "max_f_samples": 1, "output_path": str(records)}
+    assert run(capsys, "search", "--config", write_spec(tmp_path, "a.json", doc))[0] == 0
+    text = records.read_text()
+    changed = write_spec(tmp_path, "b.json", dict(doc, **{key: FINGERPRINT_CHANGES[key]}))
+    rc, out, err = run(capsys, "search", "--config", changed)
+    assert rc == 2 and "frontier" not in out
+    error = json.loads(err)["error"]
+    assert error["type"] == "spec"
+    assert error["message"].startswith(
+        f"{records}:1: record written under another search config")
+    assert records.read_text() == text
+
+
+def test_a_resume_under_another_seed_flag_is_bad_input(capsys, tmp_path):
+    records = tmp_path / "records.jsonl"
+    cfg = write_spec(tmp_path, "a.json", {"q": 2, "n": 7, "max_f_samples": 1,
+                                          "output_path": str(records)})
+    assert run(capsys, "search", "--config", cfg)[0] == 0
+    rc, out, _ = run(capsys, "search", "--config", cfg)
+    assert rc == 0 and "0 frontier records" in out.splitlines()
+    assert run(capsys, "search", "--config", cfg, "--seed", "1")[0] == 2
+    assert run(capsys, "search", "--config", cfg, "--budget", "4096")[0] == 2
+
+
+def test_a_pool_past_the_block_dual_ends(capsys, tmp_path):
+    # the block duals at n = 7 have at most 4^4 words: the pool stops once
+    # it holds every qualifying one, instead of drawing 200 x1_samples times
+    cfg = write_spec(tmp_path, "search.json",
+                     {"q": 2, "n": 7, "x1_samples": 1000000, "max_f_samples": 1})
+    t0 = time.perf_counter()
+    rc, out, _ = run(capsys, "search", "--config", cfg)
+    assert rc == 0 and time.perf_counter() - t0 < 5
+    assert "1 frontier records" in out.splitlines()
+
+
+def test_gv_past_the_largest_length_is_bad_input(capsys):
+    # the bound's integers grow with n: n is checked before they are formed
+    t0 = time.perf_counter()
+    rc, _, err = run(capsys, "gv", "--q", "2", "--n", "1000000000", "--k", "10", "--d", "5")
+    assert_length_refused(rc, err, 1000000000, time.perf_counter() - t0)
 
 
 def test_search_rejects_bad_config(capsys, tmp_path):

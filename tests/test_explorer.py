@@ -10,6 +10,7 @@ budgets; determinism is exercised by comparing two full runs byte for byte
 import functools
 import gc
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -182,14 +183,19 @@ def test_search_determinism(tmp_path):
 
 
 def test_frontier_is_kept_per_field(tmp_path):
-    # records of another field in the same file leave the frontier alone
+    # records of another field in the best records leave the frontier
+    # alone; a records file holds the records of one config, so the GF(9)
+    # search hands its best records to the GF(4) one
     _, fresh = _run(tmp_path, "fresh.jsonl", q=2, n=7, mode="eaqecc", max_f_samples=4)
     assert len(fresh) == 3 and all(r.flags["frontier"] for r in fresh)
-    _, other = _run(tmp_path, "mixed.jsonl", q=3, n=7, mode="eaqecc", max_f_samples=1)
+    best = {}
+    other = list(explorer.search(explorer.SearchConfig(
+        q=3, n=7, mode="eaqecc", max_f_samples=1, output_path=str(tmp_path / "gf9.jsonl")), best))
     # a GF(9) record beats each of those at the same (n, k)
     top = max((r.d_dual, r.d) for r in other if r.k == 6)
     assert all(r.k == 6 and (r.d_dual, r.d) < top for r in fresh)
-    _, mixed = _run(tmp_path, "mixed.jsonl", q=2, n=7, mode="eaqecc", max_f_samples=4)
+    mixed = list(explorer.search(explorer.SearchConfig(
+        q=2, n=7, mode="eaqecc", max_f_samples=4, output_path=str(tmp_path / "gf4.jsonl")), best))
     assert [r.payload() for r in mixed] == [r.payload() for r in fresh]
 
 
@@ -236,7 +242,7 @@ def test_emitted_records_reverify(tmp_path):
         assert (ext.dim, enum.distance(), dual.distance()) == (rec.k, rec.d, rec.d_dual)
         params = quantum.qecc_from_self_orthogonal(2, enum, dual)
         assert (params.n, params.k, params.d) == rec.qecc
-        assert explorer.content_hash(rec.payload()) == rec.hash
+        assert oracles.content_hash(rec.payload()) == rec.hash
 
 
 def test_report_side_by_side(tmp_path):
@@ -367,11 +373,20 @@ GOLDEN_SMALL = {
 
 
 def _records_digest(tmp_path, mode, q=2, n=7, **kw):
-    _run(tmp_path, "golden.jsonl", q=q, n=n, mode=mode, rng_seed=0, **kw)
+    """The digest of the records file of a search at seed 0, each line without
+    its ts and its config.  The hash covers the config: each line's hash is
+    checked against the oracle, and the digest takes in its place the hash
+    of the record without its config, the one it had before records had a
+    config, so the digests still pin every other byte."""
+    cfg, _ = _run(tmp_path, "golden.jsonl", q=q, n=n, mode=mode, rng_seed=0, **kw)
     digest = hashlib.sha256()
     for line in (tmp_path / "golden.jsonl").read_text().splitlines():
         doc = json.loads(line)
         doc.pop("ts")
+        assert doc.pop("config") == cfg.fingerprint
+        payload = {key: value for key, value in doc.items() if key != "hash"}
+        assert doc["hash"] == oracles.content_hash(dict(payload, config=cfg.fingerprint))
+        doc["hash"] = oracles.content_hash(payload)
         digest.update((json.dumps(doc, separators=(",", ":")) + "\n").encode())
     return digest.hexdigest()
 
@@ -601,3 +616,279 @@ def test_search_leaves_no_cyclic_garbage(monkeypatch):
         gc.garbage.clear()
     assert not records
     assert not leaked, leaked[:5]
+
+
+# --- the config fingerprint and resumes --------------------------------------------
+
+# the fingerprint of the default config at q=2, n=7, seed 0, per mode
+GOLDEN_FINGERPRINT_N7 = {"qecc": "5bcb76ce32a4ee68", "eaqecc": "3d01f95f9192e329"}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_FINGERPRINT_N7))
+def test_fingerprint_of_the_default_n7_configs(tmp_path, mode):
+    cfg = explorer.SearchConfig(q=2, n=7, mode=mode)
+    assert cfg.fingerprint == GOLDEN_FINGERPRINT_N7[mode]
+    fields = {name: getattr(cfg, name) for name in explorer.FINGERPRINT_FIELDS}
+    assert cfg.fingerprint == oracles.content_hash(fields)[:16]
+    # neither the number of f nor the file moves it
+    assert explorer.SearchConfig(q=2, n=7, mode=mode, max_f_samples=3,
+                                 output_path="r.jsonl").fingerprint == cfg.fingerprint
+    _, recs = _run(tmp_path, "r.jsonl", q=2, n=7, mode=mode, max_f_samples=2)
+    assert recs and all(rec.config == cfg.fingerprint for rec in recs)
+    assert all(rec.config == cfg.fingerprint
+               for rec in explorer.read_records(str(tmp_path / "r.jsonl")))
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """The seeds of the per-generator random streams explorer makes."""
+    made = []
+
+    class Counted(random.Random):
+        def __init__(self, seed):
+            made.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(explorer, "random", types.SimpleNamespace(Random=Counted))
+    return made
+
+
+def _walk_seeds(q, n, mode, seed=0):
+    gs = [g for g in explorer._generators(field_make(q), n, mode == "qecc")
+          if 0 < polyring.deg(g) < n]
+    return [seed * 0x9E3779B1 + gi for gi in range(len(gs))]
+
+
+def _without_ts(text):
+    docs = [json.loads(line) for line in text.splitlines()]
+    for doc in docs:
+        doc.pop("ts")
+    return docs
+
+
+# small configs whose generators each draw max_f_samples distinct f
+RESUMED = [dict(q=2, n=15, mode="eaqecc", max_f_samples=2),
+           dict(q=2, n=15, mode="qecc", max_f_samples=2, x1_samples=2),
+           dict(q=3, n=8, mode="qecc", max_f_samples=3)]
+
+
+@pytest.mark.parametrize("kw", RESUMED, ids=lambda kw: "%(q)d-%(n)d-%(mode)s" % kw)
+def test_an_intact_resume_draws_no_generator(tmp_path, streams, kw):
+    cfg, _ = _run(tmp_path, "r.jsonl", **kw)
+    walked = _walk_seeds(kw["q"], kw["n"], kw["mode"])
+    assert streams == walked
+    text = (tmp_path / "r.jsonl").read_text()
+    assert len(text.splitlines()) == kw["max_f_samples"] * len(walked)
+    streams.clear()
+    assert list(explorer.search(cfg)) == [] and streams == []
+    assert (tmp_path / "r.jsonl").read_text() == text
+
+
+@pytest.mark.parametrize("kw", RESUMED, ids=lambda kw: "%(q)d-%(n)d-%(mode)s" % kw)
+def test_a_torn_resume_redraws_one_generator(tmp_path, streams, kw):
+    _run(tmp_path, "whole.jsonl", **kw)
+    whole = (tmp_path / "whole.jsonl").read_text()
+    start = whole.rstrip("\n").rfind("\n") + 1
+    (tmp_path / "torn.jsonl").write_text(whole[: start + (len(whole) - start) // 2])
+    streams.clear()
+    _run(tmp_path, "torn.jsonl", **kw)
+    assert streams == _walk_seeds(kw["q"], kw["n"], kw["mode"])[-1:]
+    assert _without_ts((tmp_path / "torn.jsonl").read_text()) == _without_ts(whole)
+
+
+@pytest.mark.parametrize("kw", RESUMED, ids=lambda kw: "%(q)d-%(n)d-%(mode)s" % kw)
+def test_raising_max_f_samples_continues_every_generator(tmp_path, streams, kw):
+    more = dict(kw, max_f_samples=kw["max_f_samples"] + 2)
+    _run(tmp_path, "fresh.jsonl", **more)
+    _run(tmp_path, "r.jsonl", **kw)
+    streams.clear()
+    _run(tmp_path, "r.jsonl", **more)
+    assert streams == _walk_seeds(kw["q"], kw["n"], kw["mode"])
+
+    def candidates(name):
+        # the frontier flag depends on the order the records were made in
+        docs = _without_ts((tmp_path / name).read_text())
+        for doc in docs:
+            doc["flags"].pop("frontier")
+            doc.pop("hash")
+        return sorted(docs, key=lambda doc: (doc["g"], doc["f"]))
+
+    assert candidates("r.jsonl") == candidates("fresh.jsonl")
+
+
+def test_a_pre_fingerprint_file_resumes_as_before(tmp_path, streams):
+    # records without a config fill the seen set and the best records, but
+    # finish no generator: every generator is walked, nothing evaluated
+    kw = dict(q=2, n=15, mode="eaqecc", max_f_samples=2)
+    cfg, _ = _run(tmp_path, "whole.jsonl", **kw)
+    whole = (tmp_path / "whole.jsonl").read_text()
+    old = oracles.without_config(whole)
+    (tmp_path / "r.jsonl").write_text(old)
+    streams.clear()
+    assert _run(tmp_path, "r.jsonl", **kw)[1] == []
+    assert streams == _walk_seeds(2, 15, "eaqecc")
+    assert (tmp_path / "r.jsonl").read_text() == old
+    # the first half of it: the rest is evaluated as in a fresh search
+    lines = old.splitlines(keepends=True)
+    (tmp_path / "half.jsonl").write_text("".join(lines[: len(lines) // 2]))
+    _run(tmp_path, "half.jsonl", **kw)
+    docs = _without_ts((tmp_path / "half.jsonl").read_text())
+    assert all("config" not in doc for doc in docs[: len(lines) // 2])
+    assert all(doc.pop("config") == cfg.fingerprint for doc in docs[len(lines) // 2:])
+    assert [{k: v for k, v in doc.items() if k != "hash"} for doc in docs] == [
+        {k: v for k, v in doc.items() if k not in ("hash", "config")}
+        for doc in _without_ts(whole)]
+
+
+def test_duplicate_lines_finish_no_generator(tmp_path, streams):
+    # a generator is finished by max_f_samples distinct f: a file that
+    # holds its first f twice still draws it
+    kw = dict(q=2, n=15, mode="eaqecc", max_f_samples=2)
+    cfg, _ = _run(tmp_path, "whole.jsonl", **kw)
+    first = (tmp_path / "whole.jsonl").read_text().splitlines(keepends=True)[0]
+    (tmp_path / "r.jsonl").write_text(first * 2)
+    streams.clear()
+    _run(tmp_path, "r.jsonl", **kw)
+    assert streams == _walk_seeds(2, 15, "eaqecc")
+
+
+# --- the one-pass record text against the json oracle -------------------------------
+
+_ODD_STRINGS = ['"', "\\", "a\"b\\c", "\n\t\x00\x1f", "/", "é", "中文", "\U0001f600",
+                " ", "\ud800", "", " ", "0^{12}", "1,2,3"]
+_ODD_VALUES = ([None, True, False, 0, 1, -1, 2 ** 64, -(10 ** 30), 10 ** 4000, 1.0, 2.5,
+                -0.0, 1e300, float("nan"), float("inf"), [], {}, [1, 2, 3], [1, 2, 3, 4],
+                [True, 1, 1], [1, "2", 3], [1.0, 2, 3], {"b": [1, {"c": None}], "a": 1},
+                "abc"] + _ODD_STRINGS)
+_RECORD_KEYS = ["q", "n", "f", "g", "k", "d", "d_dual", "qecc", "eaqecc", "flags",
+                "seed", "config", "hash", "ts"]
+
+
+def _mutated(rng, doc):
+    """doc with one to three seeded mutations of its fields."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(7)
+        key = rng.choice(_RECORD_KEYS)
+        if kind == 0:
+            doc[key] = rng.choice(_ODD_VALUES)
+        elif kind == 1 and key in doc:
+            del doc[key]
+        elif kind == 2:
+            doc[rng.choice(_ODD_STRINGS + ["extra"])] = rng.choice(_ODD_VALUES)
+        elif kind == 3 and isinstance(doc.get("flags"), dict):
+            doc["flags"][rng.choice(_ODD_STRINGS + ["x1", "zz", "skipped"])] = (
+                rng.choice(_ODD_VALUES))
+        elif kind == 4:
+            doc[rng.choice(["f", "g", "config"])] = "".join(
+                rng.choice(_ODD_STRINGS) for _ in range(rng.randint(1, 4)))
+        elif kind == 5:
+            doc[rng.choice(["q", "n", "k", "d", "d_dual", "seed"])] = rng.choice(
+                [rng.randrange(-5, 10 ** rng.randint(1, 40)), 10 ** 4000 + 7, True, 3.0])
+        else:
+            doc[rng.choice(["qecc", "eaqecc"])] = rng.choice(
+                [None, [], [rng.randrange(100) for _ in range(rng.randint(0, 5))],
+                 "123", {"a": 1}, 5, [[1], 2, 3]])
+    return doc
+
+
+def _line(rng, doc):
+    """doc as one records line, in one of several spellings, sometimes hashed
+    again by the oracle, sometimes torn by a byte edit."""
+    if rng.random() < 0.6 and isinstance(doc, dict):
+        doc = dict(doc)
+        payload = {k: v for k, v in doc.items() if k not in ("hash", "ts")}
+        try:
+            doc["hash"] = oracles.content_hash(payload)
+        except ValueError:  # an integer past the digit limit
+            pass
+    keys = list(doc)
+    if rng.random() < 0.3:
+        rng.shuffle(keys)
+        doc = {k: doc[k] for k in keys}
+    try:
+        text = json.dumps(doc, ensure_ascii=rng.random() < 0.5,
+                          separators=rng.choice([(",", ":"), (", ", ": ")]))
+    except ValueError:  # an integer past the digit limit
+        text = '{"q": %s}' % ("9" * 5000)
+    line = text.encode("utf-8", "surrogatepass")
+    edit = rng.random()
+    if edit < 0.05:
+        cut = rng.randrange(len(line))
+        line = line[:cut] + line[cut + 1:]
+    elif edit < 0.1:
+        cut = rng.randrange(len(line))
+        line = line[:cut] + rng.choice([b"\xff", b"x", b"1", b"[", b"\\"]) + line[cut:]
+    elif edit < 0.12:
+        line = b"[" * 5000 + b"]" * 5000
+    return line.replace(b"\n", b"") + b"\n"
+
+
+def _real_docs(tmp_path):
+    docs = []
+    for kw in (dict(q=2, n=7, mode="qecc", max_f_samples=3),
+               dict(q=2, n=7, mode="eaqecc", max_f_samples=3),
+               dict(q=3, n=8, mode="eaqecc", max_f_samples=1)):
+        name = "%(q)d-%(n)d-%(mode)s.jsonl" % kw
+        _run(tmp_path, name, **kw)
+        text = (tmp_path / name).read_text()
+        docs += [json.loads(line) for line in text.splitlines()]
+        docs += [json.loads(line) for line in oracles.without_config(text).splitlines()]
+    return docs
+
+
+def test_read_records_accepts_what_the_json_oracle_accepts(tmp_path):
+    docs = _real_docs(tmp_path)
+    rng = random.Random(2028)
+    path = tmp_path / "case.jsonl"
+    counts = {True: 0, False: 0}
+    for case in range(10000):
+        doc = rng.choice(docs)
+        line = _line(rng, _mutated(rng, doc) if case % 10 else doc)
+        want = oracles.record_line_ok(line)
+        path.write_bytes(line)
+        try:
+            got = list(explorer.read_records(str(path)))
+        except SpecError as exc:
+            assert not want, (line, exc)
+            assert str(exc).startswith(f"{path}:1: ")
+        else:
+            assert want and len(got) == 1, line
+            doc = json.loads(line)
+            doc.pop("ts", None)
+            assert dict(got[0].payload(), hash=got[0].hash) == doc
+        counts[want] += 1
+    assert min(counts.values()) > 1000, counts
+
+
+def test_written_lines_are_what_the_oracle_accepts(tmp_path):
+    # every line a search writes spells its payload in field order, and its
+    # hash is the oracle's
+    for kw in (dict(q=2, n=7, mode="qecc", max_f_samples=3),
+               dict(q=2, n=7, mode="eaqecc", max_f_samples=3)):
+        _run(tmp_path, kw["mode"] + ".jsonl", **kw)
+        for line in (tmp_path / (kw["mode"] + ".jsonl")).read_bytes().splitlines(keepends=True):
+            assert oracles.record_line_ok(line)
+            doc = json.loads(line)
+            assert list(doc) == _RECORD_KEYS
+            assert line.decode() == json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+# --- the x1 pool past its block dual ------------------------------------------------
+
+
+@pytest.mark.parametrize("q,n", [(2, 7), (2, 5), (3, 5)])
+def test_a_pool_past_the_block_dual_holds_every_qualifying_word(q, n):
+    field = field_make(q)
+    for gi, g in enumerate(explorer._generators(field, n, True)):
+        if not 0 < polyring.deg(g) < n:
+            continue
+        probe = qcc.build(field, n, (0,) * n, g)
+        dual, dim = qcc.block_dual(probe, 1)
+        words = {polyring.ring_mul(field, n, msg, dual)
+                 for msg in itertools.product(range(field.Q), repeat=dim)}
+        qualifying = {x for x in words if any(x) and not qcc.column_gram(field, x, 1)}
+        rng = random.Random(gi)
+        pool = explorer._x1_pool(field, probe, rng, 10 ** 6)
+        assert set(pool) == qualifying and len(pool) == len(qualifying)
+        assert explorer._qualifying_words(field, n, dual, dim) == len(qualifying)
