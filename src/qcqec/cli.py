@@ -9,7 +9,8 @@ Reports are deterministic apart from the timing block.  A code of more
 messages than the budget is reported as skipped, not enumerated.  Exit
 codes: 0 on success, 1 when a table diff finds mismatches, 2 on bad input,
 3 when a search's walk over the divisors of x^n - 1 overruns its cap, 4
-when a mathematical precondition fails; 2 to 4 carry a machine-readable
+when a mathematical precondition fails, 5 when a computed result breaks
+an invariant (a fault in the program); 2 to 5 carry a machine-readable
 error object.
 """
 
@@ -19,7 +20,7 @@ import sys
 import time
 
 from . import explorer, pipeline, polyring, qcc, quantum, refdata
-from .errors import BudgetExceeded, PreconditionError, SpecError, require_int
+from .errors import BudgetExceeded, InvariantError, PreconditionError, SpecError, require_int
 from .gf import field_make
 
 SCHEMA = 1
@@ -511,6 +512,8 @@ def main(argv=None) -> int:
         doc, code = _error_doc("budget", exc), 3
     except PreconditionError as exc:
         doc, code = _error_doc("precondition", exc), 4
+    except InvariantError as exc:
+        doc, code = _error_doc("invariant", exc), 5
     _emit(doc, json.dumps(doc), getattr(args, "json", None), sys.stderr)
     return code
 

@@ -44,6 +44,11 @@ class BudgetExceeded(QcqecError):
         self.budget = budget
 
 
+class InvariantError(QcqecError):
+    """A computed result broke a property that holds by construction, such
+    as an enumerator's total: a fault in the program, not in its input."""
+
+
 def require_int(what: str, value, least: int | None = None) -> None:
     """A SpecError naming what, unless value is an int (a bool is not) and
     at least `least`."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from qcqec.errors import SpecError
+from qcqec.errors import InvariantError, SpecError
 
 # Modulus per supported field size, coefficients ascending over GF(p).
 # x is a primitive root of each, which the Field constructor re-verifies.
@@ -162,5 +162,5 @@ def field_make(q: int) -> Field:
     p, modulus = _MODULI[Q]
     f = Field(p, modulus)
     if f.q != q:
-        raise AssertionError(f"GF({Q}) reports q = {f.q}, expected {q}")
+        raise InvariantError(f"GF({Q}) reports q = {f.q}, expected {q}")
     return f

@@ -10,15 +10,14 @@ the idempotent, the block dual of <g>, the orbit levels, the scan plans
 and the side-1 checks of each extension vector) comes from the code's
 `qcc.Generator`, made by one division of x^n - 1 by g.
 
-The evaluations that `extended` makes of one base code share it, and
-their scans share its base part: each column count has the generator's
-scan plan, its extension rows leading, with a `wdist.SharedBase` of its
-own that the first scan fills with the block table of the base code and
-the histogram of its words; every later extension scans only its lead
-units, the words x1 + C, times Q - 1, against that table, in its own
-`wdist.enumerate_code` call.  `extended` checks only the vectors and
-scalars it is given.  An evaluation made with its vectors shares nothing
-and scans by the code's orbit plan, as a table row does.
+Every evaluation scans under its generator's plan for its column count
+(`qcc.Generator.scan_plan`), which keeps the base part of the last base
+code scanned under it and reuses that part when the next scan's base
+rows are the same (`wdist`).  The evaluations that `extended` makes of
+one base code share its built code, so of those scanned one after
+another by as many columns, each after the first scans only its lead
+units, the words x1 + C, times Q - 1.  `extended` checks only the
+vectors and scalars it is given.
 
 Stages are called through their modules (`qcc.build`, `wdist.macwilliams`,
 ...), looked up at call time, so a wrapper put on a module attribute sees
@@ -77,24 +76,14 @@ class Evaluation:
 
     def extended(self, xs, alphas=()) -> "Evaluation":
         """The same base code under the extension vectors xs, built once for
-        all of them, whose scans share one plan per column count.  The base
-        inputs were checked with the base: only xs and alphas are."""
+        all of them.  The base inputs were checked with the base: only xs
+        and alphas are."""
         other = object.__new__(Evaluation)
-        # the fields, then the base's code and plans where cached_property
-        # keeps them
+        # the fields, then the base's code where cached_property keeps it
         other.__dict__.update({name: self.__dict__[name] for name in _BASE_INPUTS},
-                              xs=tuple(xs), alphas=tuple(alphas),
-                              code=self.code, shared_plans=self.shared_plans)
+                              xs=tuple(xs), alphas=tuple(alphas), code=self.code)
         other._check_digits()
         return other
-
-    @cached_property
-    def shared_plans(self) -> dict | None:
-        """The scan plans, by column count, of the extensions that `extended`
-        makes of this code: each leads with the extension rows and holds the
-        base part (wdist) their scans share.  An evaluation given its
-        vectors shares none."""
-        return None if self.xs else {}
 
     @property
     def length(self) -> int:
@@ -131,15 +120,8 @@ class Evaluation:
     def enum(self) -> wdist.WeightEnumerator | None:
         if self.skipped:
             return None
-        code, plans = self.ext or self.code, self.shared_plans
-        if self.ext is None or plans is None:
-            plan = code.orbit_plan
-        else:
-            cols = len(self.xs)
-            if cols not in plans:
-                plans[cols] = self.code.gen.scan_plan(cols)._replace(base=wdist.SharedBase())
-            plan = plans[cols]
-        return wdist.enumerate_code(code.G, workers=self.workers, plan=plan)
+        return wdist.enumerate_code((self.ext or self.code).G, workers=self.workers,
+                                    plan=self.code.gen.scan_plan(len(self.xs)))
 
     @cached_property
     def dual(self) -> wdist.WeightEnumerator | None:

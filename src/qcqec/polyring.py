@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qcqec.errors import PreconditionError, SpecError
+from qcqec.errors import InvariantError, PreconditionError, SpecError
 from qcqec.gf import Field
 
 # --- plain polynomial helpers --------------------------------------------
@@ -475,7 +475,7 @@ def _factor_cached(field: Field, n: int) -> tuple[tuple[int, ...], ...]:
         factors = split
 
     if len(factors) != len(cosets):
-        raise AssertionError(
+        raise InvariantError(
             f"found {len(factors)} factors of x^{n} - 1 over GF({field.Q}), "
             f"expected one per cyclotomic coset ({len(cosets)})"
         )
@@ -483,7 +483,7 @@ def _factor_cached(field: Field, n: int) -> tuple[tuple[int, ...], ...]:
     for fac in factors:
         product = poly_mul(field, product, fac)
     if product != xn1:
-        raise AssertionError(
+        raise InvariantError(
             f"factor product mismatch for x^{n} - 1 over GF({field.Q})"
         )
     return tuple(sorted(factors, key=lambda f: (len(f), f)))
@@ -534,7 +534,7 @@ def primitive_element(field, m) -> tuple[int, ...]:
         a = trim(tuple(t // Q ** i % Q for i in range(d)))
         if all(poly_powmod(field, a, size // p, m) != (field.one,) for p in primes):
             return a
-    raise AssertionError(f"no primitive element modulo {m}: it is not irreducible")
+    raise InvariantError(f"no primitive element modulo {m}: it is not irreducible")
 
 
 def _p_split(field, n: int) -> tuple[int, int]:

@@ -85,15 +85,12 @@ N powers of the first primitive element of GF(Q)[x]/(m).  The plan's rows
 are x^i M (g | f g) for i < deg m_j, M the product of the factors taken
 before level j, then x^i M (g | f g) for the rest, a basis since a
 message of degree < k is uniquely a + b m_j with deg a < deg m_j; the
-extension rows lead.  A length n divisible by p takes no plan (h is then
+extension rows lead.  A length n divisible by p takes no level (h is then
 not squarefree), and neither does a code scanned in one step, which
-builds nothing.  A code makes its plan when first read.  `scan_plan` is
-the same plan with no level where none is taken: its extension rows still
-lead, which is what the extensions of one base code need to share the
-part of their scans that those rows do not touch (`wdist`).  The
-generator makes it once per column count, with the `wdist.SharedPlan`
-in which the scans of all its codes keep their work units and the
-multiples of each lead row.
+builds nothing; its plan is then the rows of G as they stand, behind the
+extension rows.  `scan_plan` makes the plan once per column count, with
+the `wdist.SharedPlan` in which the scans of every code of g by that many
+columns keep what they share (`wdist`).
 """
 
 import math
@@ -101,7 +98,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
 
 from . import famat, polyring, wdist
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .gf import Field
 
 RULE_ORTHOGONAL = "preserve-orthogonality"
@@ -211,8 +208,8 @@ class Generator:
         extension rows lead, then the rows of the orbit levels, which a code
         scanned in one step does not take, then the rest.  Its basis is
         written in the messages of G: the rows x^i, then the extension rows.
-        Made once per cols, with the `wdist.SharedPlan` that the shared
-        scans of every code of g by cols columns fill and read."""
+        Made once per cols, with the `wdist.SharedPlan` of every scan of a
+        code of g by cols columns."""
         if cols not in self._plans:
             self._plans[cols] = self._scan_plan(cols)
         return self._plans[cols]
@@ -229,13 +226,7 @@ class Generator:
         basis = [row + (0,) * (k + cols - len(row)) for row in basis]
         lead = [(0,) * (k + i) + (1,) + (0,) * (cols - 1 - i) for i in range(cols)]
         return wdist.OrbitPlan(tuple(lead + basis), cols, tuple((mult, reps) for _, mult, reps in levels),
-                               shared=wdist.SharedPlan())
-
-    def orbit_plan(self, cols: int) -> wdist.OrbitPlan | None:
-        """The scan plan when it takes a level, else None: G is then scanned
-        as its rows stand."""
-        plan = self.scan_plan(cols)
-        return plan if plan.levels else None
+                               wdist.SharedPlan())
 
 
 @lru_cache(maxsize=1)
@@ -247,7 +238,7 @@ def generator(field: Field, n: int, g: tuple) -> Generator:
     dual_g = polyring.frob_poly(field, polyring.reciprocal(h))
     # left half of the block identity G H^dag = 0
     if any(polyring.ring_mul(field, n, g, polyring.conj_rev(field, n, dual_g))):
-        raise AssertionError("parity check violated on left block")
+        raise InvariantError("parity check violated on left block")
     g_g_bar = polyring.ring_mul(field, n, g, polyring.conj_rev(field, n, g))
     return Generator(field, n, g, n - polyring.deg(g), h, dual_g, g_g_bar, polyring.divides(field, dual_g, g))
 
@@ -286,7 +277,7 @@ def hermitian_forms(gen: Generator, f: tuple) -> HermitianForms:
         field, n, gen.g_g_bar, polyring.poly_add(field, (field.one,), f_f_bar)))
     # divisibility is a sufficient condition, never weaker than the Gram test
     if gen.orthogonal_divisibility and not forms.orthogonal_gram:
-        raise AssertionError("dual_g divides g, yet G G^dag is nonzero")
+        raise InvariantError("dual_g divides g, yet G G^dag is nonzero")
     return forms
 
 
@@ -344,11 +335,6 @@ class QcCode:
         """The k rows x^i (g | f g), in one pass."""
         return famat.Mat(self.field, self.padded_rows(0), 2 * self.n)
 
-    @cached_property
-    def orbit_plan(self) -> wdist.OrbitPlan | None:
-        """How `wdist.enumerate_code` splits the scan of G (module docstring)."""
-        return self.gen.orbit_plan(0)
-
 
 @dataclass(frozen=True, eq=False)
 class ExtendedCode:
@@ -383,11 +369,6 @@ class ExtendedCode:
             rows.append(row)
         return famat.Mat(self.base.field, rows)
 
-    @cached_property
-    def orbit_plan(self) -> wdist.OrbitPlan | None:
-        """The base code's plan behind the extension rows (module docstring)."""
-        return self.base.gen.orbit_plan(self.columns_added)
-
 
 def hermitian_self_product(field: Field, vec) -> int:
     """<v,v>_h = sum of v_i^(q+1); lands in the subfield GF(q)."""
@@ -413,7 +394,7 @@ def build(field: Field, n: int, f, g) -> QcCode:
     # right half of the block identity; H2's first row is -f̄, whose
     # conj_rev is -f
     if polyring.poly_add(field, polyring.ring_mul(field, n, g, polyring.poly_neg(field, f)), fg):
-        raise AssertionError("parity check violated on right block")
+        raise InvariantError("parity check violated on right block")
     return QcCode(field, n, f, g, gen.k, gen, fg, hermitian_forms(gen, f))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import qcc, wdist
-from .errors import PreconditionError, SpecError
+from .errors import InvariantError, PreconditionError, SpecError
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def gv_verdict(q: int, n: int, k: int, d: int) -> GvVerdict:
         return GvVerdict(q, n, k, d, False, None, None)
     lhs, rem = divmod(q ** (n - k + 2) - 1, q * q - 1)
     if rem:
-        raise AssertionError(f"q^2 - 1 does not divide q^{n - k + 2} - 1")
+        raise InvariantError(f"q^2 - 1 does not divide q^{n - k + 2} - 1")
     rhs = sum((q * q - 1) ** (i - 1) * comb(n, i) for i in range(1, d))
     return GvVerdict(q, n, k, d, True, lhs, rhs)
 
@@ -145,10 +145,10 @@ def maximal_pair(code: qcc.QcCode, d_primal: int | None, d_dual: int | None,
     primal = EaqeccParams(q, n2, k, d_primal, n2 - k)
     dual = EaqeccParams(q, n2, n2 - k, d_dual, k)
     if not (primal.maximal and dual.maximal):
-        raise AssertionError(f"pair {primal} / {dual} is not maximal")
+        raise InvariantError(f"pair {primal} / {dual} is not maximal")
     c = entanglement_count(code)
     if c != n2 - k:
-        raise AssertionError(f"entanglement count {c} != n - k = {n2 - k}")
+        raise InvariantError(f"entanglement count {c} != n - k = {n2 - k}")
     return MaximalPair(primal, dual)
 
 
@@ -166,5 +166,5 @@ def extended_maximal_eaqecc(ext: qcc.ExtendedCode, d_dual: int | None,
     q = ext.base.field.q
     params = EaqeccParams(q, ext.length, ext.length - ext.dim, d_dual, ext.dim)
     if not params.maximal:
-        raise AssertionError(f"{params} is not maximal")
+        raise InvariantError(f"{params} is not maximal")
     return params

@@ -39,22 +39,20 @@ pool starts only when the one-worker scan's estimate, times the share
 the cost of starting and shutting down a pool; a smaller scan runs in the
 main process, as with one worker.
 
-The extensions of one base code C differ only in their lead rows, so
-their scans share a base part (the split of Ling and Sole above, with
-the lead rows as the outer ones): the block table, which spans base rows
-only, and the histogram of the units whose lead digits are zero, the
-words of C itself.  A plan that carries a `SharedBase` makes that part
-on its first scan in this process and hands it to every later one, and
-each scan then weighs only its lead units, x1 + C with multiplier Q - 1
-for one column, through `_scan` against the shared table.  The shared
-part keeps the multiples of the base rows.  The base codes of one
-generator share more, in the plan's `SharedPlan`: the work units, which
-depend only on the plan and the shape of G, and the multiples of each
-lead row (x1 | 0 | alpha), which do not depend on f.  So a scan of a
-later base splits nothing, and a later scan of an x1 encodes nothing:
-it costs one `_scan` of its lead units, and with no row outside the
-table that is one key.  A scan on more than one worker shares nothing:
-it makes its own table in each job.
+Every scan runs under a plan (a call without one gets the plan of no
+lead row and no level), and the plan's `SharedPlan` keeps what the next
+scan under it can reuse: the work units and their estimate, which depend
+only on the plan and the shape of G; the multiples of each lead row
+(x1 | 0 | alpha) scanned so far; and the base part of the last base code
+C scanned, with the lead rows as the outer ones of the split of Ling and
+Sole: the multiples of the base rows, the block table over them, and the
+histogram of the units whose lead digits are zero, the words of C.  That
+part is keyed by the rows of G it was made from, the first k - lead,
+which are all that the basis rows after the lead read (checked when the
+units are made).  A scan whose base rows match reuses it and weighs only
+its lead units, x1 + C with multiplier Q - 1 for one column, through
+`_scan` against its table; any other scan rebuilds it first.  A scan on
+more than one worker shares nothing: it makes its own table in each job.
 
 Words are bit-sliced, 64 symbols to a uint64 word per bit plane: one plane
 per GF(2) coordinate, added by XOR, or two per GF(3) coordinate ("= 2" and
@@ -82,7 +80,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qcqec.errors import SpecError
+from qcqec.errors import InvariantError, SpecError
 from qcqec import famat
 from qcqec.gf import Field, field_make
 
@@ -237,46 +235,33 @@ def _bit_planes(q: int, n: int) -> BitPlanes:
 # --- message scans ----------------------------------------------------------------
 
 
-class SharedBase:
-    """The base part of the scans of the extensions of one code by one
-    number of columns (module docstring): the multiples of the scan rows
-    after the lead, the block table over them, and the histogram of the
-    units whose lead digits are zero.  The first one-worker scan that reads
-    it makes it."""
-
-    def __init__(self):
-        self.mults = self.table = self.counts = None
-
-
 class SharedPlan:
-    """What the shared scans under one plan have in common whatever their
-    base code (module docstring): the rows of the block table, the
-    one-worker work units, cut into the lead units and the base units, and
-    the multiples of each lead row scanned so far, by its digits.  The
-    first shared scan makes the units, and a lead row's multiples are
-    encoded when it is first scanned."""
+    """What the scans under one plan keep for the next (module docstring):
+    the table rows, the one-worker work units, cut into the lead units and
+    the base units, and their estimate, made by the first scan; the
+    multiples of each lead row scanned so far, by its digits; and the base
+    part of the last base scanned, as (its rows of G, the multiples of its
+    scan rows, the block table, the histogram of the base units)."""
 
     def __init__(self):
-        self.inner = self.lead_units = self.base_units = None
+        self.inner = self.lead_units = self.base_units = self.seconds = self.base = None
         self.lead_mults = {}
 
 
 class OrbitPlan(NamedTuple):
     """How to split the scan of a code by its double-shift orbits (module
     docstring).  Scan row i is sum_j basis[i][j] g.rows[j], for the
-    generator g passed with the plan.  The first `lead` scan rows are
-    scanned projectively; then each level (mult, reps) takes len(reps[0])
-    rows, and stands for mult x the words rep . (its rows) + span(every
-    later row), for each rep; the rows after the last level are scanned
-    projectively.  A plan with a `base` reads the part of its scan that
-    the lead rows do not touch from there, and what does not depend on
-    the base from `shared`."""
+    generator g passed with the plan, or g.rows[i] with no basis.  The
+    first `lead` scan rows are scanned projectively; then each level
+    (mult, reps) takes len(reps[0]) rows, and stands for mult x the words
+    rep . (its rows) + span(every later row), for each rep; the rows after
+    the last level are scanned projectively.  The rows after the lead must
+    not read the last `lead` rows of g."""
 
-    basis: tuple
+    basis: tuple | None
     lead: int
     levels: tuple
-    base: SharedBase | None = None
-    shared: SharedPlan | None = None
+    shared: SharedPlan
 
 
 def table_rows(field: Field, k: int, n: int) -> int:
@@ -309,7 +294,7 @@ def projective_seconds(field: Field, n: int, inner: int, rows: int) -> float:
             + sum(unit_seconds(field, n, inner, free) for free in range(inner, rows)))
 
 
-def _work_units(Q: int, k: int, inner: int, workers: int, plan: OrbitPlan | None = None):
+def _work_units(Q: int, k: int, inner: int, workers: int, plan: OrbitPlan):
     """The table rows and the work units, dealt into at most `workers` lists
     of about equal work.
 
@@ -322,10 +307,10 @@ def _work_units(Q: int, k: int, inner: int, workers: int, plan: OrbitPlan | None
     `inner` rows, and no more than the largest unit spans.  A unit is then
     cut by its next digit while it has more keys than table words, or, with
     workers > 1, while it holds over 1/(8 workers) of the work."""
-    lead, levels = (plan.lead, plan.levels) if plan else (0, ())
+    lead = plan.lead
     units = [((0,) * i + (1,), Q - 1) for i in range(lead)]
     at = lead
-    for mult, reps in levels:
+    for mult, reps in plan.levels:
         units += [((0,) * at + rep, mult) for rep in reps]
         at += len(reps[0])
     units += [((0,) * i + (1,), Q - 1) for i in range(at, k - inner)]
@@ -410,29 +395,46 @@ def _scan_rows(field: Field, g: famat.Mat, basis) -> list[tuple]:
     return out
 
 
-def _shared_scan(field: Field, g: famat.Mat, plan: OrbitPlan) -> list[int]:
-    """The weight histogram of a one-worker scan whose plan shares its base
-    part: the base part's, made here on first read, plus the lead units',
-    which `_scan` weighs against its table.  The work units and the lead
-    rows' multiples come from the plan's `shared` part, made on first read."""
-    lead, base, shared, k, n = plan.lead, plan.base, plan.shared, g.nrows, g.ncols
-    bp = _bit_planes(field.q, n)
+def _plan_units(field: Field, k: int, n: int, plan: OrbitPlan) -> SharedPlan:
+    """The plan's shared part, its one-worker work units and their estimate
+    made on first read.  A plan whose base rows read a lead row is refused:
+    its base part would not be keyed by the rows it reads."""
+    shared, lead = plan.shared, plan.lead
     if shared.lead_units is None:
+        if plan.basis is not None and any(any(b[k - lead:]) for b in plan.basis[lead:]):
+            raise ValueError("the plan's base rows read a lead row")
         shared.inner, (units,) = _work_units(field.Q, k, table_rows(field, k, n), 1, plan)
+        shared.seconds = sum(unit_seconds(field, n, shared.inner, k - len(head)) for head, _ in units)
         shared.lead_units = [(head, mult) for head, mult in units if any(head[:lead])]
         shared.base_units = [(head[lead:], mult) for head, mult in units if not any(head[:lead])]
-    if base.counts is None:
-        base.mults = bp.multiples(_scan_rows(field, g, plan.basis[lead:]))
-        base.table = _block_table(bp, base.mults, shared.inner)
-        base.counts = _scan((field.q, n, base.mults, shared.inner, shared.base_units, base.table))
+    return shared
+
+
+def _shared_scan(field: Field, g: famat.Mat, plan: OrbitPlan) -> list[int]:
+    """The weight histogram of a one-worker scan under plan: the base
+    part's, reused when g's base rows are the ones it was made from and
+    made here otherwise, plus the lead units', which `_scan` weighs against
+    the base part's table."""
+    lead, k, n = plan.lead, g.nrows, g.ncols
+    shared = _plan_units(field, k, n, plan)
+    bp = _bit_planes(field.q, n)
+    rows = [tuple(row) for row in g.rows[: k - lead]]
+    if shared.base is None or shared.base[0] != rows:
+        shared.base = None  # the last base part goes before this one is made
+        mults = bp.multiples(_scan_rows(field, g, plan.basis and plan.basis[lead:]))
+        table = _block_table(bp, mults, shared.inner)
+        shared.base = rows, mults, table, _scan((field.q, n, mults, shared.inner, shared.base_units, table))
+    _, base_mults, table, base_counts = shared.base
+    if not lead:
+        return base_counts
     lead_mults = []
     for row in _scan_rows(field, g, plan.basis[:lead]):
         if row not in shared.lead_mults:
             shared.lead_mults[row] = bp.multiples([row])
         lead_mults.append(shared.lead_mults[row])
-    mults = np.concatenate(lead_mults + [base.mults], axis=2)
-    counts = _scan((field.q, n, mults, shared.inner, shared.lead_units, base.table))
-    return [a + b for a, b in zip(base.counts, counts)]
+    mults = np.concatenate(lead_mults + [base_mults], axis=2)
+    counts = _scan((field.q, n, mults, shared.inner, shared.lead_units, table))
+    return [a + b for a, b in zip(base_counts, counts)]
 
 
 def _usable_cpus() -> int:
@@ -453,44 +455,39 @@ def enumerate_code(
     g must have full row rank so that messages and codewords are in
     bijection.  The scan itself checks this: it counts every message, so
     its weight-0 count is Q^(k - rank g), and anything but 1 raises
-    ValueError.  A plan (`OrbitPlan`, made by `qcc.orbit_plan` for a
-    quasi-cyclic g) splits the scan by double-shift orbits; its basis must
-    be invertible, which the weight-0 count checks too.  With workers > 1
-    the work units are spread over a process pool, no larger than the CPUs
-    this process may use, and their histograms summed, so the result does
-    not depend on the partitioning.  The pool starts only when the scan's
+    ValueError.  A plan (`OrbitPlan`, made by `qcc.Generator.scan_plan`
+    for a quasi-cyclic g) splits the scan by double-shift orbits and keeps
+    what later scans under it reuse (module docstring); its basis must be
+    invertible, which the weight-0 count checks too.  With workers > 1 the
+    work units are spread over a process pool, no larger than the CPUs this
+    process may use, and their histograms summed, so the result does not
+    depend on the partitioning.  The pool starts only when the scan's
     estimate passes break-even (module docstring); a smaller scan runs in
-    this process.
+    this process, as with one worker.
     """
     field = g.field
     k, n = g.nrows, g.ncols
     total = field.Q ** k
     workers = min(workers, _usable_cpus()) if workers > 1 else 1
+    if plan is None:
+        plan = OrbitPlan(None, 0, (), SharedPlan())
 
     if k == 0:
         counts = [1] + [0] * n
-    elif workers == 1 and plan and plan.base is not None:
-        counts = _shared_scan(field, g, plan)
-    else:
-        table = table_rows(field, k, n)
-        inner, chunks = _work_units(field.Q, k, table, 1, plan)
-        seconds = sum(unit_seconds(field, n, inner, k - len(head)) for head, _ in chunks[0])
-        if workers > 1 and seconds * (1 - 1 / workers) > _POOL_S:
-            inner, chunks = _work_units(field.Q, k, table, workers, plan)
-        mults = _bit_planes(field.q, n).multiples(_scan_rows(field, g, plan and plan.basis))
-        jobs = [(field.q, n, mults, inner, chunk, None) for chunk in chunks]
-        if len(jobs) == 1:
-            partials = [_scan(jobs[0])]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                partials = list(ex.map(_scan, jobs))
+    elif workers > 1 and _plan_units(field, k, n, plan).seconds * (1 - 1 / workers) > _POOL_S:
+        inner, chunks = _work_units(field.Q, k, table_rows(field, k, n), workers, plan)
+        mults = _bit_planes(field.q, n).multiples(_scan_rows(field, g, plan.basis))
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            partials = list(ex.map(_scan, [(field.q, n, mults, inner, chunk, None) for chunk in chunks]))
         counts = [sum(parts) for parts in zip(*partials)]
+    else:
+        counts = _shared_scan(field, g, plan)
 
     if counts[0] != 1:
         raise ValueError("generator matrix must have full row rank")
     enum = WeightEnumerator(n, k, tuple(counts))
     if enum.total() != total:
-        raise AssertionError(f"enumerator total {enum.total()} != Q^k = {total}")
+        raise InvariantError(f"enumerator total {enum.total()} != Q^k = {total}")
     return enum
 
 
@@ -532,13 +529,13 @@ def macwilliams(enum: WeightEnumerator, Q: int) -> WeightEnumerator:
             c = int.from_bytes(slots[j * size : (j + 1) * size], "little") - (1 << (S - 1))
             b, r = divmod(c, scale)
             if r or b < 0:
-                raise AssertionError(
+                raise InvariantError(
                     f"MacWilliams checksum failed at weight {j}: {c}/{scale}"
                 )
             out.append(b)
     dual = WeightEnumerator(n, n - k, tuple(out))
     if dual.total() != Q ** (n - k):
-        raise AssertionError(f"dual total {dual.total()} != Q^(n-k) = {Q ** (n - k)}")
+        raise InvariantError(f"dual total {dual.total()} != Q^(n-k) = {Q ** (n - k)}")
     return dual
 
 

@@ -24,8 +24,8 @@ def pytest_collection_modifyitems(config, items):
 
 @pytest.fixture
 def pool_always(monkeypatch):
-    """Every scan with workers > 1 and two or more work units starts a
-    process pool: a pool's start costs nothing."""
+    """Every scan with workers > 1 starts a process pool: a pool's start
+    costs nothing."""
     from qcqec import wdist
 
     monkeypatch.setattr(wdist, "_POOL_S", 0.0)

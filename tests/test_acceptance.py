@@ -397,7 +397,7 @@ def test_acceptance_7_assisted_n41():
     # on two workers
     row = next(r for r in refdata.TABLES["assisted-primal"] if r.n == 41)
     ev = row.evaluation(budget=4 ** 20, workers=2)
-    assert [len(reps) for _, reps in ev.code.orbit_plan.levels] == [8525]
+    assert [len(reps) for _, reps in ev.code.gen.scan_plan(0).levels] == [8525]
     assert ev.distance == 33
     side = ev.eaqecc.primal
     assert (side.n, side.k, side.d, side.c) == row.eaqecc == (82, 20, 33, 62)

@@ -888,10 +888,39 @@ def test_reports_match_golden_digest(capsys, tmp_path, argv, digest):
 def test_threads_pool_only_the_scans_past_break_even(capsys, monkeypatch, pools_started):
     # table 3 pools its n = 35 row, a [35,9]_9 code estimated at over half a
     # second, and scans its other rows here, each estimated at a few
-    # milliseconds at most; so is the [22,6]_9 extension of the GF(9) spec
+    # milliseconds at most; so is the [22,6]_9 extension of the GF(9) spec,
+    # and so is every scan of table 6
     monkeypatch.setattr(wdist, "_usable_cpus", lambda: 2)
     rc, _, _ = run(capsys, "table", "--id", "3", "--threads", "2")
     assert rc == 0 and pools_started == [2]
     pools_started.clear()
     rc, _, _ = run(capsys, "verify", f"{SPECS}/q3-n10-extend-two.json", "--threads", "2")
     assert rc == 0 and pools_started == []
+    rc, _, _ = run(capsys, "table", "--id", "6", "--threads", "2")
+    assert rc == 0 and pools_started == []
+
+
+def test_a_broken_invariant_exits_5_with_a_json_error():
+    # a scan that miscounts breaks the enumerator's total: the console
+    # reports it as an invariant error, with no traceback
+    program = f"""
+import sys
+from qcqec import cli, wdist
+
+scan = wdist._scan
+
+def corrupt(job):
+    counts = scan(job)
+    counts[1] += 1
+    return counts
+
+wdist._scan = corrupt
+sys.exit(cli.main(["verify", {str(SPECS / "q2-n7-base.json")!r}]))
+"""
+    src_dir = str(Path(wdist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    done = subprocess.run([sys.executable, "-c", program], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 5 and "Traceback" not in done.stderr
+    err = json.loads(done.stderr)["error"]
+    assert err["type"] == "invariant" and err["message"].startswith("enumerator total")

@@ -1,4 +1,4 @@
-"""The orbit scan: `qcc.orbit_plan` and `wdist.enumerate_code(G, plan=...)`.
+"""The orbit scan: `qcc.Generator.scan_plan` and `wdist.enumerate_code(G, plan=...)`.
 
 A one-generator code is R_h = GF(Q)[x]/(h) as a module, and its words of
 nonzero residue r modulo an irreducible factor m of h make the fiber
@@ -6,7 +6,9 @@ c(r) + C', whose weights the double shift and the scalars carry onto the
 fiber of u r for every u in H1 = <x, GF(Q)*>.  Each plan is checked
 against the plain matrix scan of the same G and, where small enough,
 against the naive oracle; its cosets and its message count are checked on
-their own.
+their own.  A plan keeps the base part of the last base code scanned under
+it; the scans that follow are checked to reuse it exactly when their base
+rows are the same, whatever the bases and vectors in between.
 """
 
 import random
@@ -62,6 +64,14 @@ def with_columns(code, cols, seed):
     return qcc.ExtendedCode(code, xs, alphas, qcc.RULE_GRAM_RANK, 0)
 
 
+def scan_plan(code):
+    """The plan the pipeline scans code under: its generator's, for its
+    number of columns."""
+    if isinstance(code, qcc.ExtendedCode):
+        return code.base.gen.scan_plan(code.columns_added)
+    return code.gen.scan_plan(0)
+
+
 def messages(plan, Q, k):
     """Q^k as the plan splits it: each level's |H1| N fibers of Q^(rows
     after it) words, and the rest's span, times Q^lead for the lead rows."""
@@ -91,8 +101,8 @@ GRID = [
 @pytest.mark.parametrize("field,n,h_factors", GRID)
 def test_orbit_scan_matches_matrix_scan_and_oracle(field, n, h_factors, levels_taken):
     code = random_code(field, n, h_factors, n * field.Q)
-    plan = code.orbit_plan
-    assert plan is not None and plan.lead == 0
+    plan = scan_plan(code)
+    assert plan.levels and plan.lead == 0
     assert messages(plan, field.Q, code.k) == field.Q ** code.k
     enum = wdist.enumerate_code(code.G, plan=plan)
     assert enum == wdist.enumerate_code(code.G) == oracles.enumerate_code_naive(code.G)
@@ -104,10 +114,10 @@ def test_orbit_scan_matches_matrix_scan_and_oracle(field, n, h_factors, levels_t
 ])
 def test_orbit_scan_of_extensions(field, n, h_factors, cols, levels_taken):
     ext = with_columns(random_code(field, n, h_factors, n + cols), cols, n)
-    plan = ext.orbit_plan
+    plan = scan_plan(ext)
     # the extension rows lead, and every level is the base code's
     assert plan.lead == cols
-    assert plan.levels == ext.base.orbit_plan.levels
+    assert plan.levels == scan_plan(ext.base).levels
     assert messages(plan, field.Q, ext.dim) == field.Q ** ext.dim
     enum = wdist.enumerate_code(ext.G, plan=plan)
     assert enum == wdist.enumerate_code(ext.G)
@@ -149,7 +159,7 @@ def test_extensions_sharing_a_base_part_match_the_plain_scan(
         monkeypatch.setattr(wdist, "_KEY_S", 0.0)
     qcc.generator.cache_clear()
     code = random_code(field, n, h_factors, n)
-    plan = code.gen.scan_plan(cols)._replace(base=wdist.SharedBase())
+    plan = code.gen.scan_plan(cols)
     k = code.k + cols
     assert (wdist.table_rows(field, k, 2 * n + cols) == k) == one_step
     assert bool(plan.levels) == levels and plan.lead == cols
@@ -167,8 +177,9 @@ def test_extensions_sharing_a_base_part_match_the_plain_scan(
 
 def test_pipeline_extensions_share_one_base_part_per_column_count(scans):
     # the evaluations that `extended` makes of one base code share one
-    # base part per column count, and an evaluation given its vectors
-    # shares nothing
+    # base part per column count, and so does an evaluation given its
+    # vectors when the last scan under its plan had its base rows
+    qcc.generator.cache_clear()
     spec = refdata.find_reference("q2-n15-extend-one")
     base = pipeline.Evaluation(GF4, spec.n, spec.f, spec.g)
     x2 = qcc.find_extension_vector(base.code, 2)
@@ -181,7 +192,57 @@ def test_pipeline_extensions_share_one_base_part_per_column_count(scans):
         counts.append(scans[0] - before - 1)
     assert counts == [2, 1, 2, 1]
     alone = pipeline.Evaluation(GF4, spec.n, spec.f, spec.g, xs[0])
-    assert alone.shared_plans is None and alone.enum == base.extended(xs[0]).enum
+    before = scans[0]
+    assert alone.enum == base.extended(xs[0]).enum
+    assert alone.code.gen is base.code.gen and scans[0] - before == 2  # two lead scans
+
+
+# (field, n, indices of h's factors, columns, whether the levels are taken)
+INTERLEAVED = [
+    (GF4, 15, (3, 4, 5), 1, False),  # [31, 7]_4: past one step, no level
+    (GF4, 21, (3, 4), 1, True),      # [43, 7]_4 with the levels taken
+    (GF9, 16, (0, 8), 2, False),     # [34, 5]_9: two columns, no level
+    (GF9, 13, (0, 1), 2, True),      # [28, 6]_9: two columns, the levels taken
+    (GF4, 7, (1,), 2, False),        # [16, 5]_4: two columns, one step
+]
+
+
+@pytest.mark.parametrize("field,n,h_factors,cols,levels", INTERLEAVED)
+def test_interleaved_bases_rebuild_the_base_part_exactly_when_its_rows_change(
+        field, n, h_factors, cols, levels, monkeypatch, scans):
+    # f1.x1, f2.x1, f1.x2, f2.x2 under one plan, each base part made for
+    # the base before it; then f2.x1 again, whose base part is the last
+    if levels:
+        monkeypatch.setattr(wdist, "_ONE_STEP_BYTES", 0)
+        monkeypatch.setattr(wdist, "_KEY_S", 0.0)
+    qcc.generator.cache_clear()
+    bases = [random_code(field, n, h_factors, seed) for seed in (n, n + 1)]
+    assert bases[0].gen is bases[1].gen and bases[0].G != bases[1].G
+    plan = bases[0].gen.scan_plan(cols)
+    assert bool(plan.levels) == levels and plan.lead == cols
+    k = bases[0].k + cols
+    rebuilt = []
+    for b, seed in [(0, 1), (1, 1), (0, 2), (1, 2), (1, 1)]:
+        ext = with_columns(bases[b], cols, seed)
+        before = scans[0]
+        enum = wdist.enumerate_code(ext.G, plan=plan)
+        assert scans[0] - before in (1, 2)
+        rebuilt.append(scans[0] - before == 2)  # the base part, then the lead units
+        assert enum == wdist.enumerate_code(ext.G), (b, seed)
+        if field.Q ** k <= 4 ** 6:
+            assert enum == oracles.enumerate_code_naive(ext.G), (b, seed)
+    assert rebuilt == [True, True, True, True, False]
+    qcc.generator.cache_clear()
+
+
+def test_a_plan_whose_base_rows_read_a_lead_row_is_refused():
+    ext = with_columns(random_code(GF4, 15, (3, 4, 5), 0), 1, 0)
+    plan = scan_plan(ext)
+    basis = list(plan.basis)
+    basis[-1] = basis[-1][:-1] + (1,)  # the last base row plus the lead row
+    bad = wdist.OrbitPlan(tuple(basis), plan.lead, plan.levels, wdist.SharedPlan())
+    with pytest.raises(ValueError, match="read a lead row"):
+        wdist.enumerate_code(ext.G, plan=bad)
 
 
 # (field, n, index of g among the proper qecc generators, whether the
@@ -214,7 +275,8 @@ def test_bases_of_one_generator_extended_by_one_pool(field, n, gi, levels, monke
             assert ev.enum == wdist.enumerate_code(ev.ext.G), (f, xs)
             if field.Q ** ev.dimension <= 4 ** 6:
                 assert ev.enum == oracles.enumerate_code_naive(ev.ext.G), (f, xs)
-        assert bool(base.shared_plans[1].levels) == bool(base.shared_plans[2].levels) == levels
+        gen = base.code.gen
+        assert bool(gen.scan_plan(1).levels) == bool(gen.scan_plan(2).levels) == levels
     assert len(gens) == 1
     qcc.generator.cache_clear()
 
@@ -224,15 +286,15 @@ def test_p_dividing_n_takes_the_matrix_scan(field, n, j, levels_taken):
     rng = random.Random(n)
     g = polyring.x_pow_n_minus_1(field, j)  # divides x^n - 1 for j | n
     code = qcc.build(field, n, tuple(rng.randrange(field.Q) for _ in range(n)), g)
-    assert code.orbit_plan is None
-    assert with_columns(code, 1, n).orbit_plan is None
+    assert not scan_plan(code).levels
+    assert not scan_plan(with_columns(code, 1, n)).levels
     assert wdist.enumerate_code(code.G) == oracles.enumerate_code_naive(code.G)
 
 
 def test_orbit_scan_on_two_workers(monkeypatch, levels_taken, pool_always):
     monkeypatch.setattr(wdist, "_usable_cpus", lambda: 2)
     for code in (random_code(GF4, 21, (3, 4, 5), 1), with_columns(random_code(GF9, 13, (0, 1), 2), 1, 3)):
-        plan = code.orbit_plan
+        plan = scan_plan(code)
         assert plan.levels
         one = wdist.enumerate_code(code.G, plan=plan)
         assert wdist.enumerate_code(code.G, plan=plan, workers=2) == one
@@ -245,9 +307,10 @@ def test_table_plan_here_and_on_a_pool_agree(monkeypatch, pool_always):
     monkeypatch.setattr(wdist, "_usable_cpus", lambda: 2)
     row = next(r for r in refdata.TABLES["stabilizer-gf4"] if r.n == 31)
     code = row.evaluation().ext
-    assert [len(reps) for _, reps in code.orbit_plan.levels] == [11]
-    one = wdist.enumerate_code(code.G, plan=code.orbit_plan)
-    assert wdist.enumerate_code(code.G, plan=code.orbit_plan, workers=2) == one
+    plan = scan_plan(code)
+    assert [len(reps) for _, reps in plan.levels] == [11]
+    one = wdist.enumerate_code(code.G, plan=plan)
+    assert wdist.enumerate_code(code.G, plan=plan, workers=2) == one
     assert one == wdist.enumerate_code(code.G)
 
 
@@ -256,7 +319,7 @@ def test_cost_rule_can_take_no_level(monkeypatch):
     # |H1| = 33, so the one level there is has 31 fibers of one word each,
     # dearer than the one-step scan of all 4^5 words
     code = random_code(GF4, 11, (1,), 5)
-    assert code.orbit_plan is None
+    assert not scan_plan(code).levels
     assert wdist.enumerate_code(code.G) == oracles.enumerate_code_naive(code.G)
     # and past one step: [35, 9]_9, whose h is one factor of degree 8 with
     # |H1| = 136, 316520 fibers of one word each.  The cyclotomic cosets
@@ -268,7 +331,7 @@ def test_cost_rule_can_take_no_level(monkeypatch):
     qcc.generator.cache_clear()
     ev = next(r for r in refdata.TABLES["stabilizer-gf9"] if r.n == 17).evaluation()
     assert wdist.table_rows(GF9, ev.ext.dim, ev.ext.length) < ev.ext.dim
-    assert ev.ext.orbit_plan is None
+    assert not scan_plan(ev.ext).levels
 
 
 @pytest.mark.parametrize("field,n", [(GF4, 7), (GF4, 9), (GF4, 21), (GF9, 5), (GF9, 13)])
@@ -276,7 +339,7 @@ def test_level_representatives_are_one_per_coset(field, n, levels_taken):
     """The reps times H1 are disjoint and cover GF(Q^d)*."""
     factors = polyring.factor_xn_minus_1(field, n)
     code = random_code(field, n, range(1, len(factors)), 0)
-    plan = code.orbit_plan
+    plan = scan_plan(code)
     chosen = [m for m, _, _ in code.gen.orbit_levels]
     assert len(chosen) == len(plan.levels)
     for m, (mult, reps) in zip(chosen, plan.levels):
@@ -307,9 +370,9 @@ def test_pipeline_calls_enumerate_code_once_with_the_full_generator(monkeypatch)
     ev = row.evaluation()
     assert ev.eaqecc is not None
     [(g, kwargs)] = calls
-    assert g is ev.code.G and kwargs["plan"] is ev.code.orbit_plan is not None
+    assert g is ev.code.G and kwargs["plan"] is ev.code.gen.scan_plan(0) and kwargs["plan"].levels
 
-    # a code scanned in one step builds no plan
+    # a code scanned in one step takes no level, and reads none
     def no_levels(*args):
         raise AssertionError("a plan was built")
 
@@ -318,7 +381,7 @@ def test_pipeline_calls_enumerate_code_once_with_the_full_generator(monkeypatch)
     ev = refdata.TABLES["stabilizer-gf4"][0].evaluation()
     assert ev.distance is not None
     [(g, kwargs)] = calls
-    assert g is ev.ext.G and kwargs["plan"] is None
+    assert g is ev.ext.G and kwargs["plan"] is ev.code.gen.scan_plan(1) and not kwargs["plan"].levels
 
 
 def table_and_spec_evaluations():
@@ -340,7 +403,7 @@ def test_orbit_scan_matches_matrix_scan_on_tables_and_specs():
             code = ev.ext or ev.code
         except PreconditionError:  # a listed vector outside the block dual
             continue
-        if code.orbit_plan is not None:
-            planned += 1
-            assert wdist.enumerate_code(code.G, plan=code.orbit_plan) == wdist.enumerate_code(code.G), name
+        plan = scan_plan(code)
+        planned += bool(plan.levels)
+        assert wdist.enumerate_code(code.G, plan=plan) == wdist.enumerate_code(code.G), name
     assert planned >= 10

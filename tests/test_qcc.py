@@ -493,6 +493,7 @@ def test_left_parity_check_is_caught_under_optimize():
     # still run and raise when H1 is wrong
     program = """
 from qcqec import polyring, qcc
+from qcqec.errors import InvariantError
 from qcqec.gf import field_make
 
 assert False, "assert statements are live"
@@ -500,7 +501,7 @@ polyring.quotient_exact_checked = lambda field, n, g: (1,)
 qcc.generator.cache_clear()
 try:
     qcc.build(field_make(2), 7, (0, 3, 2, 3, 2, 1), (1, 1))
-except AssertionError as exc:
+except InvariantError as exc:
     print("caught:", exc)
 """
     src_dir = str(Path(qcc.__file__).resolve().parents[1])

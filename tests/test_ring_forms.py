@@ -289,13 +289,14 @@ def test_right_parity_check_is_caught_under_optimize():
     # right-block parity check must still run and raise when it breaks
     program = """
 from qcqec import polyring, qcc
+from qcqec.errors import InvariantError
 from qcqec.gf import field_make
 
 assert False, "assert statements are live"
 polyring.poly_neg = lambda field, a: tuple(a)
 try:
     qcc.build(field_make(3), 10, (1, 5, 2, 1), (5, 3, 1, 0, 5, 7, 1))
-except AssertionError as exc:
+except InvariantError as exc:
     print("caught:", exc)
 """
     src_dir = str(Path(qcc.__file__).resolve().parents[1])

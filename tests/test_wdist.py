@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
+from qcqec.errors import InvariantError
 from qcqec.gf import field_make
 from qcqec import famat as fm
 from qcqec import wdist
@@ -330,6 +331,7 @@ def test_corrupt_histogram_is_caught_under_optimize():
     # python -O strips assert statements; the total check must survive it
     program = """
 from qcqec import famat, wdist
+from qcqec.errors import InvariantError
 from qcqec.gf import field_make
 
 assert False, "assert statements are live"
@@ -343,7 +345,7 @@ def corrupt(job):
 wdist._scan = corrupt
 try:
     wdist.enumerate_code(famat.Mat(field_make(2), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-except AssertionError as exc:
+except InvariantError as exc:
     print("caught:", exc)
 """
     src_dir = str(Path(wdist.__file__).resolve().parents[1])
@@ -359,6 +361,7 @@ def test_corrupt_histogram_is_caught_on_a_shared_base_under_optimize():
     # scans only its lead units, and the total check still sees them
     program = """
 from qcqec import pipeline, qcc, refdata, wdist
+from qcqec.errors import InvariantError
 from qcqec.gf import field_make
 
 assert False, "assert statements are live"
@@ -376,7 +379,7 @@ def corrupt(job):
 wdist._scan = corrupt
 try:
     base.extended((x1,)).enum
-except AssertionError as exc:
+except InvariantError as exc:
     print("caught:", exc)
 """
     src_dir = str(Path(wdist.__file__).resolve().parents[1])
@@ -393,6 +396,7 @@ def test_corrupt_histogram_is_caught_on_a_second_base_of_its_generator_under_opt
     # totals are still checked
     program = """
 from qcqec import pipeline, qcc, refdata, wdist
+from qcqec.errors import InvariantError
 from qcqec.gf import field_make
 
 assert False, "assert statements are live"
@@ -413,7 +417,7 @@ def corrupt(job):
 wdist._scan = corrupt
 try:
     second.extended((x1,)).enum
-except AssertionError as exc:
+except InvariantError as exc:
     print("caught:", exc)
 """
     src_dir = str(Path(wdist.__file__).resolve().parents[1])
@@ -480,7 +484,7 @@ def test_macwilliams_matches_krawtchouk_sums(field, k, n):
 def test_macwilliams_rejects_distributions_without_a_code(counts, weight):
     # [3, 2]_4 distributions with the right total that no code has
     enum = wdist.WeightEnumerator(3, 2, counts)
-    with pytest.raises(AssertionError, match=f"checksum failed at weight {weight}:"):
+    with pytest.raises(InvariantError, match=f"checksum failed at weight {weight}:"):
         wdist.macwilliams(enum, 4)
 
 
@@ -505,7 +509,7 @@ def test_macwilliams_returns_exactly_when_every_sum_is_a_count(Q):
             assert wdist.macwilliams(wdist.WeightEnumerator(n, k, counts), Q).counts == tuple(quotients)
         else:
             refused += 1
-            with pytest.raises(AssertionError):
+            with pytest.raises(InvariantError):
                 wdist.macwilliams(wdist.WeightEnumerator(n, k, counts), Q)
     # real codes, both sides of a 64-bit dual count
     for field, k, n in [(GF4 if Q == 4 else GF9, 2, 9), (GF4 if Q == 4 else GF9, 1, 40)]:
