@@ -57,13 +57,25 @@ more than one worker shares nothing: it makes its own table in each job.
 Words are bit-sliced, 64 symbols to a uint64 word per bit plane: one plane
 per GF(2) coordinate, added by XOR, or two per GF(3) coordinate ("= 2" and
 "= 1"), added by the formula of Boothby and Bradshaw (arXiv:0901.1413).
-A scan step takes one key, the planes of -b, and weighs the T table words
-t + b as their distances from the key, allocating nothing: each plane is
-XORed with the key's into one reused (W, T) buffer and ORed into a reused
-accumulator, whose popcounts go into a reused uint8 buffer; for W > 1 the
-words are summed in place in the narrowest dtype that holds n (uint8 up to
-255, uint16 above); one bincount makes the step's histogram.  Histograms
-are numpy int64 per work unit and exact Python ints once scaled and summed.
+A scan step takes a batch of B keys, the planes of -b, and weighs the
+words t + b as the distances of its unit's R table words t from each key,
+in one `BitPlanes.weights` call that allocates nothing: each plane of the
+table is XORed with each key's into one reused (W, B, R) buffer and ORed
+into a reused accumulator, whose popcounts go into a reused uint8 buffer;
+for W > 1 the words are summed in place in the narrowest dtype that holds
+n (uint8 up to 255, uint16 above).  B = max(1, _BATCH_WORDS // (R W)), so
+a small table (9^4 words over GF(9), 81^2 over GF(81)) pays a step's
+numpy calls once for several keys, and a table of _BATCH_WORDS plane words
+or more (a full GF(4) table: 4^8 words at W = 1, 4^7 at W = 2) takes one
+key a step.  A scan keeps one buffer set, sized by its largest batch.  A
+bincount makes the step's histogram.  At W = 1 (n <= 64) a weight fits a
+byte, and the weights of keys 2i and 2i + 1 against a word are adjacent
+bytes, read as one uint16 bin w + 256 w' of a bincount over 256 (n + 1)
+bins; a unit that pairs keys folds those counts into its histogram once,
+by summing both axes, so byte order does not matter.  An odd last key of
+a step, and every step at W > 1, takes a bincount of its own weights.
+Histograms are numpy int64 per work unit and exact Python ints once
+scaled and summed.
 
 No elimination checks the generator matrix: the scan counts every message,
 so a weight-0 count above 1 is the sign of dependent rows.
@@ -85,6 +97,7 @@ from qcqec import famat
 from qcqec.gf import Field, field_make
 
 _BLOCK_BYTES = 1 << 20  # block table size cap
+_BATCH_WORDS = 1 << 15  # the plane words a scan step weighs (module docstring)
 _ONE_STEP_BYTES = 1 << 17  # the largest span scanned in one step
 # the scan's cost model (`unit_seconds`): a key costs _KEY_S, unit overhead
 # included, and each table word it is weighed against _WORD_S per plane
@@ -184,22 +197,42 @@ class BitPlanes:
         m = self.field.m
         return np.concatenate([a[m:], a[:m]])
 
-    def weight_buffers(self, R: int) -> tuple:
-        """Buffers for `weights` on R vectors, as the module docstring says."""
-        return (np.empty((self.W, R), np.uint64), np.empty((self.W, R), np.uint64),
-                np.empty((self.W, R), np.uint8), np.empty(R, np.min_scalar_type(self.n)))
+    def weight_store(self, size: int) -> tuple:
+        """Flat arrays that hold the buffers of `weight_buffers(B, R)` for
+        any B R <= size."""
+        W = self.W
+        return (np.empty(W * size, np.uint64), np.empty(W * size, np.uint64),
+                np.empty(W * size, np.uint8), np.empty(size if W > 1 else 0, np.min_scalar_type(self.n)))
 
-    def weights(self, a: np.ndarray, key: np.ndarray | None = None, bufs=None) -> np.ndarray:
-        """Symbols in which each vector of a (P, W, R) batch differs from key
-        ((P, W, 1) planes; zero by default).  With bufs from weight_buffers(R)
-        nothing is allocated, and the result is a view into them."""
-        x, acc, ones, total = self.weight_buffers(a.shape[2]) if bufs is None else bufs
-        for p in range(self.P):
-            np.bitwise_xor(a[p], 0 if key is None else key[p], out=x if p else acc)
+    def weight_buffers(self, B: int, R: int, store: tuple | None = None) -> tuple:
+        """Buffers for `weights` of B keys against R vectors, as views into
+        store (from weight_store(size), B R <= size; fresh by default).  At
+        W = 1 the uint8 weights are the transpose of a C-contiguous (R, B)
+        array, so that the weights of a vector from keys 2i and 2i + 1 are
+        adjacent bytes."""
+        W = self.W
+        x, acc, ones, total = self.weight_store(B * R) if store is None else store
+        x, acc = x[: W * B * R].reshape(W, B, R), acc[: W * B * R].reshape(W, B, R)
+        if W == 1:
+            return x, acc, ones[: B * R].reshape(R, B).T[None], None
+        return x, acc, ones[: W * B * R].reshape(W, B, R), total[: B * R].reshape(B, R)
+
+    def weights(self, a: np.ndarray, keys: np.ndarray | None = None, bufs=None) -> np.ndarray:
+        """Symbols in which each vector of a (P, W, R) batch differs from
+        each of B keys ((P, W, B) planes; one zero key by default), shape
+        (B, R).  With bufs from weight_buffers(B, R, store) nothing is
+        allocated, and the result is a view into them."""
+        P, W, R = a.shape
+        B = 1 if keys is None else keys.shape[2]
+        x, acc, ones, total = self.weight_buffers(B, R) if bufs is None else bufs
+        a = a[:, :, None]
+        keys = np.zeros((P, W, 1, 1), np.uint64) if keys is None else keys[:, :, :, None]
+        for p in range(P):
+            np.bitwise_xor(a[p], keys[p], out=x if p else acc)
             if p:
                 np.bitwise_or(acc, x, out=acc)
         np.bitwise_count(acc, out=ones)
-        return ones[0] if self.W == 1 else np.add.reduce(ones, axis=0, dtype=total.dtype, out=total)
+        return ones[0] if W == 1 else np.add.reduce(ones, axis=0, dtype=total.dtype, out=total)
 
     def multiples(self, rows) -> np.ndarray:
         """Planes of s . row for every row and digit s, in one encode:
@@ -344,34 +377,50 @@ def _block_table(bp: BitPlanes, mults: np.ndarray, inner: int) -> np.ndarray:
 def _scan(job) -> list[int]:
     """Sum over the units of multiplier x weight histogram of their words,
     from the multiples of the rows at length n, weighed against the block
-    table of the rows, made here unless given."""
+    table of the rows, made here unless given, in batches of keys (module
+    docstring)."""
     q, n, mults, inner, units, table = job
     bp = _bit_planes(q, n)
     Q, k = bp.field.Q, mults.shape[2]
     if table is None:
         table = _block_table(bp, mults, inner)
-    bufs = {}
-    counts = [0] * (bp.n + 1)
-    for head, mult in units:
+    # each unit's table words, the span of its last min(free, inner) rows,
+    # its keys and its batch size
+    shapes = []
+    for head, _ in units:
+        free = k - len(head)
+        R, K = Q ** min(free, inner), Q ** max(0, free - inner)
+        shapes.append((R, K, min(K, max(1, _BATCH_WORDS // (R * bp.W)))))
+    store, views = bp.weight_store(max(R * B for R, _, B in shapes)), {}
+    counts = [0] * (n + 1)
+    for (head, mult), (R, K, B) in zip(units, shapes):
         offset = np.zeros((bp.P, bp.W, 1), dtype=np.uint64)
         for i, s in enumerate(head):
             if s:
                 offset = bp.add(offset, mults[:, :, i, s : s + 1])
-        # the unit's table words: the span of its last min(free, inner) rows
-        R = Q ** min(k - len(head), inner)
-        if R not in bufs:
-            bufs[R] = bp.weight_buffers(R)
-        words, buf = table[:, :, :R], bufs[R]
+        words = table[:, :, :R]
         # weight(t + b) is the distance of t from -b, and the keys -b run over
         # -offset + span(the free rows outside the table), a span being
         # closed under -1; with no such row, -offset is the one key
         keys = bp.neg(offset)
         if len(head) < k - inner:
             keys = bp.span(mults[:, :, len(head) : k - inner], start=keys)
-        hist = np.bincount(bp.weights(words, keys[:, :, :1], buf), minlength=bp.n + 1)
-        for i in range(1, keys.shape[2]):
-            hist += np.bincount(bp.weights(words, keys[:, :, i : i + 1], buf),
-                                minlength=bp.n + 1)
+        hist = np.zeros(n + 1, np.int64)
+        pairs = None
+        for lo in range(0, K, B):
+            b = min(B, K - lo)
+            if (b, R) not in views:
+                views[b, R] = bp.weight_buffers(b, R, store)
+            w = bp.weights(words, keys[:, :, lo : lo + b], views[b, R])
+            even = len(w) & ~1 if bp.W == 1 else 0
+            if even:  # keys 2i and 2i + 1 as the low and high byte of one bin
+                step = np.bincount(w.T[:, :even].view(np.uint16).ravel(), minlength=256 * (n + 1))
+                pairs = step if pairs is None else np.add(pairs, step, out=pairs)
+            if even < len(w):
+                hist += np.bincount(w[even:].ravel(), minlength=n + 1)
+        if pairs is not None:
+            pairs = pairs.reshape(n + 1, 256)[:, : n + 1]
+            hist += pairs.sum(axis=0) + pairs.sum(axis=1)
         counts = [c + mult * h for c, h in zip(counts, hist.tolist())]
     return counts
 

@@ -75,8 +75,18 @@ def test_plane_weight_is_symbol_weight(field, n):
                for _ in range(n)] for _ in range(20)]
     digits += [[0] * n, [field.Q - 1] * n]
     want = [sum(1 for d in row if d) for row in digits]
-    weights = bp.weights(bp.encode(digits))
-    assert weights.tolist() == want
+    words = bp.encode(digits)
+    weights = bp.weights(words)
+    assert weights.tolist() == [want]
+    # a batch of keys: row i holds the distances of the vectors from key i,
+    # in fresh buffers and in reused ones sized for a larger batch
+    keys = digits[::3]
+    dist = [[sum(1 for a, b in zip(row, key) if a != b) for row in digits] for key in keys]
+    store = bp.weight_store(len(keys) * len(digits) + 5)
+    for batch in (keys, keys[:2], keys[:3], keys):
+        bufs = bp.weight_buffers(len(batch), len(digits), store)
+        assert bp.weights(words, bp.encode(batch), bufs).tolist() == dist[: len(batch)]
+    assert bp.weights(words, bp.encode(keys)).tolist() == dist
     # np.bincount casts its input to intp under the 'safe' rule
     assert np.can_cast(weights.dtype, np.intp)
     # the narrowest unsigned dtype that holds n
@@ -197,6 +207,51 @@ def test_enumerate_workers_agree_at_n_256(monkeypatch, pool_always):
     one = wdist.enumerate_code(g, workers=1)
     assert wdist.enumerate_code(g, workers=3) == one
     assert one.total() == 4 ** 6
+
+
+# a one-row block table makes units of at most Q keys against Q words, and
+# _BATCH_WORDS sets B = 1, 2 or 3 keys a batch: 3 does not divide GF(4)'s 4
+# keys and 2 does not divide 9 or 81, so some batch is short or odd.  At
+# n <= 64 (W = 1) a batch of two or more pairs its keys.  The codes are the
+# smallest whose units keep Q keys when dealt to two workers; a pool whose
+# workers fork sees the patched batch size, one that spawns them the default
+@pytest.mark.parametrize("n", [63, 64, 65, 255, 256, 257])
+@pytest.mark.parametrize("field,k", [(GF4, 5), (GF9, 5), (GF81, 4)],
+                         ids=["Q4", "Q9", "Q81"])
+def test_batched_scans_agree_at_the_batch_edges(field, k, n, monkeypatch, request):
+    monkeypatch.setattr(wdist, "_BLOCK_BYTES", 0)
+    monkeypatch.setattr(wdist, "_usable_cpus", lambda: 2)
+    W = wdist.BitPlanes.shape(field, n)[1]
+    g = rand_full_rank(random.Random(field.Q * 1000 + n), field, k, n)
+    naive = field.Q ** k <= 4 ** 6
+    if naive:
+        want = oracles.enumerate_code_naive(g)
+    else:  # the B = 1 scan, whose step weighs one key
+        monkeypatch.setattr(wdist, "_BATCH_WORDS", 1)
+        want = wdist.enumerate_code(g)
+    for workers in (1, 2):
+        if workers > 1:
+            request.getfixturevalue("pool_always")
+        for B in (1, 2, 3) if naive or workers > 1 else (2, 3):
+            monkeypatch.setattr(wdist, "_BATCH_WORDS", B * field.Q * W)
+            assert wdist.enumerate_code(g, workers=workers) == want, (workers, B)
+
+
+# random codes of four scan shapes: a full GF(4) table at W = 1 (4^8 words)
+# and at W = 2 (4^7), and the batched [35,9]_9 of table 3 and [22,5]_81 of
+# the GF(81) spec; a scan holds its block table, its keys and one batch's
+# buffers
+@pytest.mark.parametrize("field,k,n", [(GF4, 10, 47), (GF4, 9, 127), (GF9, 9, 35), (GF81, 5, 22)],
+                         ids=["47-4", "127-4", "35-9", "22-81"])
+def test_scan_peak_is_within_three_block_tables(field, k, n):
+    g = rand_full_rank(random.Random(field.Q * 1000 + n), field, k, n)
+    tracemalloc.start()
+    try:
+        wdist.enumerate_code(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * wdist._BLOCK_BYTES, peak / wdist._BLOCK_BYTES
 
 
 def test_enumerate_rejects_rank_deficient():
