@@ -17,8 +17,9 @@ distance) pair seen for its field, length and dimension.
 A candidate pays only for what f and x1 change.
 
 * Once per g: the `qcc.Generator` (one division of x^n - 1), its H1
-  test, and in qecc mode the extension-vector pool and the scan plan of
-  the one-column extensions, with its work units.
+  test, and in qecc mode the extension-vector pool and the
+  `wdist.ScanPlan` of the one-column extensions, which makes their work
+  units.
 * Once per (g, x1), kept on the generator: whether x1 lies in the
   Hermitian dual of <g> and <x1, x1> (`qcc.Generator.column`), and the
   multiples of the scan row (x1 | 0 | 1), which every f's scan reads.
@@ -31,9 +32,9 @@ A candidate pays only for what f and x1 change.
   extension scan makes the base part (the block table of the base code
   and the histogram of its words) that the others share.
 * Once per x1: the extension's own checks (the rule, the Gram rank),
-  its G, one `wdist.enumerate_code` call, which weighs only its lead
-  units, the words x1 + C, against that table, and one MacWilliams
-  transform.
+  its G, one `wdist.enumerate_code` call, which weighs only its
+  extension units, the words x1 + C, against that table, and one
+  MacWilliams transform.
 
 A record line carries the inputs in compact notation plus the computed
 parameters, so re-running the pipeline on (q, n, f, g) reproduces it

@@ -10,14 +10,13 @@ the idempotent, the block dual of <g>, the orbit levels, the scan plans
 and the side-1 checks of each extension vector) comes from the code's
 `qcc.Generator`, made by one division of x^n - 1 by g.
 
-Every evaluation scans under its generator's plan for its column count
-(`qcc.Generator.scan_plan`), which keeps the base part of the last base
-code scanned under it and reuses that part when the next scan's base
-rows are the same (`wdist`).  The evaluations that `extended` makes of
-one base code share its built code, so of those scanned one after
-another by as many columns, each after the first scans only its lead
-units, the words x1 + C, times Q - 1.  `extended` checks only the
-vectors and scalars it is given.
+Every evaluation scans under its generator's `wdist.ScanPlan` for its
+column count (`qcc.Generator.scan_plan`); what the scans under one plan
+share is set out in the `wdist` module docstring.  The evaluations that
+`extended` makes of one base code share its built code, so of those
+scanned one after another by as many columns, each after the first scans
+only its extension units, the words x1 + C, times Q - 1.  `extended`
+checks only the vectors and scalars it is given.
 
 Stages are called through their modules (`qcc.build`, `wdist.macwilliams`,
 ...), looked up at call time, so a wrapper put on a module attribute sees

@@ -88,9 +88,9 @@ message of degree < k is uniquely a + b m_j with deg a < deg m_j; the
 extension rows lead.  A length n divisible by p takes no level (h is then
 not squarefree), and neither does a code scanned in one step, which
 builds nothing; its plan is then the rows of G as they stand, behind the
-extension rows.  `scan_plan` makes the plan once per column count, with
-the `wdist.SharedPlan` in which the scans of every code of g by that many
-columns keep what they share (`wdist`).
+extension rows.  `scan_plan` makes the plan, a `wdist.ScanPlan`, once per
+column count, and the scans of every code of g by that many columns share
+it (`wdist`).
 """
 
 import math
@@ -203,18 +203,18 @@ class Generator:
             levels.append((m, mult, tuple(reps)))
             rows -= d
 
-    def scan_plan(self, cols: int) -> wdist.OrbitPlan:
+    def scan_plan(self, cols: int) -> wdist.ScanPlan:
         """The scan plan of the codes of g extended by cols columns: the
         extension rows lead, then the rows of the orbit levels, which a code
         scanned in one step does not take, then the rest.  Its basis is
         written in the messages of G: the rows x^i, then the extension rows.
-        Made once per cols, with the `wdist.SharedPlan` of every scan of a
-        code of g by cols columns."""
+        Made once per cols, and shared by every scan of a code of g by cols
+        columns."""
         if cols not in self._plans:
             self._plans[cols] = self._scan_plan(cols)
         return self._plans[cols]
 
-    def _scan_plan(self, cols: int) -> wdist.OrbitPlan:
+    def _scan_plan(self, cols: int) -> wdist.ScanPlan:
         field, k = self.field, self.k
         one_step = wdist.table_rows(field, k + cols, 2 * self.n + cols) == k + cols
         levels = () if one_step else self.orbit_levels
@@ -225,8 +225,8 @@ class Generator:
         basis += [(0,) * i + prefix for i in range(k + 1 - len(prefix))]
         basis = [row + (0,) * (k + cols - len(row)) for row in basis]
         lead = [(0,) * (k + i) + (1,) + (0,) * (cols - 1 - i) for i in range(cols)]
-        return wdist.OrbitPlan(tuple(lead + basis), cols, tuple((mult, reps) for _, mult, reps in levels),
-                               wdist.SharedPlan())
+        return wdist.ScanPlan(field, k + cols, 2 * self.n + cols, tuple(lead + basis),
+                              tuple((mult, reps) for _, mult, reps in levels), cols)
 
 
 @lru_cache(maxsize=1)

@@ -23,15 +23,19 @@ k - d; multiplying by H1 = <x mod m, GF(Q)*> permutes the fibers and keeps
 weights.  So the words with a nonzero m-residue are counted as |H1| times
 the fibers of N = (Q^d - 1)/|H1| coset representatives r = gamma^j, each
 scanned as the key offset c(r) plus the span of C', and C' is split again
-or scanned projectively.  An `OrbitPlan` writes this as scan rows (a basis
+or scanned projectively.  A `ScanPlan` writes this as scan rows (a basis
 of the code adapted to the levels, given as combinations of the rows of the
-g passed in) and units (head, |H1|), one per fiber, in the form of the
-projective units.  Rows that lead the plan, the columns of an extension,
-are scanned projectively first, so only its all-zero part, the base code,
-is split.  A unit may span fewer rows than the block table: the table holds
-the span of the last rows, the last row first, so its first Q^j words span
-the last j rows.  `unit_seconds` is the cost model the plan is chosen by,
-with a key at _KEY_S and a table word at _WORD_S per plane word.
+g passed in) and one list of levels (mult, reps), each taking len(reps[0])
+rows and making a unit (head, mult) per rep, one per fiber.  The projective
+split is a level too: a row scanned projectively is (Q - 1, ((1,),)), its
+first nonzero digit set to 1.  The list is the `cols` columns of an
+extension, scanned projectively first so that only its all-zero part, the
+base code, is split; then the orbit levels; then every row down to the
+block table, whose span ends it.  A unit may span fewer rows than the
+block table: the table holds the span of the last rows, the last row
+first, so its first Q^j words span the last j rows.  `unit_seconds` is the
+cost model the plan is chosen by, with a key at _KEY_S and a table word at
+_WORD_S per plane word.
 
 The same model decides where a scan runs.  With workers > 1 a process
 pool starts only when the one-worker scan's estimate, times the share
@@ -39,20 +43,23 @@ pool starts only when the one-worker scan's estimate, times the share
 the cost of starting and shutting down a pool; a smaller scan runs in the
 main process, as with one worker.
 
-Every scan runs under a plan (a call without one gets the plan of no
-lead row and no level), and the plan's `SharedPlan` keeps what the next
-scan under it can reuse: the work units and their estimate, which depend
-only on the plan and the shape of G; the multiples of each lead row
+Every scan runs under a `ScanPlan`: `qcc.Generator.scan_plan` makes one
+per column count, and a call without one gets the plan of no extension
+column and no level.  The plan makes every scan decision and keeps every
+result that the next scan under it can reuse: the table rows, the work
+units and their one-worker estimate, and their deal to each worker count,
+which depend only on the plan; the multiples of each extension row
 (x1 | 0 | alpha) scanned so far; and the base part of the last base code
-C scanned, with the lead rows as the outer ones of the split of Ling and
-Sole: the multiples of the base rows, the block table over them, and the
-histogram of the units whose lead digits are zero, the words of C.  That
-part is keyed by the rows of G it was made from, the first k - lead,
-which are all that the basis rows after the lead read (checked when the
-units are made).  A scan whose base rows match reuses it and weighs only
-its lead units, x1 + C with multiplier Q - 1 for one column, through
-`_scan` against its table; any other scan rebuilds it first.  A scan on
-more than one worker shares nothing: it makes its own table in each job.
+C scanned, with the extension rows as the outer ones of the split of Ling
+and Sole: the multiples of the base rows, the block table over them, and
+the histogram of the units whose extension digits are zero, the words of
+C.  That part is keyed by the rows of G it was made from, the first
+k - cols, which are all that the basis rows after the extension rows read
+(a plan whose base rows read an extension row is refused when made).  A scan whose
+base rows match reuses it and weighs only its extension units, x1 + C with
+multiplier Q - 1 for one column, through `_scan` against its table; any
+other scan rebuilds it first.  A scan on more than one worker shares
+nothing: it makes its own table in each job.
 
 Words are bit-sliced, 64 symbols to a uint64 word per bit plane: one plane
 per GF(2) coordinate, added by XOR, or two per GF(3) coordinate ("= 2" and
@@ -88,7 +95,6 @@ import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -268,35 +274,6 @@ def _bit_planes(q: int, n: int) -> BitPlanes:
 # --- message scans ----------------------------------------------------------------
 
 
-class SharedPlan:
-    """What the scans under one plan keep for the next (module docstring):
-    the table rows, the one-worker work units, cut into the lead units and
-    the base units, and their estimate, made by the first scan; the
-    multiples of each lead row scanned so far, by its digits; and the base
-    part of the last base scanned, as (its rows of G, the multiples of its
-    scan rows, the block table, the histogram of the base units)."""
-
-    def __init__(self):
-        self.inner = self.lead_units = self.base_units = self.seconds = self.base = None
-        self.lead_mults = {}
-
-
-class OrbitPlan(NamedTuple):
-    """How to split the scan of a code by its double-shift orbits (module
-    docstring).  Scan row i is sum_j basis[i][j] g.rows[j], for the
-    generator g passed with the plan, or g.rows[i] with no basis.  The
-    first `lead` scan rows are scanned projectively; then each level
-    (mult, reps) takes len(reps[0]) rows, and stands for mult x the words
-    rep . (its rows) + span(every later row), for each rep; the rows after
-    the last level are scanned projectively.  The rows after the lead must
-    not read the last `lead` rows of g."""
-
-    basis: tuple | None
-    lead: int
-    levels: tuple
-    shared: SharedPlan
-
-
 def table_rows(field: Field, k: int, n: int) -> int:
     """Rows of the block table of an [n, k]_Q scan: all k when their span
     fits _ONE_STEP_BYTES (one step), else the most whose span fits
@@ -322,50 +299,9 @@ def unit_seconds(field: Field, n: int, inner: int, free: int) -> float:
 
 def projective_seconds(field: Field, n: int, inner: int, rows: int) -> float:
     """Estimated time of the projective scan of the span of the last `rows`
-    rows (the units `_work_units` makes for them)."""
+    rows (the units a `ScanPlan` makes for them)."""
     return (unit_seconds(field, n, inner, min(rows, inner))
             + sum(unit_seconds(field, n, inner, free) for free in range(inner, rows)))
-
-
-def _work_units(Q: int, k: int, inner: int, workers: int, plan: OrbitPlan):
-    """The table rows and the work units, dealt into at most `workers` lists
-    of about equal work.
-
-    A unit (head, multiplier) stands for multiplier x the weight histogram
-    of the words head . rows[:len(head)] + span(rows[len(head):]).  The
-    first units are the projective split of the plan's lead rows (a unit
-    per row whose digit is the first nonzero one, set to 1), a unit per
-    fiber of each level, and the projective split of the rows after the
-    levels, ending in the span of the table's rows.  The table has at most
-    `inner` rows, and no more than the largest unit spans.  A unit is then
-    cut by its next digit while it has more keys than table words, or, with
-    workers > 1, while it holds over 1/(8 workers) of the work."""
-    lead = plan.lead
-    units = [((0,) * i + (1,), Q - 1) for i in range(lead)]
-    at = lead
-    for mult, reps in plan.levels:
-        units += [((0,) * at + rep, mult) for rep in reps]
-        at += len(reps[0])
-    units += [((0,) * i + (1,), Q - 1) for i in range(at, k - inner)]
-    units.append(((0,) * max(at, k - inner), 1))
-    # the table spans no lead row, so that the base part holds it
-    inner = min(inner, k - lead, max(k - len(head) for head, _ in units))
-    total = sum(Q ** (k - len(head)) for head, _ in units)
-    cut = []
-    while units:
-        head, mult = units.pop()
-        free = k - len(head)
-        if free > 2 * inner or (workers > 1 and free > inner and 8 * workers * Q ** free > total):
-            units += [(head + (s,), mult) for s in range(Q)]
-        else:
-            cut.append((Q ** free, head, mult))
-    chunks = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for cost, head, mult in sorted(cut, reverse=True):
-        i = loads.index(min(loads))
-        chunks[i].append((head, mult))
-        loads[i] += cost
-    return inner, [chunk for chunk in chunks if chunk]
 
 
 def _block_table(bp: BitPlanes, mults: np.ndarray, inner: int) -> np.ndarray:
@@ -444,46 +380,99 @@ def _scan_rows(field: Field, g: famat.Mat, basis) -> list[tuple]:
     return out
 
 
-def _plan_units(field: Field, k: int, n: int, plan: OrbitPlan) -> SharedPlan:
-    """The plan's shared part, its one-worker work units and their estimate
-    made on first read.  A plan whose base rows read a lead row is refused:
-    its base part would not be keyed by the rows it reads."""
-    shared, lead = plan.shared, plan.lead
-    if shared.lead_units is None:
-        if plan.basis is not None and any(any(b[k - lead:]) for b in plan.basis[lead:]):
+class ScanPlan:
+    """How to scan the [n, k]_Q codes of one generator extended by `cols`
+    columns, and what their scans share (module docstring).  Scan row i is
+    sum_j basis[i][j] g.rows[j], for the g passed to `counts`, or g.rows[i]
+    with no basis.  `levels` holds the orbit levels (mult, reps) alone; the
+    work units are made from them, the extension rows before them and the
+    projective rows after them, in one loop."""
+
+    def __init__(self, field: Field, k: int, n: int, basis=None, levels=(), cols=0):
+        if basis is not None and any(any(b[k - cols:]) for b in basis[cols:]):
             raise ValueError("the plan's base rows read a lead row")
-        shared.inner, (units,) = _work_units(field.Q, k, table_rows(field, k, n), 1, plan)
-        shared.seconds = sum(unit_seconds(field, n, shared.inner, k - len(head)) for head, _ in units)
-        shared.lead_units = [(head, mult) for head, mult in units if any(head[:lead])]
-        shared.base_units = [(head[lead:], mult) for head, mult in units if not any(head[:lead])]
-    return shared
+        self.field, self.k, self.n = field, k, n
+        self.basis, self.levels, self.cols = basis, tuple(levels), cols
+        Q, inner = field.Q, table_rows(field, k, n)
+        row = (Q - 1, ((1,),))
+        tail = k - inner - cols - sum(len(reps[0]) for _, reps in self.levels)
+        units, at = [], 0
+        for mult, reps in (row,) * cols + self.levels + (row,) * max(0, tail):
+            units += [((0,) * at + rep, mult) for rep in reps]
+            at += len(reps[0])
+        units.append(((0,) * at, 1))
+        # the table spans no more rows than the largest unit, and no extension
+        # row, so that the base part holds it
+        self.inner = min(inner, k - cols, max(k - len(head) for head, _ in units))
+        self._units, self._chunks = units, {}
+        (one,) = self.chunks(1)
+        self.seconds = sum(unit_seconds(field, n, self.inner, k - len(head)) for head, _ in one)
+        self.lead_units = [(head, mult) for head, mult in one if any(head[:cols])]
+        self.base_units = [(head[cols:], mult) for head, mult in one if not any(head[:cols])]
+        # the multiples of each extension row by its digits, and the base part
+        # of the last base scanned: (its rows of g, the multiples of its scan
+        # rows, the block table, the histogram of the base units)
+        self.lead_mults, self.base = {}, None
 
+    def chunks(self, workers: int) -> list:
+        """The work units dealt into at most `workers` lists of about equal
+        work.  A unit (head, multiplier) stands for multiplier x the weight
+        histogram of the words head . rows[:len(head)] + span(rows[len(head):]).
+        A unit is cut by its next digit while it has more keys than table
+        words, or, with workers > 1, while it holds over 1/(8 workers) of the
+        work."""
+        if workers not in self._chunks:
+            Q, k, inner = self.field.Q, self.k, self.inner
+            units, cut = list(self._units), []
+            total = sum(Q ** (k - len(head)) for head, _ in units)
+            while units:
+                head, mult = units.pop()
+                free = k - len(head)
+                if free > 2 * inner or (workers > 1 and free > inner and 8 * workers * Q ** free > total):
+                    units += [(head + (s,), mult) for s in range(Q)]
+                else:
+                    cut.append((Q ** free, head, mult))
+            chunks, loads = [[] for _ in range(workers)], [0] * workers
+            for cost, head, mult in sorted(cut, reverse=True):
+                i = loads.index(min(loads))
+                chunks[i].append((head, mult))
+                loads[i] += cost
+            self._chunks[workers] = [chunk for chunk in chunks if chunk]
+        return self._chunks[workers]
 
-def _shared_scan(field: Field, g: famat.Mat, plan: OrbitPlan) -> list[int]:
-    """The weight histogram of a one-worker scan under plan: the base
-    part's, reused when g's base rows are the ones it was made from and
-    made here otherwise, plus the lead units', which `_scan` weighs against
-    the base part's table."""
-    lead, k, n = plan.lead, g.nrows, g.ncols
-    shared = _plan_units(field, k, n, plan)
-    bp = _bit_planes(field.q, n)
-    rows = [tuple(row) for row in g.rows[: k - lead]]
-    if shared.base is None or shared.base[0] != rows:
-        shared.base = None  # the last base part goes before this one is made
-        mults = bp.multiples(_scan_rows(field, g, plan.basis and plan.basis[lead:]))
-        table = _block_table(bp, mults, shared.inner)
-        shared.base = rows, mults, table, _scan((field.q, n, mults, shared.inner, shared.base_units, table))
-    _, base_mults, table, base_counts = shared.base
-    if not lead:
-        return base_counts
-    lead_mults = []
-    for row in _scan_rows(field, g, plan.basis[:lead]):
-        if row not in shared.lead_mults:
-            shared.lead_mults[row] = bp.multiples([row])
-        lead_mults.append(shared.lead_mults[row])
-    mults = np.concatenate(lead_mults + [base_mults], axis=2)
-    counts = _scan((field.q, n, mults, shared.inner, shared.lead_units, table))
-    return [a + b for a, b in zip(base_counts, counts)]
+    def counts(self, g: famat.Mat, workers: int = 1) -> list[int]:
+        """The weight histogram of the row space of g: on a pool of `workers`
+        processes when the one-worker estimate passes break-even, each job
+        making its own table; otherwise here, the base part's histogram,
+        reused when g's base rows are the ones it was made from and made
+        otherwise, plus the extension units', which `_scan` weighs against
+        the base part's table."""
+        field, k, n, cols = self.field, self.k, self.n, self.cols
+        if (g.field.Q, g.nrows, g.ncols) != (field.Q, k, n):
+            raise ValueError(f"a plan for [{n}, {k}]_{field.Q} codes cannot scan G")
+        bp = _bit_planes(field.q, n)
+        if workers > 1 and self.seconds * (1 - 1 / workers) > _POOL_S:
+            mults = bp.multiples(_scan_rows(field, g, self.basis))
+            jobs = [(field.q, n, mults, self.inner, chunk, None) for chunk in self.chunks(workers)]
+            with ProcessPoolExecutor(max_workers=workers) as ex:
+                return [sum(parts) for parts in zip(*ex.map(_scan, jobs))]
+        rows = [tuple(row) for row in g.rows[: k - cols]]
+        if self.base is None or self.base[0] != rows:
+            self.base = None  # the last base part goes before this one is made
+            mults = bp.multiples(_scan_rows(field, g, self.basis and self.basis[cols:]))
+            table = _block_table(bp, mults, self.inner)
+            self.base = rows, mults, table, _scan((field.q, n, mults, self.inner, self.base_units, table))
+        _, base_mults, table, base_counts = self.base
+        if not cols:
+            return base_counts
+        lead_mults = []
+        for row in _scan_rows(field, g, self.basis[:cols]):
+            if row not in self.lead_mults:
+                self.lead_mults[row] = bp.multiples([row])
+            lead_mults.append(self.lead_mults[row])
+        mults = np.concatenate(lead_mults + [base_mults], axis=2)
+        counts = _scan((field.q, n, mults, self.inner, self.lead_units, table))
+        return [a + b for a, b in zip(base_counts, counts)]
 
 
 def _usable_cpus() -> int:
@@ -497,14 +486,14 @@ def _usable_cpus() -> int:
 def enumerate_code(
     g: famat.Mat,
     workers: int = 1,
-    plan: OrbitPlan | None = None,
+    plan: ScanPlan | None = None,
 ) -> WeightEnumerator:
     """Exact weight enumerator of the row space of g by full traversal.
 
     g must have full row rank so that messages and codewords are in
     bijection.  The scan itself checks this: it counts every message, so
     its weight-0 count is Q^(k - rank g), and anything but 1 raises
-    ValueError.  A plan (`OrbitPlan`, made by `qcc.Generator.scan_plan`
+    ValueError.  A plan (`ScanPlan`, made by `qcc.Generator.scan_plan`
     for a quasi-cyclic g) splits the scan by double-shift orbits and keeps
     what later scans under it reuse (module docstring); its basis must be
     invertible, which the weight-0 count checks too.  With workers > 1 the
@@ -518,19 +507,7 @@ def enumerate_code(
     k, n = g.nrows, g.ncols
     total = field.Q ** k
     workers = min(workers, _usable_cpus()) if workers > 1 else 1
-    if plan is None:
-        plan = OrbitPlan(None, 0, (), SharedPlan())
-
-    if k == 0:
-        counts = [1] + [0] * n
-    elif workers > 1 and _plan_units(field, k, n, plan).seconds * (1 - 1 / workers) > _POOL_S:
-        inner, chunks = _work_units(field.Q, k, table_rows(field, k, n), workers, plan)
-        mults = _bit_planes(field.q, n).multiples(_scan_rows(field, g, plan.basis))
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            partials = list(ex.map(_scan, [(field.q, n, mults, inner, chunk, None) for chunk in chunks]))
-        counts = [sum(parts) for parts in zip(*partials)]
-    else:
-        counts = _shared_scan(field, g, plan)
+    counts = [1] + [0] * n if k == 0 else (plan or ScanPlan(field, k, n)).counts(g, workers)
 
     if counts[0] != 1:
         raise ValueError("generator matrix must have full row rank")

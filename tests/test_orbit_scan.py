@@ -11,6 +11,7 @@ it; the scans that follow are checked to reuse it exactly when their base
 rows are the same, whatever the bases and vectors in between.
 """
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -74,12 +75,13 @@ def scan_plan(code):
 
 def messages(plan, Q, k):
     """Q^k as the plan splits it: each level's |H1| N fibers of Q^(rows
-    after it) words, and the rest's span, times Q^lead for the lead rows."""
-    rows, total = k - plan.lead, 0
+    after it) words, and the rest's span, times Q^cols for the extension
+    rows."""
+    rows, total = k - plan.cols, 0
     for mult, reps in plan.levels:
         rows -= len(reps[0])
         total += mult * len(reps) * Q ** rows
-    return Q ** plan.lead * (total + Q ** rows)
+    return Q ** plan.cols * (total + Q ** rows)
 
 
 # (field, n, indices of the factors of x^n - 1 that make h): degrees of h's
@@ -102,7 +104,7 @@ GRID = [
 def test_orbit_scan_matches_matrix_scan_and_oracle(field, n, h_factors, levels_taken):
     code = random_code(field, n, h_factors, n * field.Q)
     plan = scan_plan(code)
-    assert plan.levels and plan.lead == 0
+    assert plan.levels and plan.cols == 0
     assert messages(plan, field.Q, code.k) == field.Q ** code.k
     enum = wdist.enumerate_code(code.G, plan=plan)
     assert enum == wdist.enumerate_code(code.G) == oracles.enumerate_code_naive(code.G)
@@ -116,7 +118,7 @@ def test_orbit_scan_of_extensions(field, n, h_factors, cols, levels_taken):
     ext = with_columns(random_code(field, n, h_factors, n + cols), cols, n)
     plan = scan_plan(ext)
     # the extension rows lead, and every level is the base code's
-    assert plan.lead == cols
+    assert plan.cols == cols
     assert plan.levels == scan_plan(ext.base).levels
     assert messages(plan, field.Q, ext.dim) == field.Q ** ext.dim
     enum = wdist.enumerate_code(ext.G, plan=plan)
@@ -162,7 +164,7 @@ def test_extensions_sharing_a_base_part_match_the_plain_scan(
     plan = code.gen.scan_plan(cols)
     k = code.k + cols
     assert (wdist.table_rows(field, k, 2 * n + cols) == k) == one_step
-    assert bool(plan.levels) == levels and plan.lead == cols
+    assert bool(plan.levels) == levels and plan.cols == cols
     for seed in range(4):
         ext = with_columns(code, cols, seed)
         before = scans[0]
@@ -219,7 +221,7 @@ def test_interleaved_bases_rebuild_the_base_part_exactly_when_its_rows_change(
     bases = [random_code(field, n, h_factors, seed) for seed in (n, n + 1)]
     assert bases[0].gen is bases[1].gen and bases[0].G != bases[1].G
     plan = bases[0].gen.scan_plan(cols)
-    assert bool(plan.levels) == levels and plan.lead == cols
+    assert bool(plan.levels) == levels and plan.cols == cols
     k = bases[0].k + cols
     rebuilt = []
     for b, seed in [(0, 1), (1, 1), (0, 2), (1, 2), (1, 1)]:
@@ -240,9 +242,73 @@ def test_a_plan_whose_base_rows_read_a_lead_row_is_refused():
     plan = scan_plan(ext)
     basis = list(plan.basis)
     basis[-1] = basis[-1][:-1] + (1,)  # the last base row plus the lead row
-    bad = wdist.OrbitPlan(tuple(basis), plan.lead, plan.levels, wdist.SharedPlan())
     with pytest.raises(ValueError, match="read a lead row"):
-        wdist.enumerate_code(ext.G, plan=bad)
+        wdist.ScanPlan(plan.field, plan.k, plan.n, tuple(basis), plan.levels, plan.cols)
+
+
+def test_a_plan_refuses_a_generator_of_another_shape():
+    # the one-column plan of a generator cannot scan its base code's G
+    code = random_code(GF4, 15, (3, 4, 5), 0)
+    with pytest.raises(ValueError, match="a plan for"):
+        wdist.enumerate_code(code.G, plan=code.gen.scan_plan(1))
+
+
+def units_digest(plan):
+    """A digest of the plan's table rows and of its work units dealt to
+    one, two and three workers."""
+    dealt = [plan.inner] + [plan.chunks(workers) for workers in (1, 2, 3)]
+    return hashlib.sha256(repr(dealt).encode()).hexdigest()[:16]
+
+
+def assert_every_message_once(plan):
+    """Each deal's units cover the Q^k messages once: a unit (head, mult)
+    stands for mult Q^(k - len head) of them."""
+    Q, k = plan.field.Q, plan.k
+    for workers in (1, 2, 3):
+        units = [unit for chunk in plan.chunks(workers) for unit in chunk]
+        assert len(plan.chunks(workers)) <= workers
+        assert sum(mult * Q ** (k - len(head)) for head, mult in units) == Q ** k
+
+
+# (field, n, indices of h's factors, columns, digest of the units): the
+# levels-taken [42, 6]_4 code of GRID by 0, 1 and 2 columns, and the
+# [26, 4]_9 code by one
+PINNED = [
+    (GF4, 21, (3, 4), 0, "963d6727473961cb"),
+    (GF4, 21, (3, 4), 1, "cbe81f53fdab178b"),
+    (GF4, 21, (3, 4), 2, "939f0cc9a0bffef7"),
+    (GF9, 13, (0, 1), 1, "ffc455a283f302ef"),
+]
+
+
+@pytest.mark.parametrize("field,n,h_factors,cols,digest", PINNED)
+def test_work_units_of_orbit_plans_are_pinned(field, n, h_factors, cols, digest, levels_taken):
+    # no unit, table size or deal moves
+    plan = qcc.generator(field, n, g_leaving(field, n, h_factors)).scan_plan(cols)
+    assert plan.levels and plan.cols == cols
+    assert units_digest(plan) == digest
+    assert_every_message_once(plan)
+
+
+def test_work_units_of_plain_plans_and_a_table_plan_are_pinned(monkeypatch):
+    # the plans of no level for a [9, 7]_4 code and, with the block table
+    # capped at three rows so that units are cut by both rules, a [9, 9]_4
+    # code; and the one-level plan of the [63, 11]_4 extension of the
+    # first GF(4) n = 31 row
+    plain = wdist.ScanPlan(GF4, 7, 9)
+    assert units_digest(plain) == "25527c1adbf69ee3"
+    assert_every_message_once(plain)
+    with monkeypatch.context() as m:
+        m.setattr(wdist, "_BLOCK_BYTES", 1 << 10)
+        cut = wdist.ScanPlan(GF4, 9, 9)
+        assert cut.inner == 3 and [len(units) for units in cut.chunks(3)] == [29, 29, 30]
+        assert units_digest(cut) == "ca23321ff5459381"
+        assert_every_message_once(cut)
+    row = next(r for r in refdata.TABLES["stabilizer-gf4"] if r.n == 31)
+    plan = scan_plan(row.evaluation().ext)
+    assert [len(reps) for _, reps in plan.levels] == [11] and (plan.k, plan.n) == (11, 63)
+    assert units_digest(plan) == "0a306c7a293e3a98"
+    assert_every_message_once(plan)
 
 
 # (field, n, index of g among the proper qecc generators, whether the
