@@ -28,9 +28,9 @@ A candidate pays only for what f and x1 change.
   certificate's verdict before anything is built, so a candidate that
   fails it is recorded with no code, matrix or scan.  A code is built
   only for a candidate that passes (eaqecc) or is extended (qecc).  In
-  qecc mode its rows are padded for the extensions once, and its first
-  extension scan makes the base part (the block table of the base code
-  and the histogram of its words) that the others share.
+  qecc mode its rows are made once for G and every extension's G, and
+  its first extension scan makes the base part (the block table of the
+  base code and the histogram of its words) that the others share.
 * Once per x1: the extension's own checks (the rule, the Gram rank),
   its G, one `wdist.enumerate_code` call, which weighs only its
   extension units, the words x1 + C, against that table, and one
@@ -431,22 +431,20 @@ def _evaluate(field: Field, config: SearchConfig, f, g, fc, gc, x1s) -> CodeReco
     if isinstance(x1s, str):
         return skip(x1s)
     base = pipeline.Evaluation(field, config.n, f, g, budget=config.enum_budget)
-    base.code.__dict__["f_coprime"] = True  # f was drawn a unit; cached_property's slot
     if config.mode == "qecc":
         extended = [base.extended((x1,)) for x1 in x1s]
         if extended[0].skipped:
             return skip("enum-budget")  # same dimension for every x1
+        flags["certificate_ok"] = forms.one_not_eigenvalue
         # the first of the best (d_dual, d) wins
         best = max(extended, key=lambda ev: (ev.dual_distance, ev.distance))
         params = best.qecc
-        cert = base.certificate
-        flags["certificate_ok"] = bool(cert and cert.satisfied)
         flags["x1"] = polyring.render_compact(field, best.xs[0])
         return CodeRecord(config.q, config.n, fc, gc, best.dimension, best.distance,
                           best.dual_distance, (params.n, params.k, params.d), None,
                           flags, config.rng_seed, config.fingerprint)
 
-    flags["certificate_ok"] = base.certificate.satisfied
+    flags["certificate_ok"] = forms.one_not_eigenvalue
     if base.skipped:
         return skip("enum-budget")
     d = base.distance

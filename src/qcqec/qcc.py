@@ -54,10 +54,11 @@ product <x^i a, x^j b> is the coefficient of x^(j-i) in a b̄.  So:
   least digit that qualifies.  For the rank rule (<x,x> != -alpha^(q+1),
   q > 2) it is x^(r-1) d, or 2 x^(r-1) d when that fails: N(2) != 1.
 
-G of a code (built in one pass from its rows), G of an extension and the
-characteristic polynomial of P (read off the factors of x^n - 1, with no
-matrix) are built when first read; every later read returns the same object.
-A code pads its rows for its extensions once per column count.
+G of a code (its k rows x^i (g | f g), made once), G of an extension (the
+one layout of its rows: those rows padded, then one row per column) and
+the characteristic polynomial of P (read off the factors of x^n - 1, with
+no matrix) are built when first read; every later read returns the same
+object.
 
 What depends on g alone is one `Generator`, made by `generator(field, n,
 g)` from the one division h = (x^n - 1)/g, which raises g-not-divisor.
@@ -81,14 +82,14 @@ among the irreducible factors m of h not yet taken, the one whose N
 fibers plus the projective scan of the rest cost least by
 `wdist.unit_seconds`, while that beats scanning the rest projectively
 now.  |H1| = lcm(ord_m(x), Q - 1), and the representatives are the first
-N powers of the first primitive element of GF(Q)[x]/(m).  The plan's rows
-are x^i M (g | f g) for i < deg m_j, M the product of the factors taken
-before level j, then x^i M (g | f g) for the rest, a basis since a
-message of degree < k is uniquely a + b m_j with deg a < deg m_j; the
-extension rows lead.  A length n divisible by p takes no level (h is then
-not squarefree), and neither does a code scanned in one step, which
-builds nothing; its plan is then the rows of G as they stand, behind the
-extension rows.  `scan_plan` makes the plan, a `wdist.ScanPlan`, once per
+N powers of the first primitive element of GF(Q)[x]/(m).  The plan's
+basis turns the base rows of G into x^i M (g | f g) for i < deg m_j, M
+the product of the factors taken before level j, then x^i M (g | f g) for
+the rest, a basis since a message of degree < k is uniquely a + b m_j
+with deg a < deg m_j; the extension rows are scanned as they stand.  A
+length n divisible by p takes no level (h is then not squarefree), and
+neither does a code scanned in one step, which builds nothing; its plan
+has no basis.  `scan_plan` makes the plan, a `wdist.ScanPlan`, once per
 column count, and the scans of every code of g by that many columns share
 it (`wdist`).
 """
@@ -204,29 +205,24 @@ class Generator:
             rows -= d
 
     def scan_plan(self, cols: int) -> wdist.ScanPlan:
-        """The scan plan of the codes of g extended by cols columns: the
-        extension rows lead, then the rows of the orbit levels, which a code
-        scanned in one step does not take, then the rest.  Its basis is
-        written in the messages of G: the rows x^i, then the extension rows.
-        Made once per cols, and shared by every scan of a code of g by cols
-        columns."""
+        """The scan plan of the codes of g extended by cols columns (module
+        docstring), made once per cols and shared by every scan of a code
+        of g by cols columns."""
         if cols not in self._plans:
-            self._plans[cols] = self._scan_plan(cols)
+            field, k = self.field, self.k
+            one_step = wdist.table_rows(field, k + cols, 2 * self.n + cols) == k + cols
+            levels = () if one_step else self.orbit_levels
+            basis = None
+            if levels:
+                basis, prefix = [], (field.one,)
+                for m, _, _ in levels:
+                    basis += [(0,) * i + prefix for i in range(polyring.deg(m))]
+                    prefix = polyring.poly_mul(field, prefix, m)
+                basis += [(0,) * i + prefix for i in range(k + 1 - len(prefix))]
+                basis = tuple(row + (0,) * (k - len(row)) for row in basis)
+            self._plans[cols] = wdist.ScanPlan(field, k + cols, 2 * self.n + cols, basis,
+                                               tuple((mult, reps) for _, mult, reps in levels), cols)
         return self._plans[cols]
-
-    def _scan_plan(self, cols: int) -> wdist.ScanPlan:
-        field, k = self.field, self.k
-        one_step = wdist.table_rows(field, k + cols, 2 * self.n + cols) == k + cols
-        levels = () if one_step else self.orbit_levels
-        basis, prefix = [], (field.one,)
-        for m, _, _ in levels:
-            basis += [(0,) * i + prefix for i in range(polyring.deg(m))]
-            prefix = polyring.poly_mul(field, prefix, m)
-        basis += [(0,) * i + prefix for i in range(k + 1 - len(prefix))]
-        basis = [row + (0,) * (k + cols - len(row)) for row in basis]
-        lead = [(0,) * (k + i) + (1,) + (0,) * (cols - 1 - i) for i in range(cols)]
-        return wdist.ScanPlan(field, k + cols, 2 * self.n + cols, tuple(lead + basis),
-                              tuple((mult, reps) for _, mult, reps in levels), cols)
 
 
 @lru_cache(maxsize=1)
@@ -294,24 +290,18 @@ class QcCode:
     gen: Generator
     fg: tuple
     forms: HermitianForms
-    _rows: dict = dataclass_field(default_factory=dict, init=False, repr=False)
 
     @property
     def length(self) -> int:
         return 2 * self.n
 
-    def padded_rows(self, cols: int) -> list:
-        """The k rows x^i (g | f g), each followed by cols zeros, made once
-        per cols: the rows of G (cols = 0), and the base rows of the G of
-        every extension of this code by cols columns."""
-        if cols not in self._rows:
-            if cols:
-                self._rows[cols] = [row + (0,) * cols for row in self.padded_rows(0)]
-            else:
-                g = self.g + (0,) * (self.n - len(self.g))
-                self._rows[0] = [polyring.cyclic_shift(g, i) + polyring.cyclic_shift(self.fg, i)
-                                 for i in range(self.k)]
-        return self._rows[cols]
+    @cached_property
+    def rows(self) -> tuple:
+        """The k rows x^i (g | f g), made once: the rows of G, and the base
+        rows of the G of every extension of this code."""
+        g = self.g + (0,) * (self.n - len(self.g))
+        return tuple(polyring.cyclic_shift(g, i) + polyring.cyclic_shift(self.fg, i)
+                     for i in range(self.k))
 
     @property
     def orthogonal_gram(self) -> bool:
@@ -333,7 +323,7 @@ class QcCode:
     @cached_property
     def G(self) -> famat.Mat:
         """The k rows x^i (g | f g), in one pass."""
-        return famat.Mat(self.field, self.padded_rows(0), 2 * self.n)
+        return famat.Mat(self.field, self.rows, 2 * self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,7 +351,7 @@ class ExtendedCode:
         """(G | 0), then per vector x_i one row with x_i on block i and
         alpha_i in added column i."""
         n, cols = self.base.n, self.columns_added
-        rows = list(self.base.padded_rows(cols))
+        rows = [row + (0,) * cols for row in self.base.rows]
         for i, (x, alpha) in enumerate(zip(self.xs, self.alphas)):
             row = [0] * (2 * n + cols)
             row[i * n:(i + 1) * n] = x

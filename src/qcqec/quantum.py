@@ -14,6 +14,7 @@ from math import comb
 
 from . import qcc, wdist
 from .errors import InvariantError, PreconditionError, SpecError
+from .gf import SUPPORTED_Q
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,14 @@ class GvVerdict:
 
 
 def gv_verdict(q: int, n: int, k: int, d: int) -> GvVerdict:
+    """The verdict for [[n,k,d]]_q, q a supported field and d <= n: the
+    bound's integers grow with q, and its sum runs over d."""
     if q < 2:
         raise SpecError(f"q must be at least 2, got {q}")
+    if q not in SUPPORTED_Q:
+        raise SpecError(f"unsupported q={q}; supported: {SUPPORTED_Q}")
+    if d > n:
+        raise SpecError(f"invalid distance {d} for length {n}")
     applicable = n > k >= 2 and (n - k) % 2 == 0 and d >= 2
     if not applicable:
         return GvVerdict(q, n, k, d, False, None, None)

@@ -23,19 +23,21 @@ k - d; multiplying by H1 = <x mod m, GF(Q)*> permutes the fibers and keeps
 weights.  So the words with a nonzero m-residue are counted as |H1| times
 the fibers of N = (Q^d - 1)/|H1| coset representatives r = gamma^j, each
 scanned as the key offset c(r) plus the span of C', and C' is split again
-or scanned projectively.  A `ScanPlan` writes this as scan rows (a basis
-of the code adapted to the levels, given as combinations of the rows of the
-g passed in) and one list of levels (mult, reps), each taking len(reps[0])
-rows and making a unit (head, mult) per rep, one per fiber.  The projective
-split is a level too: a row scanned projectively is (Q - 1, ((1,),)), its
-first nonzero digit set to 1.  The list is the `cols` columns of an
-extension, scanned projectively first so that only its all-zero part, the
-base code, is split; then the orbit levels; then every row down to the
-block table, whose span ends it.  A unit may span fewer rows than the
-block table: the table holds the span of the last rows, the last row
-first, so its first Q^j words span the last j rows.  `unit_seconds` is the
-cost model the plan is chosen by, with a key at _KEY_S and a table word at
-_WORD_S per plane word.
+or scanned projectively (table 5's [70,12]_4 row so scans 1.6e5 words, not
+5.6e6).  A `ScanPlan` writes this as scan rows and one list of levels
+(mult, reps), each taking len(reps[0]) rows and making a unit (head, mult)
+per rep, one per fiber.  The first `cols` scan rows are G's last `cols`,
+the extension rows, as they stand; the rest are G's base rows combined by
+the plan's basis, or as they stand in a plan of no level (basis None).
+The projective split is a level too: a row scanned projectively is
+(Q - 1, ((1,),)), its first nonzero digit set to 1.  The list is the
+`cols` extension rows, scanned projectively first so that only their
+all-zero part, the base code, is split; then the orbit levels; then every
+row down to the block table, whose span ends it.  A unit may span fewer
+rows than the block table: the table holds the span of the last rows, the
+last row first, so its first Q^j words span the last j rows.
+`unit_seconds` is the cost model the plan is chosen by, with a key at
+_KEY_S and a table word at _WORD_S per plane word.
 
 The same model decides where a scan runs.  With workers > 1 a process
 pool starts only when the one-worker scan's estimate, times the share
@@ -51,15 +53,13 @@ units and their one-worker estimate, and their deal to each worker count,
 which depend only on the plan; the multiples of each extension row
 (x1 | 0 | alpha) scanned so far; and the base part of the last base code
 C scanned, with the extension rows as the outer ones of the split of Ling
-and Sole: the multiples of the base rows, the block table over them, and
-the histogram of the units whose extension digits are zero, the words of
-C.  That part is keyed by the rows of G it was made from, the first
-k - cols, which are all that the basis rows after the extension rows read
-(a plan whose base rows read an extension row is refused when made).  A scan whose
-base rows match reuses it and weighs only its extension units, x1 + C with
-multiplier Q - 1 for one column, through `_scan` against its table; any
-other scan rebuilds it first.  A scan on more than one worker shares
-nothing: it makes its own table in each job.
+and Sole: the multiples of the base scan rows, the block table over them,
+and the histogram of the units whose extension digits are zero, the words
+of C.  That part is keyed by G's base rows, which are all that the basis
+reads.  A scan whose base rows match reuses it and weighs only its
+extension units, x1 + C with multiplier Q - 1 for one column, through
+`_scan` against its table; any other scan rebuilds it first.  A scan on
+more than one worker shares nothing: it makes its own table in each job.
 
 Words are bit-sliced, 64 symbols to a uint64 word per bit plane: one plane
 per GF(2) coordinate, added by XOR, or two per GF(3) coordinate ("= 2" and
@@ -361,19 +361,16 @@ def _scan(job) -> list[int]:
     return counts
 
 
-def _scan_rows(field: Field, g: famat.Mat, basis) -> list[tuple]:
-    """The rows basis . g over GF(Q), or g's own rows without a basis; a
-    unit basis row picks its row of g."""
+def _scan_rows(field: Field, rows: list, basis) -> list:
+    """The rows basis . rows over GF(Q), or the rows as they stand without
+    a basis."""
     if basis is None:
-        return [tuple(r) for r in g.rows]
+        return rows
     add, mul = field.add_table, field.mul_table
     out = []
     for b in basis:
-        if b.count(0) == len(b) - 1 and 1 in b:
-            out.append(tuple(g.rows[b.index(1)]))
-            continue
-        acc = [0] * g.ncols
-        for c, row in zip(b, g.rows):
+        acc = [0] * len(rows[0])
+        for c, row in zip(b, rows):
             if c:
                 acc = [add[a][mul[c][x]] for a, x in zip(acc, row)]
         out.append(tuple(acc))
@@ -382,15 +379,14 @@ def _scan_rows(field: Field, g: famat.Mat, basis) -> list[tuple]:
 
 class ScanPlan:
     """How to scan the [n, k]_Q codes of one generator extended by `cols`
-    columns, and what their scans share (module docstring).  Scan row i is
-    sum_j basis[i][j] g.rows[j], for the g passed to `counts`, or g.rows[i]
-    with no basis.  `levels` holds the orbit levels (mult, reps) alone; the
-    work units are made from them, the extension rows before them and the
-    projective rows after them, in one loop."""
+    columns, and what their scans share (module docstring).  The scan rows
+    of the g passed to `counts` are its last cols rows, then basis . (its
+    first k - cols rows), or those rows with no basis.  `levels` holds the
+    orbit levels (mult, reps) alone; the work units are made from them, the
+    extension rows before them and the projective rows after them, in one
+    loop."""
 
     def __init__(self, field: Field, k: int, n: int, basis=None, levels=(), cols=0):
-        if basis is not None and any(any(b[k - cols:]) for b in basis[cols:]):
-            raise ValueError("the plan's base rows read a lead row")
         self.field, self.k, self.n = field, k, n
         self.basis, self.levels, self.cols = basis, tuple(levels), cols
         Q, inner = field.Q, table_rows(field, k, n)
@@ -451,26 +447,25 @@ class ScanPlan:
         if (g.field.Q, g.nrows, g.ncols) != (field.Q, k, n):
             raise ValueError(f"a plan for [{n}, {k}]_{field.Q} codes cannot scan G")
         bp = _bit_planes(field.q, n)
+        rows = [tuple(row) for row in g.rows]
+        base, lead = rows[: k - cols], rows[k - cols :]
         if workers > 1 and self.seconds * (1 - 1 / workers) > _POOL_S:
-            mults = bp.multiples(_scan_rows(field, g, self.basis))
+            mults = bp.multiples(lead + _scan_rows(field, base, self.basis))
             jobs = [(field.q, n, mults, self.inner, chunk, None) for chunk in self.chunks(workers)]
             with ProcessPoolExecutor(max_workers=workers) as ex:
                 return [sum(parts) for parts in zip(*ex.map(_scan, jobs))]
-        rows = [tuple(row) for row in g.rows[: k - cols]]
-        if self.base is None or self.base[0] != rows:
+        if self.base is None or self.base[0] != base:
             self.base = None  # the last base part goes before this one is made
-            mults = bp.multiples(_scan_rows(field, g, self.basis and self.basis[cols:]))
+            mults = bp.multiples(_scan_rows(field, base, self.basis))
             table = _block_table(bp, mults, self.inner)
-            self.base = rows, mults, table, _scan((field.q, n, mults, self.inner, self.base_units, table))
+            self.base = base, mults, table, _scan((field.q, n, mults, self.inner, self.base_units, table))
         _, base_mults, table, base_counts = self.base
         if not cols:
             return base_counts
-        lead_mults = []
-        for row in _scan_rows(field, g, self.basis[:cols]):
+        for row in lead:
             if row not in self.lead_mults:
                 self.lead_mults[row] = bp.multiples([row])
-            lead_mults.append(self.lead_mults[row])
-        mults = np.concatenate(lead_mults + [base_mults], axis=2)
+        mults = np.concatenate([self.lead_mults[row] for row in lead] + [base_mults], axis=2)
         counts = _scan((field.q, n, mults, self.inner, self.lead_units, table))
         return [a + b for a, b in zip(base_counts, counts)]
 

@@ -347,6 +347,12 @@ def test_gv_command(capsys):
     assert rc == 0
     assert "not applicable" in out
 
+    # the largest bound: q = 9, n = MAX_N, d = n, integers of 976 and 1953 digits
+    rc, out, _ = run(capsys, "gv", "--q", "9", "--n", "1024", "--k", "2", "--d", "1024")
+    lhs, rhs = out.split("lhs=")[1].split(" <= rhs=")
+    assert rc == 0 and out.startswith("not guaranteed by GV")
+    assert (len(lhs), len(rhs.strip())) == (976, 1953)
+
 
 @pytest.mark.parametrize("q", ["1", "0", "-1"])
 def test_gv_rejects_q_below_two(capsys, q):
@@ -624,6 +630,20 @@ def test_gv_past_the_largest_length_is_bad_input(capsys):
     t0 = time.perf_counter()
     rc, _, err = run(capsys, "gv", "--q", "2", "--n", "1000000000", "--k", "10", "--d", "5")
     assert_length_refused(rc, err, 1000000000, time.perf_counter() - t0)
+
+
+@pytest.mark.parametrize("q, n, d, message", [
+    # a bound past Python's 4300-digit string limit; only the fields of
+    # this package are accepted
+    ("1000", "1024", "1000", "unsupported q=1000; supported: (2, 3, 9)"),
+    # a sum over range(1, d) whatever n is; d past n is refused first
+    ("2", "10", "1000000000000", "invalid distance 1000000000000 for length 10"),
+])
+def test_gv_past_the_supported_fields_or_the_length_is_bad_input(capsys, q, n, d, message):
+    t0 = time.perf_counter()
+    rc, _, err = run(capsys, "gv", "--q", q, "--n", n, "--k", "2", "--d", d)
+    assert rc == 2 and time.perf_counter() - t0 < 1.0
+    assert json.loads(err)["error"] == {"type": "spec", "message": message}
 
 
 def test_search_rejects_bad_config(capsys, tmp_path):
@@ -924,3 +944,17 @@ sys.exit(cli.main(["verify", {str(SPECS / "q2-n7-base.json")!r}]))
     assert done.returncode == 5 and "Traceback" not in done.stderr
     err = json.loads(done.stderr)["error"]
     assert err["type"] == "invariant" and err["message"].startswith("enumerator total")
+
+
+def test_readme_library_quickstart_runs():
+    # the README's one python block, as a reader would paste it, with src
+    # on the path
+    readme = (SPECS.parent / "README.md").read_text()
+    blocks = readme.split("```python\n")
+    assert len(blocks) == 2
+    program = blocks[1].split("```")[0]
+    env = dict(os.environ, PYTHONPATH=str(SPECS.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", program], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[[31,17,5]]_2\n"

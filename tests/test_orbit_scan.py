@@ -237,13 +237,41 @@ def test_interleaved_bases_rebuild_the_base_part_exactly_when_its_rows_change(
     qcc.generator.cache_clear()
 
 
-def test_a_plan_whose_base_rows_read_a_lead_row_is_refused():
-    ext = with_columns(random_code(GF4, 15, (3, 4, 5), 0), 1, 0)
+@pytest.mark.parametrize("field,n,h_factors,levels", [
+    (GF9, 16, (0, 8), False),  # [34, 5]_9: two columns, no level
+    (GF9, 13, (0, 1), True),   # [28, 6]_9: two columns, the levels taken
+])
+def test_the_first_scan_rows_are_the_extension_rows_of_g(
+        field, n, h_factors, levels, monkeypatch, pool_always, pools_started):
+    # here and on a pool, the scan rows start with G's last cols rows as
+    # they stand; the basis combines G's base rows alone, and a plan of no
+    # level has none
+    if levels:
+        monkeypatch.setattr(wdist, "_ONE_STEP_BYTES", 0)
+        monkeypatch.setattr(wdist, "_KEY_S", 0.0)
+    monkeypatch.setattr(wdist, "_usable_cpus", lambda: 2)
+    qcc.generator.cache_clear()
+    ext = with_columns(random_code(field, n, h_factors, n), 2, n)
     plan = scan_plan(ext)
-    basis = list(plan.basis)
-    basis[-1] = basis[-1][:-1] + (1,)  # the last base row plus the lead row
-    with pytest.raises(ValueError, match="read a lead row"):
-        wdist.ScanPlan(plan.field, plan.k, plan.n, tuple(basis), plan.levels, plan.cols)
+    assert bool(plan.levels) == levels and (plan.basis is None) == (not levels)
+    assert not levels or len(plan.basis) == ext.base.k
+    expected = wdist.enumerate_code(ext.G)
+    scanned, multiples = [], wdist.BitPlanes.multiples
+
+    def recorded(self, rows):
+        scanned.append([tuple(row) for row in rows])
+        return multiples(self, rows)
+
+    monkeypatch.setattr(wdist.BitPlanes, "multiples", recorded)
+    rows = [tuple(row) for row in ext.G.rows]
+    base, lead = rows[:ext.base.k], rows[ext.base.k:]
+    assert wdist.enumerate_code(ext.G, plan=plan) == expected
+    assert scanned[1:] == [[row] for row in lead]
+    assert (scanned[0] == base) == (not levels)
+    here, scanned[:] = scanned[0], []
+    assert wdist.enumerate_code(ext.G, plan=plan, workers=2) == expected
+    assert pools_started == [2] and scanned == [lead + here]
+    qcc.generator.cache_clear()
 
 
 def test_a_plan_refuses_a_generator_of_another_shape():

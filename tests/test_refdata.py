@@ -6,10 +6,12 @@ the construction preconditions of each family hold.  Distance claims are
 checked elsewhere (desk-scale rows in the acceptance suite).
 """
 
+from pathlib import Path
+
 import pytest
 
 import oracles
-from qcqec import pipeline, polyring, qcc, refdata
+from qcqec import cli, pipeline, polyring, qcc, refdata
 from qcqec.errors import PreconditionError
 from qcqec.gf import field_make
 
@@ -137,6 +139,24 @@ def test_reference_codes_consistent():
             assert (code.length, code.k) == want[:2]
         if rc.expect.get("certificate"):
             assert qcc.entanglement_certificate(code).satisfied
+
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+@pytest.mark.parametrize("rc", refdata.REFERENCE_CODES, ids=lambda rc: rc.name)
+def test_spec_files_hold_the_reference_inputs(rc):
+    # specs/<name>.json and REFERENCE_CODES are two copies of the same
+    # constructions: the spec file, as the CLI reads it, has the RefCode's
+    # inputs
+    spec = cli.load_spec(str(SPECS / f"{rc.name}.json"))
+    ev = cli._spec_evaluation(spec, None, 1)
+    cols = refdata.MODES.index(rc.mode)
+    assert spec["mode"] == rc.mode
+    assert (ev.field, ev.n) == (field_make(rc.q), rc.n)
+    assert ev.f == rc.f + (0,) * (rc.n - len(rc.f)) and ev.g == rc.g
+    assert ev.xs == (rc.x1, rc.x2)[:cols]
+    assert ev.alphas == (rc.alpha1, rc.alpha2)[:cols]
 
 
 def test_find_reference():
